@@ -13,22 +13,30 @@ metrics.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import resource
-import statistics
-import sys
 import time
-from pathlib import Path
-
-import harness
-import tracer as tracing
 
 T_START = time.perf_counter()   # set-up time counts from here
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import os  # noqa: E402
+import platform  # noqa: E402
+import resource  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+# BLAS is pinned to one thread before numpy loads (harness imports it),
+# so that one workload is one thread and the load fits a 2-core machine
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import harness  # noqa: E402
+import tracer as tracing  # noqa: E402
+
 ROOT = Path(__file__).resolve().parent.parent
-SETUP_REPS = 3          # set-up is repeated and its median reported
+SETUP_REPS = 5          # set-up is repeated and its median reported
 RECONCILE_TOL = 0.01    # traced self flops must sum to flops_per_op within 1%
 
 
@@ -42,13 +50,7 @@ def parse_args(argv):
 
 
 def load_library():
-    """Import pvdyn from this checkout's src/, or exit 2 if it is not there.
-
-    BLAS is pinned to one thread before numpy loads, so that one workload
-    is one thread and the load fits a 2-core machine."""
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = "1"
+    """Import pvdyn from this checkout's src/, or exit 2 if it is not there."""
     src = ROOT / "src"
     if not (src / "pvdyn" / "__init__.py").is_file():
         print(f"pvdyn sources not found under {src}", file=sys.stderr)
@@ -66,8 +68,9 @@ def metric(value, unit):
 
 
 def end_to_end(tally, setup_s):
+    """Set-up time gets the timed phase's speed correction, like latency."""
     return {
-        "setup_s": metric(setup_s, "s"),
+        "setup_s": metric(setup_s * tally.speed_factor(), "s"),
         "op_ms_p50": metric(tally.op_ms(0.5), "ms"),
         "op_ms_p95": metric(tally.op_ms(0.95), "ms"),
         "ops_per_s": metric(tally.ops_per_s(), "1/s"),
@@ -198,6 +201,8 @@ def main(argv=None) -> int:
     print(json.dumps({"env": {
         "workload": args.workload, "seed": args.seed, "trace": args.trace,
         "samples": attempted, "rounds": rounds, "pool": len(pool),
+        "speed_factor": plain.speed_factor(), "raw_op_ms_p50": plain.raw_op_ms(0.5),
+        "raw_setup_s": setup_s,
         "cpus": os.cpu_count(), "python": platform.python_version(),
         "numpy": numpy.__version__, "scipy": scipy.__version__,
         "pvdyn": pvdyn.__version__, "blas_threads": os.environ["OMP_NUM_THREADS"],

@@ -5,7 +5,9 @@ sets, workspaces and op pool from public constructors (this is the
 set-up the benchmark times), and the returned pool carries a
 `reference()` step that certifies the fixtures against the dense oracle
 and attaches an output check to every op (untimed, and excluded from
-set-up time).  Certification raises `CertificationError`, which stops
+set-up time).  A drawn state at which the Delassus matrix is nearly
+singular is replaced by a fresh draw before it is certified (see
+`_well_posed`).  Certification raises `CertificationError`, which stops
 the run without a result.
 
 Why each workload exists, and which layer metric should move which
@@ -25,12 +27,28 @@ SINGULAR_QDD_TOL = 1e-6 # least-squares solves, as acceptance 4
 OSIM_TOL = 1e-6         # Delassus operators and their applies
 DRIFT_TOL = 1e-5        # anchored-link drift over a rollout segment (m, rad)
 
+# Full-rank workloads draw only states at which the Delassus matrix's
+# smallest eigenvalue is at least this: ten times the proximal weight mu
+# of the default SolverSettings.  Below about mu, constrained_aba
+# contracts its residual by less than half per iteration and stops at
+# max_iter short of the 1e-8 feasible gate; prox-singular keeps one such
+# state (NEAR_SINGULAR) so that this regime stays measured.
+DELASSUS_FLOOR = 10 * pvdyn.SolverSettings().mu
+REDRAWS = 20            # fresh draws tried per state before giving up
+
 TREE = (128, 3, 0)      # tree:128:3 at generator seed 0, as on the ROADMAP grid
-FD_POOL = 24            # states per fd-tree round
-# states per osim-contacts input (humanoid, tree); unequal so that the
-# median op falls inside one cluster of similar ops, not between two
-OSIM_POOL = (6, 4)
-SIM_STARTS = 2          # rollout segments per sim-humanoid round
+FD_POOL = 24            # states per fd-tree round: 96 ops, about 6 s
+FD_POINTS = 8           # point constraints of fd-tree (24 rows)
+# the fd-tree draw (seed, state index) whose Delassus smallest eigenvalue
+# is 3.5e-7, about mu/3: constrained_aba stops at max_iter there
+NEAR_SINGULAR = (1876907943, 15)
+# states per osim-contacts input (humanoid, tree).  Sorted by latency a
+# round's 56 ops fall into clusters: 24 humanoid pv_osim/pv_osimr/caba_osim,
+# 8 humanoid LTL, 18 tree producers, 6 tree LTL.  So the median sits in the
+# middle of the humanoid LTL cluster (43% to 57%) and p95 in the middle of
+# the tree LTL one (89% to 100%), not at a cluster's edge.
+OSIM_POOL = (8, 6)
+SIM_STARTS = 4          # rollout segments per sim-humanoid round
 SIM_STEPS = 5           # RK4 steps per segment
 BAUMGARTE = (10.0, 100.0)
 SINGULAR_SEEDS = range(50)   # the instance structures acceptance 4 grades
@@ -50,6 +68,16 @@ class Pool(list):
 
 # ---------------------------------------------------------------------------
 # shared helpers
+
+
+def _well_posed(model, cs, point, redraw, what: str):
+    """`point` if the Delassus matrix at its state has smallest eigenvalue
+    at least DELASSUS_FLOOR, else the first redrawn point that has."""
+    for _ in range(REDRAWS):
+        if np.linalg.eigvalsh(pvdyn.dense_delassus(model, point[0], cs))[0] >= DELASSUS_FLOOR:
+            return point
+        point = redraw()
+    raise CertificationError(f"{what}: no well-conditioned state in {REDRAWS} draws")
 
 
 def _rel(x, ref) -> float:
@@ -152,28 +180,43 @@ def _damped_reference(dense, mu, rhs):
 # fd-tree: independent constrained forward-dynamics solves
 
 
-def build_fd_tree(seed: int) -> Pool:
+def _fd_point(model, rng):
+    return (pvdyn.random_state(model, int(rng.integers(2 ** 31))),
+            rng.uniform(-5.0, 5.0, model.nv))
+
+
+def fd_fixture(model, seed: int, count: int = FD_POOL):
+    """fd-tree's constraint set and the first `count` (state, torque)
+    pairs it draws at `seed`."""
     rng = np.random.default_rng((seed, 1))
+    cs = tree_points(model, FD_POINTS, rng)
+    return cs, [_fd_point(model, rng) for _ in range(count)]
+
+
+def build_fd_tree(seed: int) -> Pool:
     model = pvdyn.generate_tree(*TREE)
-    cs = tree_points(model, 8, rng)
+    cs, points = fd_fixture(model, seed)
     ws = pvdyn.PvWorkspace(model, cs)
     settings = pvdyn.SolverSettings()
-    points = [(pvdyn.random_state(model, int(rng.integers(2 ** 31))),
-               rng.uniform(-5.0, 5.0, model.nv)) for _ in range(FD_POOL)]
     ops = []
-    for state, tau in points:
+    # ops read their inputs from `points` when they run, so that the
+    # reference step can replace an ill-conditioned draw
+    for k in range(FD_POOL):
         ops += [
-            Op("pv_solve", lambda s=state, t=tau: pvdyn.pv_solve(model, s, t, cs, ws)),
-            Op("pv_early_solve",
-               lambda s=state, t=tau: pvdyn.pv_early_solve(model, s, t, cs, ws)),
+            Op("pv_solve", lambda k=k: pvdyn.pv_solve(model, *points[k], cs, ws)),
+            Op("pv_early_solve", lambda k=k: pvdyn.pv_early_solve(model, *points[k], cs, ws)),
             Op("pv_soft_solve",
-               lambda s=state, t=tau: pvdyn.pv_soft_solve(model, s, t, cs, settings, ws)),
+               lambda k=k: pvdyn.pv_soft_solve(model, *points[k], cs, settings, ws)),
             Op("constrained_aba",
-               lambda s=state, t=tau: pvdyn.constrained_aba(model, s, t, cs, settings, ws)),
+               lambda k=k: pvdyn.constrained_aba(model, *points[k], cs, settings, ws)),
         ]
 
     def reference():
-        for k, (state, tau) in enumerate(points):
+        spare = np.random.default_rng((seed, 1, 1))
+        for k in range(FD_POOL):
+            points[k] = _well_posed(model, cs, points[k], lambda: _fd_point(model, spare),
+                                    f"fd-tree state {k}")
+            state, tau = points[k]
             _certify(model, state, cs, True, f"fd-tree state {k}")
             ref = pvdyn.kkt_oracle(model, state, tau, cs)
             soft = pvdyn.relaxed_kkt_oracle(model, state, tau, cs, settings.soft_R)
@@ -269,24 +312,27 @@ def build_sim_humanoid(seed: int) -> Pool:
 # osim-contacts: one Delassus operator build plus one apply per op
 
 
-def _osim_ops(model, state, cs, ws, settings, rhs):
+def _osim_ops(model, cs, ws, settings, point):
+    """The four producers at `point` = [(state, rhs)], read when an op runs
+    so that the reference step can replace an ill-conditioned draw."""
     def ltl():
+        state = point[0][0]
         cache = pvdyn.forward_kinematics(model, state)
         mass = pvdyn.crba(model, state, cache=cache)
         jac = pvdyn.constraint_jacobian(model, cache, cs)
         return pvdyn.ltl_osim(mass, jac)
 
     producers = (
-        ("pv_osim", lambda: pvdyn.pv_osim(model, state, cs, ws)),
-        ("pv_osimr", lambda: pvdyn.pv_osimr(model, state, cs, ws)),
-        ("caba_osim", lambda: pvdyn.caba_osim(model, state, cs, settings, ws)),
+        ("pv_osim", lambda: pvdyn.pv_osim(model, point[0][0], cs, ws)),
+        ("pv_osimr", lambda: pvdyn.pv_osimr(model, point[0][0], cs, ws)),
+        ("caba_osim", lambda: pvdyn.caba_osim(model, point[0][0], cs, settings, ws)),
         ("ltl_osim", ltl),
     )
     ops = []
     for kind, produce in producers:
         def run(produce=produce):
             op = produce()
-            return op, pvdyn.delassus_apply(op, rhs)
+            return op, pvdyn.delassus_apply(op, point[0][1])
         ops.append(Op(kind, run))
     return ops
 
@@ -308,24 +354,43 @@ def build_osim_contacts(seed: int) -> Pool:
         for name in ("foot_l", "foot_r", "hand_l", "hand_r")])
     tree = pvdyn.generate_tree(*TREE)
     points = tree_points(tree, 12, rng)
+
+    def draw(model, cs, gen):
+        return (pvdyn.random_state(model, int(gen.integers(2 ** 31))),
+                gen.uniform(-1.0, 1.0, cs.m))
+
     cases = []
     for model, cs, count in ((humanoid, welds, OSIM_POOL[0]), (tree, points, OSIM_POOL[1])):
         ws = pvdyn.PvWorkspace(model, cs)
         for _ in range(count):
-            state = pvdyn.random_state(model, int(rng.integers(2 ** 31)))
-            rhs = rng.uniform(-1.0, 1.0, cs.m)
-            cases.append((model, state, cs, rhs, _osim_ops(model, state, cs, ws, settings, rhs)))
+            point = [draw(model, cs, rng)]
+            cases.append((model, cs, point, _osim_ops(model, cs, ws, settings, point)))
 
     def reference():
-        for k, (model, state, cs, rhs, ops) in enumerate(cases):
-            _certify(model, state, cs, True, f"osim-contacts case {k}")
+        spare = np.random.default_rng((seed, 3, 1))
+        for k, (model, cs, point, ops) in enumerate(cases):
+            what = f"osim-contacts case {k}"
+            point[0] = _well_posed(model, cs, point[0], lambda: draw(model, cs, spare), what)
+            state, rhs = point[0]
+            _certify(model, state, cs, True, what)
             _attach_osim_checks(ops, model, state, cs, settings, rhs)
 
-    return Pool([op for case in cases for op in case[4]], reference)
+    return Pool([op for case in cases for op in case[3]], reference)
 
 
 # ---------------------------------------------------------------------------
-# prox-singular: the proximal layer on rank-deficient and infeasible rows
+# prox-singular: the proximal layer on rank-deficient, infeasible and
+# near-singular rows
+
+
+def _prox_ops(model, state, tau, cs, rhs, ws, settings):
+    def solve():
+        return pvdyn.constrained_aba(model, state, tau, cs, settings, ws)
+
+    def damped():
+        op = pvdyn.caba_osim(model, state, cs, settings, ws)
+        return op, pvdyn.delassus_apply(op, rhs)
+    return Op("constrained_aba", solve), Op("caba_osim", damped)
 
 
 def build_prox_singular(seed: int) -> Pool:
@@ -345,25 +410,28 @@ def build_prox_singular(seed: int) -> Pool:
         state = pvdyn.random_state(model, int(rng.integers(2 ** 31)))
         tau = pvdyn.rnea(model, state, rng.uniform(-2.0, 2.0, model.nv))
         rhs = rng.uniform(-1.0, 1.0, cs.m)
-        ws = pvdyn.PvWorkspace(model, cs)
-
-        def solve(model=model, state=state, tau=tau, cs=cs, ws=ws):
-            return pvdyn.constrained_aba(model, state, tau, cs, settings, ws)
-
-        def damped(model=model, state=state, cs=cs, ws=ws, rhs=rhs):
-            op = pvdyn.caba_osim(model, state, cs, settings, ws)
-            return op, pvdyn.delassus_apply(op, rhs)
-        instances.append((model, state, tau, cs, rhs,
-                          Op("constrained_aba", solve), Op("caba_osim", damped)))
+        instances.append((model, state, tau, cs, rhs, pvdyn.PvWorkspace(model, cs)))
+    # last, one full-rank fd-tree draw whose Delassus matrix is nearly
+    # singular; its state and torque are fixed, since such draws are rare
+    tree = pvdyn.generate_tree(*TREE)
+    cs, points = fd_fixture(tree, NEAR_SINGULAR[0], NEAR_SINGULAR[1] + 1)
+    instances.append((tree, *points[-1], cs, rng.uniform(-1.0, 1.0, cs.m),
+                      pvdyn.PvWorkspace(tree, cs)))
+    ops = [_prox_ops(*inst, settings) for inst in instances]
 
     def reference():
-        for k, (model, state, tau, cs, rhs, solve, damped) in enumerate(instances):
-            _certify(model, state, cs, False, f"prox-singular instance {k}")
-            solve.check = _singular_check(pvdyn.kkt_oracle(model, state, tau, cs))
+        for k, ((model, state, tau, cs, rhs, _), (solve, damped)) in enumerate(zip(instances,
+                                                                                  ops)):
+            near = k == len(instances) - 1
+            what = f"prox-singular instance {k}"
+            _certify(model, state, cs, near, what)
             dense = pvdyn.dense_delassus(model, state, cs)
+            if near and np.linalg.eigvalsh(dense)[0] >= DELASSUS_FLOOR:
+                raise CertificationError(f"{what}: expected a nearly singular Delassus matrix")
+            solve.check = _singular_check(pvdyn.kkt_oracle(model, state, tau, cs))
             damped.check = _operator_check(*_damped_reference(dense, settings.mu, rhs))
 
-    return Pool([op for inst in instances for op in inst[5:]], reference)
+    return Pool([op for pair in ops for op in pair], reference)
 
 
 WORKLOADS = {
