@@ -1,7 +1,8 @@
 """Command-line interface: check, bench, rollout, info.
 
 Exit codes: 0 on success, 1 when the check suite finds a failure,
-2 on usage or model-loading errors.
+2 on usage or model-loading errors and on a bench cell that raises a
+library error (a singular dual, for one).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import checks, generators
-from .errors import ModelLoadError, PvdynError, UnknownAlgorithm
+from .errors import ModelLoadError, PvdynError
 from .integrate import SOLVERS, IntegratorConfig, attach_anchors, rollout
 from .model import ConstraintSet, neutral_state, random_state
 
@@ -62,8 +63,9 @@ def bench(models, algorithms, m, reps, seed, out):
                                    algorithms=tuple(algorithms.split(",")),
                                    m=m, reps=reps, seed=seed)
         records = bench_mod.run_bench(spec)
-    except (UnknownAlgorithm, ModelLoadError, ValueError) as exc:
-        raise click.UsageError(str(exc)) from exc
+    except (PvdynError, ValueError) as exc:
+        raise click.UsageError(f"model {models}, solver {algorithms}, m={m}: "
+                               f"{type(exc).__name__}: {exc}") from exc
     click.echo(bench_mod.CSV_HEADER)
     for r in records:
         click.echo(f"{r.algorithm},{r.n},{r.m},{r.d},{r.reps},"

@@ -81,8 +81,7 @@ def delassus_apply(op: DelassusOperator, rhs: np.ndarray) -> np.ndarray:
 # shared tau-independent coupling sweep
 
 
-def _kl_delassus(model: Model, cache, cs: ConstraintSet, ws: PvWorkspace,
-                 reg: dict[int, np.ndarray] | None = None) -> np.ndarray:
+def _kl_delassus(model: Model, cache, cs: ConstraintSet, ws: PvWorkspace) -> np.ndarray:
     """Backward sweep accumulating only the coupling blocks; returns Lambda."""
     m = cs.m
     if m == 0:
@@ -90,10 +89,6 @@ def _kl_delassus(model: Model, cache, cs: ConstraintSet, ws: PvWorkspace,
     ia = ws.IA
     np.copyto(ia, model.inertia66)
     work = 0
-    if reg:
-        for link, extra in reg.items():
-            ia[link] += extra
-            work += 36
     lam_mat = ws.L
     lam_mat[:] = 0.0
     for i in range(model.n_links - 1, -1, -1):

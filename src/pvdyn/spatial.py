@@ -31,20 +31,23 @@ import numpy as np
 
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrix: skew(v) @ w == cross(v, w)."""
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
+    x, y, z = np.asarray(v, dtype=float).tolist()
+    return np.array(((0.0, -z, y), (z, 0.0, -x), (-y, x, 0.0)))
 
 
 def axis_angle_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rotation matrix turning vectors by `angle` about unit `axis`."""
+    """Rotation matrix turning vectors by `angle` about unit `axis`
+    (Rodrigues: ``c I + s skew(a) + (1 - c) a a'``, written out)."""
     c = math.cos(angle)
     s = math.sin(angle)
-    a = np.asarray(axis, dtype=float)
-    k = skew(a)
-    return c * np.eye(3) + s * k + (1.0 - c) * np.outer(a, a)
+    t = 1.0 - c
+    x, y, z = np.asarray(axis, dtype=float).tolist()
+    txy, txz, tyz = t * (x * y), t * (x * z), t * (y * z)
+    return np.array((
+        (c + t * (x * x), txy - s * z, txz + s * y),
+        (txy + s * z, c + t * (y * y), tyz - s * x),
+        (txz - s * y, tyz + s * x, c + t * (z * z)),
+    ))
 
 
 def rpy_rotation(roll: float, pitch: float, yaw: float) -> np.ndarray:
@@ -99,33 +102,31 @@ def quat_exp(omega_dt: np.ndarray) -> np.ndarray:
 # array kernels used by the recursive sweeps
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b for a 3-vector a and a 3-vector or 3xk block b (column-wise)."""
+    if b.ndim == 2:
+        return skew(a) @ b
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+
+
 def xm6(rot: np.ndarray, trans: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Motion transform of a 6-vector (or 6xk block) into the target frame."""
     ang = v[:3]
-    lin = v[3:]
-    if v.ndim == 1:
-        return np.concatenate((rot @ ang, rot @ (lin - np.cross(trans, ang))))
-    return np.vstack((rot @ ang, rot @ (lin - np.cross(trans, ang.T).T)))
+    return np.concatenate((rot @ ang, rot @ (v[3:] - _cross(trans, ang))), axis=0)
 
 
 def xf6(rot: np.ndarray, trans: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Force transform of a 6-vector into the target frame."""
-    n = f[:3]
+    """Force transform of a 6-vector (or 6xk block) into the target frame."""
     lin = f[3:]
-    if f.ndim == 1:
-        return np.concatenate((rot @ (n - np.cross(trans, lin)), rot @ lin))
-    return np.vstack((rot @ (n - np.cross(trans, lin.T).T), rot @ lin))
+    return np.concatenate((rot @ (f[:3] - _cross(trans, lin)), rot @ lin), axis=0)
 
 
 def xft6(rot: np.ndarray, trans: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Transposed motion transform applied to a force (child-to-parent push)."""
-    n = f[:3]
-    lin = f[3:]
-    if f.ndim == 1:
-        fl = rot.T @ lin
-        return np.concatenate((rot.T @ n + np.cross(trans, fl), fl))
-    fl = rot.T @ lin
-    return np.vstack((rot.T @ n + np.cross(trans, fl.T).T, fl))
+    fl = rot.T @ f[3:]
+    return np.concatenate((rot.T @ f[:3] + _cross(trans, fl), fl), axis=0)
 
 
 def motion_matrix(rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
@@ -152,20 +153,17 @@ def xi6(rot: np.ndarray, trans: np.ndarray, inertia: np.ndarray) -> np.ndarray:
 
 
 def cross_m6(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Spatial cross product of two motion vectors."""
+    """Spatial cross product of a motion vector with a motion 6-vector or 6xk block."""
     vw = v[:3]
-    return np.concatenate((
-        np.cross(vw, w[:3]),
-        np.cross(vw, w[3:]) + np.cross(v[3:], w[:3]),
-    ))
+    wa = w[:3]
+    return np.concatenate((_cross(vw, wa), _cross(vw, w[3:]) + _cross(v[3:], wa)), axis=0)
 
 
 def cross_f6(v: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Dual spatial cross product of a motion with a force."""
-    return np.concatenate((
-        np.cross(v[:3], f[:3]) + np.cross(v[3:], f[3:]),
-        np.cross(v[:3], f[3:]),
-    ))
+    """Dual spatial cross product of a motion with a force 6-vector or 6xk block."""
+    vw = v[:3]
+    fl = f[3:]
+    return np.concatenate((_cross(vw, f[:3]) + _cross(v[3:], fl), _cross(vw, fl)), axis=0)
 
 
 def compose_rt(r1: np.ndarray, p1: np.ndarray, r2: np.ndarray, p2: np.ndarray):

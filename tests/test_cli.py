@@ -88,6 +88,15 @@ class TestBench:
                                       "--solver", "sorcery"])
         assert result.exit_code == 2
 
+    def test_singular_dual_is_usage_error(self, runner):
+        # humanoid with the standard m=24 rows is rank deficient (18 of 24)
+        result = runner.invoke(main, ["bench", "--model", "humanoid",
+                                      "--solver", "pv", "--m", "24"])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert "SingularDual" in result.output
+        assert "model humanoid, solver pv, m=24" in result.output
+
     def test_low_reps_usage_error(self, runner):
         result = runner.invoke(main, ["bench", "--model", "chain:4",
                                       "--solver", "pv", "--reps", "3"])

@@ -152,3 +152,69 @@ def test_rigid_body_inertia_spd(rng):
 def test_transform_validation():
     with pytest.raises(ValueError):
         PlueckerTransform(np.eye(3) * 2.0, np.zeros(3)).validate()
+
+
+def _cross_matrix_m(v):
+    """6x6 matrix of v x (.) on motion vectors: [[w^, 0], [u^, w^]]."""
+    from pvdyn.spatial import skew
+    out = np.zeros((6, 6))
+    out[:3, :3] = out[3:, 3:] = skew(v[:3])
+    out[3:, :3] = skew(v[3:])
+    return out
+
+
+class TestArrayKernels:
+    """The array kernels against np.cross and the 6x6 matrix forms."""
+
+    def test_cross_helper_matches_numpy(self, rng):
+        from pvdyn.spatial import _cross
+        for _ in range(50):
+            a, b = rng.standard_normal(3), rng.standard_normal(3)
+            np.testing.assert_allclose(_cross(a, b), np.cross(a, b), rtol=0, atol=1e-15)
+        for k in (1, 2, 7):
+            a, blk = rng.standard_normal(3), rng.standard_normal((3, k))
+            out = _cross(a, blk)
+            assert out.shape == (3, k)
+            np.testing.assert_allclose(out, np.cross(a, blk.T).T, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("name", ["xm6", "xf6", "xft6"])
+    def test_transforms_blockwise_and_dense(self, rng, name):
+        from pvdyn import spatial
+        kernel = getattr(spatial, name)
+        for _ in range(20):
+            x = random_transform(rng)
+            rot, trans = x.rotation, x.translation
+            dense = {"xm6": x.motion_matrix(), "xf6": x.force_matrix(),
+                     "xft6": x.motion_matrix().T}[name]
+            blk = rng.standard_normal((6, 5))
+            out = kernel(rot, trans, blk)
+            assert out.shape == (6, 5)
+            for j in range(5):
+                np.testing.assert_allclose(out[:, j], kernel(rot, trans, blk[:, j]),
+                                           rtol=0, atol=1e-14)
+            np.testing.assert_allclose(out, dense @ blk, rtol=0, atol=1e-14)
+
+    def test_spatial_cross_products_match_matrices(self, rng):
+        from pvdyn.spatial import cross_f6, cross_m6
+        for _ in range(20):
+            v, w = rng.standard_normal(6), rng.standard_normal(6)
+            crm = _cross_matrix_m(v)
+            np.testing.assert_allclose(cross_m6(v, w), crm @ w, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(cross_f6(v, w), -crm.T @ w, rtol=0, atol=1e-14)
+            blk = rng.standard_normal((6, 4))
+            np.testing.assert_allclose(cross_m6(v, blk), crm @ blk, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(cross_f6(v, blk), -crm.T @ blk, rtol=0, atol=1e-14)
+
+    def test_axis_angle_rotation_matches_rodrigues(self, rng):
+        from pvdyn.spatial import axis_angle_rotation, skew
+        axes = [np.eye(3)[i] for i in range(3)] + [rng.standard_normal(3) for _ in range(20)]
+        for axis in axes:
+            axis = axis / np.linalg.norm(axis)
+            angle = rng.uniform(-np.pi, np.pi)
+            c, s = np.cos(angle), np.sin(angle)
+            ref = c * np.eye(3) + s * skew(axis) + (1.0 - c) * np.outer(axis, axis)
+            r = axis_angle_rotation(axis, angle)
+            np.testing.assert_allclose(r, ref, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(r.T @ r, np.eye(3), rtol=0, atol=1e-15)
+            assert abs(np.linalg.det(r) - 1.0) <= 1e-15
+            np.testing.assert_allclose(r @ axis, axis, rtol=0, atol=1e-15)
