@@ -8,7 +8,10 @@ Workspace allocation happens before timing starts.
 
 Timed repetitions run with flop counting paused; one extra counted call
 records the work.  Instrumented counts are the primary complexity
-evidence, wall time is secondary.
+evidence, wall time is secondary.  A cell whose algorithm raises a
+library error (a singular dual, for one) keeps its row, with the error's
+class name as its status, NaN times and zero flops; the other cells
+still run.
 
 Cells across a sweep may run in parallel worker threads (capped by the
 PVDYN_THREADS environment variable); repetitions inside a cell are
@@ -27,10 +30,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import baseline, constrained, delassus, flops, generators, kinematics, urdf
-from .errors import ModelLoadError, UnknownAlgorithm
+from .errors import ModelLoadError, PvdynError, UnknownAlgorithm
 from .model import ConstraintSet, Model, random_state
 
-CSV_HEADER = "algorithm,n,m,d,reps,mean_ns,std_ns,min_ns,flops,seed"
+CSV_HEADER = "algorithm,n,m,d,reps,mean_ns,std_ns,min_ns,flops,seed,status"
 
 ALGORITHMS = ("aba", "rnea", "crba", "pv", "pv_soft", "pv_early", "caba",
               "kkt_oracle", "ltl_osim", "pv_osim", "pv_osimr", "caba_osim")
@@ -63,6 +66,7 @@ class BenchRecord:
     min_ns: float
     flops: int
     seed: int
+    status: str = "ok"            # ok, or the class name of the cell's error
 
     def __post_init__(self):
         if self.reps < 30:
@@ -138,17 +142,24 @@ def _run_cell(model_spec: str, algorithm: str, m: int, reps: int,
               seed: int) -> BenchRecord:
     model = load_model(model_spec, seed)
     cell = build_cell(model, algorithm, m, seed)
-    with flops.paused():
-        for _ in range(10):                       # warmup
+    try:
+        with flops.paused():
+            for _ in range(10):                       # warmup
+                cell()
+            times = []
+            for _ in range(reps):
+                t0 = time.perf_counter_ns()
+                cell()
+                times.append(time.perf_counter_ns() - t0)
+        with flops.counted() as count:
             cell()
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter_ns()
-            cell()
-            times.append(time.perf_counter_ns() - t0)
-    with flops.counted() as count:
-        cell()
-        work = count()
+            work = count()
+    except PvdynError as exc:
+        nan = float("nan")
+        return BenchRecord(
+            algorithm=algorithm, n=model.nv, m=m, d=model.depth, reps=reps,
+            mean_ns=nan, std_ns=nan, min_ns=nan, flops=0, seed=seed,
+            status=type(exc).__name__)
     return BenchRecord(
         algorithm=algorithm, n=model.nv, m=m, d=model.depth, reps=reps,
         mean_ns=float(statistics.fmean(times)),
@@ -173,7 +184,8 @@ def emit_csv(records: list[BenchRecord], path: str) -> None:
     lines = [CSV_HEADER]
     for r in records:
         lines.append(f"{r.algorithm},{r.n},{r.m},{r.d},{r.reps},"
-                     f"{r.mean_ns!r},{r.std_ns!r},{r.min_ns!r},{r.flops},{r.seed}")
+                     f"{r.mean_ns!r},{r.std_ns!r},{r.min_ns!r},{r.flops},{r.seed},"
+                     f"{r.status}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

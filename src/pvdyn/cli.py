@@ -1,8 +1,9 @@
 """Command-line interface: check, bench, rollout, info.
 
 Exit codes: 0 on success, 1 when the check suite finds a failure,
-2 on usage or model-loading errors and on a bench cell that raises a
-library error (a singular dual, for one).
+2 on usage or model-loading errors and when a bench cell raises a
+library error (a singular dual, for one); the other cells' rows are
+still printed and written.
 """
 
 from __future__ import annotations
@@ -69,13 +70,21 @@ def bench(models, algorithms, m, reps, seed, out):
     click.echo(bench_mod.CSV_HEADER)
     for r in records:
         click.echo(f"{r.algorithm},{r.n},{r.m},{r.d},{r.reps},"
-                   f"{r.mean_ns:.0f},{r.std_ns:.0f},{r.min_ns:.0f},{r.flops},{r.seed}")
+                   f"{r.mean_ns:.0f},{r.std_ns:.0f},{r.min_ns:.0f},{r.flops},{r.seed},"
+                   f"{r.status}")
     if out:
         if out.endswith(".json"):
             bench_mod.emit_json(records, out)
         else:
             bench_mod.emit_csv(records, out)
         click.echo(f"wrote {out}")
+    cell_models = [ms for ms in spec.models for _ in spec.algorithms]
+    failed = [(ms, r) for ms, r in zip(cell_models, records) if r.status != "ok"]
+    for ms, r in failed:
+        click.echo(f"Error: model {ms}, solver {r.algorithm}, m={r.m}: {r.status}",
+                   err=True)
+    if failed:
+        sys.exit(2)
 
 
 @main.command("rollout")

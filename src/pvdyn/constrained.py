@@ -15,12 +15,16 @@ Four solvers share one workspace and one set of conventions:
   absorbed into the constrained link's articulated inertia and the
   matching term into its bias force, after which a single plain
   articulated-body sweep solves the problem.
-* ``constrained_aba`` — proximal method of multipliers.  Each iteration
-  runs one O(n) bias/forward sweep against articulated inertias that
-  were regularized once with K' K / mu, then updates the multipliers
-  with the constraint-space residual.  Feasible full-rank systems
-  converge to the exact solution; rank-deficient or infeasible ones
-  converge to the least-squares solution with finite output.
+* ``constrained_aba`` — proximal method of multipliers.  The articulated
+  inertias are regularized once with K' K / mu; the first iteration runs
+  one full bias/forward sweep against them.  The sweep is affine in its
+  bias, and later iterations change the bias only by -K' lam on the
+  constrained links, so each of them sweeps just the constraint support
+  (the root paths of the constrained links) to get the change that
+  bias makes; links off the support are filled in once at exit.
+  Feasible full-rank systems converge to the exact solution;
+  rank-deficient or infeasible ones converge to the least-squares
+  solution, with the minimum-norm multipliers.
 
 Gravity is applied by giving the world an acceleration of -g, so a
 constraint target a* on true link acceleration becomes
@@ -70,6 +74,7 @@ class ConstrainedSolution:
     iterations: int
     primal_residual: float
     status: str                   # converged | max_iter | least_squares
+    residual_history: tuple[float, ...] = ()    # primal residual per iteration
 
 
 class PvWorkspace:
@@ -95,6 +100,9 @@ class PvWorkspace:
                 in_subtree[j].append(ci)
                 j = model.parent[j]
         self.cons_in_subtree = tuple(tuple(c) for c in in_subtree)
+        # links whose subtree holds a constraint, and the others, in index order
+        self.support = tuple(i for i in range(n) if in_subtree[i])
+        self.off_support = tuple(i for i in range(n) if not in_subtree[i])
         rows: list[np.ndarray] = [np.zeros(0, dtype=int)] * n
         for i in range(n - 1, -1, -1):
             acc = list(row_sets[i])
@@ -115,6 +123,7 @@ class PvWorkspace:
         self.IA = np.empty((n, 6, 6))
         self.pA = np.empty((n, 6))
         self.a = np.empty((n, 6))
+        self.da = np.empty((n, 6))
         self.K = [np.empty((len(rows[i]), 6)) for i in range(n)]
         self.Kw = np.empty((m, 6))
         self.L = np.empty((m, m))
@@ -381,7 +390,7 @@ def _pv_engine(model: Model, state: State, tau, cs: ConstraintSet,
             work += flops.gemm(con.dim, 6, 1)
         resid = float(np.linalg.norm(r))
     flops.add(work)
-    return ConstrainedSolution(qdd, lam.copy(), 1, resid, "converged")
+    return ConstrainedSolution(qdd, lam.copy(), 1, resid, "converged", (resid,))
 
 
 def pv_solve(model: Model, state: State, tau, cs: ConstraintSet,
@@ -493,6 +502,76 @@ def _reg_dynamics_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace,
     return qdd, a
 
 
+def _increment_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace,
+                    links: tuple[int, ...], extra_bias: dict[int, np.ndarray] | None,
+                    dqdd: np.ndarray) -> None:
+    """Homogeneous bias backward + forward pass over `links` only.
+
+    For fixed factors the dynamics pass is affine in its bias, so the
+    change an extra bias makes is that pass with no tau, no velocity
+    product, no ``c`` and zero world acceleration.  It writes the change
+    in acceleration to ``ws.da`` and in qdd to `dqdd` for the listed
+    links.  `links` is in index order, and each link's parent is listed
+    or already has its ``ws.da``.  With `extra_bias`, `links` must hold
+    the root paths of the biased links (the constraint support); without
+    it the backward half is skipped, which fills links off the support
+    from their parents.
+    """
+    pa = ws.pA
+    da = ws.da
+    work = 0
+    if extra_bias:
+        pa[list(links)] = 0.0
+        for link, extra in extra_bias.items():
+            pa[link] += extra
+            work += 6
+        for i in reversed(links):
+            nv = model.joints[i].nv
+            p = model.parent[i]
+            if nv:
+                u_i = -(model.S[i].T @ pa[i])
+                ws.u[i] = u_i
+                work += 11 * nv
+                if p >= 0:
+                    pa_proj = pa[i] + ws.uu[i] @ ws.dfac[i].solve(u_i)
+                    work += flops.gemm(6, nv, 1) + flops.chol_solve(nv) + flops.ADD6
+            else:
+                pa_proj = pa[i]
+            if p >= 0:
+                pa[p] += xft6(cache.rot[i], cache.trans[i], pa_proj)
+                work += flops.XFORCE_T + flops.ADD6
+    for i in links:
+        p = model.parent[i]
+        if p < 0:
+            a_in = np.zeros(6)
+        else:
+            a_in = xm6(cache.rot[i], cache.trans[i], da[p])
+            work += flops.XMOT
+        nv = model.joints[i].nv
+        if nv:
+            t = -(ws.uu[i].T @ a_in)
+            if extra_bias:
+                t += ws.u[i]
+            blk = ws.dfac[i].solve(t)
+            dqdd[model.v_block(i)] = blk
+            da[i] = a_in + model.S[i] @ blk
+            work += flops.gemm(nv, 6, 1) + flops.chol_solve(nv) + 6 * nv + flops.ADD6
+        else:
+            da[i] = a_in
+    flops.add(work)
+
+
+def _multiplier_bias(cs: ConstraintSet, y: np.ndarray) -> dict[int, np.ndarray]:
+    """Per-link bias -K' y of constraint-space values y."""
+    bias: dict[int, np.ndarray] = {}
+    work = 0
+    for ci, con in enumerate(cs):
+        bias[con.link] = bias.get(con.link, 0) - con.K.T @ y[cs.rows(ci)]
+        work += flops.gemm(6, con.dim, 1)
+    flops.add(work)
+    return bias
+
+
 def pv_soft_solve(model: Model, state: State, tau, cs: ConstraintSet,
                   settings: SolverSettings | None = None,
                   ws: PvWorkspace | None = None) -> ConstrainedSolution:
@@ -505,7 +584,7 @@ def pv_soft_solve(model: Model, state: State, tau, cs: ConstraintSet,
     if m == 0:
         _reg_articulated_pass(model, cache, ws, None)
         qdd, _ = _reg_dynamics_pass(model, cache, ws, tau, None)
-        return ConstrainedSolution(qdd, np.zeros(0), 1, 0.0, "converged")
+        return ConstrainedSolution(qdd, np.zeros(0), 1, 0.0, "converged", (0.0,))
     weights = np.broadcast_to(np.asarray(settings.soft_R, dtype=float), (m,))
     beta = _beta_hat(model, cache, cs, ws.beta)
     reg: dict[int, np.ndarray] = {}
@@ -531,8 +610,8 @@ def pv_soft_solve(model: Model, state: State, tau, cs: ConstraintSet,
         lam[rows] = -resid[rows] / weights[rows]
         work += flops.gemm(con.dim, 6, 1) + 2 * con.dim
     flops.add(work)
-    return ConstrainedSolution(qdd, lam.copy(), 1, float(np.linalg.norm(resid)),
-                               "converged")
+    rnorm = float(np.linalg.norm(resid))
+    return ConstrainedSolution(qdd, lam.copy(), 1, rnorm, "converged", (rnorm,))
 
 
 def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
@@ -547,7 +626,7 @@ def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
     if m == 0:
         _reg_articulated_pass(model, cache, ws, None)
         qdd, _ = _reg_dynamics_pass(model, cache, ws, tau, None)
-        return ConstrainedSolution(qdd, np.zeros(0), 1, 0.0, "converged")
+        return ConstrainedSolution(qdd, np.zeros(0), 1, 0.0, "converged", (0.0,))
 
     mu = settings.mu
     beta = _beta_hat(model, cache, cs, ws.beta)
@@ -559,27 +638,25 @@ def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
     flops.add(work)
     _reg_articulated_pass(model, cache, ws, reg)
 
+    # iteration 1 (lam = 0) is a full sweep giving qdd0 and a0; each later
+    # one sweeps the support for the change the bias -K' lam makes
+    qdd, a0 = _reg_dynamics_pass(model, cache, ws, tau, _multiplier_bias(cs, beta / mu))
+    dqdd = np.zeros(model.nv)
+    da = ws.da
+    da[list(ws.support)] = 0.0
     lam = ws.lam
     lam[:] = 0.0
     resid = ws.resid
     status = "max_iter"
     history: list[float] = []
-    qdd = np.zeros(model.nv)
     for it in range(1, settings.max_iter + 1):
-        bias: dict[int, np.ndarray] = {}
+        if it > 1:
+            _increment_pass(model, cache, ws, ws.support, _multiplier_bias(cs, lam), dqdd)
         work = 0
         for ci, con in enumerate(cs):
             rows = cs.rows(ci)
-            blk = -con.K.T @ (lam[rows] + beta[rows] / mu)
-            bias[con.link] = bias.get(con.link, 0) + blk
-            work += flops.gemm(6, con.dim, 1)
-        flops.add(work)
-        qdd, a = _reg_dynamics_pass(model, cache, ws, tau, bias)
-        work = 0
-        for ci, con in enumerate(cs):
-            rows = cs.rows(ci)
-            resid[rows] = con.K @ a[con.link] - beta[rows]
-            work += flops.gemm(con.dim, 6, 1)
+            resid[rows] = con.K @ (a0[con.link] + da[con.link]) - beta[rows]
+            work += flops.gemm(con.dim, 6, 1) + flops.ADD6
         flops.add(work)
         lam -= resid / mu
         rnorm = float(np.linalg.norm(resid))
@@ -595,4 +672,12 @@ def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
             if all(r < 1e-3 for r in rel):
                 status = "least_squares"
                 break
-    return ConstrainedSolution(qdd, lam.copy(), it, rnorm, status)
+    if it > 1:
+        _increment_pass(model, cache, ws, ws.off_support, None, dqdd)
+        qdd += dqdd
+    if status == "least_squares":
+        # lam has drifted along the infeasible residual by resid/mu per
+        # iteration; taking that component off leaves the min-norm lam
+        lam -= (resid @ lam) / (resid @ resid) * resid
+        flops.add(6 * m)
+    return ConstrainedSolution(qdd, lam.copy(), it, rnorm, status, tuple(history))

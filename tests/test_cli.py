@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -96,6 +97,22 @@ class TestBench:
         assert "Traceback" not in result.output
         assert "SingularDual" in result.output
         assert "model humanoid, solver pv, m=24" in result.output
+
+    def test_failed_cell_keeps_the_other_rows(self, runner, tmp_path):
+        from pvdyn.bench import load_json
+        out = tmp_path / "bench.json"
+        result = runner.invoke(main, ["bench", "--model", "humanoid",
+                                      "--solver", "caba,pv", "--m", "24",
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        rows = [line.split(",") for line in result.output.splitlines()
+                if line.startswith(("caba,", "pv,"))]
+        assert [(r[0], r[-1]) for r in rows] == [("caba", "ok"), ("pv", "SingularDual")]
+        caba, pv = load_json(str(out))
+        assert caba.status == "ok" and caba.flops > 0 and caba.min_ns > 0
+        assert pv.status == "SingularDual" and pv.flops == 0
+        assert all(math.isnan(x) for x in (pv.mean_ns, pv.std_ns, pv.min_ns))
 
     def test_low_reps_usage_error(self, runner):
         result = runner.invoke(main, ["bench", "--model", "chain:4",

@@ -7,7 +7,12 @@ from pvdyn import (ConstraintSet, MotionConstraint, PvWorkspace,
                    pv_early_solve, pv_solve, pv_soft_solve,
                    random_feasible_instance, random_singular_instance,
                    random_state, relaxed_kkt_oracle, weld_constraint)
+from pvdyn.bench import load_model
+from pvdyn.constrained import (_beta_hat, _reg_articulated_pass,
+                               _reg_dynamics_pass)
 from pvdyn.errors import SingularDual
+from pvdyn.generators import standard_constraints
+from pvdyn.kinematics import forward_kinematics
 from pvdyn import flops
 
 
@@ -30,6 +35,59 @@ def quadruped():
                                                    0.005 * np.eye(3)))
             p = len(parent) - 1
     return Model(parent, joints, placement, inertia)
+
+
+def full_sweep_caba(model, state, tau, cs, settings=None):
+    """Reference proximal iteration: one full dynamics pass per iteration.
+
+    The same multiplier update, stall test and min-norm projection as
+    `constrained_aba`, which after its first iteration sweeps only the
+    constraint support.  Returns (qdd, lam, iterations, status).
+    """
+    settings = settings or SolverSettings()
+    mu = settings.mu
+    ws = PvWorkspace(model, cs)
+    cache = forward_kinematics(model, state)
+    beta = _beta_hat(model, cache, cs, np.empty(cs.m))
+    reg = {}
+    for con in cs:
+        reg[con.link] = reg.get(con.link, 0) + con.K.T @ con.K / mu
+    _reg_articulated_pass(model, cache, ws, reg)
+    lam = np.zeros(cs.m)
+    resid = np.empty(cs.m)
+    history = []
+    status = "max_iter"
+    for it in range(1, settings.max_iter + 1):
+        bias = {}
+        for ci, con in enumerate(cs):
+            rows = cs.rows(ci)
+            blk = -con.K.T @ (lam[rows] + beta[rows] / mu)
+            bias[con.link] = bias.get(con.link, 0) + blk
+        qdd, a = _reg_dynamics_pass(model, cache, ws, np.asarray(tau, float), bias)
+        for ci, con in enumerate(cs):
+            resid[cs.rows(ci)] = con.K @ a[con.link] - beta[cs.rows(ci)]
+        lam -= resid / mu
+        history.append(float(np.linalg.norm(resid)))
+        if history[-1] <= settings.tol_primal:
+            status = "converged"
+            break
+        if len(history) >= 6:
+            recent = history[-6:]
+            if all((recent[k] - recent[k + 1]) / max(recent[k], 1e-300) < 1e-3
+                   for k in range(5)):
+                status = "least_squares"
+                break
+    if status == "least_squares":
+        lam -= (resid @ lam) / (resid @ resid) * resid
+    return qdd, lam, it, status
+
+
+def with_fixed_joints(model, links):
+    """The same tree with the joints of `links` welded (nv = 0)."""
+    from pvdyn import Joint, Model
+    joints = [Joint.fixed() if i in links else j for i, j in enumerate(model.joints)]
+    return Model(model.parent, joints, model.placement, model.inertia,
+                 model.gravity, model.names)
 
 
 def assert_matches_oracle(sol, oracle, tol_q=1e-8, tol_l=1e-6):
@@ -254,6 +312,144 @@ class TestConstrainedAba:
         ref = kkt_oracle(pendulum, state, np.zeros(1), cs)
         np.testing.assert_allclose(sol.qdd, np.zeros(1), atol=1e-8)
         np.testing.assert_allclose(sol.lam, ref.lam, atol=1e-6)
+
+
+def _support_cases():
+    """(name, model, state, tau, cs) covering the shapes the support sweep
+    and the off-support fill must get right."""
+    cases = []
+    for seed in (3, 11, 17):
+        cases.append((f"random{seed}", *random_feasible_instance(seed + 6100)))
+    for seed in (2, 5):
+        cases.append((f"singular{seed}", *random_singular_instance(seed + 60)))
+    tree = generate_tree(24, 3, seed=4, base_kind="floating")
+    leaves = [i for i in range(tree.n_links) if not tree.children[i]]
+    cases.append(("floating", tree, random_state(tree, 4),
+                  np.random.default_rng(4).uniform(-2, 2, tree.nv),
+                  ConstraintSet([point_constraint(leaves[0], [0.1, 0, 0],
+                                                  a_star=[0.2, 0.0, -0.1]),
+                                 point_constraint(leaves[-1], [0, 0.1, 0])])))
+    cases.append(("root_link", tree, random_state(tree, 5),
+                  np.random.default_rng(5).uniform(-2, 2, tree.nv),
+                  ConstraintSet([point_constraint(0, [0.1, 0, 0],
+                                                  a_star=[0.3, -0.2, 0.1]),
+                                 point_constraint(leaves[1], [0, 0, 0.1])])))
+    row = np.zeros((1, 6))
+    row[0, 0] = 1.0
+    cases.append(("two_on_one_link", tree, random_state(tree, 6),
+                  np.random.default_rng(6).uniform(-2, 2, tree.nv),
+                  ConstraintSet([point_constraint(leaves[2], [0.1, 0, 0]),
+                                 MotionConstraint(leaves[2], row, np.array([0.4]))])))
+    base = generate_tree(30, 2, seed=7)
+    fixed = with_fixed_joints(base, {2, 5, 9})
+    leaf = max(range(fixed.n_links), key=lambda i: fixed.link_depth[i])
+    cases.append(("fixed_joints", fixed, random_state(fixed, 7),
+                  np.random.default_rng(7).uniform(-2, 2, fixed.nv),
+                  ConstraintSet([point_constraint(leaf, [0.05, 0, 0])])))
+    return cases
+
+
+SUPPORT_CASES = _support_cases()
+
+
+class TestSupportSweep:
+    """`constrained_aba` against the full-sweep reference iteration."""
+
+    @pytest.mark.parametrize("mu", [1e-3, 1e-6])
+    @pytest.mark.parametrize("case", SUPPORT_CASES, ids=[c[0] for c in SUPPORT_CASES])
+    def test_matches_full_sweep_reference(self, case, mu):
+        _, model, state, tau, cs = case
+        settings = SolverSettings(mu=mu)
+        qdd, lam, iterations, status = full_sweep_caba(model, state, tau, cs, settings)
+        sol = constrained_aba(model, state, tau, cs, settings)
+        assert (sol.iterations, sol.status) == (iterations, status)
+        # both orders of summation round against a bias of size |beta|/mu
+        tol = 100 * np.finfo(float).eps / mu
+        assert np.linalg.norm(sol.qdd - qdd) <= tol * (1 + np.linalg.norm(qdd))
+        assert np.linalg.norm(sol.lam - lam) <= tol * (1 + np.linalg.norm(lam))
+
+    def test_cases_cover_the_support_shapes(self):
+        shapes = set()
+        for name, model, _, _, cs in SUPPORT_CASES:
+            ws = PvWorkspace(model, cs)
+            assert ws.support == tuple(i for i in range(model.n_links)
+                                       if ws.cons_in_subtree[i])
+            assert sorted(ws.support + ws.off_support) == list(range(model.n_links))
+            if model.base_kind == "floating":
+                shapes.add("floating")
+            if any(j.nv == 0 for j in model.joints[1:]):
+                shapes.add("fixed")
+            if any(c.link == 0 for c in cs):
+                shapes.add("root")
+            if len({c.link for c in cs}) < len(cs):
+                shapes.add("shared_link")
+            # an off-support link whose children move with it: the fill
+            # must carry the change in acceleration down more than one level
+            if any(model.children[i] for i in ws.off_support):
+                shapes.add("deep_fill")
+        assert shapes == {"floating", "fixed", "root", "shared_link", "deep_fill"}
+
+    def test_later_iterations_cost_the_support_only(self):
+        model = load_model("tree:128:3")
+        leaf = max(range(model.n_links), key=lambda i: model.link_depth[i])
+        cs = ConstraintSet([point_constraint(leaf, [0.1, 0, 0])])
+        state = random_state(model, 0)
+        tau = np.random.default_rng(0).uniform(-5, 5, model.nv)
+
+        def work(cap):
+            with flops.counted() as count:
+                sol = constrained_aba(model, state, tau, cs,
+                                      SolverSettings(tol_primal=1e-300, max_iter=cap))
+                spent = count()
+            assert sol.iterations == cap
+            return spent
+
+        ws = PvWorkspace(model, cs)
+        cache = forward_kinematics(model, state)
+        _reg_articulated_pass(model, cache, ws, None)
+        with flops.counted() as count:
+            _reg_dynamics_pass(model, cache, ws, tau, None)
+            full_pass = count()
+        assert work(3) - work(2) < full_pass / 3
+
+
+class TestMinNormMultipliers:
+    @pytest.mark.parametrize("seed", range(50))
+    def test_singular_instances_match_oracle_lambda(self, seed):
+        model, state, tau, cs = random_singular_instance(seed)
+        sol = constrained_aba(model, state, tau, cs)
+        ref = kkt_oracle(model, state, tau, cs)
+        assert np.linalg.norm(sol.lam - ref.lam) <= 1e-6 * (1 + np.linalg.norm(ref.lam))
+
+    def test_humanoid_infeasible_rows(self, humanoid):
+        # standard_constraints(24) on the humanoid has rank 18 of 24 and no
+        # exact solution, so the solve stops on the least-squares test
+        state = random_state(humanoid, 0)
+        tau = np.random.default_rng((0, 17)).uniform(-5, 5, humanoid.nv)
+        cs = standard_constraints(humanoid, 24, 0)
+        sol = constrained_aba(humanoid, state, tau, cs)
+        ref = kkt_oracle(humanoid, state, tau, cs)
+        assert sol.status == "least_squares"
+        assert np.linalg.norm(sol.lam - ref.lam) <= 1e-6 * (1 + np.linalg.norm(ref.lam))
+
+
+class TestResidualHistory:
+    def test_one_entry_per_iteration(self, humanoid):
+        instances = [random_feasible_instance(6300), random_singular_instance(3),
+                     (humanoid, random_state(humanoid, 0), np.zeros(humanoid.nv),
+                      standard_constraints(humanoid, 24, 0))]
+        for model, state, tau, cs in instances:
+            sol = constrained_aba(model, state, tau, cs)
+            assert len(sol.residual_history) == sol.iterations
+            assert sol.residual_history[-1] == sol.primal_residual
+
+    def test_single_pass_solvers_report_their_residual(self):
+        model, state, tau, cs = random_feasible_instance(6301)
+        for solve in (pv_solve, pv_early_solve, pv_soft_solve):
+            sol = solve(model, state, tau, cs)
+            assert sol.residual_history == (sol.primal_residual,)
+        sol = constrained_aba(model, state, tau, ConstraintSet.empty())
+        assert sol.residual_history == (sol.primal_residual,)
 
 
 class TestHumanoidOracleEquivalence:
