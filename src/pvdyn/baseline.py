@@ -24,9 +24,10 @@ from .delassus import DelassusOperator
 from .errors import (DimensionMismatch, NotPositiveDefinite,
                      SingularJointInertia)
 from .kinematics import (KinematicsCache, constraint_drift,
-                         constraint_jacobian, forward_kinematics)
+                         constraint_jacobian, forward_kinematics,
+                         velocity_products)
 from .model import ConstraintSet, Model, State, check_state
-from .spatial import cross_f6, xft6, xi6, xm6
+from .spatial import xft6, xi6, xm6
 
 
 def _check_vec(model: Model, vec, name: str) -> np.ndarray:
@@ -48,7 +49,7 @@ def rnea(model: Model, state: State, qdd, f_ext=None,
         cache = forward_kinematics(model, state)
     n = model.n_links
     a = np.empty((n, 6))
-    f = np.empty((n, 6))
+    f = velocity_products(model, cache)
     a_world = -model.gravity6()
     work = 0
     for i in range(n):
@@ -57,10 +58,10 @@ def rnea(model: Model, state: State, qdd, f_ext=None,
         nv = model.joints[i].nv
         if nv:
             a[i] += model.S[i] @ qdd[model.v_block(i)]
-        f[i] = model.inertia66[i] @ a[i] + cross_f6(cache.v[i], model.inertia66[i] @ cache.v[i])
+        f[i] += model.inertia66[i] @ a[i]
         if f_ext is not None and f_ext[i] is not None:
             f[i] -= np.asarray(f_ext[i], dtype=float)
-        work += flops.XMOT + 2 * flops.ADD6 + 6 * nv + 2 * flops.APPLY_I + flops.CROSS_F
+        work += flops.XMOT + 2 * flops.ADD6 + 6 * nv + flops.APPLY_I
     tau = np.zeros(model.nv)
     for i in range(n - 1, -1, -1):
         nv = model.joints[i].nv
@@ -157,16 +158,15 @@ def aba(model: Model, state: State, tau, f_ext=None,
         cache = forward_kinematics(model, state)
     n = model.n_links
     ia = model.inertia66.copy()
-    pa = np.empty((n, 6))
+    pa = velocity_products(model, cache)
     uu: list = [None] * n
     dfac: list = [None] * n
     u: list = [None] * n
     work = 0
-    for i in range(n):
-        pa[i] = cross_f6(cache.v[i], model.inertia66[i] @ cache.v[i])
-        if f_ext is not None and f_ext[i] is not None:
-            pa[i] -= np.asarray(f_ext[i], dtype=float)
-        work += flops.CROSS_F + flops.APPLY_I
+    if f_ext is not None:
+        for i in range(n):
+            if f_ext[i] is not None:
+                pa[i] -= np.asarray(f_ext[i], dtype=float)
 
     for i in range(n - 1, -1, -1):
         nv = model.joints[i].nv

@@ -43,9 +43,9 @@ import numpy as np
 from . import flops, linalg
 from .errors import (DimensionMismatch, NotPositiveDefinite, SingularDual,
                      SingularJointInertia)
-from .kinematics import KinematicsCache, forward_kinematics
+from .kinematics import KinematicsCache, forward_kinematics, velocity_products
 from .model import ConstraintSet, Model, State, check_state
-from .spatial import cross_f6, xft6, xi6, xm6
+from .spatial import xft6, xi6, xm6
 
 _ELIM_PIVOT_RATIO = 1e-6     # eagerness threshold for early elimination
 _DUAL_PIVOT_RATIO = 1e-10    # base dual block counts as singular below this
@@ -81,13 +81,15 @@ class PvWorkspace:
     """Preallocated buffers and static row bookkeeping for one (model, cs).
 
     ``rows[i]`` lists the global constraint rows active in link i's
-    subtree; its length is the m_i of the sweep.  Shapes are fixed by
-    (model, cs), so a workspace is reusable across solves.
+    subtree; its length is the m_i of the sweep.  Shapes and bookkeeping
+    depend only on the model and each constraint's (link, dim) in order,
+    so a workspace is reusable across solves and across constraint sets
+    with that layout (new targets, gains or matrices).
     """
 
     def __init__(self, model: Model, cs: ConstraintSet):
         self.model = model
-        self.cs = cs
+        self.layout = _layout(cs)
         n = model.n_links
         m = cs.m
         row_sets: list[list[int]] = [[] for _ in range(n)]
@@ -121,6 +123,7 @@ class PvWorkspace:
             for i in range(n)
         ]
         self.IA = np.empty((n, 6, 6))
+        self.IA_proj = np.empty((n, 6, 6))     # IA projected across each joint
         self.pA = np.empty((n, 6))
         self.a = np.empty((n, 6))
         self.da = np.empty((n, 6))
@@ -145,9 +148,13 @@ class PvWorkspace:
 
     @staticmethod
     def ensure(model: Model, cs: ConstraintSet, ws: "PvWorkspace | None"):
-        if ws is None or ws.model is not model or ws.cs is not cs:
+        if ws is None or ws.model is not model or ws.layout != _layout(cs):
             return PvWorkspace(model, cs)
         return ws
+
+
+def _layout(cs: ConstraintSet) -> tuple[tuple[int, int], ...]:
+    return tuple((con.link, con.dim) for con in cs)
 
 
 def _check_inputs(model: Model, state: State, tau) -> np.ndarray:
@@ -205,9 +212,11 @@ def _try_chol(block: np.ndarray, ratio: float, scale: float = 0.0):
 
 
 def _pv_engine(model: Model, state: State, tau, cs: ConstraintSet,
-               ws: PvWorkspace, early: bool) -> ConstrainedSolution:
+               ws: PvWorkspace, early: bool,
+               cache: KinematicsCache | None) -> ConstrainedSolution:
     tau = _check_inputs(model, state, tau)
-    cache = forward_kinematics(model, state)
+    if cache is None:
+        cache = forward_kinematics(model, state)
     n = model.n_links
     m = cs.m
     work = 0
@@ -216,9 +225,7 @@ def _pv_engine(model: Model, state: State, tau, cs: ConstraintSet,
     ia = ws.IA
     np.copyto(ia, model.inertia66)
     pa = ws.pA
-    for i in range(n):
-        pa[i] = cross_f6(cache.v[i], model.inertia66[i] @ cache.v[i])
-        work += flops.CROSS_F + flops.APPLY_I
+    pa[:] = velocity_products(model, cache)
     lam = ws.lam
     lam[:] = 0.0
     ws.L[:] = 0.0
@@ -394,17 +401,19 @@ def _pv_engine(model: Model, state: State, tau, cs: ConstraintSet,
 
 
 def pv_solve(model: Model, state: State, tau, cs: ConstraintSet,
-             ws: PvWorkspace | None = None) -> ConstrainedSolution:
+             ws: PvWorkspace | None = None,
+             cache: KinematicsCache | None = None) -> ConstrainedSolution:
     """Exact constrained dynamics with base-level multiplier solve."""
     ws = PvWorkspace.ensure(model, cs, ws)
-    return _pv_engine(model, state, tau, cs, ws, early=False)
+    return _pv_engine(model, state, tau, cs, ws, False, cache)
 
 
 def pv_early_solve(model: Model, state: State, tau, cs: ConstraintSet,
-                   ws: PvWorkspace | None = None) -> ConstrainedSolution:
+                   ws: PvWorkspace | None = None,
+                   cache: KinematicsCache | None = None) -> ConstrainedSolution:
     """Exact constrained dynamics with aggressive early multiplier elimination."""
     ws = PvWorkspace.ensure(model, cs, ws)
-    return _pv_engine(model, state, tau, cs, ws, early=True)
+    return _pv_engine(model, state, tau, cs, ws, True, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +424,12 @@ def _reg_articulated_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace,
                           reg: dict[int, np.ndarray] | None) -> None:
     """Backward articulated-inertia pass with optional per-link extra inertia.
 
-    Stores the joint factors needed by any number of subsequent
-    bias/forward passes; this part does not depend on tau or lambda.
+    Stores the joint factors and the projected inertias needed by any
+    number of subsequent bias/forward passes; this part does not depend
+    on tau or lambda.
     """
     ia = ws.IA
+    ia_proj = ws.IA_proj
     np.copyto(ia, model.inertia66)
     work = 0
     if reg:
@@ -438,14 +449,14 @@ def _reg_articulated_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace,
                 raise SingularJointInertia(f"joint {i} inertia is singular") from None
             du = dfac.solve(uu.T)
             ws.uu[i], ws.dfac[i], ws.du[i] = uu, dfac, du
-            ia_proj = ia[i] - uu @ du
+            ia_proj[i] = ia[i] - uu @ du
             work += flops.gemm(6, 6, nv) + flops.gemm(nv, 6, nv) \
                 + flops.cholesky(nv) + flops.chol_solve(nv, 6) + flops.gemm(6, nv, 6)
         else:
             ws.uu[i] = ws.dfac[i] = ws.du[i] = None
-            ia_proj = ia[i]
+            ia_proj[i] = ia[i]
         if p >= 0:
-            ia[p] += xi6(cache.rot[i], cache.trans[i], ia_proj)
+            ia[p] += xi6(cache.rot[i], cache.trans[i], ia_proj[i])
             work += flops.XINERTIA + 36
     flops.add(work)
 
@@ -455,10 +466,9 @@ def _reg_dynamics_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace,
     """One bias backward + acceleration forward pass against stored factors."""
     n = model.n_links
     pa = ws.pA
+    pa[:] = velocity_products(model, cache)
+    ia_proj_c = (ws.IA_proj @ cache.c[:, :, None])[:, :, 0]
     work = 0
-    for i in range(n):
-        pa[i] = cross_f6(cache.v[i], model.inertia66[i] @ cache.v[i])
-        work += flops.CROSS_F + flops.APPLY_I
     if extra_bias:
         for link, extra in extra_bias.items():
             pa[link] += extra
@@ -472,13 +482,12 @@ def _reg_dynamics_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace,
             ws.u[i] = u_i
             work += 11 * nv
             if p >= 0:
-                ia_proj_c = (ws.IA[i] - ws.uu[i] @ ws.du[i]) @ cache.c[i]
-                pa_proj = pa[i] + ia_proj_c + ws.uu[i] @ ws.dfac[i].solve(u_i)
-                work += flops.gemm(6, nv, 6) + flops.APPLY_I + flops.gemm(6, nv, 1) \
+                pa_proj = pa[i] + ia_proj_c[i] + ws.uu[i] @ ws.dfac[i].solve(u_i)
+                work += flops.APPLY_I + flops.gemm(6, nv, 1) \
                     + flops.chol_solve(nv) + 2 * flops.ADD6
         else:
             ws.u[i] = None
-            pa_proj = pa[i] + ws.IA[i] @ cache.c[i]
+            pa_proj = pa[i] + ia_proj_c[i]
             work += flops.APPLY_I
         if p >= 0:
             pa[p] += xft6(cache.rot[i], cache.trans[i], pa_proj)
@@ -574,12 +583,14 @@ def _multiplier_bias(cs: ConstraintSet, y: np.ndarray) -> dict[int, np.ndarray]:
 
 def pv_soft_solve(model: Model, state: State, tau, cs: ConstraintSet,
                   settings: SolverSettings | None = None,
-                  ws: PvWorkspace | None = None) -> ConstrainedSolution:
+                  ws: PvWorkspace | None = None,
+                  cache: KinematicsCache | None = None) -> ConstrainedSolution:
     """Relaxed constrained dynamics in one sweep (no dual system at all)."""
     settings = settings or SolverSettings()
     ws = PvWorkspace.ensure(model, cs, ws)
     tau = _check_inputs(model, state, tau)
-    cache = forward_kinematics(model, state)
+    if cache is None:
+        cache = forward_kinematics(model, state)
     m = cs.m
     if m == 0:
         _reg_articulated_pass(model, cache, ws, None)
@@ -616,12 +627,14 @@ def pv_soft_solve(model: Model, state: State, tau, cs: ConstraintSet,
 
 def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
                     settings: SolverSettings | None = None,
-                    ws: PvWorkspace | None = None) -> ConstrainedSolution:
+                    ws: PvWorkspace | None = None,
+                    cache: KinematicsCache | None = None) -> ConstrainedSolution:
     """Proximal constrained dynamics; robust to singular and infeasible rows."""
     settings = settings or SolverSettings()
     ws = PvWorkspace.ensure(model, cs, ws)
     tau = _check_inputs(model, state, tau)
-    cache = forward_kinematics(model, state)
+    if cache is None:
+        cache = forward_kinematics(model, state)
     m = cs.m
     if m == 0:
         _reg_articulated_pass(model, cache, ws, None)

@@ -23,7 +23,7 @@ from .baseline import aba
 from .constrained import (SolverSettings, constrained_aba, pv_early_solve,
                           pv_solve, pv_soft_solve)
 from .errors import UnknownAlgorithm
-from .kinematics import forward_kinematics
+from .kinematics import KinematicsCache, forward_kinematics
 from .model import ConstraintSet, Model, State
 from .spatial import PlueckerTransform, quat_exp, quat_multiply, quat_to_rotation
 
@@ -75,14 +75,13 @@ def _pose_error(cache, con) -> np.ndarray:
     return np.concatenate((ang, lin))
 
 
-def _stabilized_targets(model: Model, state: State, cs: ConstraintSet,
+def _stabilized_targets(cache: KinematicsCache, cs: ConstraintSet,
                         config: IntegratorConfig) -> ConstraintSet:
     if cs.m == 0:
         return cs
     gains = [con.baumgarte or config.baumgarte_default for con in cs]
     if all(g == (0.0, 0.0) for g in gains):
         return cs
-    cache = forward_kinematics(model, state)
     new_targets = cs.stacked_targets().copy()
     for ci, con in enumerate(cs):
         kp, kd = gains[ci]
@@ -100,19 +99,21 @@ def _accel(model: Model, state: State, tau, cs: ConstraintSet, solver: str,
            config: IntegratorConfig, ws=None) -> np.ndarray:
     if solver not in SOLVERS:
         raise UnknownAlgorithm(f"unknown solver {solver!r}; choose from {SOLVERS}")
+    if solver == "aba" and cs.m:
+        raise UnknownAlgorithm("solver 'aba' cannot handle constraints")
+    # one kinematics pass serves the Baumgarte targets and the solver
+    cache = forward_kinematics(model, state)
     if solver == "aba":
-        if cs.m:
-            raise UnknownAlgorithm("solver 'aba' cannot handle constraints")
-        return aba(model, state, tau)
-    cs_eff = _stabilized_targets(model, state, cs, config)
+        return aba(model, state, tau, cache=cache)
+    cs_eff = _stabilized_targets(cache, cs, config)
     settings = config.settings or SolverSettings()
     if solver == "pv":
-        return pv_solve(model, state, tau, cs_eff, ws).qdd
+        return pv_solve(model, state, tau, cs_eff, ws, cache=cache).qdd
     if solver == "pv_early":
-        return pv_early_solve(model, state, tau, cs_eff, ws).qdd
+        return pv_early_solve(model, state, tau, cs_eff, ws, cache=cache).qdd
     if solver == "pv_soft":
-        return pv_soft_solve(model, state, tau, cs_eff, settings, ws).qdd
-    return constrained_aba(model, state, tau, cs_eff, settings, ws).qdd
+        return pv_soft_solve(model, state, tau, cs_eff, settings, ws, cache=cache).qdd
+    return constrained_aba(model, state, tau, cs_eff, settings, ws, cache=cache).qdd
 
 
 def integrate_position(model: Model, q: np.ndarray, v: np.ndarray,

@@ -5,8 +5,21 @@ is the shared front end of all dynamics sweeps: joint transforms,
 world transforms, link twists, velocity-product accelerations, and the
 zero-gravity bias acceleration used to form constraint drift.
 
+The pass is batched over the tree's depth levels.  The link-local
+terms (joint transforms, composition with the placements, joint twists,
+6x6 motion transforms) run as whole-tree array operations; the
+recursion then runs one array step per depth level, since links at the
+same depth do not depend on each other: world poses and twists, then
+``c`` for the whole tree at once, then ``avp``.  The schedule is the
+model's ``LevelPlan``.  The arithmetic and its flop charge are those of
+the per-link recursion; only the Python overhead changes, from per link
+to per level.  ``velocity_products`` does the same for the bias forces
+``v x* (I v)`` that every sweep starts from.
+
 Cache construction is a pure function of (model, state); caches are
-immutable once built and tied to the state they came from.
+immutable once built and tied to the state they came from.  Solvers
+take an optional cache, so one pass can serve a caller and the solver
+it calls.
 """
 
 from __future__ import annotations
@@ -17,8 +30,8 @@ import numpy as np
 
 from . import flops
 from .model import ConstraintSet, Model, State, check_state
-from .spatial import (PlueckerTransform, SpatialMotion, compose_rt, cross_m6,
-                      xm6)
+from .spatial import (PlueckerTransform, SpatialMotion, axis_angle_rotation,
+                      compose_rt, cross_rows, xm6)
 
 
 @dataclass
@@ -48,42 +61,73 @@ class KinematicsCache:
 
 
 def forward_kinematics(model: Model, state: State) -> KinematicsCache:
-    """Position and velocity recursion over the tree."""
+    """Position and velocity recursion over the tree, one step per depth level."""
     check_state(model, state)
+    plan = model.plan
+    q = state.q
     n = model.n_links
-    rot = np.empty((n, 3, 3))
-    trans = np.empty((n, 3))
-    w_rot = np.empty((n, 3, 3))
-    w_trans = np.empty((n, 3))
-    v = np.zeros((n, 6))
-    c = np.zeros((n, 6))
-    avp = np.zeros((n, 6))
+
+    # link-local terms for all links at once: joint transforms composed
+    # with the placements, and joint twists
+    rot = model.placement_rot.copy()
+    trans = model.placement_trans.copy()
     vj = np.zeros((n, 6))
-    work = 0
-    for i in range(n):
-        joint = model.joints[i]
-        jr, jt = joint.transform(state.q[model.q_block(i)])
-        rot[i], trans[i] = compose_rt(jr, jt, model.placement_rot[i],
-                                      model.placement_trans[i])
-        p = model.parent[i]
-        if p < 0:
-            w_rot[i], w_trans[i] = rot[i], trans[i]
-        else:
-            w_rot[i], w_trans[i] = compose_rt(rot[i], trans[i], w_rot[p], w_trans[p])
-        nv = joint.nv
-        if nv:
-            vj[i] = model.S[i] @ state.v[model.v_block(i)]
-        if p >= 0:
-            v[i] = xm6(rot[i], trans[i], v[p]) + vj[i]
-            c[i] = cross_m6(v[i], vj[i])
-            avp[i] = xm6(rot[i], trans[i], avp[p]) + c[i]
-        else:
-            v[i] = vj[i]
-            # base c = v x vj vanishes for both fixed and floating bases
-        work += flops.AXIS_ANGLE + 2 * flops.COMPOSE + 2 * flops.XMOT \
-            + flops.CROSS_M + 6 * nv + 2 * flops.ADD6
-    flops.add(work)
-    return KinematicsCache(rot, trans, w_rot, w_trans, v, c, avp, vj)
+    rev, pri = plan.revolute, plan.prismatic
+    if rev.links.size:
+        jr = axis_angle_rotation(rev.axis, q[rev.q])
+        rot[rev.links] = np.swapaxes(jr, 1, 2) @ rot[rev.links]
+        vj[rev.links, :3] = rev.axis * state.v[rev.v][:, None]
+    if pri.links.size:
+        jt = pri.axis * q[pri.q][:, None]
+        trans[pri.links] += (jt[:, None, :] @ rot[pri.links])[:, 0]
+        vj[pri.links, 3:] = pri.axis * state.v[pri.v][:, None]
+    for i in plan.floating:
+        jr, jt = model.joints[i].transform(q[model.q_block(i)])
+        rot[i], trans[i] = compose_rt(jr, jt, rot[i], trans[i])
+        vj[i] = state.v[model.v_block(i)]
+    # the recursion runs in level order, where each level is a slice, on
+    # 6x6 motion transforms and 4x4 link-to-world poses [[w_rot', w_trans], [0, 1]]
+    order = plan.order
+    rot_l, trans_l, vj_l = rot[order], trans[order], vj[order]
+    xm = np.zeros((n, 6, 6))
+    xm[:, :3, :3] = rot_l
+    xm[:, 3:, 3:] = rot_l
+    xm[:, 3:, :3] = cross_rows(trans_l[:, None, :], rot_l)    # -R skew(p), row-wise
+    pose = np.zeros((n, 4, 4))
+    pose[:, :3, :3] = np.swapaxes(rot_l, 1, 2)
+    pose[:, :3, 3] = trans_l
+    pose[:, 3, 3] = 1.0
+    # roots keep their own pose, v = vj and zero avp
+    world = pose.copy()
+    v = vj_l.copy()
+    for links, parents in plan.levels:
+        world[links] = world[parents] @ pose[links]
+        v[links] = (xm[links] @ v[parents, :, None])[:, :, 0] + vj_l[links]
+    # c = v x vj; exactly zero at a root, where v = vj
+    c = np.empty((n, 6))
+    c[:, :3] = cross_rows(v[:, :3], vj_l[:, :3])
+    c[:, 3:] = cross_rows(v[:, :3], vj_l[:, 3:]) + cross_rows(v[:, 3:], vj_l[:, :3])
+    avp = np.zeros((n, 6))
+    for links, parents in plan.levels:
+        avp[links] = (xm[links] @ avp[parents, :, None])[:, :, 0] + c[links]
+    back = plan.position
+    world = world[back]
+    w_rot = np.swapaxes(world[:, :3, :3], 1, 2).copy()
+    w_trans = world[:, :3, 3].copy()
+    flops.add(plan.fk_flops)
+    return KinematicsCache(rot, trans, w_rot, w_trans, v[back], c[back], avp[back], vj)
+
+
+def velocity_products(model: Model, cache: KinematicsCache) -> np.ndarray:
+    """Velocity-product force ``v x* (I v)`` of every link, as an (n, 6) array."""
+    v = cache.v
+    h = (model.inertia66 @ v[:, :, None])[:, :, 0]
+    n = model.n_links
+    # w x* (h_ang, h_lin) row-wise, then the v_lin x h_lin term of the torque
+    out = cross_rows(v[:, None, :3], h.reshape(n, 2, 3))
+    out[:, 0] += cross_rows(v[:, 3:], h[:, 3:])
+    flops.add(n * (flops.CROSS_F + flops.APPLY_I))
+    return out.reshape(n, 6)
 
 
 def link_jacobian(model: Model, cache: KinematicsCache, link: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import spatial
+from . import flops, spatial
 from .errors import DimensionMismatch
 from .spatial import PlueckerTransform, SpatialInertia
 
@@ -97,6 +97,71 @@ class Joint:
         return np.eye(3), np.zeros(3)
 
 
+def _index(idx: np.ndarray):
+    """A slice where the indices are one ascending run, else the index array."""
+    if idx.size and np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
+        return slice(int(idx[0]), int(idx[0]) + idx.size)
+    return idx
+
+
+@dataclass(frozen=True)
+class JointGroup:
+    """The links of one 1-dof joint kind, with their coordinate and
+    velocity indices and their unit axes."""
+
+    links: np.ndarray
+    q: np.ndarray
+    v: np.ndarray
+    axis: np.ndarray
+
+
+@dataclass(frozen=True)
+class LevelPlan:
+    """Schedule of the link-batched kinematics front end.
+
+    Links at the same depth do not depend on each other, so the
+    recursion runs one array step per level.  It runs in level order:
+    ``order`` lists the links by depth (stable in index) and
+    ``position`` is its inverse.  ``levels[d - 1]`` holds, as positions
+    in that order, the slice of the links at depth d and their parents
+    (a slice where contiguous, else an index array).  The link-local
+    joint work runs once over each 1-dof joint-kind group and per
+    floating link.
+    """
+
+    order: np.ndarray
+    position: np.ndarray
+    levels: tuple
+    revolute: JointGroup
+    prismatic: JointGroup
+    floating: tuple[int, ...]
+    fk_flops: int          # flops of one forward-kinematics pass
+
+    @staticmethod
+    def of(model: "Model") -> "LevelPlan":
+        def links_of(kind):
+            return [i for i, j in enumerate(model.joints) if j.kind == kind]
+
+        def group(kind):
+            links = np.array(links_of(kind), dtype=int)
+            return JointGroup(links, np.array([model.q_offset[i] for i in links], dtype=int),
+                              np.array([model.v_offset[i] for i in links], dtype=int),
+                              np.array([model.joints[i].axis for i in links]).reshape(-1, 3))
+
+        order = np.argsort(model.link_depth, kind="stable")
+        position = np.empty_like(order)
+        position[order] = np.arange(model.n_links)
+        bounds = np.searchsorted(model.link_depth[order], np.arange(model.depth + 2))
+        levels = []
+        for d in range(1, model.depth + 1):
+            links = slice(int(bounds[d]), int(bounds[d + 1]))
+            levels.append((links, _index(position[model.parent[order[links]]])))
+        fk_flops = model.n_links * (flops.AXIS_ANGLE + 2 * flops.COMPOSE + 2 * flops.XMOT
+                                    + flops.CROSS_M + 2 * flops.ADD6) + 6 * model.nv
+        return LevelPlan(order, position, tuple(levels), group("revolute"),
+                         group("prismatic"), tuple(links_of("floating")), fk_flops)
+
+
 class Model:
     """Immutable kinematic tree: topology, joints, placements, inertias."""
 
@@ -137,6 +202,7 @@ class Model:
         self.children = tuple(tuple(c) for c in children)
         self.link_depth = depth
         self.depth = int(depth.max()) if self.n_links > 1 else 0
+        self.plan = LevelPlan.of(self)
 
         # per-dof parent chain (previous dof of the same joint, else the
         # last dof of the nearest movable ancestor); drives the

@@ -35,19 +35,25 @@ def skew(v: np.ndarray) -> np.ndarray:
     return np.array(((0.0, -z, y), (z, 0.0, -x), (-y, x, 0.0)))
 
 
-def axis_angle_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
+def axis_angle_rotation(axis: np.ndarray, angle: float | np.ndarray) -> np.ndarray:
     """Rotation matrix turning vectors by `angle` about unit `axis`
-    (Rodrigues: ``c I + s skew(a) + (1 - c) a a'``, written out)."""
-    c = math.cos(angle)
-    s = math.sin(angle)
+    (Rodrigues: ``c I + s skew(a) + (1 - c) a a'``, written out).
+
+    Broadcasts: axes of shape (..., 3) and angles of shape (...) give
+    rotations of shape (..., 3, 3).
+    """
+    c = np.cos(angle)
+    s = np.sin(angle)
     t = 1.0 - c
-    x, y, z = np.asarray(axis, dtype=float).tolist()
+    axis = np.asarray(axis, dtype=float)
+    x, y, z = axis[..., 0], axis[..., 1], axis[..., 2]
     txy, txz, tyz = t * (x * y), t * (x * z), t * (y * z)
-    return np.array((
-        (c + t * (x * x), txy - s * z, txz + s * y),
-        (txy + s * z, c + t * (y * y), tyz - s * x),
-        (txz - s * y, tyz + s * x, c + t * (z * z)),
-    ))
+    out = np.stack((
+        c + t * (x * x), txy - s * z, txz + s * y,
+        txy + s * z, c + t * (y * y), tyz - s * x,
+        txz - s * y, tyz + s * x, c + t * (z * z),
+    ), axis=-1)
+    return out.reshape(out.shape[:-1] + (3, 3))
 
 
 def rpy_rotation(roll: float, pitch: float, yaw: float) -> np.ndarray:
@@ -109,6 +115,13 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a0, a1, a2 = a.tolist()
     b0, b1, b2 = b.tolist()
     return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+
+
+def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product over the last axis of two broadcastable (..., 3) arrays."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
 
 
 def xm6(rot: np.ndarray, trans: np.ndarray, v: np.ndarray) -> np.ndarray:

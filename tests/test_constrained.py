@@ -523,3 +523,55 @@ class TestSoftWeightsVector:
         sol = pv_soft_solve(chain8, state, tau, cs, SolverSettings(soft_R=weights))
         ref = relaxed_kkt_oracle(chain8, state, tau, cs, weights)
         assert np.linalg.norm(sol.qdd - ref) <= 1e-8 * (1 + np.linalg.norm(ref))
+
+
+class TestWorkspaceReuse:
+    """A workspace depends only on the model and each constraint's (link, dim)."""
+
+    def _problem(self):
+        model = generate_tree(20, 2, seed=1, base_kind="floating")
+        cs = ConstraintSet([weld_constraint(7), point_constraint(15, [0.1, 0.0, 0.0])])
+        state = random_state(model, 2)
+        tau = np.random.default_rng(2).uniform(-1.0, 1.0, model.nv)
+        return model, cs, state, tau
+
+    def test_same_layout_reuses_and_solves_alike(self):
+        model, cs, state, tau = self._problem()
+        ws = PvWorkspace(model, cs)
+        # new targets and a new matrix on the same (link, dim) rows
+        other = ConstraintSet([weld_constraint(7, a_star=np.arange(6.0)),
+                               MotionConstraint(15, np.eye(3, 6, 1), np.ones(3))])
+        for cs_new in (cs.replace_targets(np.linspace(-1.0, 1.0, cs.m)), other):
+            assert PvWorkspace.ensure(model, cs_new, ws) is ws
+            for solve in (pv_solve, pv_early_solve, pv_soft_solve, constrained_aba):
+                solve(model, state, tau, cs, ws=ws)          # leave the buffers used
+                reused = solve(model, state, tau, cs_new, ws=ws)
+                fresh = solve(model, state, tau, cs_new)
+                np.testing.assert_array_equal(reused.qdd, fresh.qdd)
+                np.testing.assert_array_equal(reused.lam, fresh.lam)
+
+    def test_new_layout_rebuilds(self):
+        model, cs, _, _ = self._problem()
+        ws = PvWorkspace(model, cs)
+        a, b = cs.constraints
+        for cs_new in (ConstraintSet([b, a]),
+                       ConstraintSet([a, point_constraint(14, [0.1, 0.0, 0.0])]),
+                       ConstraintSet([weld_constraint(7), weld_constraint(15)]),
+                       ConstraintSet([a]),
+                       ConstraintSet([a, b, a])):
+            fresh = PvWorkspace.ensure(model, cs_new, ws)
+            assert fresh is not ws
+            assert fresh.layout == tuple((con.link, con.dim) for con in cs_new)
+        assert PvWorkspace.ensure(model.with_gravity([0.0, 0.0, -1.0]), cs, ws) is not ws
+
+
+class TestStoredProjectedInertia:
+    def test_articulated_pass_stores_projection(self):
+        model = with_fixed_joints(generate_tree(15, 2, seed=6, base_kind="floating"), [3])
+        cs = ConstraintSet([weld_constraint(10)])
+        ws = PvWorkspace(model, cs)
+        cache = forward_kinematics(model, random_state(model, 6))
+        _reg_articulated_pass(model, cache, ws, {10: np.eye(6)})
+        for i in range(model.n_links):
+            expected = ws.IA[i] - ws.uu[i] @ ws.du[i] if model.joints[i].nv else ws.IA[i]
+            np.testing.assert_array_equal(ws.IA_proj[i], expected)

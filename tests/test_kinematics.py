@@ -1,12 +1,114 @@
 import numpy as np
 import pytest
 
-from pvdyn import (ConstraintSet, State, constraint_drift, constraint_jacobian,
-                   forward_kinematics, generate_chain, generate_tree,
-                   link_jacobian, neutral_state, point_constraint,
-                   random_state, weld_constraint)
+from pvdyn import (ConstraintSet, Joint, KinematicsCache, Model, State,
+                   constraint_drift, constraint_jacobian, flops,
+                   forward_kinematics, generate_chain, generate_humanoid_like,
+                   generate_tree, link_jacobian, neutral_state,
+                   parse_urdf_subset, point_constraint, random_state,
+                   weld_constraint)
 from pvdyn.errors import DimensionMismatch
 from pvdyn.integrate import integrate_position
+from pvdyn.kinematics import velocity_products
+from pvdyn.spatial import compose_rt, cross_f6, cross_m6, xm6
+
+FIELDS = ("rot", "trans", "w_rot", "w_trans", "v", "c", "avp", "vj")
+
+
+def per_link_fk(model, state):
+    """Reference forward kinematics: one Python iteration per link."""
+    n = model.n_links
+    rot = np.empty((n, 3, 3))
+    trans = np.empty((n, 3))
+    w_rot = np.empty((n, 3, 3))
+    w_trans = np.empty((n, 3))
+    v = np.zeros((n, 6))
+    c = np.zeros((n, 6))
+    avp = np.zeros((n, 6))
+    vj = np.zeros((n, 6))
+    work = 0
+    for i in range(n):
+        joint = model.joints[i]
+        jr, jt = joint.transform(state.q[model.q_block(i)])
+        rot[i], trans[i] = compose_rt(jr, jt, model.placement_rot[i],
+                                      model.placement_trans[i])
+        p = model.parent[i]
+        if p < 0:
+            w_rot[i], w_trans[i] = rot[i], trans[i]
+        else:
+            w_rot[i], w_trans[i] = compose_rt(rot[i], trans[i], w_rot[p], w_trans[p])
+        if joint.nv:
+            vj[i] = model.S[i] @ state.v[model.v_block(i)]
+        if p >= 0:
+            v[i] = xm6(rot[i], trans[i], v[p]) + vj[i]
+            c[i] = cross_m6(v[i], vj[i])
+            avp[i] = xm6(rot[i], trans[i], avp[p]) + c[i]
+        else:
+            v[i] = vj[i]
+        work += flops.AXIS_ANGLE + 2 * flops.COMPOSE + 2 * flops.XMOT \
+            + flops.CROSS_M + 6 * joint.nv + 2 * flops.ADD6
+    flops.add(work)
+    return KinematicsCache(rot, trans, w_rot, w_trans, v, c, avp, vj)
+
+
+# floating trunk; document order interleaves depths 0,1,2,1,3,4,2 and
+# mixes revolute, prismatic and a fixed interior joint
+MIXED_URDF = """<robot name="mixed">
+  <link name="world"/>
+{links}
+  <joint name="root" type="floating">
+    <parent link="world"/><child link="trunk"/>
+  </joint>
+  <joint name="ja" type="revolute">
+    <parent link="trunk"/><child link="a"/>
+    <origin xyz="0.1 0.2 0" rpy="0.3 0 0.1"/><axis xyz="0 0 1"/>
+  </joint>
+  <joint name="jb" type="prismatic">
+    <parent link="a"/><child link="b"/>
+    <origin xyz="0 0 -0.2" rpy="0 0.4 0"/><axis xyz="1 0 0"/>
+  </joint>
+  <joint name="jc" type="revolute">
+    <parent link="trunk"/><child link="c"/>
+    <origin xyz="-0.1 0 0.05" rpy="0 0 0"/><axis xyz="0 1 0"/>
+  </joint>
+  <joint name="jd" type="fixed">
+    <parent link="b"/><child link="d"/>
+    <origin xyz="0.05 0 -0.1" rpy="0.2 -0.1 0.5"/>
+  </joint>
+  <joint name="je" type="revolute">
+    <parent link="d"/><child link="e"/>
+    <origin xyz="0 0.1 0" rpy="0 0 0"/><axis xyz="0 1 1"/>
+  </joint>
+  <joint name="jf" type="revolute">
+    <parent link="c"/><child link="f"/>
+    <origin xyz="0 0 -0.3" rpy="0 0 0"/><axis xyz="1 0 0"/>
+  </joint>
+</robot>
+""".format(links="\n".join(
+    f'''  <link name="{name}"><inertial><origin xyz="0 0 -0.1"/><mass value="1.0"/>
+    <inertia ixx="0.01" iyy="0.02" izz="0.03" ixy="0" ixz="0" iyz="0"/></inertial></link>'''
+    for name in "trunk a b c d e f".split()))
+
+
+def with_fixed_joint(model, link):
+    """`model` with the joint of an interior link welded."""
+    joints = list(model.joints)
+    joints[link] = Joint.fixed()
+    return Model(model.parent, joints, model.placement, model.inertia, model.gravity)
+
+
+MODELS = {
+    "chain1": lambda: generate_chain(1),
+    "chain7": lambda: generate_chain(7),
+    "chain64": lambda: generate_chain(64),
+    "prismatic-chain": lambda: generate_chain(9, kind="prismatic"),
+    "tree-fixed": lambda: generate_tree(40, 2, seed=3),
+    "tree-floating": lambda: generate_tree(40, 2, seed=4, base_kind="floating"),
+    "tree-128-3": lambda: generate_tree(128, 3, seed=0),
+    "humanoid": generate_humanoid_like,
+    "fixed-interior": lambda: with_fixed_joint(generate_tree(20, 2, seed=5), 3),
+    "urdf-mixed": lambda: parse_urdf_subset(MIXED_URDF),
+}
 
 
 class TestForwardKinematics:
@@ -36,6 +138,55 @@ class TestForwardKinematics:
     def test_dimension_mismatch(self, chain8):
         with pytest.raises(DimensionMismatch):
             forward_kinematics(chain8, State(np.zeros(3), np.zeros(8)))
+
+
+class TestLevelBatchedKinematics:
+    """The level-batched pass against the per-link reference loop."""
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_per_link_loop(self, name, seed):
+        model = MODELS[name]()
+        state = random_state(model, seed)
+        with flops.counted() as fl_new:
+            new = forward_kinematics(model, state)
+            n_new = fl_new()
+        with flops.counted() as fl_ref:
+            ref = per_link_fk(model, state)
+            n_ref = fl_ref()
+        assert n_new == n_ref
+        for field in FIELDS:
+            a, b = getattr(new, field), getattr(ref, field)
+            assert a.shape == b.shape
+            scale = max(1.0, float(np.abs(b).max()))
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-13 * scale, err_msg=field)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_levels_cover_each_link_once(self, name):
+        model = MODELS[name]()
+        plan = model.plan
+        np.testing.assert_array_equal(plan.order[plan.position], np.arange(model.n_links))
+        seen = np.zeros(model.n_links, dtype=int)
+        for d, (links, parents) in enumerate(plan.levels, start=1):
+            links = plan.order[links]
+            parents = plan.order[parents]
+            seen[links] += 1
+            np.testing.assert_array_equal(model.parent[links], parents)
+            assert np.all(model.link_depth[links] == d)
+        np.testing.assert_array_equal(seen, (model.link_depth > 0).astype(int))
+
+    @pytest.mark.parametrize("name", ["chain7", "tree-floating", "humanoid", "urdf-mixed"])
+    def test_velocity_products(self, name):
+        model = MODELS[name]()
+        state = random_state(model, 7)
+        cache = forward_kinematics(model, state)
+        ref = np.array([cross_f6(cache.v[i], model.inertia66[i] @ cache.v[i])
+                        for i in range(model.n_links)])
+        with flops.counted() as fl:
+            out = velocity_products(model, cache)
+            charged = fl()
+        assert charged == model.n_links * (flops.CROSS_F + flops.APPLY_I)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13 * max(1.0, np.abs(ref).max()))
 
 
 class TestLinkJacobian:
