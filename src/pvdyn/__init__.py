@@ -6,10 +6,7 @@ classical recursive baselines they are graded against, and a benchmark
 harness with instrumented flop counting.
 """
 
-from .spatial import (ArticulatedInertia, PlueckerTransform, SpatialForce,
-                      SpatialInertia, SpatialMotion, apply_inertia, compose,
-                      inverse, motion_cross_force, motion_cross_motion,
-                      transform_force, transform_inertia, transform_motion)
+from .spatial import PlueckerTransform, SpatialInertia, compose, inverse
 from .model import (ConstraintSet, Joint, Model, MotionConstraint, State,
                     neutral_state, point_constraint, random_state,
                     weld_constraint)

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flops, linalg
+from .constrained import _aba, _Sweep
 from .delassus import DelassusOperator
-from .errors import (DimensionMismatch, NotPositiveDefinite,
-                     SingularJointInertia)
+from .errors import DimensionMismatch, NotPositiveDefinite
 from .kinematics import (KinematicsCache, constraint_drift,
                          constraint_jacobian, forward_kinematics,
                          velocity_products)
@@ -152,66 +152,19 @@ def crba(model: Model, state: State,
 
 def aba(model: Model, state: State, tau, f_ext=None,
         cache: KinematicsCache | None = None) -> np.ndarray:
-    """Articulated-body forward dynamics: qdd = M^-1 (tau - h + J' f_ext)."""
+    """Articulated-body forward dynamics: qdd = M^-1 (tau - h + J' f_ext).
+
+    The inertia, bias and forward passes of the constrained solvers, with
+    no constraints and the external forces as extra bias.
+    """
     tau = _check_vec(model, tau, "tau")
     if cache is None:
         cache = forward_kinematics(model, state)
-    n = model.n_links
-    ia = model.inertia66.copy()
-    pa = velocity_products(model, cache)
-    uu: list = [None] * n
-    dfac: list = [None] * n
-    u: list = [None] * n
-    work = 0
+    bias = None
     if f_ext is not None:
-        for i in range(n):
-            if f_ext[i] is not None:
-                pa[i] -= np.asarray(f_ext[i], dtype=float)
-
-    for i in range(n - 1, -1, -1):
-        nv = model.joints[i].nv
-        p = model.parent[i]
-        if nv:
-            s = model.S[i]
-            uu[i] = ia[i] @ s
-            d = s.T @ uu[i]
-            try:
-                dfac[i] = linalg.SmallPD(d)
-            except NotPositiveDefinite:
-                raise SingularJointInertia(f"joint {i} inertia is singular") from None
-            u[i] = tau[model.v_block(i)] - s.T @ pa[i]
-            work += flops.gemm(6, 6, nv) + flops.gemm(nv, 6, nv) \
-                + 11 * nv + flops.cholesky(nv)
-            if p >= 0:
-                ia_proj = ia[i] - uu[i] @ dfac[i].solve(uu[i].T)
-                pa_proj = pa[i] + ia_proj @ cache.c[i] + uu[i] @ dfac[i].solve(u[i])
-                work += flops.gemm(6, nv, 6) + flops.chol_solve(nv, 7) \
-                    + flops.APPLY_I + flops.gemm(6, nv, 1) + 2 * flops.ADD6
-        else:
-            ia_proj = ia[i]
-            pa_proj = pa[i] + ia[i] @ cache.c[i]
-        if p >= 0:
-            ia[p] += xi6(cache.rot[i], cache.trans[i], ia_proj)
-            pa[p] += xft6(cache.rot[i], cache.trans[i], pa_proj)
-            work += flops.XINERTIA + flops.XFORCE_T + 36 + flops.ADD6
-
-    qdd = np.zeros(model.nv)
-    a = np.empty((n, 6))
-    a_world = -model.gravity6()
-    for i in range(n):
-        p = model.parent[i]
-        a_in = xm6(cache.rot[i], cache.trans[i], a_world if p < 0 else a[p]) + cache.c[i]
-        nv = model.joints[i].nv
-        if nv:
-            blk = dfac[i].solve(u[i] - uu[i].T @ a_in)
-            qdd[model.v_block(i)] = blk
-            a[i] = a_in + model.S[i] @ blk
-            work += flops.gemm(nv, 6, 1) + flops.chol_solve(nv) + 6 * nv + flops.ADD6
-        else:
-            a[i] = a_in
-        work += flops.XMOT + flops.ADD6
-    flops.add(work)
-    return qdd
+        bias = {i: -np.asarray(f, dtype=float) for i, f in enumerate(f_ext)
+                if f is not None}
+    return _aba(model, cache, _Sweep(model.n_links), tau, bias=bias)
 
 
 # ---------------------------------------------------------------------------

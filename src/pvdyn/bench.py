@@ -12,10 +12,6 @@ evidence, wall time is secondary.  A cell whose algorithm raises a
 library error (a singular dual, for one) keeps its row, with the error's
 class name as its status, NaN times and zero flops; the other cells
 still run.
-
-Cells across a sweep may run in parallel worker threads (capped by the
-PVDYN_THREADS environment variable); repetitions inside a cell are
-strictly sequential on one thread, and the flop counter is per-thread.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ import json
 import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -169,15 +164,8 @@ def _run_cell(model_spec: str, algorithm: str, m: int, reps: int,
 
 def run_bench(spec: BenchSpec) -> list[BenchRecord]:
     """Run every (model, algorithm) cell of the spec."""
-    cells = [(ms, alg) for ms in spec.models for alg in spec.algorithms]
-    workers = max(1, int(os.environ.get("PVDYN_THREADS", "1")))
-    if workers == 1 or len(cells) == 1:
-        return [_run_cell(ms, alg, spec.m, spec.reps, spec.seed)
-                for ms, alg in cells]
-    with ThreadPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-        futures = [pool.submit(_run_cell, ms, alg, spec.m, spec.reps, spec.seed)
-                   for ms, alg in cells]
-        return [f.result() for f in futures]
+    return [_run_cell(ms, alg, spec.m, spec.reps, spec.seed)
+            for ms in spec.models for alg in spec.algorithms]
 
 
 def emit_csv(records: list[BenchRecord], path: str) -> None:

@@ -163,27 +163,22 @@ def _result(name, err, tol, detail="") -> CheckResult:
 
 
 def _check_spatial(rng) -> list[CheckResult]:
+    def random_transform():
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        return spatial.axis_angle_rotation(axis, rng.uniform(-3, 3)), rng.standard_normal(3)
+
     worst_power = 0.0
     for _ in range(50):
-        axis = rng.standard_normal(3)
-        axis /= np.linalg.norm(axis)
-        x = spatial.PlueckerTransform(
-            spatial.axis_angle_rotation(axis, rng.uniform(-3, 3)),
-            rng.standard_normal(3))
-        v = spatial.SpatialMotion(rng.standard_normal(3), rng.standard_normal(3))
-        f = spatial.SpatialForce(rng.standard_normal(3), rng.standard_normal(3))
-        power = f.dot(v)
-        power_t = spatial.transform_force(x, f).dot(spatial.transform_motion(x, v))
+        rot, trans = random_transform()
+        v, f = rng.standard_normal(6), rng.standard_normal(6)
+        power = float(f @ v)
+        power_t = float(spatial.xf6(rot, trans, f) @ spatial.xm6(rot, trans, v))
         worst_power = max(worst_power, abs(power - power_t) / (1 + abs(power)))
-    x = spatial.PlueckerTransform.identity()
+    rot, trans = np.eye(3), np.zeros(3)
     for _ in range(1000):
-        axis = rng.standard_normal(3)
-        axis /= np.linalg.norm(axis)
-        step = spatial.PlueckerTransform(
-            spatial.axis_angle_rotation(axis, rng.uniform(-3, 3)),
-            rng.standard_normal(3))
-        x = spatial.compose(step, x)
-    drift = float(np.abs(x.rotation.T @ x.rotation - np.eye(3)).max())
+        rot, trans = spatial.compose_rt(*random_transform(), rot, trans)
+    drift = float(np.abs(rot.T @ rot - np.eye(3)).max())
     return [_result("spatial.power_invariance", worst_power, 1e-12),
             _result("spatial.rotation_drift_1000_compositions", drift, 1e-9)]
 

@@ -1,30 +1,43 @@
 """Constrained forward dynamics by recursive sweeps over the tree.
 
-Four solvers share one workspace and one set of conventions:
+The solvers here, ``baseline.aba`` and the Delassus producers are all
+the articulated-body recursion plus one extra term, so they share one
+set of passes.  Each pass walks an ordered link sequence (children
+first backward, parents first forward) and charges its own flops:
 
-* ``pv_solve`` — exact dynamic-programming solver.  The backward sweep
-  accumulates articulated inertias and bias forces exactly as the
-  articulated-body algorithm, and alongside them per-subtree constraint
-  coupling blocks (K, L, l) satisfying ``K a_link + L lam + l = 0``.
-  Multipliers are solved densely once the sweep reaches the base.
-* ``pv_early_solve`` — same sweep, but each constraint's multiplier
-  block is eliminated at the earliest link where its dual block becomes
-  safely invertible; whatever stays singular rides to the base exactly
-  as in ``pv_solve`` (hybrid fallback), so the result stays exact.
-* ``pv_soft_solve`` — relaxed constraints: the penalty K' R^-1 K is
-  absorbed into the constrained link's articulated inertia and the
-  matching term into its bias force, after which a single plain
-  articulated-body sweep solves the problem.
-* ``constrained_aba`` — proximal method of multipliers.  The articulated
-  inertias are regularized once with K' K / mu; the first iteration runs
-  one full bias/forward sweep against them.  The sweep is affine in its
-  bias, and later iterations change the bias only by -K' lam on the
-  constrained links, so each of them sweeps just the constraint support
-  (the root paths of the constrained links) to get the change that
-  bias makes; links off the support are filled in once at exit.
-  Feasible full-rank systems converge to the exact solution;
-  rank-deficient or infeasible ones converge to the least-squares
-  solution, with the minimum-norm multipliers.
+* ``_inertia_pass`` — articulated inertias IA (plus any added inertia),
+  joint factors U = IA S, D = S' U, and IA_proj = IA - U D^-1 U'.
+* ``_bias_pass`` — joint biases u and articulated biases pA: over the
+  whole tree from tau, velocity products and c, or homogeneous (no tau,
+  no c) over a link subset for the change a bias increment makes.
+* ``_coupling_pass`` — coupling blocks K, L and optionally l with
+  ``K a_link + L lam + l = 0``, over the constraint support (the links
+  whose subtree holds a constraint); ``_eliminate`` is its
+  early-elimination step.
+* ``_forward_pass`` — accelerations and qdd over all links or a subset,
+  with an optional K_S' lam term and the back-substitution of rows
+  eliminated early.
+
+How the solvers compose them:
+
+* ``pv_solve`` — inertia, bias, coupling, a dense multiplier solve at
+  the base, forward.  Exact.
+* ``pv_early_solve`` — the same passes one depth level at a time
+  (``Model.plan``), deepest first.  Links within a level are
+  independent, so before a level's projections each of its links
+  eliminates the multiplier blocks that have become safely invertible;
+  blocks that stay singular ride to the base as in ``pv_solve``.
+* ``pv_soft_solve`` — relaxed: K' R^-1 K is added inertia and the
+  matching term added bias, then inertia, bias, forward.
+* ``constrained_aba`` — proximal method of multipliers.  K' K / mu is
+  added inertia and the first iteration a full inertia, bias and
+  forward pass.  The passes are affine in the bias, and later
+  iterations change it only by -K' lam on the constrained links, so
+  each runs the homogeneous bias and forward passes over the support;
+  links off it are filled in once at exit.  Rank-deficient or
+  infeasible systems converge to the least-squares solution with the
+  minimum-norm multipliers.
+* ``pv_osim`` and ``caba_osim`` run inertia and coupling without l.
 
 Gravity is applied by giving the world an acceleration of -g, so a
 constraint target a* on true link acceleration becomes
@@ -41,8 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flops, linalg
-from .errors import (DimensionMismatch, NotPositiveDefinite, SingularDual,
-                     SingularJointInertia)
+from .errors import (DimensionMismatch, NotPositiveDefinite, SingularBaseInertia,
+                     SingularDual, SingularJointInertia)
 from .kinematics import KinematicsCache, forward_kinematics, velocity_products
 from .model import ConstraintSet, Model, State, check_state
 from .spatial import xft6, xi6, xm6
@@ -77,7 +90,21 @@ class ConstrainedSolution:
     residual_history: tuple[float, ...] = ()    # primal residual per iteration
 
 
-class PvWorkspace:
+class _Sweep:
+    """Per-link buffers of the articulated passes: all that ``aba`` needs."""
+
+    def __init__(self, n: int):
+        self.IA = np.empty((n, 6, 6))
+        self.IA_proj = np.empty((n, 6, 6))     # IA projected across each joint
+        self.pA = np.empty((n, 6))
+        self.a = np.empty((n, 6))
+        self.uu: list = [None] * n             # U = IA S
+        self.dfac: list = [None] * n           # factor of D = S' U
+        self.du: list = [None] * n             # D^-1 U'
+        self.u: list = [None] * n              # joint bias force
+
+
+class PvWorkspace(_Sweep):
     """Preallocated buffers and static row bookkeeping for one (model, cs).
 
     ``rows[i]`` lists the global constraint rows active in link i's
@@ -88,10 +115,11 @@ class PvWorkspace:
     """
 
     def __init__(self, model: Model, cs: ConstraintSet):
-        self.model = model
-        self.layout = _layout(cs)
         n = model.n_links
         m = cs.m
+        super().__init__(n)
+        self.model = model
+        self.layout = _layout(cs)
         row_sets: list[list[int]] = [[] for _ in range(n)]
         for ci, con in enumerate(cs):
             row_sets[con.link].extend(range(cs.offsets[ci], cs.offsets[ci] + con.dim))
@@ -105,6 +133,12 @@ class PvWorkspace:
         # links whose subtree holds a constraint, and the others, in index order
         self.support = tuple(i for i in range(n) if in_subtree[i])
         self.off_support = tuple(i for i in range(n) if not in_subtree[i])
+        # depth levels, deepest first, each in descending index order, with
+        # the support links of each level
+        plan = model.plan
+        levels = [plan.order[links][::-1].tolist() for links, _ in reversed(plan.levels)]
+        self.levels = tuple((tuple(level), tuple(i for i in level if in_subtree[i]))
+                            for level in levels + [[0]])
         rows: list[np.ndarray] = [np.zeros(0, dtype=int)] * n
         for i in range(n - 1, -1, -1):
             acc = list(row_sets[i])
@@ -117,15 +151,9 @@ class PvWorkspace:
             else np.zeros(0, dtype=int)
             for i in range(n)
         ]
-        self.own = [
-            tuple((ci, np.searchsorted(rows[cs.constraints[ci].link], cs.rows(ci)))
-                  for ci in range(len(cs)) if cs.constraints[ci].link == i)
-            for i in range(n)
-        ]
-        self.IA = np.empty((n, 6, 6))
-        self.IA_proj = np.empty((n, 6, 6))     # IA projected across each joint
-        self.pA = np.empty((n, 6))
-        self.a = np.empty((n, 6))
+        # each constraint's rows as positions in its link's subtree rows
+        self.own = tuple(np.searchsorted(rows[con.link], cs.rows(ci))
+                         for ci, con in enumerate(cs))
         self.da = np.empty((n, 6))
         self.K = [np.empty((len(rows[i]), 6)) for i in range(n)]
         self.Kw = np.empty((m, 6))
@@ -134,11 +162,7 @@ class PvWorkspace:
         self.lam = np.empty(m)
         self.beta = np.empty(m)
         self.resid = np.empty(m)
-        # per-link forward-sweep stores
-        self.uu: list = [None] * n
-        self.dfac: list = [None] * n
-        self.du: list = [None] * n
-        self.u: list = [None] * n
+        # coupling-pass stores for the forward multiplier term
         self.ks: list = [None] * n
         self.ks_rows: list = [None] * n
         self.counters: dict = {}
@@ -179,9 +203,186 @@ def _beta_hat(model: Model, cache: KinematicsCache, cs: ConstraintSet,
     return out
 
 
+def _down(model: Model) -> range:
+    """All links, children before parents."""
+    return range(model.n_links - 1, -1, -1)
+
+
+def _add_terms(buf: np.ndarray, terms: dict[int, np.ndarray] | None) -> None:
+    """Add per-link terms (added inertia or bias) into a per-link buffer."""
+    if terms:
+        for link, extra in terms.items():
+            buf[link] += extra
+        flops.add(buf[0].size * len(terms))
+
+
+# ---------------------------------------------------------------------------
+# the passes
+
+
+def _inertia_pass(model: Model, cache: KinematicsCache, ws: _Sweep, links) -> None:
+    """IA, the joint factors and IA_proj over `links`, children first.
+
+    ``ws.IA`` holds each link's own inertia (plus any added inertia) on
+    entry; each link's projection is pushed into its parent.  The factors
+    do not depend on tau or lambda, so any number of bias and forward
+    passes can reuse them.  A singular joint-space block raises
+    SingularBaseInertia at a floating base and SingularJointInertia
+    anywhere else.
+    """
+    ia = ws.IA
+    ia_proj = ws.IA_proj
+    work = 0
+    for i in links:
+        nv = model.joints[i].nv
+        p = model.parent[i]
+        if nv:
+            s = model.S[i]
+            uu = ia[i] @ s
+            try:
+                dfac = linalg.SmallPD(s.T @ uu)
+            except NotPositiveDefinite:
+                if i == 0 and model.base_kind == "floating":
+                    raise SingularBaseInertia(
+                        "floating-base articulated inertia is singular") from None
+                raise SingularJointInertia(f"joint {i} inertia is singular") from None
+            du = dfac.solve(uu.T)
+            ws.uu[i], ws.dfac[i], ws.du[i] = uu, dfac, du
+            ia_proj[i] = ia[i] - uu @ du
+            work += flops.gemm(6, 6, nv) + flops.gemm(nv, 6, nv) \
+                + flops.cholesky(nv) + flops.chol_solve(nv, 6) + flops.gemm(6, nv, 6)
+        else:
+            ws.uu[i] = ws.dfac[i] = ws.du[i] = None
+            ia_proj[i] = ia[i]
+        if p >= 0:
+            ia[p] += xi6(cache.rot[i], cache.trans[i], ia_proj[i])
+            work += flops.XINERTIA + 36
+    flops.add(work)
+
+
+def _bias_pass(model: Model, cache: KinematicsCache, ws: _Sweep, links,
+               tau: np.ndarray | None = None, root: bool = False) -> None:
+    """Joint biases u and articulated biases pA over `links`, children first.
+
+    ``ws.pA`` holds each link's own bias on entry: the velocity products
+    plus any added bias.  With `tau` this is the bias recursion of the
+    articulated-body algorithm, pushing pA + IA_proj c + U D^-1 u into
+    each parent.  Without it the pass is homogeneous (no tau, no c):
+    with fixed factors the bias and forward passes are affine in the
+    bias, so the pass gives the change that the bias in ``ws.pA`` makes,
+    provided `links` holds the root paths of the links carrying it.
+    `root` also forms the base's projected bias, which nothing reads; the
+    exact solvers keep it so that their flop counts stay comparable.
+    """
+    pa = ws.pA
+    links = list(links)
+    if tau is not None:
+        ia_proj_c = (ws.IA_proj[links] @ cache.c[links, :, None])[:, :, 0]
+    work = 0
+    for k, i in enumerate(links):
+        nv = model.joints[i].nv
+        p = model.parent[i]
+        if nv:
+            s = model.S[i]
+            if tau is None:
+                u_i = -(s.T @ pa[i])
+            else:
+                u_i = tau[model.v_block(i)] - s.T @ pa[i]
+            ws.u[i] = u_i
+            work += 11 * nv
+            if p >= 0 or root:
+                work += flops.gemm(6, nv, 1) + flops.chol_solve(nv) + flops.ADD6
+                if tau is None:
+                    pa_proj = pa[i] + ws.uu[i] @ ws.dfac[i].solve(u_i)
+                else:
+                    pa_proj = pa[i] + ia_proj_c[k] + ws.uu[i] @ ws.dfac[i].solve(u_i)
+                    work += flops.APPLY_I + flops.ADD6
+        else:
+            ws.u[i] = None
+            if tau is None:
+                pa_proj = pa[i]
+            else:
+                pa_proj = pa[i] + ia_proj_c[k]
+                work += flops.APPLY_I
+        if p >= 0:
+            pa[p] += xft6(cache.rot[i], cache.trans[i], pa_proj)
+            work += flops.XFORCE_T + flops.ADD6
+    flops.add(work)
+
+
+def _forward_pass(model: Model, cache: KinematicsCache, ws: _Sweep, links,
+                  qdd: np.ndarray, lam: np.ndarray | None = None,
+                  elim: list | None = None, change: bool = False) -> None:
+    """Link accelerations and qdd over `links`, parents first.
+
+    The full form starts from the world's acceleration -g, adds each
+    link's c and writes ``ws.a``; `lam` adds the coupling term K_S' lam
+    and `elim` back-substitutes the rows eliminated early at each link.
+    With `change` it is the homogeneous form of the bias pass's: from
+    rest, without c, into ``ws.da`` (each link's parent listed first or
+    already done); a link whose ``ws.u`` is None carries no bias.
+    """
+    a = ws.da if change else ws.a
+    a_world = -model.gravity6()
+    work = 0
+    for i in links:
+        p = model.parent[i]
+        if not change:
+            a_in = xm6(cache.rot[i], cache.trans[i], a_world if p < 0 else a[p]) \
+                + cache.c[i]
+            work += flops.XMOT + flops.ADD6
+        elif p >= 0:
+            a_in = xm6(cache.rot[i], cache.trans[i], a[p])
+            work += flops.XMOT
+        else:
+            a_in = np.zeros(6)
+        nv = model.joints[i].nv
+        if nv:
+            u_i = ws.u[i]
+            t = -(ws.uu[i].T @ a_in) if u_i is None else u_i - ws.uu[i].T @ a_in
+            if lam is not None and ws.ks[i] is not None:
+                t = t + ws.ks[i].T @ lam[ws.ks_rows[i]]
+                work += flops.gemm(nv, len(ws.ks_rows[i]), 1)
+            blk = ws.dfac[i].solve(t)
+            qdd[model.v_block(i)] = blk
+            a[i] = a_in + model.S[i] @ blk
+            work += flops.gemm(nv, 6, 1) + flops.chol_solve(nv) + 6 * nv + flops.ADD6
+        else:
+            a[i] = a_in
+        if elim:
+            for rec in reversed(elim[i]):
+                rhs = rec.K @ a[i] + rec.l_j
+                if rec.other_rows.size:
+                    rhs = rhs + rec.L_jo @ lam[rec.other_rows]
+                    work += flops.gemm(len(rec.rows), rec.other_rows.size, 1)
+                lam[rec.rows] = -linalg.chol_solve(rec.low, rhs)
+                work += flops.gemm(len(rec.rows), 6, 1) + flops.chol_solve(len(rec.rows))
+    flops.add(work)
+
+
+def _aba(model: Model, cache: KinematicsCache, ws: _Sweep, tau: np.ndarray,
+         added: dict[int, np.ndarray] | None = None,
+         bias: dict[int, np.ndarray] | None = None) -> np.ndarray:
+    """Inertia, bias and forward pass over the whole tree, with extra
+    inertia `added` and extra bias `bias` per link; returns qdd (link
+    accelerations in ``ws.a``)."""
+    np.copyto(ws.IA, model.inertia66)
+    _add_terms(ws.IA, added)
+    ws.pA[:] = velocity_products(model, cache)
+    _add_terms(ws.pA, bias)
+    _inertia_pass(model, cache, ws, _down(model))
+    _bias_pass(model, cache, ws, _down(model), tau)
+    qdd = np.zeros(model.nv)
+    _forward_pass(model, cache, ws, range(model.n_links), qdd)
+    return qdd
+
+
+# ---------------------------------------------------------------------------
+# constraint coupling
+
+
 @dataclass
 class _Elimination:
-    link: int
     rows: np.ndarray
     low: np.ndarray
     K: np.ndarray
@@ -207,196 +408,171 @@ def _try_chol(block: np.ndarray, ratio: float, scale: float = 0.0):
     return low
 
 
+def _seed_coupling(cs: ConstraintSet, ws: PvWorkspace,
+                   beta: np.ndarray | None = None) -> None:
+    """Each constraint's K into its link's block, L = 0, l = -beta."""
+    for ci, con in enumerate(cs):
+        ws.K[con.link][ws.own[ci]] = con.K
+    ws.L[:] = 0.0
+    if beta is not None:
+        ws.l[:] = -beta
+
+
+def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, links,
+                   alive: np.ndarray | None = None, with_l: bool = True) -> None:
+    """K, L and optionally l over `links` (support links, children first).
+
+    Runs after the inertia pass, and after the bias pass if `with_l`, on
+    the same links.  `alive` masks the rows still coupled (those not
+    eliminated early); None means all.  Each link's K is pushed into its
+    parent's block, and at the base into ``ws.Kw`` if `with_l`.
+    """
+    work = 0
+    for i in links:
+        rows_i = ws.rows[i]
+        if alive is None:
+            loc = slice(None)
+            ract, ka = rows_i, ws.K[i]
+        else:
+            loc = np.flatnonzero(alive[rows_i])
+            ract, ka = rows_i[loc], ws.K[i][loc]
+        r = ract.size
+        ws.ks[i], ws.ks_rows[i] = None, ract
+        if not r:
+            continue
+        nv = model.joints[i].nv
+        k_new = ka
+        if nv:
+            uu = ws.uu[i]
+            ks = ka @ model.S[i]
+            w = ws.dfac[i].solve(ks.T).T
+            ws.L[np.ix_(ract, ract)] += w @ ks.T
+            if with_l:
+                c_i = cache.c[i]
+                ws.l[ract] += ka @ c_i + w @ (ws.u[i] - uu.T @ c_i)
+                work += flops.gemm(r, 6, 1) + flops.gemm(r, nv, 1)
+            k_new = ka - w @ uu.T
+            ws.ks[i] = ks
+            work += flops.gemm(r, 6, nv) + flops.chol_solve(nv, r) \
+                + flops.gemm(r, nv, r) + flops.gemm(r, nv, 6)
+        p = model.parent[i]
+        if p >= 0 or with_l:
+            k_push = xft6(cache.rot[i], cache.trans[i], k_new.T).T
+            work += flops.XFORCE_T * r
+            if p >= 0:
+                ws.K[p][ws.pos_in_parent[i][loc]] = k_push
+            else:
+                ws.Kw[ract] = k_push
+    flops.add(work)
+
+
+def _eliminate(cs: ConstraintSet, ws: PvWorkspace, links, alive: np.ndarray,
+               elim_at: list[list[_Elimination]]) -> None:
+    """Early elimination at each of `links` (support links, before their
+    projections): every coupled constraint block that has become safely
+    invertible is solved out of L and l into IA, pA and the other rows."""
+    work = 0
+    for i in links:
+        rows_i = ws.rows[i]
+        alive_rows_i = rows_i[alive[rows_i]]
+        dual_scale = float(np.max(np.diag(ws.L)[alive_rows_i])) \
+            if alive_rows_i.size else 0.0
+        for ci in ws.cons_in_subtree[i]:
+            rj = cs.rows(ci)
+            if not alive[rj[0]]:
+                continue
+            low = _try_chol(ws.L[np.ix_(rj, rj)], _ELIM_PIVOT_RATIO, dual_scale)
+            work += flops.cholesky(len(rj))
+            if low is None:
+                continue
+            loc = np.flatnonzero(alive[rows_i])
+            ract = rows_i[loc]
+            keep = ~np.isin(ract, rj)
+            others = ract[keep]
+            pos_j = loc[~keep]
+            pos_o = loc[keep]
+            kj = ws.K[i][pos_j].copy()
+            ljo = ws.L[np.ix_(rj, others)].copy()
+            lj = ws.l[rj].copy()
+            x_k = linalg.chol_solve(low, kj)
+            x_l = linalg.chol_solve(low, ljo) if others.size else ljo
+            x_b = linalg.chol_solve(low, lj)
+            ws.IA[i] += kj.T @ x_k
+            ws.pA[i] += kj.T @ x_b
+            work += flops.gemm(6, len(rj), 6) + flops.gemm(6, len(rj), 1)
+            if others.size:
+                ws.K[i][pos_o] -= ljo.T @ x_k
+                ws.L[np.ix_(others, others)] -= ljo.T @ x_l
+                ws.l[others] -= ljo.T @ x_b
+                work += flops.gemm(others.size, len(rj), 6 + others.size + 1)
+            ws.L[rj, :] = 0.0
+            ws.L[:, rj] = 0.0
+            ws.l[rj] = 0.0
+            alive[rj] = False
+            elim_at[i].append(_Elimination(rj, low, kj, others.copy(), ljo, lj))
+            ws.counters["dual_factor_dims"].append(len(rj))
+    flops.add(work)
+
+
 # ---------------------------------------------------------------------------
-# the exact engine (shared by pv_solve and pv_early_solve)
+# exact solvers
 
 
-def _pv_engine(model: Model, state: State, tau, cs: ConstraintSet,
-               ws: PvWorkspace, early: bool,
-               cache: KinematicsCache | None) -> ConstrainedSolution:
+def _exact(model: Model, state: State, tau, cs: ConstraintSet, ws: PvWorkspace,
+           early: bool, cache: KinematicsCache | None) -> ConstrainedSolution:
     tau = _check_inputs(model, state, tau)
     if cache is None:
         cache = forward_kinematics(model, state)
     n = model.n_links
     m = cs.m
-    work = 0
-
     beta = _beta_hat(model, cache, cs, ws.beta) if m else ws.beta
-    ia = ws.IA
-    np.copyto(ia, model.inertia66)
-    pa = ws.pA
-    pa[:] = velocity_products(model, cache)
+    np.copyto(ws.IA, model.inertia66)
+    ws.pA[:] = velocity_products(model, cache)
+    _seed_coupling(cs, ws, beta)
     lam = ws.lam
     lam[:] = 0.0
-    ws.L[:] = 0.0
-    ws.l[:] = -beta if m else 0.0
     alive = np.ones(m, dtype=bool)
     elim_at: list[list[_Elimination]] = [[] for _ in range(n)]
-    ws.counters = {"base_dual_dim": 0, "dual_factor_dims": [], "kl_joint_updates": 0}
+    ws.counters = {"base_dual_dim": 0, "dual_factor_dims": []}
 
-    a_world = -model.gravity6()
-
-    for i in range(n - 1, -1, -1):
-        rows_i = ws.rows[i]
-        for ci, pos in ws.own[i]:
-            ws.K[i][pos] = cs.constraints[ci].K
-
-        if early and len(ws.cons_in_subtree[i]) > 0:
-            alive_rows_i = rows_i[alive[rows_i]]
-            dual_scale = float(np.max(np.diag(ws.L)[alive_rows_i])) \
-                if alive_rows_i.size else 0.0
-            for ci in ws.cons_in_subtree[i]:
-                rj = cs.rows(ci)
-                if not alive[rj[0]]:
-                    continue
-                ljj = ws.L[np.ix_(rj, rj)]
-                low = _try_chol(ljj, _ELIM_PIVOT_RATIO, dual_scale)
-                work += flops.cholesky(len(rj))
-                if low is None:
-                    continue
-                loc = np.flatnonzero(alive[rows_i])
-                ract = rows_i[loc]
-                keep = ~np.isin(ract, rj)
-                others = ract[keep]
-                pos_j = loc[~keep]
-                pos_o = loc[keep]
-                kj = ws.K[i][pos_j].copy()
-                ljo = ws.L[np.ix_(rj, others)].copy()
-                lj = ws.l[rj].copy()
-                x_k = linalg.chol_solve(low, kj)
-                x_l = linalg.chol_solve(low, ljo) if others.size else ljo
-                x_b = linalg.chol_solve(low, lj)
-                ia[i] += kj.T @ x_k
-                pa[i] += kj.T @ x_b
-                work += flops.gemm(6, len(rj), 6) + flops.gemm(6, len(rj), 1)
-                if others.size:
-                    ws.K[i][pos_o] -= ljo.T @ x_k
-                    ws.L[np.ix_(others, others)] -= ljo.T @ x_l
-                    ws.l[others] -= ljo.T @ x_b
-                    work += flops.gemm(others.size, len(rj), 6 + others.size + 1)
-                ws.L[rj, :] = 0.0
-                ws.L[:, rj] = 0.0
-                ws.l[rj] = 0.0
-                alive[rj] = False
-                rec = _Elimination(i, rj, low, kj, others.copy(), ljo, lj)
-                elim_at[i].append(rec)
-                ws.counters["dual_factor_dims"].append(len(rj))
-
-        loc = np.flatnonzero(alive[rows_i]) if m else np.zeros(0, dtype=int)
-        ract = rows_i[loc]
-        ka = ws.K[i][loc]
-        nv = model.joints[i].nv
-        p = model.parent[i]
-        c_i = cache.c[i]
-
-        if nv:
-            s = model.S[i]
-            uu = ia[i] @ s
-            d = s.T @ uu
-            try:
-                dfac = linalg.SmallPD(d)
-            except NotPositiveDefinite:
-                raise SingularJointInertia(f"joint {i} inertia is singular") from None
-            du = dfac.solve(uu.T)
-            u_i = tau[model.v_block(i)] - s.T @ pa[i]
-            work += flops.gemm(6, 6, nv) + flops.gemm(nv, 6, nv) \
-                + flops.cholesky(nv) + flops.chol_solve(nv, 6) + 11 * nv
-            if ract.size:
-                ks = ka @ s
-                w = dfac.solve(ks.T).T
-                ws.L[np.ix_(ract, ract)] += w @ ks.T
-                ws.l[ract] += ka @ c_i + w @ (u_i - uu.T @ c_i)
-                k_new = ka - w @ uu.T
-                work += flops.gemm(ract.size, 6, nv) + flops.chol_solve(nv, ract.size) \
-                    + flops.gemm(ract.size, nv, ract.size) \
-                    + flops.gemm(ract.size, 6, 1) + flops.gemm(ract.size, nv, 1) \
-                    + flops.gemm(ract.size, nv, 6)
-                ws.counters["kl_joint_updates"] += 1
-            else:
-                ks = None
-                k_new = ka
-            ia_proj = ia[i] - uu @ du
-            pa_proj = pa[i] + ia_proj @ c_i + uu @ dfac.solve(u_i)
-            work += flops.gemm(6, nv, 6) + flops.APPLY_I + flops.gemm(6, nv, 1) \
-                + flops.chol_solve(nv) + 2 * flops.ADD6
-            ws.uu[i], ws.dfac[i], ws.du[i], ws.u[i] = uu, dfac, du, u_i
-            ws.ks[i], ws.ks_rows[i] = ks, ract
-        else:
-            k_new = ka
-            ia_proj = ia[i]
-            pa_proj = pa[i] + ia[i] @ cache.c[i]
-            ws.uu[i] = ws.dfac[i] = ws.du[i] = ws.u[i] = ws.ks[i] = None
-            ws.ks_rows[i] = ract
-            work += flops.APPLY_I
-
-        if ract.size:
-            k_push = xft6(cache.rot[i], cache.trans[i], k_new.T).T
-            work += flops.XFORCE_T * ract.size
-        else:
-            k_push = k_new
-        if p >= 0:
-            ia[p] += xi6(cache.rot[i], cache.trans[i], ia_proj)
-            pa[p] += xft6(cache.rot[i], cache.trans[i], pa_proj)
-            work += flops.XINERTIA + flops.XFORCE_T + 42
-            if ract.size:
-                ws.K[p][ws.pos_in_parent[i][loc]] = k_push
-        else:
-            if ract.size:
-                ws.Kw[ract] = k_push
+    if early:
+        for level, support in ws.levels:
+            _eliminate(cs, ws, support, alive, elim_at)
+            _inertia_pass(model, cache, ws, level)
+            _bias_pass(model, cache, ws, level, tau, root=True)
+            _coupling_pass(model, cache, ws, support, alive)
+    else:
+        _inertia_pass(model, cache, ws, _down(model))
+        _bias_pass(model, cache, ws, _down(model), tau, root=True)
+        _coupling_pass(model, cache, ws, ws.support[::-1])
 
     # dense dual solve for whatever rows survived to the base
     act = np.flatnonzero(alive)
     ws.counters["base_dual_dim"] = int(act.size)
     if act.size:
-        l_act = ws.L[np.ix_(act, act)]
-        rhs = -(ws.l[act] + ws.Kw[act] @ a_world)
-        work += flops.gemm(act.size, 6, 1)
-        low = _try_chol(l_act, _DUAL_PIVOT_RATIO)
-        work += flops.cholesky(act.size)
+        rhs = -(ws.l[act] + ws.Kw[act] @ -model.gravity6())
+        low = _try_chol(ws.L[np.ix_(act, act)], _DUAL_PIVOT_RATIO)
+        flops.add(flops.gemm(act.size, 6, 1) + flops.cholesky(act.size))
         if low is None:
-            flops.add(work)
             raise SingularDual(
                 "dual system is singular (rank-deficient constraint rows); "
                 "constrained_aba handles such systems in a least-squares sense")
         lam[act] = linalg.chol_solve(low, rhs)
-        work += flops.chol_solve(act.size)
+        flops.add(flops.chol_solve(act.size))
 
-    # forward sweep
-    a = ws.a
     qdd = np.zeros(model.nv)
-    for i in range(n):
-        p = model.parent[i]
-        a_in = xm6(cache.rot[i], cache.trans[i], a_world if p < 0 else a[p]) + cache.c[i]
-        nv = model.joints[i].nv
-        if nv:
-            t = ws.u[i] - ws.uu[i].T @ a_in
-            if ws.ks[i] is not None:
-                t = t + ws.ks[i].T @ lam[ws.ks_rows[i]]
-                work += flops.gemm(nv, len(ws.ks_rows[i]), 1)
-            blk = ws.dfac[i].solve(t)
-            a[i] = a_in + model.S[i] @ blk
-            qdd[model.v_block(i)] = blk
-            work += flops.gemm(nv, 6, 1) + flops.chol_solve(nv) + 6 * nv + flops.ADD6
-        else:
-            a[i] = a_in
-        work += flops.XMOT + flops.ADD6
-        for rec in reversed(elim_at[i]):
-            rhs = rec.K @ a[i] + rec.l_j
-            if rec.other_rows.size:
-                rhs = rhs + rec.L_jo @ lam[rec.other_rows]
-                work += flops.gemm(len(rec.rows), rec.other_rows.size, 1)
-            lam[rec.rows] = -linalg.chol_solve(rec.low, rhs)
-            work += flops.gemm(len(rec.rows), 6, 1) + flops.chol_solve(len(rec.rows))
+    _forward_pass(model, cache, ws, range(n), qdd, lam, elim_at)
 
     resid = 0.0
     if m:
         r = ws.resid
+        work = 0
         for ci, con in enumerate(cs):
             rows = cs.rows(ci)
-            r[rows] = con.K @ a[con.link] - beta[rows]
+            r[rows] = con.K @ ws.a[con.link] - beta[rows]
             work += flops.gemm(con.dim, 6, 1)
+        flops.add(work)
         resid = float(np.linalg.norm(r))
-    flops.add(work)
     return ConstrainedSolution(qdd, lam.copy(), 1, resid, "converged", (resid,))
 
 
@@ -405,7 +581,7 @@ def pv_solve(model: Model, state: State, tau, cs: ConstraintSet,
              cache: KinematicsCache | None = None) -> ConstrainedSolution:
     """Exact constrained dynamics with base-level multiplier solve."""
     ws = PvWorkspace.ensure(model, cs, ws)
-    return _pv_engine(model, state, tau, cs, ws, False, cache)
+    return _exact(model, state, tau, cs, ws, False, cache)
 
 
 def pv_early_solve(model: Model, state: State, tau, cs: ConstraintSet,
@@ -413,161 +589,11 @@ def pv_early_solve(model: Model, state: State, tau, cs: ConstraintSet,
                    cache: KinematicsCache | None = None) -> ConstrainedSolution:
     """Exact constrained dynamics with aggressive early multiplier elimination."""
     ws = PvWorkspace.ensure(model, cs, ws)
-    return _pv_engine(model, state, tau, cs, ws, True, cache)
+    return _exact(model, state, tau, cs, ws, True, cache)
 
 
 # ---------------------------------------------------------------------------
-# regularized sweeps (soft and proximal solvers)
-
-
-def _reg_articulated_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace,
-                          reg: dict[int, np.ndarray] | None) -> None:
-    """Backward articulated-inertia pass with optional per-link extra inertia.
-
-    Stores the joint factors and the projected inertias needed by any
-    number of subsequent bias/forward passes; this part does not depend
-    on tau or lambda.
-    """
-    ia = ws.IA
-    ia_proj = ws.IA_proj
-    np.copyto(ia, model.inertia66)
-    work = 0
-    if reg:
-        for link, extra in reg.items():
-            ia[link] += extra
-            work += 36
-    for i in range(model.n_links - 1, -1, -1):
-        nv = model.joints[i].nv
-        p = model.parent[i]
-        if nv:
-            s = model.S[i]
-            uu = ia[i] @ s
-            d = s.T @ uu
-            try:
-                dfac = linalg.SmallPD(d)
-            except NotPositiveDefinite:
-                raise SingularJointInertia(f"joint {i} inertia is singular") from None
-            du = dfac.solve(uu.T)
-            ws.uu[i], ws.dfac[i], ws.du[i] = uu, dfac, du
-            ia_proj[i] = ia[i] - uu @ du
-            work += flops.gemm(6, 6, nv) + flops.gemm(nv, 6, nv) \
-                + flops.cholesky(nv) + flops.chol_solve(nv, 6) + flops.gemm(6, nv, 6)
-        else:
-            ws.uu[i] = ws.dfac[i] = ws.du[i] = None
-            ia_proj[i] = ia[i]
-        if p >= 0:
-            ia[p] += xi6(cache.rot[i], cache.trans[i], ia_proj[i])
-            work += flops.XINERTIA + 36
-    flops.add(work)
-
-
-def _reg_dynamics_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace,
-                       tau: np.ndarray, extra_bias: dict[int, np.ndarray] | None):
-    """One bias backward + acceleration forward pass against stored factors."""
-    n = model.n_links
-    pa = ws.pA
-    pa[:] = velocity_products(model, cache)
-    ia_proj_c = (ws.IA_proj @ cache.c[:, :, None])[:, :, 0]
-    work = 0
-    if extra_bias:
-        for link, extra in extra_bias.items():
-            pa[link] += extra
-            work += 6
-    for i in range(n - 1, -1, -1):
-        nv = model.joints[i].nv
-        p = model.parent[i]
-        if nv:
-            s = model.S[i]
-            u_i = tau[model.v_block(i)] - s.T @ pa[i]
-            ws.u[i] = u_i
-            work += 11 * nv
-            if p >= 0:
-                pa_proj = pa[i] + ia_proj_c[i] + ws.uu[i] @ ws.dfac[i].solve(u_i)
-                work += flops.APPLY_I + flops.gemm(6, nv, 1) \
-                    + flops.chol_solve(nv) + 2 * flops.ADD6
-        else:
-            ws.u[i] = None
-            pa_proj = pa[i] + ia_proj_c[i]
-            work += flops.APPLY_I
-        if p >= 0:
-            pa[p] += xft6(cache.rot[i], cache.trans[i], pa_proj)
-            work += flops.XFORCE_T + flops.ADD6
-    qdd = np.zeros(model.nv)
-    a = ws.a
-    a_world = -model.gravity6()
-    for i in range(n):
-        p = model.parent[i]
-        a_in = xm6(cache.rot[i], cache.trans[i], a_world if p < 0 else a[p]) + cache.c[i]
-        nv = model.joints[i].nv
-        if nv:
-            blk = ws.dfac[i].solve(ws.u[i] - ws.uu[i].T @ a_in)
-            qdd[model.v_block(i)] = blk
-            a[i] = a_in + model.S[i] @ blk
-            work += flops.gemm(nv, 6, 1) + flops.chol_solve(nv) + 6 * nv + flops.ADD6
-        else:
-            a[i] = a_in
-        work += flops.XMOT + flops.ADD6
-    flops.add(work)
-    return qdd, a
-
-
-def _increment_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace,
-                    links: tuple[int, ...], extra_bias: dict[int, np.ndarray] | None,
-                    dqdd: np.ndarray) -> None:
-    """Homogeneous bias backward + forward pass over `links` only.
-
-    For fixed factors the dynamics pass is affine in its bias, so the
-    change an extra bias makes is that pass with no tau, no velocity
-    product, no ``c`` and zero world acceleration.  It writes the change
-    in acceleration to ``ws.da`` and in qdd to `dqdd` for the listed
-    links.  `links` is in index order, and each link's parent is listed
-    or already has its ``ws.da``.  With `extra_bias`, `links` must hold
-    the root paths of the biased links (the constraint support); without
-    it the backward half is skipped, which fills links off the support
-    from their parents.
-    """
-    pa = ws.pA
-    da = ws.da
-    work = 0
-    if extra_bias:
-        pa[list(links)] = 0.0
-        for link, extra in extra_bias.items():
-            pa[link] += extra
-            work += 6
-        for i in reversed(links):
-            nv = model.joints[i].nv
-            p = model.parent[i]
-            if nv:
-                u_i = -(model.S[i].T @ pa[i])
-                ws.u[i] = u_i
-                work += 11 * nv
-                if p >= 0:
-                    pa_proj = pa[i] + ws.uu[i] @ ws.dfac[i].solve(u_i)
-                    work += flops.gemm(6, nv, 1) + flops.chol_solve(nv) + flops.ADD6
-            else:
-                pa_proj = pa[i]
-            if p >= 0:
-                pa[p] += xft6(cache.rot[i], cache.trans[i], pa_proj)
-                work += flops.XFORCE_T + flops.ADD6
-    for i in links:
-        p = model.parent[i]
-        if p < 0:
-            a_in = np.zeros(6)
-        else:
-            a_in = xm6(cache.rot[i], cache.trans[i], da[p])
-            work += flops.XMOT
-        nv = model.joints[i].nv
-        if nv:
-            t = -(ws.uu[i].T @ a_in)
-            if extra_bias:
-                t += ws.u[i]
-            blk = ws.dfac[i].solve(t)
-            dqdd[model.v_block(i)] = blk
-            da[i] = a_in + model.S[i] @ blk
-            work += flops.gemm(nv, 6, 1) + flops.chol_solve(nv) + 6 * nv + flops.ADD6
-        else:
-            da[i] = a_in
-    flops.add(work)
+# relaxed and proximal solvers
 
 
 def _multiplier_bias(cs: ConstraintSet, y: np.ndarray) -> dict[int, np.ndarray]:
@@ -593,8 +619,7 @@ def pv_soft_solve(model: Model, state: State, tau, cs: ConstraintSet,
         cache = forward_kinematics(model, state)
     m = cs.m
     if m == 0:
-        _reg_articulated_pass(model, cache, ws, None)
-        qdd, _ = _reg_dynamics_pass(model, cache, ws, tau, None)
+        qdd = _aba(model, cache, ws, tau)
         return ConstrainedSolution(qdd, np.zeros(0), 1, 0.0, "converged", (0.0,))
     weights = np.broadcast_to(np.asarray(settings.soft_R, dtype=float), (m,))
     beta = _beta_hat(model, cache, cs, ws.beta)
@@ -610,14 +635,13 @@ def pv_soft_solve(model: Model, state: State, tau, cs: ConstraintSet,
         bias[con.link] = bias.get(con.link, 0) + bias_blk
         work += flops.gemm(6, con.dim, 6) + flops.gemm(6, con.dim, 1)
     flops.add(work)
-    _reg_articulated_pass(model, cache, ws, reg)
-    qdd, a = _reg_dynamics_pass(model, cache, ws, tau, bias)
+    qdd = _aba(model, cache, ws, tau, reg, bias)
     lam = ws.lam
     resid = ws.resid
     work = 0
     for ci, con in enumerate(cs):
         rows = cs.rows(ci)
-        resid[rows] = con.K @ a[con.link] - beta[rows]
+        resid[rows] = con.K @ ws.a[con.link] - beta[rows]
         lam[rows] = -resid[rows] / weights[rows]
         work += flops.gemm(con.dim, 6, 1) + 2 * con.dim
     flops.add(work)
@@ -637,8 +661,7 @@ def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
         cache = forward_kinematics(model, state)
     m = cs.m
     if m == 0:
-        _reg_articulated_pass(model, cache, ws, None)
-        qdd, _ = _reg_dynamics_pass(model, cache, ws, tau, None)
+        qdd = _aba(model, cache, ws, tau)
         return ConstrainedSolution(qdd, np.zeros(0), 1, 0.0, "converged", (0.0,))
 
     mu = settings.mu
@@ -649,14 +672,15 @@ def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
         reg[con.link] = reg.get(con.link, 0) + con.K.T @ con.K / mu
         work += flops.gemm(6, con.dim, 6)
     flops.add(work)
-    _reg_articulated_pass(model, cache, ws, reg)
 
     # iteration 1 (lam = 0) is a full sweep giving qdd0 and a0; each later
     # one sweeps the support for the change the bias -K' lam makes
-    qdd, a0 = _reg_dynamics_pass(model, cache, ws, tau, _multiplier_bias(cs, beta / mu))
+    qdd = _aba(model, cache, ws, tau, reg, _multiplier_bias(cs, beta / mu))
+    a0 = ws.a
+    support = list(ws.support)
     dqdd = np.zeros(model.nv)
     da = ws.da
-    da[list(ws.support)] = 0.0
+    da[support] = 0.0
     lam = ws.lam
     lam[:] = 0.0
     resid = ws.resid
@@ -664,7 +688,10 @@ def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
     history: list[float] = []
     for it in range(1, settings.max_iter + 1):
         if it > 1:
-            _increment_pass(model, cache, ws, ws.support, _multiplier_bias(cs, lam), dqdd)
+            ws.pA[support] = 0.0
+            _add_terms(ws.pA, _multiplier_bias(cs, lam))
+            _bias_pass(model, cache, ws, support[::-1])
+            _forward_pass(model, cache, ws, support, dqdd, change=True)
         work = 0
         for ci, con in enumerate(cs):
             rows = cs.rows(ci)
@@ -686,7 +713,10 @@ def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
                 status = "least_squares"
                 break
     if it > 1:
-        _increment_pass(model, cache, ws, ws.off_support, None, dqdd)
+        # the bias change is zero off the support
+        for i in ws.off_support:
+            ws.u[i] = None
+        _forward_pass(model, cache, ws, ws.off_support, dqdd, change=True)
         qdd += dqdd
     if status == "least_squares":
         # lam has drifted along the infeasible residual by resid/mu per

@@ -2,21 +2,25 @@
 
 Three producers and one consumer:
 
-* ``pv_osim`` — runs the tau-independent half of the exact constrained
-  sweep (articulated inertias plus the K/L coupling blocks) and reads
-  the Delassus matrix off the base: crossing the base joint supplies
-  the floating-base rank-6 correction automatically, a fixed base adds
-  nothing.
-* ``pv_osimr`` — same matrix assembled from extended propagators: each
-  reduced-tree edge is walked once, junction kernels are memoized, and
-  blocks couple only through nearest common ancestors, removing the
-  per-joint m-row propagation cost on shared paths.
-* ``caba_osim`` — damped inverse (Lambda + mu I)^-1 built on the same
-  machinery and factored at the constraint dimension.  Well-defined for
-  rank-deficient rows since the damping keeps the system PD.
+* ``pv_osim`` — the tau-independent half of the exact solver: the
+  engine's inertia pass, then its coupling pass without l over the
+  constraint support (``constrained.py``).  The Delassus matrix is the
+  L block left at the base; crossing a floating base joint supplies the
+  rank-6 base correction, a fixed base adds nothing.
+* ``pv_osimr`` — the same matrix from extended propagators after the
+  inertia pass: each reduced-tree edge is walked once, junction kernels
+  are memoized, and blocks couple only through nearest common
+  ancestors, so shared paths do not pay the per-joint m-row cost.
+* ``caba_osim`` — damped inverse (Lambda + mu I)^-1: the ``pv_osim``
+  matrix shifted and factored at the constraint dimension, well-defined
+  for rank-deficient rows since the damping keeps the system PD.
 * ``delassus_apply`` / ``delassus_factor_solve`` — map constraint-space
   right-hand sides to multipliers: explicit operators factorize once
   and cache, damped operators multiply directly.
+
+A singular joint-space inertia raises from the inertia pass, with the
+engine's one rule: SingularBaseInertia at a floating base,
+SingularJointInertia naming the joint anywhere else.
 """
 
 from __future__ import annotations
@@ -26,12 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flops, linalg
-from .constrained import (PvWorkspace, SolverSettings, _reg_articulated_pass)
-from .errors import (NotPositiveDefinite, SingularBaseInertia,
-                     SingularJointInertia)
+from .constrained import (PvWorkspace, SolverSettings, _coupling_pass, _down,
+                          _inertia_pass, _seed_coupling)
 from .kinematics import forward_kinematics
 from .model import ConstraintSet, Model, State
-from .spatial import xft6, xi6
+from .spatial import xft6
 
 
 @dataclass
@@ -78,63 +81,18 @@ def delassus_apply(op: DelassusOperator, rhs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# shared tau-independent coupling sweep
+# coupling-block variant
 
 
-def _kl_delassus(model: Model, cache, cs: ConstraintSet, ws: PvWorkspace) -> np.ndarray:
-    """Backward sweep accumulating only the coupling blocks; returns Lambda."""
-    m = cs.m
-    if m == 0:
+def _coupled_delassus(model: Model, cache, cs: ConstraintSet, ws: PvWorkspace) -> np.ndarray:
+    """Lambda as the base L block of the inertia and coupling passes."""
+    if cs.m == 0:
         return np.zeros((0, 0))
-    ia = ws.IA
-    np.copyto(ia, model.inertia66)
-    work = 0
-    lam_mat = ws.L
-    lam_mat[:] = 0.0
-    for i in range(model.n_links - 1, -1, -1):
-        rows_i = ws.rows[i]
-        for ci, pos in ws.own[i]:
-            ws.K[i][pos] = cs.constraints[ci].K
-        nv = model.joints[i].nv
-        p = model.parent[i]
-        if nv:
-            s = model.S[i]
-            uu = ia[i] @ s
-            d = s.T @ uu
-            try:
-                dfac = linalg.SmallPD(d)
-            except NotPositiveDefinite:
-                if i == 0:
-                    raise SingularBaseInertia(
-                        "floating-base articulated inertia is singular") from None
-                raise SingularJointInertia(f"joint {i} inertia is singular") from None
-            du = dfac.solve(uu.T)
-            work += flops.gemm(6, 6, nv) + flops.gemm(nv, 6, nv) \
-                + flops.cholesky(nv) + flops.chol_solve(nv, 6)
-            if rows_i.size:
-                ka = ws.K[i]
-                ks = ka @ s
-                w = dfac.solve(ks.T).T
-                lam_mat[np.ix_(rows_i, rows_i)] += w @ ks.T
-                k_new = ka - w @ uu.T
-                work += flops.gemm(rows_i.size, 6, nv) + flops.chol_solve(nv, rows_i.size) \
-                    + flops.gemm(rows_i.size, nv, rows_i.size) + flops.gemm(rows_i.size, nv, 6)
-            else:
-                k_new = ws.K[i][:0]
-            ia_proj = ia[i] - uu @ du
-            work += flops.gemm(6, nv, 6)
-        else:
-            k_new = ws.K[i] if rows_i.size else ws.K[i][:0]
-            ia_proj = ia[i]
-        if p >= 0:
-            ia[p] += xi6(cache.rot[i], cache.trans[i], ia_proj)
-            work += flops.XINERTIA + 36
-            if rows_i.size:
-                ws.K[p][ws.pos_in_parent[i]] = xft6(cache.rot[i], cache.trans[i],
-                                                    k_new.T).T
-                work += flops.XFORCE_T * rows_i.size
-    flops.add(work)
-    out = lam_mat.copy()
+    np.copyto(ws.IA, model.inertia66)
+    _seed_coupling(cs, ws)
+    _inertia_pass(model, cache, ws, _down(model))
+    _coupling_pass(model, cache, ws, ws.support[::-1], with_l=False)
+    out = ws.L.copy()
     return 0.5 * (out + out.T)
 
 
@@ -143,7 +101,7 @@ def pv_osim(model: Model, state: State, cs: ConstraintSet,
     """Delassus matrix as the base-level coupling block of the exact sweep."""
     ws = PvWorkspace.ensure(model, cs, ws)
     cache = forward_kinematics(model, state)
-    lam = _kl_delassus(model, cache, cs, ws)
+    lam = _coupled_delassus(model, cache, cs, ws)
     return DelassusOperator("explicit", lam, offsets=tuple(cs.offsets))
 
 
@@ -179,7 +137,8 @@ def extended_force_propagator(model: Model, state: State, link: int,
     if ws is None:
         ws = PvWorkspace(model, ConstraintSet.empty())
     cache = forward_kinematics(model, state)
-    _reg_articulated_pass(model, cache, ws, None)
+    np.copyto(ws.IA, model.inertia66)
+    _inertia_pass(model, cache, ws, _down(model))
     prop = np.eye(6)
     j = link
     while j != ancestor:
@@ -198,13 +157,8 @@ def pv_osimr(model: Model, state: State, cs: ConstraintSet,
     m = cs.m
     if m == 0:
         return DelassusOperator("explicit", np.zeros((0, 0)), offsets=())
-    try:
-        _reg_articulated_pass(model, cache, ws, None)
-    except SingularJointInertia:
-        if model.base_kind == "floating":
-            raise SingularBaseInertia(
-                "floating-base articulated inertia is singular") from None
-        raise
+    np.copyto(ws.IA, model.inertia66)
+    _inertia_pass(model, cache, ws, _down(model))
 
     # group constraint rows by link
     rows_by_link: dict[int, np.ndarray] = {}
@@ -310,7 +264,7 @@ def caba_osim(model: Model, state: State, cs: ConstraintSet,
     m = cs.m
     if m == 0:
         return DelassusOperator("damped_inverse", np.zeros((0, 0)), mu=settings.mu)
-    lam = _kl_delassus(model, cache, cs, ws)
+    lam = _coupled_delassus(model, cache, cs, ws)
     shifted = lam + settings.mu * np.eye(m)
     x = linalg.chol_inverse(linalg.chol_factor(shifted))
     return DelassusOperator("damped_inverse", x, mu=settings.mu,

@@ -30,8 +30,7 @@ import numpy as np
 
 from . import flops
 from .model import ConstraintSet, Model, State, check_state
-from .spatial import (PlueckerTransform, SpatialMotion, axis_angle_rotation,
-                      compose_rt, cross_rows, xm6)
+from .spatial import axis_angle_rotation, compose_rt, cross_rows, xm6
 
 
 @dataclass
@@ -46,18 +45,6 @@ class KinematicsCache:
     c: np.ndarray          # (n,6)   velocity-product accelerations
     avp: np.ndarray        # (n,6)   zero-gravity acceleration at qdd = 0
     vj: np.ndarray         # (n,6)   joint-contributed twists
-
-    def X_parent(self, i: int) -> PlueckerTransform:
-        return PlueckerTransform(self.rot[i], self.trans[i])
-
-    def X_world(self, i: int) -> PlueckerTransform:
-        return PlueckerTransform(self.w_rot[i], self.w_trans[i])
-
-    def v_link(self, i: int) -> SpatialMotion:
-        return SpatialMotion.from_array(self.v[i])
-
-    def c_bias(self, i: int) -> SpatialMotion:
-        return SpatialMotion.from_array(self.c[i])
 
 
 def forward_kinematics(model: Model, state: State) -> KinematicsCache:

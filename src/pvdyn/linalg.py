@@ -51,32 +51,6 @@ def eigh_psd(a: np.ndarray):
     return np.linalg.eigh(a)
 
 
-def pinv_solve_psd(a: np.ndarray, b: np.ndarray, rcond: float = 1e-12):
-    """Minimum-norm solve of a symmetric PSD system via eigendecomposition.
-
-    Returns ``(x, rank)`` where rank counts eigenvalues above
-    ``rcond * max(eig)``.
-    """
-    w, v = eigh_psd(a)
-    wmax = float(w[-1]) if w.size else 0.0
-    keep = w > max(rcond * wmax, 0.0)
-    rank = int(np.count_nonzero(keep))
-    n = a.shape[0]
-    nrhs = 1 if b.ndim == 1 else b.shape[1]
-    flops.add(flops.gemm(rank, n, nrhs) * 2)
-    if rank == 0:
-        return np.zeros_like(b), 0
-    vk = v[:, keep]
-    x = vk @ ((vk.T @ b).T / w[keep]).T
-    return x, rank
-
-
-def psd_rank(a: np.ndarray, rcond: float = 1e-12) -> int:
-    w = eigh_psd(a)[0]
-    wmax = float(w[-1]) if w.size else 0.0
-    return int(np.count_nonzero(w > max(rcond * wmax, 0.0)))
-
-
 class SmallPD:
     """Cached factorization of a small SPD matrix (a joint-space inertia).
 
@@ -105,9 +79,3 @@ class SmallPD:
         if self._low is None:
             return rhs * self._inv
         return scipy.linalg.cho_solve((self._low, True), rhs, check_finite=False)
-
-    @property
-    def min_pivot(self) -> float:
-        if self._low is None:
-            return 1.0 / self._inv if self._inv else 0.0
-        return float(np.min(np.diag(self._low)) ** 2)

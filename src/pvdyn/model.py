@@ -27,6 +27,8 @@ from .errors import DimensionMismatch
 from .spatial import PlueckerTransform, SpatialInertia
 
 GRAVITY_DEFAULT = (0.0, 0.0, -9.81)
+_NV = {"revolute": 1, "prismatic": 1, "floating": 6, "fixed": 0}
+_NQ = {"revolute": 1, "prismatic": 1, "floating": 7, "fixed": 0}
 
 
 @dataclass(frozen=True)
@@ -66,11 +68,11 @@ class Joint:
 
     @property
     def nv(self) -> int:
-        return {"revolute": 1, "prismatic": 1, "floating": 6, "fixed": 0}[self.kind]
+        return _NV[self.kind]
 
     @property
     def nq(self) -> int:
-        return {"revolute": 1, "prismatic": 1, "floating": 7, "fixed": 0}[self.kind]
+        return _NQ[self.kind]
 
     def motion_subspace(self) -> np.ndarray:
         """6 x nv matrix mapping joint velocities to link-frame twists."""
@@ -398,13 +400,6 @@ class ConstraintSet:
         if not self.constraints:
             return np.zeros(0)
         return np.concatenate([c.a_star for c in self.constraints])
-
-    def by_link(self) -> dict[int, list[int]]:
-        """Constraint indices grouped by constrained link."""
-        out: dict[int, list[int]] = {}
-        for i, c in enumerate(self.constraints):
-            out.setdefault(c.link, []).append(i)
-        return out
 
     def replace_targets(self, a_star: np.ndarray) -> "ConstraintSet":
         cs = []

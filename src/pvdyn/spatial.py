@@ -15,10 +15,10 @@ Conventions, fixed once and used everywhere:
 All scalars are double precision.  Every value type here is immutable;
 instances can be shared freely between threads.
 
-The module keeps two layers: small frozen dataclasses for the public
-algebra, and array kernels (``xm6``, ``xf6``, ``xft6``, ``xi6`` ...)
-that the recursive sweeps use on raw ndarrays.  Both layers share the
-same formulas.
+Motions, forces and inertias are plain arrays, acted on by the kernels
+(``xm6``, ``xf6``, ``xft6``, ``xi6`` ...) that the recursive sweeps
+use.  Two small frozen dataclasses describe a model: a transform
+(``PlueckerTransform``) and a rigid-body inertia (``SpatialInertia``).
 """
 
 from __future__ import annotations
@@ -207,56 +207,6 @@ def _vec3(v) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpatialMotion:
-    """Spatial velocity or acceleration: (angular; linear) in a stated frame."""
-
-    angular: np.ndarray
-    linear: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "angular", _vec3(self.angular))
-        object.__setattr__(self, "linear", _vec3(self.linear))
-
-    @staticmethod
-    def zero() -> "SpatialMotion":
-        return SpatialMotion(np.zeros(3), np.zeros(3))
-
-    @staticmethod
-    def from_array(a: np.ndarray) -> "SpatialMotion":
-        return SpatialMotion(a[:3], a[3:])
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate((self.angular, self.linear))
-
-
-@dataclass(frozen=True)
-class SpatialForce:
-    """Spatial force: (torque; force) in a stated frame."""
-
-    torque: np.ndarray
-    force: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "torque", _vec3(self.torque))
-        object.__setattr__(self, "force", _vec3(self.force))
-
-    @staticmethod
-    def zero() -> "SpatialForce":
-        return SpatialForce(np.zeros(3), np.zeros(3))
-
-    @staticmethod
-    def from_array(a: np.ndarray) -> "SpatialForce":
-        return SpatialForce(a[:3], a[3:])
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate((self.torque, self.force))
-
-    def dot(self, v: SpatialMotion) -> float:
-        """Power pairing; invariant under matched transforms."""
-        return float(self.torque @ v.angular + self.force @ v.linear)
-
-
-@dataclass(frozen=True)
 class PlueckerTransform:
     """Coordinate transform between two frames, stored as (R, p)."""
 
@@ -326,59 +276,3 @@ class SpatialInertia:
 
     def to_matrix(self) -> np.ndarray:
         return inertia_matrix(self.mass, self.first_moment, self.rot_inertia)
-
-
-@dataclass(frozen=True)
-class ArticulatedInertia:
-    """Dense symmetric 6x6 apparent inertia of an articulated subtree."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
-
-    @staticmethod
-    def zero() -> "ArticulatedInertia":
-        return ArticulatedInertia(np.zeros((6, 6)))
-
-    @staticmethod
-    def of(inertia: SpatialInertia) -> "ArticulatedInertia":
-        return ArticulatedInertia(inertia.to_matrix())
-
-
-# ---------------------------------------------------------------------------
-# typed operations (thin wrappers over the kernels)
-
-
-def transform_motion(x: PlueckerTransform, v: SpatialMotion) -> SpatialMotion:
-    return SpatialMotion.from_array(xm6(x.rotation, x.translation, v.as_array()))
-
-
-def transform_force(x: PlueckerTransform, f: SpatialForce) -> SpatialForce:
-    return SpatialForce.from_array(xf6(x.rotation, x.translation, f.as_array()))
-
-
-def motion_cross_motion(v: SpatialMotion, w: SpatialMotion) -> SpatialMotion:
-    return SpatialMotion.from_array(cross_m6(v.as_array(), w.as_array()))
-
-
-def motion_cross_force(v: SpatialMotion, f: SpatialForce) -> SpatialForce:
-    return SpatialForce.from_array(cross_f6(v.as_array(), f.as_array()))
-
-
-def apply_inertia(inertia, v: SpatialMotion) -> SpatialForce:
-    if isinstance(inertia, SpatialInertia):
-        m = inertia.to_matrix()
-    else:
-        m = inertia.matrix
-    return SpatialForce.from_array(m @ v.as_array())
-
-
-def transform_inertia(x: PlueckerTransform, inertia) -> ArticulatedInertia:
-    """Congruence X' I X: re-expresses an inertia given in the transform's
-    target frame in its source frame (the parent-side accumulation step)."""
-    if isinstance(inertia, SpatialInertia):
-        m = inertia.to_matrix()
-    else:
-        m = inertia.matrix
-    return ArticulatedInertia(xi6(x.rotation, x.translation, m))

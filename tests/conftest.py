@@ -34,13 +34,3 @@ def random_transform(rng):
     axis /= np.linalg.norm(axis)
     return PlueckerTransform(axis_angle_rotation(axis, rng.uniform(-3, 3)),
                              rng.standard_normal(3))
-
-
-def random_motion(rng):
-    from pvdyn import SpatialMotion
-    return SpatialMotion(rng.standard_normal(3), rng.standard_normal(3))
-
-
-def random_force(rng):
-    from pvdyn import SpatialForce
-    return SpatialForce(rng.standard_normal(3), rng.standard_normal(3))

@@ -8,11 +8,11 @@ from pvdyn import (ConstraintSet, MotionConstraint, PvWorkspace,
                    random_feasible_instance, random_singular_instance,
                    random_state, relaxed_kkt_oracle, weld_constraint)
 from pvdyn.bench import load_model
-from pvdyn.constrained import (_beta_hat, _reg_articulated_pass,
-                               _reg_dynamics_pass)
+from pvdyn.constrained import (_aba, _add_terms, _beta_hat, _bias_pass, _down,
+                               _forward_pass, _inertia_pass)
 from pvdyn.errors import SingularDual
 from pvdyn.generators import standard_constraints
-from pvdyn.kinematics import forward_kinematics
+from pvdyn.kinematics import forward_kinematics, velocity_products
 from pvdyn import flops
 
 
@@ -38,7 +38,7 @@ def quadruped():
 
 
 def full_sweep_caba(model, state, tau, cs, settings=None):
-    """Reference proximal iteration: one full dynamics pass per iteration.
+    """Reference proximal iteration: one full articulated pass per iteration.
 
     The same multiplier update, stall test and min-norm projection as
     `constrained_aba`, which after its first iteration sweeps only the
@@ -52,7 +52,6 @@ def full_sweep_caba(model, state, tau, cs, settings=None):
     reg = {}
     for con in cs:
         reg[con.link] = reg.get(con.link, 0) + con.K.T @ con.K / mu
-    _reg_articulated_pass(model, cache, ws, reg)
     lam = np.zeros(cs.m)
     resid = np.empty(cs.m)
     history = []
@@ -63,7 +62,8 @@ def full_sweep_caba(model, state, tau, cs, settings=None):
             rows = cs.rows(ci)
             blk = -con.K.T @ (lam[rows] + beta[rows] / mu)
             bias[con.link] = bias.get(con.link, 0) + blk
-        qdd, a = _reg_dynamics_pass(model, cache, ws, np.asarray(tau, float), bias)
+        qdd = _aba(model, cache, ws, np.asarray(tau, float), reg, bias)
+        a = ws.a
         for ci, con in enumerate(cs):
             resid[cs.rows(ci)] = con.K @ a[con.link] - beta[cs.rows(ci)]
         lam -= resid / mu
@@ -406,9 +406,12 @@ class TestSupportSweep:
 
         ws = PvWorkspace(model, cs)
         cache = forward_kinematics(model, state)
-        _reg_articulated_pass(model, cache, ws, None)
+        np.copyto(ws.IA, model.inertia66)
+        _inertia_pass(model, cache, ws, _down(model))
         with flops.counted() as count:
-            _reg_dynamics_pass(model, cache, ws, tau, None)
+            ws.pA[:] = velocity_products(model, cache)
+            _bias_pass(model, cache, ws, _down(model), tau)
+            _forward_pass(model, cache, ws, range(model.n_links), np.zeros(model.nv))
             full_pass = count()
         assert work(3) - work(2) < full_pass / 3
 
@@ -571,7 +574,9 @@ class TestStoredProjectedInertia:
         cs = ConstraintSet([weld_constraint(10)])
         ws = PvWorkspace(model, cs)
         cache = forward_kinematics(model, random_state(model, 6))
-        _reg_articulated_pass(model, cache, ws, {10: np.eye(6)})
+        np.copyto(ws.IA, model.inertia66)
+        _add_terms(ws.IA, {10: np.eye(6)})
+        _inertia_pass(model, cache, ws, _down(model))
         for i in range(model.n_links):
             expected = ws.IA[i] - ws.uu[i] @ ws.du[i] if model.joints[i].nv else ws.IA[i]
             np.testing.assert_array_equal(ws.IA_proj[i], expected)

@@ -1,0 +1,365 @@
+"""The articulated sweep engine behind every solver.
+
+The exact solvers are checked against a reference copy of the one-loop
+engine they replaced, which interleaves the inertia, bias and coupling
+work per link; the flop counts and proximal iteration counts of all
+producers are pinned to the values that engine gave.
+"""
+
+import numpy as np
+import pytest
+
+from pvdyn import (ConstraintSet, Joint, Model, PlueckerTransform, PvWorkspace,
+                   SolverSettings, SpatialInertia, aba, caba_osim, constrained,
+                   constrained_aba, flops, generate_humanoid_like, linalg,
+                   point_constraint, pv_early_solve, pv_osim, pv_osimr,
+                   pv_soft_solve, pv_solve, random_feasible_instance,
+                   random_singular_instance, random_state, weld_constraint)
+from pvdyn.bench import load_model
+from pvdyn.constrained import (_DUAL_PIVOT_RATIO, _ELIM_PIVOT_RATIO,
+                               _Elimination, _beta_hat, _try_chol)
+from pvdyn.errors import (NotPositiveDefinite, SingularBaseInertia, SingularDual,
+                          SingularJointInertia)
+from pvdyn.generators import standard_constraints
+from pvdyn.kinematics import forward_kinematics, velocity_products
+from pvdyn.spatial import xft6, xi6, xm6
+from test_constrained import with_fixed_joints
+
+
+def reference_pv(model, state, tau, cs, early):
+    """One backward loop doing each link's eliminations, factors, coupling
+    and projections together, then the dual solve and the forward loop.
+
+    Returns (qdd, lam, flops, base dual dim, eliminated block sizes).
+    """
+    ws = PvWorkspace(model, cs)
+    with flops.counted() as count:
+        cache = forward_kinematics(model, state)
+        n, m = model.n_links, cs.m
+        work = 0
+        beta = _beta_hat(model, cache, cs, np.empty(m)) if m else np.empty(0)
+        ia = model.inertia66.copy()
+        pa = velocity_products(model, cache)
+        lam = np.zeros(m)
+        big_l = np.zeros((m, m))
+        small_l = -beta
+        k_world = np.empty((m, 6))
+        alive = np.ones(m, dtype=bool)
+        elim_at = [[] for _ in range(n)]
+        dims = []
+        uu, dfac, u, ks, ks_rows = ([None] * n for _ in range(5))
+        for i in range(n - 1, -1, -1):
+            rows_i = ws.rows[i]
+            for ci, con in enumerate(cs):
+                if con.link == i:
+                    ws.K[i][ws.own[ci]] = con.K
+            if early and ws.cons_in_subtree[i]:
+                alive_rows_i = rows_i[alive[rows_i]]
+                scale = float(np.max(np.diag(big_l)[alive_rows_i])) \
+                    if alive_rows_i.size else 0.0
+                for ci in ws.cons_in_subtree[i]:
+                    rj = cs.rows(ci)
+                    if not alive[rj[0]]:
+                        continue
+                    low = _try_chol(big_l[np.ix_(rj, rj)], _ELIM_PIVOT_RATIO, scale)
+                    work += flops.cholesky(len(rj))
+                    if low is None:
+                        continue
+                    loc = np.flatnonzero(alive[rows_i])
+                    ract = rows_i[loc]
+                    keep = ~np.isin(ract, rj)
+                    others = ract[keep]
+                    kj = ws.K[i][loc[~keep]].copy()
+                    ljo = big_l[np.ix_(rj, others)].copy()
+                    lj = small_l[rj].copy()
+                    x_k = linalg.chol_solve(low, kj)
+                    x_l = linalg.chol_solve(low, ljo) if others.size else ljo
+                    x_b = linalg.chol_solve(low, lj)
+                    ia[i] += kj.T @ x_k
+                    pa[i] += kj.T @ x_b
+                    work += flops.gemm(6, len(rj), 6) + flops.gemm(6, len(rj), 1)
+                    if others.size:
+                        ws.K[i][loc[keep]] -= ljo.T @ x_k
+                        big_l[np.ix_(others, others)] -= ljo.T @ x_l
+                        small_l[others] -= ljo.T @ x_b
+                        work += flops.gemm(others.size, len(rj), 6 + others.size + 1)
+                    big_l[rj, :] = 0.0
+                    big_l[:, rj] = 0.0
+                    small_l[rj] = 0.0
+                    alive[rj] = False
+                    elim_at[i].append(_Elimination(rj, low, kj, others.copy(), ljo, lj))
+                    dims.append(len(rj))
+            loc = np.flatnonzero(alive[rows_i])
+            ract = rows_i[loc]
+            ka = ws.K[i][loc]
+            nv = model.joints[i].nv
+            p = model.parent[i]
+            c_i = cache.c[i]
+            k_new = ka
+            if nv:
+                s = model.S[i]
+                uu[i] = ia[i] @ s
+                try:
+                    dfac[i] = linalg.SmallPD(s.T @ uu[i])
+                except NotPositiveDefinite:
+                    raise SingularJointInertia(f"joint {i} inertia is singular") from None
+                du = dfac[i].solve(uu[i].T)
+                u[i] = tau[model.v_block(i)] - s.T @ pa[i]
+                work += flops.gemm(6, 6, nv) + flops.gemm(nv, 6, nv) \
+                    + flops.cholesky(nv) + flops.chol_solve(nv, 6) + 11 * nv
+                if ract.size:
+                    ks[i] = ka @ s
+                    w = dfac[i].solve(ks[i].T).T
+                    big_l[np.ix_(ract, ract)] += w @ ks[i].T
+                    small_l[ract] += ka @ c_i + w @ (u[i] - uu[i].T @ c_i)
+                    k_new = ka - w @ uu[i].T
+                    r = ract.size
+                    work += flops.gemm(r, 6, nv) + flops.chol_solve(nv, r) \
+                        + flops.gemm(r, nv, r) + flops.gemm(r, 6, 1) \
+                        + flops.gemm(r, nv, 1) + flops.gemm(r, nv, 6)
+                ia_proj = ia[i] - uu[i] @ du
+                pa_proj = pa[i] + ia_proj @ c_i + uu[i] @ dfac[i].solve(u[i])
+                work += flops.gemm(6, nv, 6) + flops.APPLY_I + flops.gemm(6, nv, 1) \
+                    + flops.chol_solve(nv) + 2 * flops.ADD6
+            else:
+                ia_proj = ia[i]
+                pa_proj = pa[i] + ia[i] @ c_i
+                work += flops.APPLY_I
+            ks_rows[i] = ract
+            if ract.size:
+                k_push = xft6(cache.rot[i], cache.trans[i], k_new.T).T
+                work += flops.XFORCE_T * ract.size
+            if p >= 0:
+                ia[p] += xi6(cache.rot[i], cache.trans[i], ia_proj)
+                pa[p] += xft6(cache.rot[i], cache.trans[i], pa_proj)
+                work += flops.XINERTIA + flops.XFORCE_T + 42
+                if ract.size:
+                    ws.K[p][ws.pos_in_parent[i][loc]] = k_push
+            elif ract.size:
+                k_world[ract] = k_push
+        a_world = -model.gravity6()
+        act = np.flatnonzero(alive)
+        if act.size:
+            rhs = -(small_l[act] + k_world[act] @ a_world)
+            low = _try_chol(big_l[np.ix_(act, act)], _DUAL_PIVOT_RATIO)
+            work += flops.gemm(act.size, 6, 1) + flops.cholesky(act.size)
+            if low is None:
+                raise SingularDual("dual system is singular")
+            lam[act] = linalg.chol_solve(low, rhs)
+            work += flops.chol_solve(act.size)
+        a = np.empty((n, 6))
+        qdd = np.zeros(model.nv)
+        for i in range(n):
+            p = model.parent[i]
+            a_in = xm6(cache.rot[i], cache.trans[i], a_world if p < 0 else a[p]) + cache.c[i]
+            nv = model.joints[i].nv
+            if nv:
+                t = u[i] - uu[i].T @ a_in
+                if ks[i] is not None:
+                    t = t + ks[i].T @ lam[ks_rows[i]]
+                    work += flops.gemm(nv, len(ks_rows[i]), 1)
+                blk = dfac[i].solve(t)
+                a[i] = a_in + model.S[i] @ blk
+                qdd[model.v_block(i)] = blk
+                work += flops.gemm(nv, 6, 1) + flops.chol_solve(nv) + 6 * nv + flops.ADD6
+            else:
+                a[i] = a_in
+            work += flops.XMOT + flops.ADD6
+            for rec in reversed(elim_at[i]):
+                rhs = rec.K @ a[i] + rec.l_j
+                if rec.other_rows.size:
+                    rhs = rhs + rec.L_jo @ lam[rec.other_rows]
+                    work += flops.gemm(len(rec.rows), rec.other_rows.size, 1)
+                lam[rec.rows] = -linalg.chol_solve(rec.low, rhs)
+                work += flops.gemm(len(rec.rows), 6, 1) + flops.chol_solve(len(rec.rows))
+        for ci, con in enumerate(cs):
+            work += flops.gemm(con.dim, 6, 1)
+        flops.add(work)
+        return qdd, lam, count(), int(act.size), dims
+
+
+def _exact_cases():
+    """Random fixed and floating trees and chains, some with welded
+    interior joints, plus rank-deficient sets that must raise."""
+    cases = []
+    for seed in range(16):
+        model, state, tau, cs = random_feasible_instance(seed + 500, max_n=40)
+        cases.append((f"feasible{seed}", model, state, tau, cs))
+        rng = np.random.default_rng(seed)
+        interior = [i for i in range(1, model.n_links) if model.children[i]]
+        if interior:
+            welded = with_fixed_joints(model, set(rng.choice(interior, 2).tolist()))
+            cases.append((f"welded{seed}", welded, random_state(welded, seed),
+                          rng.uniform(-2, 2, welded.nv), cs))
+    for seed in range(8):
+        cases.append((f"singular{seed}", *random_singular_instance(seed)))
+    return cases
+
+
+EXACT_CASES = _exact_cases()
+
+
+class TestSameAnswers:
+    @pytest.mark.parametrize("early", [False, True], ids=["pv", "pv_early"])
+    @pytest.mark.parametrize("case", EXACT_CASES, ids=[c[0] for c in EXACT_CASES])
+    def test_exact_solvers_match_reference(self, case, early):
+        _, model, state, tau, cs = case
+        solve = pv_early_solve if early else pv_solve
+        ws = PvWorkspace(model, cs)
+        try:
+            qdd, lam, work, base_dim, dims = reference_pv(model, state, tau, cs, early)
+        except SingularDual:
+            with pytest.raises(SingularDual):
+                solve(model, state, tau, cs, ws)
+            return
+        with flops.counted() as count:
+            sol = solve(model, state, tau, cs, ws)
+            assert count() == work
+        assert np.linalg.norm(sol.qdd - qdd) <= 1e-12 * (1 + np.linalg.norm(qdd))
+        assert np.linalg.norm(sol.lam - lam) <= 1e-12 * (1 + np.linalg.norm(lam))
+        assert ws.counters == {"base_dual_dim": base_dim, "dual_factor_dims": dims}
+
+    def test_cases_cover_the_shapes(self):
+        shapes = set()
+        for name, model, state, tau, cs in EXACT_CASES:
+            if model.base_kind == "floating":
+                shapes.add("floating")
+            if any(j.nv == 0 for j in model.joints[1:]):
+                shapes.add("fixed_interior")
+            try:
+                reference_pv(model, state, tau, cs, False)
+            except SingularDual:
+                shapes.add("singular")
+                continue
+            if reference_pv(model, state, tau, cs, True)[4]:
+                shapes.add("eliminates_early")
+        assert shapes == {"floating", "fixed_interior", "singular", "eliminates_early"}
+
+
+def _pin_fixtures():
+    tree = load_model("tree:128:3")
+    humanoid = generate_humanoid_like()
+    chain = load_model("chain:64")
+    welds = ConstraintSet([weld_constraint(humanoid.names.index(name))
+                           for name in ("foot_l", "foot_r", "hand_l", "hand_r")])
+    return {"tree:128:3": (tree, standard_constraints(tree, 24, seed=3)),
+            "humanoid": (humanoid, welds),
+            "chain:64": (chain, standard_constraints(chain, 6, seed=3))}
+
+
+PIN_FIXTURES = _pin_fixtures()
+
+# flops per call on each fixture (state seed 3), as the per-link engine
+# and the separate coupling sweep of the Delassus producers charged them
+PINNED_FLOPS = {
+    "tree:128:3": {"pv": 241143, "pv_early": 228633, "pv_soft": 218343, "caba": 235397,
+                   "pv_osim": 182658, "pv_osimr": 220890, "caba_osim": 202242},
+    "humanoid": {"pv": 104355, "pv_early": 83475, "pv_soft": 59277, "caba": 69961,
+                 "pv_osim": 74526, "pv_osimr": 83442, "caba_osim": 94110},
+    "chain:64": {"pv": 145237, "pv_early": 111739, "pv_soft": 108595, "caba": 127747,
+                 "pv_osim": 117280, "pv_osimr": 126514, "caba_osim": 117640},
+}
+
+
+class TestSameFlops:
+    @pytest.mark.parametrize("fixture", sorted(PINNED_FLOPS))
+    def test_per_call_flops_are_pinned(self, fixture):
+        model, cs = PIN_FIXTURES[fixture]
+        state = random_state(model, 3)
+        tau = np.random.default_rng(3).uniform(-5, 5, model.nv)
+        ws = PvWorkspace(model, cs)
+        settings = SolverSettings()
+        calls = {
+            "pv": lambda: pv_solve(model, state, tau, cs, ws),
+            "pv_early": lambda: pv_early_solve(model, state, tau, cs, ws),
+            "pv_soft": lambda: pv_soft_solve(model, state, tau, cs, settings, ws),
+            "caba": lambda: constrained_aba(model, state, tau, cs, settings, ws),
+            "pv_osim": lambda: pv_osim(model, state, cs, ws),
+            "pv_osimr": lambda: pv_osimr(model, state, cs, ws),
+            "caba_osim": lambda: caba_osim(model, state, cs, settings, ws),
+        }
+        counted = {}
+        for name, call in calls.items():
+            with flops.counted() as count:
+                call()
+                counted[name] = count()
+        assert counted == PINNED_FLOPS[fixture]
+
+
+# iterations and the first letter of the status of constrained_aba at the
+# default settings on random_feasible_instance(0..39) and
+# random_singular_instance(0..49)
+FEASIBLE_RUNS = ("2233233323332323233323232323332333233332",
+                 "cccccccccccccccccccccccccccccccccccccccc")
+SINGULAR_RUNS = ("26623363662666626226226266263226666666263662262223",
+                 "cllccclcllcllllclcclcclcllclccclllllllclcllcclcccc")
+
+
+class TestProximalRuns:
+    @pytest.mark.parametrize("make, runs", [(random_feasible_instance, FEASIBLE_RUNS),
+                                            (random_singular_instance, SINGULAR_RUNS)],
+                             ids=["feasible", "singular"])
+    def test_iterations_and_statuses_are_pinned(self, make, runs):
+        iterations, statuses = [], []
+        for seed in range(len(runs[0])):
+            sol = constrained_aba(*make(seed))
+            iterations.append(str(sol.iterations))
+            statuses.append(sol.status[0])
+        assert ("".join(iterations), "".join(statuses)) == runs
+
+
+def _massless():
+    return SpatialInertia(0.0, np.zeros(3), np.zeros((3, 3)))
+
+
+def _body():
+    return SpatialInertia.from_com(1.0, [0.0, 0.0, -0.1], 1e-2 * np.eye(3))
+
+
+def _singular_models():
+    """(name, model, constrained link, the error and message expected)."""
+    ident = PlueckerTransform.identity()
+    down = PlueckerTransform(np.eye(3), [0.0, 0.0, -0.3])
+    one_link = Model([-1], [Joint.revolute([0, 0, 1])], [ident], [_massless()])
+    leaf = Model([-1, 0, 1], [Joint.floating(), Joint.revolute([0, 1, 0]),
+                              Joint.revolute([1, 0, 0])],
+                 [ident, down, down], [_body(), _body(), _massless()])
+    bare = Model([-1], [Joint.floating()], [ident], [_massless()])
+    return [("fixed_one_link", one_link, 0, SingularJointInertia, "joint 0 "),
+            ("floating_massless_leaf", leaf, 2, SingularJointInertia, "joint 2 "),
+            ("floating_all_massless", bare, 0, SingularBaseInertia, "floating-base")]
+
+
+SINGULAR_MODELS = _singular_models()
+
+
+class TestSingularInertiaRule:
+    @pytest.mark.parametrize("producer", ["pv_osim", "pv_osimr", "caba_osim", "pv_solve",
+                                          "pv_early_solve", "aba"])
+    @pytest.mark.parametrize("case", SINGULAR_MODELS, ids=[c[0] for c in SINGULAR_MODELS])
+    def test_one_error_per_model(self, case, producer):
+        _, model, link, error, message = case
+        state = random_state(model, 0)
+        tau = np.zeros(model.nv)
+        cs = ConstraintSet([point_constraint(link, [0.1, 0.0, 0.0])])
+        call = {
+            "pv_osim": lambda: pv_osim(model, state, cs),
+            "pv_osimr": lambda: pv_osimr(model, state, cs),
+            "caba_osim": lambda: caba_osim(model, state, cs),
+            "pv_solve": lambda: pv_solve(model, state, tau, cs),
+            "pv_early_solve": lambda: pv_early_solve(model, state, tau, cs),
+            "aba": lambda: aba(model, state, tau),
+        }[producer]
+        with pytest.raises(error, match=message):
+            call()
+
+
+def test_aba_builds_no_constraint_workspace(monkeypatch, humanoid):
+    def refuse(*args, **kwargs):
+        raise AssertionError("aba built a constraint workspace")
+
+    state = random_state(humanoid, 1)
+    tau = np.random.default_rng(1).uniform(-1, 1, humanoid.nv)
+    expected = aba(humanoid, state, tau)
+    monkeypatch.setattr(constrained.PvWorkspace, "__init__", refuse)
+    np.testing.assert_array_equal(aba(humanoid, state, tau), expected)

@@ -212,14 +212,6 @@ class TestBench:
         with pytest.raises(ValueError):
             BenchRecord("aba", 1, 0, 1, 5, 1.0, 0.0, 1.0, 1, 0)
 
-    def test_parallel_workers_match_serial_flops(self, monkeypatch):
-        spec = BenchSpec(models=("chain:5", "chain:9"), algorithms=("pv",),
-                         m=3, reps=30, seed=1)
-        serial = {(r.n, r.algorithm): r.flops for r in run_bench(spec)}
-        monkeypatch.setenv("PVDYN_THREADS", "2")
-        parallel = {(r.n, r.algorithm): r.flops for r in run_bench(spec)}
-        assert serial == parallel
-
 
 class TestSlopes:
     def test_flop_slope_helper(self):

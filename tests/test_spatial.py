@@ -1,145 +1,141 @@
 import numpy as np
 import pytest
 
-from pvdyn import (ArticulatedInertia, PlueckerTransform, SpatialForce,
-                   SpatialInertia, SpatialMotion, apply_inertia, compose,
-                   inverse, motion_cross_force, motion_cross_motion,
-                   transform_force, transform_inertia, transform_motion)
-from conftest import random_force, random_motion, random_transform
+from pvdyn import PlueckerTransform, SpatialInertia, compose, inverse
+from pvdyn.spatial import cross_f6, cross_m6, xf6, xi6, xm6
+from conftest import random_transform
+
+
+def xm(x, v):
+    return xm6(x.rotation, x.translation, v)
+
+
+def xi(x, inertia):
+    return xi6(x.rotation, x.translation, inertia)
+
+
+def random_spd(rng):
+    mat = rng.standard_normal((6, 6))
+    return mat @ mat.T
 
 
 class TestTransformMotion:
     def test_identity(self, rng):
-        v = random_motion(rng)
-        out = transform_motion(PlueckerTransform.identity(), v)
-        np.testing.assert_array_equal(out.as_array(), v.as_array())
+        v = rng.standard_normal(6)
+        np.testing.assert_array_equal(xm(PlueckerTransform.identity(), v), v)
 
     def test_pure_translation(self):
         # oracle: linear part picks up -p x omega
         p = np.array([1.0, 0.0, 0.0])
-        x = PlueckerTransform(np.eye(3), p)
-        v = SpatialMotion([0.0, 0.0, 1.0], np.zeros(3))
-        out = transform_motion(x, v)
-        expected_lin = -np.cross(p, v.angular)
-        np.testing.assert_allclose(out.angular, [0.0, 0.0, 1.0])
-        np.testing.assert_allclose(out.linear, expected_lin)
-        np.testing.assert_allclose(out.linear, [0.0, 1.0, 0.0])
+        v = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+        out = xm(PlueckerTransform(np.eye(3), p), v)
+        np.testing.assert_allclose(out[:3], [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(out[3:], -np.cross(p, v[:3]))
+        np.testing.assert_allclose(out[3:], [0.0, 1.0, 0.0])
 
     def test_inverse_roundtrip(self, rng):
         for _ in range(20):
             x = random_transform(rng)
-            v = random_motion(rng)
-            back = transform_motion(inverse(x), transform_motion(x, v))
-            np.testing.assert_allclose(back.as_array(), v.as_array(), atol=1e-14)
+            v = rng.standard_normal(6)
+            np.testing.assert_allclose(xm(inverse(x), xm(x, v)), v, atol=1e-14)
 
     def test_composition_law(self, rng):
         for _ in range(20):
             x1, x2 = random_transform(rng), random_transform(rng)
-            v = random_motion(rng)
-            a = transform_motion(compose(x1, x2), v)
-            b = transform_motion(x1, transform_motion(x2, v))
-            np.testing.assert_allclose(a.as_array(), b.as_array(), atol=1e-12)
+            v = rng.standard_normal(6)
+            np.testing.assert_allclose(xm(compose(x1, x2), v), xm(x1, xm(x2, v)),
+                                       atol=1e-12)
 
 
 class TestTransformForce:
     def test_identity(self, rng):
-        f = random_force(rng)
-        out = transform_force(PlueckerTransform.identity(), f)
-        np.testing.assert_array_equal(out.as_array(), f.as_array())
+        f = rng.standard_normal(6)
+        x = PlueckerTransform.identity()
+        np.testing.assert_array_equal(xf6(x.rotation, x.translation, f), f)
 
     def test_power_invariance(self, rng):
         for _ in range(50):
             x = random_transform(rng)
-            v, f = random_motion(rng), random_force(rng)
-            p0 = f.dot(v)
-            p1 = transform_force(x, f).dot(transform_motion(x, v))
+            v, f = rng.standard_normal(6), rng.standard_normal(6)
+            p0 = f @ v
+            p1 = xf6(x.rotation, x.translation, f) @ xm(x, v)
             assert abs(p0 - p1) <= 1e-12 * (1 + abs(p0))
 
     def test_pure_rotation_rotates_both(self, rng):
         from pvdyn.spatial import axis_angle_rotation
         r = axis_angle_rotation(np.array([0.0, 0.0, 1.0]), 0.7)
-        x = PlueckerTransform(r, np.zeros(3))
-        f = random_force(rng)
-        out = transform_force(x, f)
-        np.testing.assert_allclose(out.torque, r @ f.torque, atol=1e-14)
-        np.testing.assert_allclose(out.force, r @ f.force, atol=1e-14)
+        f = rng.standard_normal(6)
+        out = xf6(r, np.zeros(3), f)
+        np.testing.assert_allclose(out[:3], r @ f[:3], atol=1e-14)
+        np.testing.assert_allclose(out[3:], r @ f[3:], atol=1e-14)
 
 
 class TestCrossProducts:
     def test_self_cross_vanishes(self, rng):
-        v = random_motion(rng)
-        np.testing.assert_allclose(motion_cross_motion(v, v).as_array(),
-                                   np.zeros(6), atol=1e-14)
+        v = rng.standard_normal(6)
+        np.testing.assert_allclose(cross_m6(v, v), np.zeros(6), atol=1e-14)
 
     def test_componentwise_example(self):
-        v = SpatialMotion([0.0, 0.0, 1.0], np.zeros(3))
-        w = SpatialMotion(np.zeros(3), [1.0, 0.0, 0.0])
-        out = motion_cross_motion(v, w)
-        np.testing.assert_allclose(out.angular, np.zeros(3))
-        np.testing.assert_allclose(out.linear, [0.0, 1.0, 0.0])
+        v = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+        w = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+        out = cross_m6(v, w)
+        np.testing.assert_allclose(out[:3], np.zeros(3))
+        np.testing.assert_allclose(out[3:], [0.0, 1.0, 0.0])
 
     def test_duality(self, rng):
         for _ in range(30):
-            v, w, f = random_motion(rng), random_motion(rng), random_force(rng)
-            lhs = f.dot(motion_cross_motion(v, w))
-            rhs = -motion_cross_force(v, f).dot(w)
+            v, w, f = (rng.standard_normal(6) for _ in range(3))
+            lhs = f @ cross_m6(v, w)
+            rhs = -cross_f6(v, f) @ w
             assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
 
 
 class TestInertia:
     def test_point_mass_newton(self):
         inertia = SpatialInertia.from_com(2.0, np.zeros(3), np.zeros((3, 3)))
-        f = apply_inertia(inertia, SpatialMotion(np.zeros(3), [1.0, 0.0, 0.0]))
-        np.testing.assert_allclose(f.torque, np.zeros(3))
-        np.testing.assert_allclose(f.force, [2.0, 0.0, 0.0])
+        f = inertia.to_matrix() @ np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+        np.testing.assert_allclose(f[:3], np.zeros(3))
+        np.testing.assert_allclose(f[3:], [2.0, 0.0, 0.0])
 
     def test_zero_motion(self, rng):
         inertia = SpatialInertia.from_com(1.5, rng.standard_normal(3) * 0.1,
                                           np.diag([0.1, 0.2, 0.3]))
-        f = apply_inertia(inertia, SpatialMotion.zero())
-        np.testing.assert_array_equal(f.as_array(), np.zeros(6))
+        np.testing.assert_array_equal(inertia.to_matrix() @ np.zeros(6), np.zeros(6))
 
     def test_symmetry_identity(self, rng):
-        inertia = SpatialInertia.from_com(1.5, [0.1, -0.2, 0.05],
-                                          np.diag([0.1, 0.2, 0.3]))
+        mat = SpatialInertia.from_com(1.5, [0.1, -0.2, 0.05],
+                                      np.diag([0.1, 0.2, 0.3])).to_matrix()
         for _ in range(20):
-            v, w = random_motion(rng), random_motion(rng)
-            a = apply_inertia(inertia, w).dot(v)
-            b = apply_inertia(inertia, v).dot(w)
+            v, w = rng.standard_normal(6), rng.standard_normal(6)
+            a = (mat @ w) @ v
+            b = (mat @ v) @ w
             assert abs(a - b) <= 1e-12 * (1 + abs(a))
 
 
 class TestTransformInertia:
     def test_identity(self, rng):
-        mat = rng.standard_normal((6, 6))
-        ai = ArticulatedInertia(mat @ mat.T)
-        out = transform_inertia(PlueckerTransform.identity(), ai)
-        np.testing.assert_allclose(out.matrix, ai.matrix, atol=1e-14)
+        ai = random_spd(rng)
+        np.testing.assert_allclose(xi(PlueckerTransform.identity(), ai), ai, atol=1e-14)
 
     def test_roundtrip(self, rng):
-        mat = rng.standard_normal((6, 6))
-        ai = ArticulatedInertia(mat @ mat.T)
+        ai = random_spd(rng)
         x = random_transform(rng)
-        back = transform_inertia(inverse(x), transform_inertia(x, ai))
-        np.testing.assert_allclose(back.matrix, ai.matrix, atol=1e-12)
+        np.testing.assert_allclose(xi(inverse(x), xi(x, ai)), ai, atol=1e-12)
 
     def test_quadratic_form_invariance(self, rng):
         for _ in range(20):
-            mat = rng.standard_normal((6, 6))
-            ai = ArticulatedInertia(mat @ mat.T)
+            ai = random_spd(rng)
             x = random_transform(rng)
-            v = random_motion(rng)
-            xv = transform_motion(x, v).as_array()
-            lhs = v.as_array() @ transform_inertia(x, ai).matrix @ v.as_array()
-            rhs = xv @ ai.matrix @ xv
+            v = rng.standard_normal(6)
+            xv = xm(x, v)
+            lhs = v @ xi(x, ai) @ v
+            rhs = xv @ ai @ xv
             assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
 
     def test_preserves_symmetry_and_psd(self, rng):
-        mat = rng.standard_normal((6, 6))
-        ai = ArticulatedInertia(mat @ mat.T)
-        out = transform_inertia(random_transform(rng), ai)
-        np.testing.assert_allclose(out.matrix, out.matrix.T, atol=1e-12)
-        assert np.linalg.eigvalsh(out.matrix).min() >= -1e-10
+        out = xi(random_transform(rng), random_spd(rng))
+        np.testing.assert_allclose(out, out.T, atol=1e-12)
+        assert np.linalg.eigvalsh(out).min() >= -1e-10
 
 
 def test_rigid_body_inertia_spd(rng):
@@ -195,7 +191,6 @@ class TestArrayKernels:
             np.testing.assert_allclose(out, dense @ blk, rtol=0, atol=1e-14)
 
     def test_spatial_cross_products_match_matrices(self, rng):
-        from pvdyn.spatial import cross_f6, cross_m6
         for _ in range(20):
             v, w = rng.standard_normal(6), rng.standard_normal(6)
             crm = _cross_matrix_m(v)
