@@ -164,7 +164,7 @@ def aba(model: Model, state: State, tau, f_ext=None,
     if f_ext is not None:
         bias = {i: -np.asarray(f, dtype=float) for i, f in enumerate(f_ext)
                 if f is not None}
-    return _aba(model, cache, _Sweep(model.n_links), tau, bias=bias)
+    return _aba(model, cache, _Sweep(model), tau, bias=bias)
 
 
 # ---------------------------------------------------------------------------

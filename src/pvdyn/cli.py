@@ -51,21 +51,22 @@ def check(seed, sizes, instances, out):
               help="comma-separated: chain:N | tree:N:B | humanoid | URDF path")
 @click.option("--solver", "algorithms", default="pv,caba", show_default=True,
               help="comma-separated algorithm names")
-@click.option("--m", default=6, show_default=True, type=int,
-              help="total constraint rows")
+@click.option("--m", "m_values", default="6", show_default=True,
+              help="comma-separated total constraint rows")
 @click.option("--reps", default=30, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--out", default=None, type=click.Path(),
               help="output path (.csv or .json)")
-def bench(models, algorithms, m, reps, seed, out):
-    """Benchmark algorithms over model families."""
+def bench(models, algorithms, m_values, reps, seed, out):
+    """Benchmark algorithms over model families and constraint counts."""
     try:
-        spec = bench_mod.BenchSpec(models=tuple(models.split(",")),
-                                   algorithms=tuple(algorithms.split(",")),
-                                   m=m, reps=reps, seed=seed)
-        records = bench_mod.run_bench(spec)
+        specs = [bench_mod.BenchSpec(models=tuple(models.split(",")),
+                                     algorithms=tuple(algorithms.split(",")),
+                                     m=int(m), reps=reps, seed=seed)
+                 for m in m_values.split(",")]
+        records = [r for spec in specs for r in bench_mod.run_bench(spec)]
     except (PvdynError, ValueError) as exc:
-        raise click.UsageError(f"model {models}, solver {algorithms}, m={m}: "
+        raise click.UsageError(f"model {models}, solver {algorithms}, m={m_values}: "
                                f"{type(exc).__name__}: {exc}") from exc
     click.echo(bench_mod.CSV_HEADER)
     for r in records:
@@ -78,7 +79,8 @@ def bench(models, algorithms, m, reps, seed, out):
         else:
             bench_mod.emit_csv(records, out)
         click.echo(f"wrote {out}")
-    cell_models = [ms for ms in spec.models for _ in spec.algorithms]
+    # run_bench goes model by model, then algorithm by algorithm, per m
+    cell_models = [ms for spec in specs for ms in spec.models for _ in spec.algorithms]
     failed = [(ms, r) for ms, r in zip(cell_models, records) if r.status != "ok"]
     for ms, r in failed:
         click.echo(f"Error: model {ms}, solver {r.algorithm}, m={r.m}: {r.status}",

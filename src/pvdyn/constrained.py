@@ -2,8 +2,7 @@
 
 The solvers here, ``baseline.aba`` and the Delassus producers are all
 the articulated-body recursion plus one extra term, so they share one
-set of passes.  Each pass walks an ordered link sequence (children
-first backward, parents first forward) and charges its own flops:
+set of passes, each charging its own flops:
 
 * ``_inertia_pass`` — articulated inertias IA (plus any added inertia),
   joint factors U = IA S, D = S' U, and IA_proj = IA - U D^-1 U'.
@@ -17,6 +16,22 @@ first backward, parents first forward) and charges its own flops:
 * ``_forward_pass`` — accelerations and qdd over all links or a subset,
   with an optional K_S' lam term and the back-substitution of rows
   eliminated early.
+
+Links at one depth do not depend on each other, so the inertia, bias
+and forward passes take one array step per depth level of
+``Model.plan`` (``model.Level``), children first backward and parents
+first forward; the coupling pass and ``_eliminate`` stay per support
+link.  The buffers are in plan order, where each level is a slice, and
+below the root every joint has one dof or none, so its factors stack as
+arrays: U, D^-1 and u per link (a fixed joint has S = 0 and D = 1).
+Link 0, with 0, 1 or 6 dofs, is a level of its own with a small dense
+factor.  A level pushes into its parents in steps (``Level.scatter``)
+that add each parent's children in descending link order, and the
+batched transforms do each link's arithmetic in the per-link order, so
+the answers match a per-link sweep bit for bit on the tested models.  A
+subset pass (the support, or the links off it) runs on the subset's
+levels (``LevelPlan.levels_of``), as index arrays where a level's links
+are not contiguous.
 
 How the solvers compose them:
 
@@ -49,7 +64,7 @@ but one workspace must never be shared by two simultaneous solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,8 +72,8 @@ from . import flops, linalg
 from .errors import (DimensionMismatch, NotPositiveDefinite, SingularBaseInertia,
                      SingularDual, SingularJointInertia)
 from .kinematics import KinematicsCache, forward_kinematics, velocity_products
-from .model import ConstraintSet, Model, State, check_state
-from .spatial import xft6, xi6, xm6
+from .model import ConstraintSet, Level, Model, State, check_state
+from .spatial import xft6, xm6
 
 _ELIM_PIVOT_RATIO = 1e-6     # eagerness threshold for early elimination
 _DUAL_PIVOT_RATIO = 1e-10    # base dual block counts as singular below this
@@ -91,17 +106,26 @@ class ConstrainedSolution:
 
 
 class _Sweep:
-    """Per-link buffers of the articulated passes: all that ``aba`` needs."""
+    """Buffers of the articulated passes, all that ``aba`` needs, in plan
+    order (``Model.plan``) with vectors as (n,6,1) columns; ``a`` holds
+    the link accelerations again in link order.  Below the root the joint
+    factors are stacked: U = IA S and D^-1 with D = S' U (1 at a fixed
+    joint).  Link 0 keeps its own U, factor of D and bias u."""
 
-    def __init__(self, n: int):
+    def __init__(self, model: Model):
+        n, nv0 = model.n_links, model.joints[0].nv
         self.IA = np.empty((n, 6, 6))
         self.IA_proj = np.empty((n, 6, 6))     # IA projected across each joint
-        self.pA = np.empty((n, 6))
+        self.pA = np.empty((n, 6, 1))
+        self.U = np.zeros((n, 6, 1))
+        self.U_t = self.U.swapaxes(1, 2)
+        self.D_inv = np.ones((n, 1, 1))
+        self.u = np.zeros((n, 1, 1))           # joint bias force
+        self.root_U = self.root_D = None       # root_D: SmallPD
+        self.root_u = np.zeros(nv0)
+        self.acc = np.empty((n, 6, 1))
+        self.qj = np.empty((n + nv0, 1, 1))    # joint accelerations, plan layout
         self.a = np.empty((n, 6))
-        self.uu: list = [None] * n             # U = IA S
-        self.dfac: list = [None] * n           # factor of D = S' U
-        self.du: list = [None] * n             # D^-1 U'
-        self.u: list = [None] * n              # joint bias force
 
 
 class PvWorkspace(_Sweep):
@@ -117,7 +141,7 @@ class PvWorkspace(_Sweep):
     def __init__(self, model: Model, cs: ConstraintSet):
         n = model.n_links
         m = cs.m
-        super().__init__(n)
+        super().__init__(model)
         self.model = model
         self.layout = _layout(cs)
         row_sets: list[list[int]] = [[] for _ in range(n)]
@@ -130,15 +154,17 @@ class PvWorkspace(_Sweep):
                 in_subtree[j].append(ci)
                 j = model.parent[j]
         self.cons_in_subtree = tuple(tuple(c) for c in in_subtree)
-        # links whose subtree holds a constraint, and the others, in index order
+        # links whose subtree holds a constraint, and the others, in index
+        # order, as levels and as plan positions
+        plan = model.plan
         self.support = tuple(i for i in range(n) if in_subtree[i])
         self.off_support = tuple(i for i in range(n) if not in_subtree[i])
-        # depth levels, deepest first, each in descending index order, with
-        # the support links of each level
-        plan = model.plan
-        levels = [plan.order[links][::-1].tolist() for links, _ in reversed(plan.levels)]
-        self.levels = tuple((tuple(level), tuple(i for i in level if in_subtree[i]))
-                            for level in levels + [[0]])
+        self.support_levels = plan.levels_of(self.support)
+        self.off_levels = plan.levels_of(self.off_support)
+        self.support_pos = plan.position[np.array(self.support, dtype=int)]
+        self.off_pos = plan.position[np.array(self.off_support, dtype=int)]
+        # the whole tree's levels, each with its support links
+        self.sweep = tuple(_with_support(lv, plan, in_subtree) for lv in plan.sweep)
         rows: list[np.ndarray] = [np.zeros(0, dtype=int)] * n
         for i in range(n - 1, -1, -1):
             acc = list(row_sets[i])
@@ -154,7 +180,8 @@ class PvWorkspace(_Sweep):
         # each constraint's rows as positions in its link's subtree rows
         self.own = tuple(np.searchsorted(rows[con.link], cs.rows(ci))
                          for ci, con in enumerate(cs))
-        self.da = np.empty((n, 6))
+        self.da = np.empty((n, 6, 1))
+        self.dqj = np.empty_like(self.qj)
         self.K = [np.empty((len(rows[i]), 6)) for i in range(n)]
         self.Kw = np.empty((m, 6))
         self.L = np.empty((m, m))
@@ -175,6 +202,13 @@ class PvWorkspace(_Sweep):
         if ws is None or ws.model is not model or ws.layout != _layout(cs):
             return PvWorkspace(model, cs)
         return ws
+
+
+def _with_support(lv: Level, plan, in_subtree) -> Level:
+    support = tuple((int(plan.position[i]) - lv.links.start, i)
+                    for i in sorted(plan.order[lv.links].tolist(), reverse=True)
+                    if in_subtree[i])
+    return replace(lv, support=support) if support else lv
 
 
 def _layout(cs: ConstraintSet) -> tuple[tuple[int, int], ...]:
@@ -203,25 +237,48 @@ def _beta_hat(model: Model, cache: KinematicsCache, cs: ConstraintSet,
     return out
 
 
-def _down(model: Model) -> range:
-    """All links, children before parents."""
-    return range(model.n_links - 1, -1, -1)
+def _slots(model: Model, x: np.ndarray) -> np.ndarray:
+    """A dof vector in the plan layout of joint vectors (0 at fixed joints)."""
+    return np.append(x, 0.0)[model.plan.slot_dof, None, None]
 
 
-def _add_terms(buf: np.ndarray, terms: dict[int, np.ndarray] | None) -> None:
-    """Add per-link terms (added inertia or bias) into a per-link buffer."""
+def _dofs(model: Model, xj: np.ndarray) -> np.ndarray:
+    return xj[model.plan.dof_slot, 0, 0]
+
+
+def _add_terms(model: Model, buf: np.ndarray, terms: dict[int, np.ndarray] | None) -> None:
+    """Add per-link terms (added inertia or bias) into a plan-order buffer."""
     if terms:
         for link, extra in terms.items():
-            buf[link] += extra
+            buf[model.plan.position[link]] += np.reshape(extra, buf.shape[1:])
         flops.add(buf[0].size * len(terms))
 
 
+def _factor(model: Model, ws: _Sweep, i: int):
+    """U, the solve with D and the bias u of link i's moving joint, as
+    6 x nv, nv x k and nv blocks."""
+    if i == 0:
+        return ws.root_U, ws.root_D.solve, ws.root_u
+    k = model.plan.position[i]
+    inv = ws.D_inv[k, 0, 0]
+    return ws.U[k], lambda x: x * inv, ws.u[k, 0]
+
+
+# per-link flops of a 1-dof joint below the root: its factors and IA_proj,
+# its bias and projected bias, and its acceleration
+_JOINT_FACTOR = flops.gemm(6, 6, 1) + flops.gemm(1, 6, 1) + flops.cholesky(1) \
+    + flops.chol_solve(1, 6) + flops.gemm(6, 1, 6)
+_JOINT_BIAS = 11 + flops.gemm(6, 1, 1) + flops.chol_solve(1) + flops.ADD6
+_JOINT_ACC = flops.gemm(1, 6, 1) + flops.chol_solve(1) + 6 + flops.ADD6
+
+
 # ---------------------------------------------------------------------------
-# the passes
+# the passes: one array step per level, and a per-link step at the root
 
 
-def _inertia_pass(model: Model, cache: KinematicsCache, ws: _Sweep, links) -> None:
-    """IA, the joint factors and IA_proj over `links`, children first.
+def _inertia_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels) -> None:
+    """IA, the joint factors and IA_proj over `levels` (whole levels),
+    children first.
 
     ``ws.IA`` holds each link's own inertia (plus any added inertia) on
     entry; each link's projection is pushed into its parent.  The factors
@@ -230,134 +287,166 @@ def _inertia_pass(model: Model, cache: KinematicsCache, ws: _Sweep, links) -> No
     SingularBaseInertia at a floating base and SingularJointInertia
     anywhere else.
     """
-    ia = ws.IA
-    ia_proj = ws.IA_proj
+    plan, frames = model.plan, cache.frames
     work = 0
-    for i in links:
-        nv = model.joints[i].nv
-        p = model.parent[i]
-        if nv:
-            s = model.S[i]
-            uu = ia[i] @ s
-            try:
-                dfac = linalg.SmallPD(s.T @ uu)
-            except NotPositiveDefinite:
-                if i == 0 and model.base_kind == "floating":
-                    raise SingularBaseInertia(
-                        "floating-base articulated inertia is singular") from None
-                raise SingularJointInertia(f"joint {i} inertia is singular") from None
-            du = dfac.solve(uu.T)
-            ws.uu[i], ws.dfac[i], ws.du[i] = uu, dfac, du
-            ia_proj[i] = ia[i] - uu @ du
-            work += flops.gemm(6, 6, nv) + flops.gemm(nv, 6, nv) \
-                + flops.cholesky(nv) + flops.chol_solve(nv, 6) + flops.gemm(6, nv, 6)
-        else:
-            ws.uu[i] = ws.dfac[i] = ws.du[i] = None
-            ia_proj[i] = ia[i]
-        if p >= 0:
-            ia[p] += xi6(cache.rot[i], cache.trans[i], ia_proj[i])
-            work += flops.XINERTIA + 36
+    for lv in reversed(levels):
+        sl = lv.links
+        if lv.parents is None:
+            work += _root_inertia(model, ws)
+            continue
+        ia = ws.IA[sl]
+        uu = np.matmul(ia, plan.S[sl], out=ws.U[sl])
+        d = plan.ST[sl] @ uu + plan.fixed[sl]
+        if d.min() <= 0.0:
+            joint = plan.order[sl][np.argmax(d[:, 0, 0] <= 0.0)]
+            raise SingularJointInertia(f"joint {joint} inertia is singular")
+        inv = np.divide(1.0, d, out=ws.D_inv[sl])
+        proj = np.subtract(ia, uu * (ws.U_t[sl] * inv), out=ws.IA_proj[sl])
+        push = frames.xm_t[sl] @ proj @ frames.xm[sl]
+        lv.scatter(ws.IA, 0.5 * (push + push.swapaxes(1, 2)))
+        work += lv.moving * _JOINT_FACTOR + lv.size * (flops.XINERTIA + 36)
     flops.add(work)
 
 
-def _bias_pass(model: Model, cache: KinematicsCache, ws: _Sweep, links,
+def _root_inertia(model: Model, ws: _Sweep) -> int:
+    ia, nv = ws.IA[0], model.joints[0].nv
+    ws.root_U = ws.root_D = None
+    ws.IA_proj[0] = ia
+    if not nv:
+        return 0
+    s = model.S[0]
+    uu = ia @ s
+    try:
+        dfac = linalg.SmallPD(s.T @ uu)
+    except NotPositiveDefinite:
+        if model.base_kind == "floating":
+            raise SingularBaseInertia(
+                "floating-base articulated inertia is singular") from None
+        raise SingularJointInertia("joint 0 inertia is singular") from None
+    ws.root_U, ws.root_D = uu, dfac
+    ws.IA_proj[0] = ia - uu @ dfac.solve(uu.T)
+    return flops.gemm(6, 6, nv) + flops.gemm(nv, 6, nv) + flops.cholesky(nv) \
+        + flops.chol_solve(nv, 6) + flops.gemm(6, nv, 6)
+
+
+def _bias_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels,
                tau: np.ndarray | None = None, root: bool = False) -> None:
-    """Joint biases u and articulated biases pA over `links`, children first.
+    """Joint biases u and articulated biases pA over `levels`, children first.
 
     ``ws.pA`` holds each link's own bias on entry: the velocity products
-    plus any added bias.  With `tau` this is the bias recursion of the
-    articulated-body algorithm, pushing pA + IA_proj c + U D^-1 u into
-    each parent.  Without it the pass is homogeneous (no tau, no c):
-    with fixed factors the bias and forward passes are affine in the
-    bias, so the pass gives the change that the bias in ``ws.pA`` makes,
-    provided `links` holds the root paths of the links carrying it.
-    `root` also forms the base's projected bias, which nothing reads; the
-    exact solvers keep it so that their flop counts stay comparable.
+    plus any added bias.  With `tau` (in the plan layout of ``_slots``)
+    this is the bias recursion of the articulated-body algorithm, pushing
+    pA + IA_proj c + U D^-1 u into each parent.  Without it the pass is
+    homogeneous (no tau, no c): with fixed factors the bias and forward
+    passes are affine in the bias, so the pass gives the change that the
+    bias in ``ws.pA`` makes, provided `levels` hold the root paths of the
+    links carrying it.  `root` also forms the base's projected bias,
+    which nothing reads; the exact solvers keep it so that their flop
+    counts stay comparable.
     """
-    pa = ws.pA
-    links = list(links)
-    if tau is not None:
-        ia_proj_c = (ws.IA_proj[links] @ cache.c[links, :, None])[:, :, 0]
+    plan, frames = model.plan, cache.frames
     work = 0
-    for k, i in enumerate(links):
-        nv = model.joints[i].nv
-        p = model.parent[i]
-        if nv:
-            s = model.S[i]
-            if tau is None:
-                u_i = -(s.T @ pa[i])
-            else:
-                u_i = tau[model.v_block(i)] - s.T @ pa[i]
-            ws.u[i] = u_i
-            work += 11 * nv
-            if p >= 0 or root:
-                work += flops.gemm(6, nv, 1) + flops.chol_solve(nv) + flops.ADD6
-                if tau is None:
-                    pa_proj = pa[i] + ws.uu[i] @ ws.dfac[i].solve(u_i)
-                else:
-                    pa_proj = pa[i] + ia_proj_c[k] + ws.uu[i] @ ws.dfac[i].solve(u_i)
-                    work += flops.APPLY_I + flops.ADD6
+    for lv in reversed(levels):
+        sl = lv.links
+        if lv.parents is None:
+            work += _root_bias(model, cache, ws, tau, root)
+            continue
+        pa = ws.pA[sl]
+        su = plan.ST[sl] @ pa
+        if tau is None:
+            u = -su
         else:
-            ws.u[i] = None
-            if tau is None:
-                pa_proj = pa[i]
-            else:
-                pa_proj = pa[i] + ia_proj_c[k]
-                work += flops.APPLY_I
-        if p >= 0:
-            pa[p] += xft6(cache.rot[i], cache.trans[i], pa_proj)
-            work += flops.XFORCE_T + flops.ADD6
+            u = tau[sl] - su
+            pa = pa + ws.IA_proj[sl] @ frames.c[sl]
+            work += lv.size * flops.APPLY_I + lv.moving * flops.ADD6
+        ws.u[sl] = u
+        pa = pa + ws.U[sl] * (u * ws.D_inv[sl])
+        lv.scatter(ws.pA, frames.xft6(sl, pa))
+        work += lv.moving * _JOINT_BIAS + lv.size * (flops.XFORCE_T + flops.ADD6)
     flops.add(work)
 
 
-def _forward_pass(model: Model, cache: KinematicsCache, ws: _Sweep, links,
-                  qdd: np.ndarray, lam: np.ndarray | None = None,
-                  elim: list | None = None, change: bool = False) -> None:
-    """Link accelerations and qdd over `links`, parents first.
+def _root_bias(model: Model, cache: KinematicsCache, ws: _Sweep,
+               tau: np.ndarray | None, root: bool) -> int:
+    pa, nv = ws.pA[0, :, 0], model.joints[0].nv
+    work = 11 * nv
+    if nv:
+        su = model.S[0].T @ pa
+        ws.root_u = u = -su if tau is None else tau[model.n_links:, 0, 0] - su
+    if tau is not None and (root or not nv):
+        pa = pa + ws.IA_proj[0] @ cache.c[0]
+        work += flops.APPLY_I + (flops.ADD6 if nv else 0)
+    if nv and root:
+        pa = pa + ws.root_U @ ws.root_D.solve(u)
+        work += flops.gemm(6, nv, 1) + flops.chol_solve(nv) + flops.ADD6
+    return work
+
+
+def _forward_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels,
+                  lam: np.ndarray | None = None, elim: list | None = None,
+                  change: bool = False) -> None:
+    """Link and joint accelerations over `levels`, parents first.
 
     The full form starts from the world's acceleration -g, adds each
-    link's c and writes ``ws.a``; `lam` adds the coupling term K_S' lam
-    and `elim` back-substitutes the rows eliminated early at each link.
-    With `change` it is the homogeneous form of the bias pass's: from
-    rest, without c, into ``ws.da`` (each link's parent listed first or
-    already done); a link whose ``ws.u`` is None carries no bias.
+    link's c and writes ``ws.acc``, ``ws.qj`` and ``ws.a``; `lam` adds
+    the coupling term K_S' lam at the support links of the levels and
+    `elim` back-substitutes the rows eliminated early there.  With
+    `change` it is the homogeneous form of the bias pass's: from rest,
+    without c, into ``ws.da`` and ``ws.dqj`` (each link's parent in the
+    levels or already done).
     """
-    a = ws.da if change else ws.a
-    a_world = -model.gravity6()
+    plan, frames = model.plan, cache.frames
+    acc, qj = (ws.da, ws.dqj) if change else (ws.acc, ws.qj)
     work = 0
-    for i in links:
-        p = model.parent[i]
-        if not change:
-            a_in = xm6(cache.rot[i], cache.trans[i], a_world if p < 0 else a[p]) \
-                + cache.c[i]
-            work += flops.XMOT + flops.ADD6
-        elif p >= 0:
-            a_in = xm6(cache.rot[i], cache.trans[i], a[p])
-            work += flops.XMOT
+    for lv in levels:
+        sl = lv.links
+        if lv.parents is None:
+            work += _root_forward(model, cache, ws, lv, lam, change)
         else:
-            a_in = np.zeros(6)
-        nv = model.joints[i].nv
-        if nv:
-            u_i = ws.u[i]
-            t = -(ws.uu[i].T @ a_in) if u_i is None else u_i - ws.uu[i].T @ a_in
-            if lam is not None and ws.ks[i] is not None:
-                t = t + ws.ks[i].T @ lam[ws.ks_rows[i]]
-                work += flops.gemm(nv, len(ws.ks_rows[i]), 1)
-            blk = ws.dfac[i].solve(t)
-            qdd[model.v_block(i)] = blk
-            a[i] = a_in + model.S[i] @ blk
-            work += flops.gemm(nv, 6, 1) + flops.chol_solve(nv) + 6 * nv + flops.ADD6
-        else:
-            a[i] = a_in
-        if elim:
+            a_in = frames.xm6(sl, acc[lv.parents])
+            if not change:
+                a_in += frames.c[sl]
+            t = ws.u[sl] - ws.U_t[sl] @ a_in
+            for j, i in lv.support if lam is not None else ():
+                if ws.ks[i] is not None:
+                    t[j, 0] += ws.ks[i].T @ lam[ws.ks_rows[i]]
+                    work += flops.gemm(1, len(ws.ks_rows[i]), 1)
+            qj[sl] = q = t * ws.D_inv[sl]
+            acc[sl] = a_in + plan.S[sl] * q
+            work += lv.size * (flops.XMOT + (0 if change else flops.ADD6)) \
+                + lv.moving * _JOINT_ACC
+        for _, i in lv.support if elim else ():
             for rec in reversed(elim[i]):
-                rhs = rec.K @ a[i] + rec.l_j
+                rhs = rec.K @ acc[plan.position[i], :, 0] + rec.l_j
                 if rec.other_rows.size:
                     rhs = rhs + rec.L_jo @ lam[rec.other_rows]
                     work += flops.gemm(len(rec.rows), rec.other_rows.size, 1)
                 lam[rec.rows] = -linalg.chol_solve(rec.low, rhs)
                 work += flops.gemm(len(rec.rows), 6, 1) + flops.chol_solve(len(rec.rows))
+    if not change:
+        np.take(acc[:, :, 0], plan.position, axis=0, out=ws.a)
     flops.add(work)
+
+
+def _root_forward(model: Model, cache: KinematicsCache, ws: _Sweep, lv: Level,
+                  lam: np.ndarray | None, change: bool) -> int:
+    acc, qj = (ws.da, ws.dqj) if change else (ws.acc, ws.qj)
+    if change:
+        a_in, work = np.zeros(6), 0
+    else:
+        a_in = xm6(cache.rot[0], cache.trans[0], -model.gravity6()) + cache.c[0]
+        work = flops.XMOT + flops.ADD6
+    nv = model.joints[0].nv
+    if nv:
+        t = ws.root_u - ws.root_U.T @ a_in
+        if lam is not None and lv.support and ws.ks[0] is not None:
+            t = t + ws.ks[0].T @ lam[ws.ks_rows[0]]
+            work += flops.gemm(nv, len(ws.ks_rows[0]), 1)
+        qj[model.n_links:, 0, 0] = blk = ws.root_D.solve(t)
+        a_in = a_in + model.S[0] @ blk
+        work += flops.gemm(nv, 6, 1) + flops.chol_solve(nv) + 6 * nv + flops.ADD6
+    acc[0, :, 0] = a_in
+    return work
 
 
 def _aba(model: Model, cache: KinematicsCache, ws: _Sweep, tau: np.ndarray,
@@ -366,15 +455,15 @@ def _aba(model: Model, cache: KinematicsCache, ws: _Sweep, tau: np.ndarray,
     """Inertia, bias and forward pass over the whole tree, with extra
     inertia `added` and extra bias `bias` per link; returns qdd (link
     accelerations in ``ws.a``)."""
-    np.copyto(ws.IA, model.inertia66)
-    _add_terms(ws.IA, added)
-    ws.pA[:] = velocity_products(model, cache)
-    _add_terms(ws.pA, bias)
-    _inertia_pass(model, cache, ws, _down(model))
-    _bias_pass(model, cache, ws, _down(model), tau)
-    qdd = np.zeros(model.nv)
-    _forward_pass(model, cache, ws, range(model.n_links), qdd)
-    return qdd
+    plan = model.plan
+    np.copyto(ws.IA, plan.inertia66)
+    _add_terms(model, ws.IA, added)
+    ws.pA[:, :, 0] = velocity_products(model, cache)[plan.order]
+    _add_terms(model, ws.pA, bias)
+    _inertia_pass(model, cache, ws, plan.sweep)
+    _bias_pass(model, cache, ws, plan.sweep, _slots(model, tau))
+    _forward_pass(model, cache, ws, plan.sweep)
+    return _dofs(model, ws.qj)
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +532,13 @@ def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, links,
         nv = model.joints[i].nv
         k_new = ka
         if nv:
-            uu = ws.uu[i]
+            uu, solve, u_i = _factor(model, ws, i)
             ks = ka @ model.S[i]
-            w = ws.dfac[i].solve(ks.T).T
+            w = solve(ks.T).T
             ws.L[np.ix_(ract, ract)] += w @ ks.T
             if with_l:
                 c_i = cache.c[i]
-                ws.l[ract] += ka @ c_i + w @ (ws.u[i] - uu.T @ c_i)
+                ws.l[ract] += ka @ c_i + w @ (u_i - uu.T @ c_i)
                 work += flops.gemm(r, 6, 1) + flops.gemm(r, nv, 1)
             k_new = ka - w @ uu.T
             ws.ks[i] = ks
@@ -471,6 +560,7 @@ def _eliminate(cs: ConstraintSet, ws: PvWorkspace, links, alive: np.ndarray,
     """Early elimination at each of `links` (support links, before their
     projections): every coupled constraint block that has become safely
     invertible is solved out of L and l into IA, pA and the other rows."""
+    position = ws.model.plan.position
     work = 0
     for i in links:
         rows_i = ws.rows[i]
@@ -497,8 +587,8 @@ def _eliminate(cs: ConstraintSet, ws: PvWorkspace, links, alive: np.ndarray,
             x_k = linalg.chol_solve(low, kj)
             x_l = linalg.chol_solve(low, ljo) if others.size else ljo
             x_b = linalg.chol_solve(low, lj)
-            ws.IA[i] += kj.T @ x_k
-            ws.pA[i] += kj.T @ x_b
+            ws.IA[position[i]] += kj.T @ x_k
+            ws.pA[position[i], :, 0] += kj.T @ x_b
             work += flops.gemm(6, len(rj), 6) + flops.gemm(6, len(rj), 1)
             if others.size:
                 ws.K[i][pos_o] -= ljo.T @ x_k
@@ -525,9 +615,11 @@ def _exact(model: Model, state: State, tau, cs: ConstraintSet, ws: PvWorkspace,
         cache = forward_kinematics(model, state)
     n = model.n_links
     m = cs.m
+    plan = model.plan
     beta = _beta_hat(model, cache, cs, ws.beta) if m else ws.beta
-    np.copyto(ws.IA, model.inertia66)
-    ws.pA[:] = velocity_products(model, cache)
+    np.copyto(ws.IA, plan.inertia66)
+    ws.pA[:, :, 0] = velocity_products(model, cache)[plan.order]
+    tau = _slots(model, tau)
     _seed_coupling(cs, ws, beta)
     lam = ws.lam
     lam[:] = 0.0
@@ -536,14 +628,15 @@ def _exact(model: Model, state: State, tau, cs: ConstraintSet, ws: PvWorkspace,
     ws.counters = {"base_dual_dim": 0, "dual_factor_dims": []}
 
     if early:
-        for level, support in ws.levels:
+        for lv in reversed(ws.sweep):
+            support = [i for _, i in lv.support]
             _eliminate(cs, ws, support, alive, elim_at)
-            _inertia_pass(model, cache, ws, level)
-            _bias_pass(model, cache, ws, level, tau, root=True)
+            _inertia_pass(model, cache, ws, (lv,))
+            _bias_pass(model, cache, ws, (lv,), tau, root=True)
             _coupling_pass(model, cache, ws, support, alive)
     else:
-        _inertia_pass(model, cache, ws, _down(model))
-        _bias_pass(model, cache, ws, _down(model), tau, root=True)
+        _inertia_pass(model, cache, ws, ws.sweep)
+        _bias_pass(model, cache, ws, ws.sweep, tau, root=True)
         _coupling_pass(model, cache, ws, ws.support[::-1])
 
     # dense dual solve for whatever rows survived to the base
@@ -560,8 +653,8 @@ def _exact(model: Model, state: State, tau, cs: ConstraintSet, ws: PvWorkspace,
         lam[act] = linalg.chol_solve(low, rhs)
         flops.add(flops.chol_solve(act.size))
 
-    qdd = np.zeros(model.nv)
-    _forward_pass(model, cache, ws, range(n), qdd, lam, elim_at)
+    _forward_pass(model, cache, ws, ws.sweep, lam, elim_at)
+    qdd = _dofs(model, ws.qj)
 
     resid = 0.0
     if m:
@@ -677,10 +770,9 @@ def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
     # one sweeps the support for the change the bias -K' lam makes
     qdd = _aba(model, cache, ws, tau, reg, _multiplier_bias(cs, beta / mu))
     a0 = ws.a
-    support = list(ws.support)
-    dqdd = np.zeros(model.nv)
+    position = model.plan.position
     da = ws.da
-    da[support] = 0.0
+    da[ws.support_pos] = 0.0
     lam = ws.lam
     lam[:] = 0.0
     resid = ws.resid
@@ -688,14 +780,14 @@ def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
     history: list[float] = []
     for it in range(1, settings.max_iter + 1):
         if it > 1:
-            ws.pA[support] = 0.0
-            _add_terms(ws.pA, _multiplier_bias(cs, lam))
-            _bias_pass(model, cache, ws, support[::-1])
-            _forward_pass(model, cache, ws, support, dqdd, change=True)
+            ws.pA[ws.support_pos] = 0.0
+            _add_terms(model, ws.pA, _multiplier_bias(cs, lam))
+            _bias_pass(model, cache, ws, ws.support_levels)
+            _forward_pass(model, cache, ws, ws.support_levels, change=True)
         work = 0
         for ci, con in enumerate(cs):
             rows = cs.rows(ci)
-            resid[rows] = con.K @ (a0[con.link] + da[con.link]) - beta[rows]
+            resid[rows] = con.K @ (a0[con.link] + da[position[con.link], :, 0]) - beta[rows]
             work += flops.gemm(con.dim, 6, 1) + flops.ADD6
         flops.add(work)
         lam -= resid / mu
@@ -714,10 +806,9 @@ def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
                 break
     if it > 1:
         # the bias change is zero off the support
-        for i in ws.off_support:
-            ws.u[i] = None
-        _forward_pass(model, cache, ws, ws.off_support, dqdd, change=True)
-        qdd += dqdd
+        ws.u[ws.off_pos] = 0.0
+        _forward_pass(model, cache, ws, ws.off_levels, change=True)
+        qdd += _dofs(model, ws.dqj)
     if status == "least_squares":
         # lam has drifted along the infeasible residual by resid/mu per
         # iteration; taking that component off leaves the min-norm lam

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flops, linalg
-from .constrained import (PvWorkspace, SolverSettings, _coupling_pass, _down,
+from .constrained import (PvWorkspace, SolverSettings, _coupling_pass, _factor,
                           _inertia_pass, _seed_coupling)
-from .kinematics import forward_kinematics
+from .kinematics import KinematicsCache, forward_kinematics
 from .model import ConstraintSet, Model, State
 from .spatial import xft6
 
@@ -88,19 +88,21 @@ def _coupled_delassus(model: Model, cache, cs: ConstraintSet, ws: PvWorkspace) -
     """Lambda as the base L block of the inertia and coupling passes."""
     if cs.m == 0:
         return np.zeros((0, 0))
-    np.copyto(ws.IA, model.inertia66)
+    np.copyto(ws.IA, model.plan.inertia66)
     _seed_coupling(cs, ws)
-    _inertia_pass(model, cache, ws, _down(model))
+    _inertia_pass(model, cache, ws, model.plan.sweep)
     _coupling_pass(model, cache, ws, ws.support[::-1], with_l=False)
     out = ws.L.copy()
     return 0.5 * (out + out.T)
 
 
 def pv_osim(model: Model, state: State, cs: ConstraintSet,
-            ws: PvWorkspace | None = None) -> DelassusOperator:
+            ws: PvWorkspace | None = None,
+            cache: KinematicsCache | None = None) -> DelassusOperator:
     """Delassus matrix as the base-level coupling block of the exact sweep."""
     ws = PvWorkspace.ensure(model, cs, ws)
-    cache = forward_kinematics(model, state)
+    if cache is None:
+        cache = forward_kinematics(model, state)
     lam = _coupled_delassus(model, cache, cs, ws)
     return DelassusOperator("explicit", lam, offsets=tuple(cs.offsets))
 
@@ -114,8 +116,8 @@ def _push_block(model: Model, ws: PvWorkspace, cache, i: int,
     """Apply the joint-i force propagator and frame change to a 6 x k block."""
     nv = model.joints[i].nv
     if nv:
-        s = model.S[i]
-        reduced = block - ws.uu[i] @ ws.dfac[i].solve(s.T @ block)
+        uu, solve, _ = _factor(model, ws, i)
+        reduced = block - uu @ solve(model.S[i].T @ block)
         flops.add(flops.gemm(model.joints[i].nv, 6, block.shape[1])
                   + flops.chol_solve(nv, block.shape[1])
                   + flops.gemm(6, nv, block.shape[1]))
@@ -127,7 +129,8 @@ def _push_block(model: Model, ws: PvWorkspace, cache, i: int,
 
 def extended_force_propagator(model: Model, state: State, link: int,
                               ancestor: int,
-                              ws: PvWorkspace | None = None) -> np.ndarray:
+                              ws: PvWorkspace | None = None,
+                              cache: KinematicsCache | None = None) -> np.ndarray:
     """6x6 force propagator from `link` up to `ancestor` (or -1, the world).
 
     The propagator of an empty path (link to itself) is the identity, and
@@ -136,9 +139,10 @@ def extended_force_propagator(model: Model, state: State, link: int,
     """
     if ws is None:
         ws = PvWorkspace(model, ConstraintSet.empty())
-    cache = forward_kinematics(model, state)
-    np.copyto(ws.IA, model.inertia66)
-    _inertia_pass(model, cache, ws, _down(model))
+    if cache is None:
+        cache = forward_kinematics(model, state)
+    np.copyto(ws.IA, model.plan.inertia66)
+    _inertia_pass(model, cache, ws, model.plan.sweep)
     prop = np.eye(6)
     j = link
     while j != ancestor:
@@ -150,15 +154,17 @@ def extended_force_propagator(model: Model, state: State, link: int,
 
 
 def pv_osimr(model: Model, state: State, cs: ConstraintSet,
-             ws: PvWorkspace | None = None) -> DelassusOperator:
+             ws: PvWorkspace | None = None,
+             cache: KinematicsCache | None = None) -> DelassusOperator:
     """Delassus matrix by composing extended propagators at tree junctions."""
     ws = PvWorkspace.ensure(model, cs, ws)
-    cache = forward_kinematics(model, state)
+    if cache is None:
+        cache = forward_kinematics(model, state)
     m = cs.m
     if m == 0:
         return DelassusOperator("explicit", np.zeros((0, 0)), offsets=())
-    np.copyto(ws.IA, model.inertia66)
-    _inertia_pass(model, cache, ws, _down(model))
+    np.copyto(ws.IA, model.plan.inertia66)
+    _inertia_pass(model, cache, ws, model.plan.sweep)
 
     # group constraint rows by link
     rows_by_link: dict[int, np.ndarray] = {}
@@ -198,7 +204,7 @@ def pv_osimr(model: Model, state: State, cs: ConstraintSet,
             nv = model.joints[j].nv
             if nv:
                 phi = t @ model.S[j]
-                sigma += phi @ ws.dfac[j].solve(phi.T)
+                sigma += phi @ _factor(model, ws, j)[1](phi.T)
                 flops.add(flops.gemm(6, 6, nv) + flops.chol_solve(nv, 6)
                           + flops.gemm(6, nv, 6))
             t = _push_block(model, ws, cache, j, t.T).T
@@ -249,7 +255,8 @@ def pv_osimr(model: Model, state: State, cs: ConstraintSet,
 
 def caba_osim(model: Model, state: State, cs: ConstraintSet,
               settings: SolverSettings | None = None,
-              ws: PvWorkspace | None = None) -> DelassusOperator:
+              ws: PvWorkspace | None = None,
+              cache: KinematicsCache | None = None) -> DelassusOperator:
     """Damped Delassus inverse (Lambda + mu I)^-1.
 
     Assembles the coupling blocks with the exact tau-independent sweep
@@ -260,7 +267,8 @@ def caba_osim(model: Model, state: State, cs: ConstraintSet,
     """
     settings = settings or SolverSettings()
     ws = PvWorkspace.ensure(model, cs, ws)
-    cache = forward_kinematics(model, state)
+    if cache is None:
+        cache = forward_kinematics(model, state)
     m = cs.m
     if m == 0:
         return DelassusOperator("damped_inverse", np.zeros((0, 0)), mu=settings.mu)

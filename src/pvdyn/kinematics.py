@@ -11,9 +11,10 @@ terms (joint transforms, composition with the placements, joint twists,
 recursion then runs one array step per depth level, since links at the
 same depth do not depend on each other: world poses and twists, then
 ``c`` for the whole tree at once, then ``avp``.  The schedule is the
-model's ``LevelPlan``.  The arithmetic and its flop charge are those of
-the per-link recursion; only the Python overhead changes, from per link
-to per level.  ``velocity_products`` does the same for the bias forces
+model's ``LevelPlan``, and the cache keeps the frames in its order for
+the articulated sweeps.  The arithmetic and its flop charge are those
+of the per-link recursion; only the Python overhead changes, from per
+link to per level.  ``velocity_products`` does the same for the bias forces
 ``v x* (I v)`` that every sweep starts from.
 
 Cache construction is a pure function of (model, state); caches are
@@ -45,6 +46,46 @@ class KinematicsCache:
     c: np.ndarray          # (n,6)   velocity-product accelerations
     avp: np.ndarray        # (n,6)   zero-gravity acceleration at qdd = 0
     vj: np.ndarray         # (n,6)   joint-contributed twists
+    frames: "PlanFrames | None" = None     # set by forward_kinematics
+
+
+# f -> (f_z, f_x, f_y, f_y, f_z, f_x); times (p_y, p_z, p_x, p_z, p_x, p_y),
+# the first half less the second is p x f, formed as the per-link kernels do
+_ROLL = np.array([2, 0, 1, 1, 2, 0])
+
+
+@dataclass
+class PlanFrames:
+    """Joint frames and ``c`` in plan order (``Model.plan``) for the level
+    sweeps, vectors as (n,6,1) columns.  ``xm6`` and ``xft6`` do the
+    arithmetic of ``spatial.xm6`` and ``spatial.xft6`` in the same order."""
+
+    xm: np.ndarray         # (n,6,6) parent-to-link motion transforms
+    rot: np.ndarray        # (n,3,3) parent-to-link rotations
+    p_roll: np.ndarray     # (n,6,1) rolled translations
+    c: np.ndarray          # (n,6,1) velocity-product accelerations
+
+    def __post_init__(self):
+        self.xm_t = self.xm.swapaxes(1, 2)
+        self.p_row = self.p_roll[:, :, 0]
+
+    def xm6(self, links, v: np.ndarray) -> np.ndarray:
+        """Motion transforms of (k,6,1) columns v into the links' frames."""
+        rot = self.rot[links]
+        q = self.p_roll[links] * v.take(_ROLL, axis=1)
+        return np.concatenate((rot @ v[:, :3], rot @ (v[:, 3:] - (q[:, :3] - q[:, 3:]))),
+                              axis=1)
+
+    def xft6(self, links, f: np.ndarray) -> np.ndarray:
+        """Transposed motion transforms of (k,6,1) force columns f (the
+        pushes from the links into their parents)."""
+        g = f.reshape(-1, 2, 3) @ self.rot[links]     # rows R' f_ang, R' f_lin
+        q = self.p_row[links] * g[:, 1].take(_ROLL, axis=1)
+        g[:, 0] += q[:, :3] - q[:, 3:]
+        return g.reshape(-1, 6, 1)
+
+
+_SKEW_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
 
 
 def forward_kinematics(model: Model, state: State) -> KinematicsCache:
@@ -76,10 +117,12 @@ def forward_kinematics(model: Model, state: State) -> KinematicsCache:
     # 6x6 motion transforms and 4x4 link-to-world poses [[w_rot', w_trans], [0, 1]]
     order = plan.order
     rot_l, trans_l, vj_l = rot[order], trans[order], vj[order]
+    skew = np.zeros((n, 9))
+    skew[:, [1, 2, 3, 5, 6, 7]] = trans_l[:, [2, 1, 2, 0, 1, 0]] * _SKEW_SIGNS
     xm = np.zeros((n, 6, 6))
     xm[:, :3, :3] = rot_l
     xm[:, 3:, 3:] = rot_l
-    xm[:, 3:, :3] = cross_rows(trans_l[:, None, :], rot_l)    # -R skew(p), row-wise
+    xm[:, 3:, :3] = -rot_l @ skew.reshape(n, 3, 3)
     pose = np.zeros((n, 4, 4))
     pose[:, :3, :3] = np.swapaxes(rot_l, 1, 2)
     pose[:, :3, 3] = trans_l
@@ -102,7 +145,9 @@ def forward_kinematics(model: Model, state: State) -> KinematicsCache:
     w_rot = np.swapaxes(world[:, :3, :3], 1, 2).copy()
     w_trans = world[:, :3, 3].copy()
     flops.add(plan.fk_flops)
-    return KinematicsCache(rot, trans, w_rot, w_trans, v[back], c[back], avp[back], vj)
+    frames = PlanFrames(xm, rot_l, trans_l[:, [1, 2, 0, 2, 0, 1], None], c[:, :, None])
+    return KinematicsCache(rot, trans, w_rot, w_trans, v[back], c[back], avp[back], vj,
+                           frames)
 
 
 def velocity_products(model: Model, cache: KinematicsCache) -> np.ndarray:

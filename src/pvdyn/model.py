@@ -18,6 +18,7 @@ threads; State is a plain value type.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -99,11 +100,11 @@ class Joint:
         return np.eye(3), np.zeros(3)
 
 
-def _index(idx: np.ndarray):
-    """A slice where the indices are one ascending run, else the index array."""
-    if idx.size and np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
-        return slice(int(idx[0]), int(idx[0]) + idx.size)
-    return idx
+def _index(idx: list[int]):
+    """A slice where the indices are one ascending run, else an index array."""
+    if all(b - a == 1 for a, b in zip(idx, idx[1:])):
+        return slice(idx[0], idx[-1] + 1)
+    return np.array(idx)
 
 
 @dataclass(frozen=True)
@@ -118,17 +119,48 @@ class JointGroup:
 
 
 @dataclass(frozen=True)
-class LevelPlan:
-    """Schedule of the link-batched kinematics front end.
+class Level:
+    """One array step of the articulated sweeps: the links of a subset at
+    one depth, as positions in plan order (the root level has no parents).
+    ``steps`` pairs offsets in the level with parent positions, each
+    parent at most once per step: every parent's last child first, then
+    the one before it, so that each parent sums its children in
+    descending link order.  ``moving`` counts the 1-dof joints;
+    ``support`` lists a workspace's support links here as (offset, link)
+    in descending link order.
+    """
 
-    Links at the same depth do not depend on each other, so the
+    links: slice | np.ndarray
+    parents: slice | np.ndarray | None
+    steps: tuple
+    size: int
+    moving: int
+    support: tuple = ()
+
+    def scatter(self, buf: np.ndarray, push: np.ndarray) -> None:
+        """Add each link's push into its parent's row of `buf`."""
+        for links, parents in self.steps:
+            buf[parents] += push[links]
+
+
+@dataclass(frozen=True)
+class LevelPlan:
+    """Schedule of the link-batched kinematics and articulated sweeps.
+
+    Links at the same depth do not depend on each other, so each
     recursion runs one array step per level.  It runs in level order:
-    ``order`` lists the links by depth (stable in index) and
-    ``position`` is its inverse.  ``levels[d - 1]`` holds, as positions
-    in that order, the slice of the links at depth d and their parents
-    (a slice where contiguous, else an index array).  The link-local
-    joint work runs once over each 1-dof joint-kind group and per
-    floating link.
+    ``order`` lists the links breadth first (by depth, then by parent,
+    then by index) and ``position`` is its inverse.  ``levels[d - 1]``
+    holds, as positions in that order, the slice of the links at depth d
+    and their parents (a slice where contiguous, else an index array).
+    The link-local joint work runs once over each 1-dof joint-kind group
+    and per floating link.
+
+    The articulated sweeps run on ``sweep``, the levels of the whole tree
+    from the root down, with each joint below the root stacked as a 6 x 1
+    column of ``S`` (zero at a fixed joint, where ``fixed`` is 1).  A joint
+    vector in plan layout has a slot per position and then the root's
+    dofs; ``dof_slot`` and ``slot_dof`` map dofs and slots (nv: padding).
     """
 
     order: np.ndarray
@@ -138,6 +170,15 @@ class LevelPlan:
     prismatic: JointGroup
     floating: tuple[int, ...]
     fk_flops: int          # flops of one forward-kinematics pass
+    parent: np.ndarray     # parent position of each position (-1 at the root)
+    depth: np.ndarray      # depth of each position
+    S: np.ndarray          # (n,6,1)
+    ST: np.ndarray         # (n,1,6), a view of S
+    fixed: np.ndarray      # (n,1,1)
+    inertia66: np.ndarray  # (n,6,6) link inertias
+    dof_slot: np.ndarray
+    slot_dof: np.ndarray
+    sweep: tuple[Level, ...]
 
     @staticmethod
     def of(model: "Model") -> "LevelPlan":
@@ -150,18 +191,62 @@ class LevelPlan:
                               np.array([model.v_offset[i] for i in links], dtype=int),
                               np.array([model.joints[i].axis for i in links]).reshape(-1, 3))
 
-        order = np.argsort(model.link_depth, kind="stable")
+        n = model.n_links
+        if any(j.nv > 1 for j in model.joints[1:]):
+            raise ValueError("floating joints are only allowed on link 0")
+        order, frontier = [0], [0]
+        while frontier:
+            frontier = [c for p in frontier for c in model.children[p]]
+            order += frontier
+        order = np.array(order, dtype=int)
         position = np.empty_like(order)
-        position[order] = np.arange(model.n_links)
-        bounds = np.searchsorted(model.link_depth[order], np.arange(model.depth + 2))
-        levels = []
-        for d in range(1, model.depth + 1):
-            links = slice(int(bounds[d]), int(bounds[d + 1]))
-            levels.append((links, _index(position[model.parent[order[links]]])))
-        fk_flops = model.n_links * (flops.AXIS_ANGLE + 2 * flops.COMPOSE + 2 * flops.XMOT
-                                    + flops.CROSS_M + 2 * flops.ADD6) + 6 * model.nv
-        return LevelPlan(order, position, tuple(levels), group("revolute"),
-                         group("prismatic"), tuple(links_of("floating")), fk_flops)
+        position[order] = np.arange(n)
+        parent = np.where(order > 0, position[model.parent[order]], -1)
+        moving = np.array([i > 0 and model.joints[i].nv == 1 for i in order])
+        s = np.stack([model.S[i] if m else np.zeros((6, 1)) for i, m in zip(order, moving)])
+        fixed = (~moving).astype(float).reshape(n, 1, 1)
+        depth = model.link_depth[order]
+        sweep = _levels(parent, depth, fixed, np.arange(n))
+        fk_flops = n * (flops.AXIS_ANGLE + 2 * flops.COMPOSE + 2 * flops.XMOT
+                        + flops.CROSS_M + 2 * flops.ADD6) + 6 * model.nv
+        slot_dof = np.r_[np.where(moving, np.array(model.v_offset)[order], model.nv),
+                         np.arange(model.joints[0].nv)]
+        return LevelPlan(order, position, tuple((lv.links, lv.parents) for lv in sweep[1:]),
+                         group("revolute"), group("prismatic"), tuple(links_of("floating")),
+                         fk_flops, parent, depth, s, s.swapaxes(1, 2), fixed,
+                         model.inertia66[order], np.argsort(slot_dof, kind="stable")[:model.nv],
+                         slot_dof, sweep)
+
+    def levels_of(self, links) -> tuple[Level, ...]:
+        """The levels of a link subset, from the root down."""
+        return _levels(self.parent, self.depth, self.fixed,
+                       np.sort(self.position[np.asarray(links, dtype=int)]))
+
+
+def _levels(parent: np.ndarray, depth: np.ndarray, fixed: np.ndarray,
+            pos: np.ndarray) -> tuple[Level, ...]:
+    """The levels of the sorted plan positions `pos`."""
+    parent, depth = parent.tolist(), depth.tolist()
+    moving = (fixed[:, 0, 0] == 0.0).tolist()
+    out = []
+    for _, level in itertools.groupby(pos.tolist(), key=depth.__getitem__):
+        p = list(level)
+        if p[0] == 0:
+            out.append(Level(slice(0, 1), None, (), 1, 0))
+            continue
+        par = [parent[k] for k in p]
+        # rank of each link among its siblings here, counted from the last
+        rank = [0] * len(p)
+        for j in range(len(p) - 2, -1, -1):
+            if par[j] == par[j + 1]:
+                rank[j] = rank[j + 1] + 1
+        parents = _index(par)
+        steps = ((slice(None), parents),) if not max(rank) else tuple(
+            (_index([j for j, r in enumerate(rank) if r == step]),
+             _index([q for q, r in zip(par, rank) if r == step]))
+            for step in range(max(rank) + 1))
+        out.append(Level(_index(p), parents, steps, len(p), sum(moving[k] for k in p)))
+    return tuple(out)
 
 
 class Model:

@@ -114,6 +114,26 @@ class TestBench:
         assert pv.status == "SingularDual" and pv.flops == 0
         assert all(math.isnan(x) for x in (pv.mean_ns, pv.std_ns, pv.min_ns))
 
+    def test_m_list_names_the_model_of_each_failed_cell(self, runner, tmp_path):
+        from pvdyn.bench import load_json
+        out = tmp_path / "bench.json"
+        result = runner.invoke(main, ["bench", "--model", "chain:8,humanoid",
+                                      "--solver", "pv", "--m", "6,24", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        rows = load_json(str(out))
+        assert [(r.n, r.m, r.status) for r in rows] == [
+            (8, 6, "ok"), (38, 6, "ok"), (8, 24, "SingularDual"), (38, 24, "SingularDual")]
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == ["Error: model chain:8, solver pv, m=24: SingularDual",
+                          "Error: model humanoid, solver pv, m=24: SingularDual"]
+
+    def test_bad_m_list_is_usage_error(self, runner):
+        result = runner.invoke(main, ["bench", "--model", "chain:4", "--solver", "aba",
+                                      "--m", "0,x"])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+
     def test_low_reps_usage_error(self, runner):
         result = runner.invoke(main, ["bench", "--model", "chain:4",
                                       "--solver", "pv", "--reps", "3"])

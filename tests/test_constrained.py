@@ -8,8 +8,8 @@ from pvdyn import (ConstraintSet, MotionConstraint, PvWorkspace,
                    random_feasible_instance, random_singular_instance,
                    random_state, relaxed_kkt_oracle, weld_constraint)
 from pvdyn.bench import load_model
-from pvdyn.constrained import (_aba, _add_terms, _beta_hat, _bias_pass, _down,
-                               _forward_pass, _inertia_pass)
+from pvdyn.constrained import (_aba, _add_terms, _beta_hat, _bias_pass, _forward_pass,
+                               _inertia_pass, _slots)
 from pvdyn.errors import SingularDual
 from pvdyn.generators import standard_constraints
 from pvdyn.kinematics import forward_kinematics, velocity_products
@@ -37,16 +37,23 @@ def quadruped():
     return Model(parent, joints, placement, inertia)
 
 
-def full_sweep_caba(model, state, tau, cs, settings=None):
+def engine_aba(model, cache, tau, added, bias):
+    """(qdd, link accelerations) of the engine's whole-tree sweep."""
+    ws = PvWorkspace(model, ConstraintSet.empty())
+    qdd = _aba(model, cache, ws, np.asarray(tau, float), added, bias)
+    return qdd, ws.a
+
+
+def full_sweep_caba(model, state, tau, cs, settings=None, sweep=engine_aba):
     """Reference proximal iteration: one full articulated pass per iteration.
 
     The same multiplier update, stall test and min-norm projection as
     `constrained_aba`, which after its first iteration sweeps only the
-    constraint support.  Returns (qdd, lam, iterations, status).
+    constraint support.  `sweep` runs the whole-tree pass.  Returns (qdd,
+    lam, iterations, status).
     """
     settings = settings or SolverSettings()
     mu = settings.mu
-    ws = PvWorkspace(model, cs)
     cache = forward_kinematics(model, state)
     beta = _beta_hat(model, cache, cs, np.empty(cs.m))
     reg = {}
@@ -62,8 +69,7 @@ def full_sweep_caba(model, state, tau, cs, settings=None):
             rows = cs.rows(ci)
             blk = -con.K.T @ (lam[rows] + beta[rows] / mu)
             bias[con.link] = bias.get(con.link, 0) + blk
-        qdd = _aba(model, cache, ws, np.asarray(tau, float), reg, bias)
-        a = ws.a
+        qdd, a = sweep(model, cache, tau, reg, bias)
         for ci, con in enumerate(cs):
             resid[cs.rows(ci)] = con.K @ a[con.link] - beta[cs.rows(ci)]
         lam -= resid / mu
@@ -406,12 +412,13 @@ class TestSupportSweep:
 
         ws = PvWorkspace(model, cs)
         cache = forward_kinematics(model, state)
-        np.copyto(ws.IA, model.inertia66)
-        _inertia_pass(model, cache, ws, _down(model))
+        plan = model.plan
+        np.copyto(ws.IA, plan.inertia66)
+        _inertia_pass(model, cache, ws, plan.sweep)
         with flops.counted() as count:
-            ws.pA[:] = velocity_products(model, cache)
-            _bias_pass(model, cache, ws, _down(model), tau)
-            _forward_pass(model, cache, ws, range(model.n_links), np.zeros(model.nv))
+            ws.pA[:, :, 0] = velocity_products(model, cache)[plan.order]
+            _bias_pass(model, cache, ws, plan.sweep, _slots(model, tau))
+            _forward_pass(model, cache, ws, plan.sweep)
             full_pass = count()
         assert work(3) - work(2) < full_pass / 3
 
@@ -574,9 +581,15 @@ class TestStoredProjectedInertia:
         cs = ConstraintSet([weld_constraint(10)])
         ws = PvWorkspace(model, cs)
         cache = forward_kinematics(model, random_state(model, 6))
-        np.copyto(ws.IA, model.inertia66)
-        _add_terms(ws.IA, {10: np.eye(6)})
-        _inertia_pass(model, cache, ws, _down(model))
-        for i in range(model.n_links):
-            expected = ws.IA[i] - ws.uu[i] @ ws.du[i] if model.joints[i].nv else ws.IA[i]
-            np.testing.assert_array_equal(ws.IA_proj[i], expected)
+        plan = model.plan
+        np.copyto(ws.IA, plan.inertia66)
+        _add_terms(model, ws.IA, {10: np.eye(6)})
+        _inertia_pass(model, cache, ws, plan.sweep)
+        for k, i in enumerate(plan.order):
+            if i == 0:
+                expected = ws.IA[0] - ws.root_U @ ws.root_D.solve(ws.root_U.T)
+            elif model.joints[i].nv:
+                expected = ws.IA[k] - ws.U[k] @ (ws.U[k].T * ws.D_inv[k])
+            else:
+                expected = ws.IA[k]
+            np.testing.assert_array_equal(ws.IA_proj[k], expected)

@@ -2,8 +2,10 @@
 
 The exact solvers are checked against a reference copy of the one-loop
 engine they replaced, which interleaves the inertia, bias and coupling
-work per link; the flop counts and proximal iteration counts of all
-producers are pinned to the values that engine gave.
+work per link, and the level-batched passes against per-link copies of
+the inertia, bias and forward passes; the flop counts and proximal
+iteration counts of all producers are pinned to the values that the
+per-link engine gave.
 """
 
 import numpy as np
@@ -17,13 +19,16 @@ from pvdyn import (ConstraintSet, Joint, Model, PlueckerTransform, PvWorkspace,
                    random_singular_instance, random_state, weld_constraint)
 from pvdyn.bench import load_model
 from pvdyn.constrained import (_DUAL_PIVOT_RATIO, _ELIM_PIVOT_RATIO,
-                               _Elimination, _beta_hat, _try_chol)
+                               _Elimination, _aba, _add_terms, _beta_hat, _bias_pass,
+                               _dofs, _forward_pass, _try_chol)
 from pvdyn.errors import (NotPositiveDefinite, SingularBaseInertia, SingularDual,
                           SingularJointInertia)
 from pvdyn.generators import standard_constraints
 from pvdyn.kinematics import forward_kinematics, velocity_products
 from pvdyn.spatial import xft6, xi6, xm6
-from test_constrained import with_fixed_joints
+from pvdyn.urdf import parse_urdf_subset
+from test_constrained import full_sweep_caba, with_fixed_joints
+from test_kinematics import MIXED_URDF
 
 
 def reference_pv(model, state, tau, cs, early):
@@ -363,3 +368,168 @@ def test_aba_builds_no_constraint_workspace(monkeypatch, humanoid):
     expected = aba(humanoid, state, tau)
     monkeypatch.setattr(constrained.PvWorkspace, "__init__", refuse)
     np.testing.assert_array_equal(aba(humanoid, state, tau), expected)
+
+
+# ---------------------------------------------------------------------------
+# the level-batched passes
+
+
+def per_link_aba(model, cache, tau, added=None, bias=None):
+    """The per-link articulated-body passes that the level-batched engine
+    replaced: inertias and biases from the leaves, then accelerations from
+    the root, one Python iteration per link.  Returns (qdd, link
+    accelerations)."""
+    n = model.n_links
+    ia = model.inertia66.copy()
+    pa = velocity_products(model, cache)
+    for link, extra in (added or {}).items():
+        ia[link] += extra
+    for link, extra in (bias or {}).items():
+        pa[link] += extra
+    uu, dfac, u = [None] * n, [None] * n, [None] * n
+    for i in range(n - 1, -1, -1):
+        ia_proj, pa_proj = ia[i], pa[i] + ia[i] @ cache.c[i]
+        if model.joints[i].nv:
+            s = model.S[i]
+            uu[i] = ia[i] @ s
+            dfac[i] = linalg.SmallPD(s.T @ uu[i])
+            u[i] = tau[model.v_block(i)] - s.T @ pa[i]
+            ia_proj = ia[i] - uu[i] @ dfac[i].solve(uu[i].T)
+            pa_proj = pa[i] + ia_proj @ cache.c[i] + uu[i] @ dfac[i].solve(u[i])
+        p = model.parent[i]
+        if p >= 0:
+            ia[p] += xi6(cache.rot[i], cache.trans[i], ia_proj)
+            pa[p] += xft6(cache.rot[i], cache.trans[i], pa_proj)
+    qdd = np.zeros(model.nv)
+    a = np.empty((n, 6))
+    for i in range(n):
+        p = model.parent[i]
+        a[i] = xm6(cache.rot[i], cache.trans[i],
+                   -model.gravity6() if p < 0 else a[p]) + cache.c[i]
+        if model.joints[i].nv:
+            qdd[model.v_block(i)] = blk = dfac[i].solve(u[i] - uu[i].T @ a[i])
+            a[i] += model.S[i] @ blk
+    return qdd, a
+
+
+def _welded_tree():
+    tree = load_model("tree:40:3")
+    return with_fixed_joints(tree, {i for i in range(1, tree.n_links)
+                                    if tree.children[i]} & set(range(2, 40, 3)))
+
+
+ENGINE_MODELS = {
+    "chain:1": lambda: load_model("chain:1"),
+    "chain:2": lambda: load_model("chain:2"),
+    "chain:7": lambda: load_model("chain:7"),
+    "chain:64": lambda: load_model("chain:64"),
+    "chain:256": lambda: load_model("chain:256"),
+    "tree:128:3": lambda: load_model("tree:128:3"),
+    "humanoid": generate_humanoid_like,
+    "welded-tree": _welded_tree,
+    "urdf-floating-prismatic": lambda: parse_urdf_subset(MIXED_URDF),
+}
+
+
+def _engine_case(name):
+    model = ENGINE_MODELS[name]()
+    rng = np.random.default_rng(11)
+    state = random_state(model, 11)
+    tau = rng.uniform(-3, 3, model.nv)
+    m = min(6, model.nv - 1)
+    cs = standard_constraints(model, m, seed=11) if m else ConstraintSet.empty()
+    return model, state, tau, cs
+
+
+def _close(x, ref, tol=1e-12):
+    return np.linalg.norm(x - ref) <= tol * (1 + np.linalg.norm(ref))
+
+
+def _soft_terms(cs, beta, weights):
+    reg, bias = {}, {}
+    for ci, con in enumerate(cs):
+        rows = cs.rows(ci)
+        reg[con.link] = reg.get(con.link, 0) + con.K.T @ (con.K / weights[rows][:, None])
+        bias[con.link] = bias.get(con.link, 0) - con.K.T @ (beta[rows] / weights[rows])
+    return reg, bias
+
+
+class TestLevelBatchedEngine:
+    @pytest.mark.parametrize("name", sorted(ENGINE_MODELS))
+    def test_solvers_match_per_link_passes(self, name):
+        model, state, tau, cs = _engine_case(name)
+        cache = forward_kinematics(model, state)
+        qdd, _ = per_link_aba(model, cache, tau)
+        assert _close(aba(model, state, tau), qdd)
+        if not cs.m:
+            return
+        settings = SolverSettings()
+        weights = np.full(cs.m, settings.soft_R)
+        beta = _beta_hat(model, cache, cs, np.empty(cs.m))
+        soft, _ = per_link_aba(model, cache, tau, *_soft_terms(cs, beta, weights))
+        assert _close(pv_soft_solve(model, state, tau, cs, settings).qdd, soft)
+        # the reference sweeps the whole tree in every iteration; the two
+        # orders of summation round against a bias of size |beta|/mu
+        ref_qdd, ref_lam, iterations, status = full_sweep_caba(
+            model, state, tau, cs, settings, per_link_aba)
+        sol = constrained_aba(model, state, tau, cs, settings)
+        tol = 100 * np.finfo(float).eps / settings.mu
+        assert (sol.iterations, sol.status) == (iterations, status)
+        assert _close(sol.qdd, ref_qdd, tol) and _close(sol.lam, ref_lam, tol)
+        for early, solve in ((False, pv_solve), (True, pv_early_solve)):
+            try:
+                ref_qdd, ref_lam = reference_pv(model, state, tau, cs, early)[:2]
+            except SingularDual:
+                with pytest.raises(SingularDual):
+                    solve(model, state, tau, cs)
+                continue
+            sol = solve(model, state, tau, cs)
+            assert _close(sol.qdd, ref_qdd) and _close(sol.lam, ref_lam)
+
+    @pytest.mark.parametrize("name", ["tree:128:3", "humanoid", "welded-tree",
+                                      "urdf-floating-prismatic", "chain:64"])
+    def test_subset_passes_match_full_sweep(self, name):
+        # the change a bias on the constrained links makes, swept over the
+        # support and filled in over the rest, against a whole-tree
+        # homogeneous sweep and against two per-link solves
+        model, state, tau, cs = _engine_case(name)
+        rng = np.random.default_rng(5)
+        bias = {con.link: rng.uniform(-1, 1, 6) for con in cs}
+        cache = forward_kinematics(model, state)
+        ws = PvWorkspace(model, cs)
+        _aba(model, cache, ws, tau)
+        ws.pA[ws.support_pos] = 0.0
+        _add_terms(model, ws.pA, bias)
+        _bias_pass(model, cache, ws, ws.support_levels)
+        _forward_pass(model, cache, ws, ws.support_levels, change=True)
+        ws.u[ws.off_pos] = 0.0
+        _forward_pass(model, cache, ws, ws.off_levels, change=True)
+        subset = _dofs(model, ws.dqj), ws.da[model.plan.position, :, 0]
+        ws.pA[:] = 0.0
+        _add_terms(model, ws.pA, bias)
+        _bias_pass(model, cache, ws, model.plan.sweep)
+        _forward_pass(model, cache, ws, model.plan.sweep, change=True)
+        whole = _dofs(model, ws.dqj), ws.da[model.plan.position, :, 0]
+        base, with_bias = per_link_aba(model, cache, tau), per_link_aba(model, cache, tau,
+                                                                       bias=bias)
+        for got, full, b, wb in zip(subset, whole, base, with_bias):
+            assert _close(got, full)
+            assert _close(got, wb - b, 1e-12 * (1 + np.linalg.norm(wb)))
+
+    def test_singular_joint_named_in_a_level_of_two_massless_links(self):
+        # depth 1 holds, in order: a welded body, a massless link carrying a
+        # body, a massless leaf, a body and a massless leaf; only the two
+        # massless leaves have a singular joint-space inertia
+        ident = PlueckerTransform.identity()
+        down = PlueckerTransform(np.eye(3), [0.0, 0.0, -0.3])
+        joints = [Joint.fixed(), Joint.fixed(), Joint.revolute([1, 0, 0]),
+                  Joint.revolute([0, 1, 0]), Joint.revolute([0, 0, 1]),
+                  Joint.revolute([1, 1, 0]), Joint.revolute([0, 1, 0])]
+        inertia = [_body(), _body(), _massless(), _massless(), _body(), _massless(), _body()]
+        model = Model([-1, 0, 0, 0, 0, 0, 2], joints, [ident] + [down] * 6, inertia)
+        state = random_state(model, 0)
+        with pytest.raises(SingularJointInertia) as err:
+            aba(model, state, np.zeros(model.nv))
+        joint = int(str(err.value).split()[1])
+        assert joint in (3, 5)
+        assert model.inertia[joint].mass == 0.0 and not model.children[joint]
