@@ -107,10 +107,9 @@ class ConstrainedSolution:
 
 class _Sweep:
     """Buffers of the articulated passes, all that ``aba`` needs, in plan
-    order (``Model.plan``) with vectors as (n,6,1) columns; ``a`` holds
-    the link accelerations again in link order.  Below the root the joint
-    factors are stacked: U = IA S and D^-1 with D = S' U (1 at a fixed
-    joint).  Link 0 keeps its own U, factor of D and bias u."""
+    order (``Model.plan``) with vectors as (n,6,1) columns.  Below the
+    root the joint factors are stacked: U = IA S and D^-1 with D = S' U
+    (1 at a fixed joint).  Link 0 keeps its own U, factor of D and bias u."""
 
     def __init__(self, model: Model):
         n, nv0 = model.n_links, model.joints[0].nv
@@ -125,7 +124,6 @@ class _Sweep:
         self.root_u = np.zeros(nv0)
         self.acc = np.empty((n, 6, 1))
         self.qj = np.empty((n + nv0, 1, 1))    # joint accelerations, plan layout
-        self.a = np.empty((n, 6))
 
 
 class PvWorkspace(_Sweep):
@@ -277,8 +275,7 @@ _JOINT_ACC = flops.gemm(1, 6, 1) + flops.chol_solve(1) + 6 + flops.ADD6
 
 
 def _inertia_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels) -> None:
-    """IA, the joint factors and IA_proj over `levels` (whole levels),
-    children first.
+    """IA, the joint factors and IA_proj over `levels`, children first.
 
     ``ws.IA`` holds each link's own inertia (plus any added inertia) on
     entry; each link's projection is pushed into its parent.  The factors
@@ -295,13 +292,13 @@ def _inertia_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels) -> N
             work += _root_inertia(model, ws)
             continue
         ia = ws.IA[sl]
-        uu = np.matmul(ia, plan.S[sl], out=ws.U[sl])
+        ws.U[sl] = uu = ia @ plan.S[sl]
         d = plan.ST[sl] @ uu + plan.fixed[sl]
         if d.min() <= 0.0:
             joint = plan.order[sl][np.argmax(d[:, 0, 0] <= 0.0)]
             raise SingularJointInertia(f"joint {joint} inertia is singular")
-        inv = np.divide(1.0, d, out=ws.D_inv[sl])
-        proj = np.subtract(ia, uu * (ws.U_t[sl] * inv), out=ws.IA_proj[sl])
+        ws.D_inv[sl] = inv = 1.0 / d
+        ws.IA_proj[sl] = proj = ia - uu * (uu.swapaxes(1, 2) * inv)
         push = frames.xm_t[sl] @ proj @ frames.xm[sl]
         lv.scatter(ws.IA, 0.5 * (push + push.swapaxes(1, 2)))
         work += lv.moving * _JOINT_FACTOR + lv.size * (flops.XINERTIA + 36)
@@ -388,7 +385,7 @@ def _forward_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels,
     """Link and joint accelerations over `levels`, parents first.
 
     The full form starts from the world's acceleration -g, adds each
-    link's c and writes ``ws.acc``, ``ws.qj`` and ``ws.a``; `lam` adds
+    link's c and writes ``ws.acc`` and ``ws.qj``; `lam` adds
     the coupling term K_S' lam at the support links of the levels and
     `elim` back-substitutes the rows eliminated early there.  With
     `change` it is the homogeneous form of the bias pass's: from rest,
@@ -423,8 +420,6 @@ def _forward_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels,
                     work += flops.gemm(len(rec.rows), rec.other_rows.size, 1)
                 lam[rec.rows] = -linalg.chol_solve(rec.low, rhs)
                 work += flops.gemm(len(rec.rows), 6, 1) + flops.chol_solve(len(rec.rows))
-    if not change:
-        np.take(acc[:, :, 0], plan.position, axis=0, out=ws.a)
     flops.add(work)
 
 
@@ -454,7 +449,7 @@ def _aba(model: Model, cache: KinematicsCache, ws: _Sweep, tau: np.ndarray,
          bias: dict[int, np.ndarray] | None = None) -> np.ndarray:
     """Inertia, bias and forward pass over the whole tree, with extra
     inertia `added` and extra bias `bias` per link; returns qdd (link
-    accelerations in ``ws.a``)."""
+    accelerations in ``ws.acc``)."""
     plan = model.plan
     np.copyto(ws.IA, plan.inertia66)
     _add_terms(model, ws.IA, added)
@@ -464,6 +459,21 @@ def _aba(model: Model, cache: KinematicsCache, ws: _Sweep, tau: np.ndarray,
     _bias_pass(model, cache, ws, plan.sweep, _slots(model, tau))
     _forward_pass(model, cache, ws, plan.sweep)
     return _dofs(model, ws.qj)
+
+
+def _residual(model: Model, cs: ConstraintSet, ws: PvWorkspace, beta: np.ndarray,
+              da: np.ndarray | None = None) -> float:
+    """K a - beta_hat into ``ws.resid`` from the accelerations in ``ws.acc``
+    (plus `da`); returns its norm."""
+    position = model.plan.position
+    work = 0
+    for ci, con in enumerate(cs):
+        rows, k = cs.rows(ci), position[con.link]
+        a = ws.acc[k, :, 0] if da is None else ws.acc[k, :, 0] + da[k, :, 0]
+        ws.resid[rows] = con.K @ a - beta[rows]
+        work += flops.gemm(con.dim, 6, 1) + (0 if da is None else flops.ADD6)
+    flops.add(work)
+    return float(np.linalg.norm(ws.resid))
 
 
 # ---------------------------------------------------------------------------
@@ -656,16 +666,7 @@ def _exact(model: Model, state: State, tau, cs: ConstraintSet, ws: PvWorkspace,
     _forward_pass(model, cache, ws, ws.sweep, lam, elim_at)
     qdd = _dofs(model, ws.qj)
 
-    resid = 0.0
-    if m:
-        r = ws.resid
-        work = 0
-        for ci, con in enumerate(cs):
-            rows = cs.rows(ci)
-            r[rows] = con.K @ ws.a[con.link] - beta[rows]
-            work += flops.gemm(con.dim, 6, 1)
-        flops.add(work)
-        resid = float(np.linalg.norm(r))
+    resid = _residual(model, cs, ws, beta) if m else 0.0
     return ConstrainedSolution(qdd, lam.copy(), 1, resid, "converged", (resid,))
 
 
@@ -729,17 +730,10 @@ def pv_soft_solve(model: Model, state: State, tau, cs: ConstraintSet,
         work += flops.gemm(6, con.dim, 6) + flops.gemm(6, con.dim, 1)
     flops.add(work)
     qdd = _aba(model, cache, ws, tau, reg, bias)
-    lam = ws.lam
-    resid = ws.resid
-    work = 0
-    for ci, con in enumerate(cs):
-        rows = cs.rows(ci)
-        resid[rows] = con.K @ ws.a[con.link] - beta[rows]
-        lam[rows] = -resid[rows] / weights[rows]
-        work += flops.gemm(con.dim, 6, 1) + 2 * con.dim
-    flops.add(work)
-    rnorm = float(np.linalg.norm(resid))
-    return ConstrainedSolution(qdd, lam.copy(), 1, rnorm, "converged", (rnorm,))
+    rnorm = _residual(model, cs, ws, beta)
+    lam = -ws.resid / weights
+    flops.add(2 * m)
+    return ConstrainedSolution(qdd, lam, 1, rnorm, "converged", (rnorm,))
 
 
 def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
@@ -766,13 +760,10 @@ def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
         work += flops.gemm(6, con.dim, 6)
     flops.add(work)
 
-    # iteration 1 (lam = 0) is a full sweep giving qdd0 and a0; each later
-    # one sweeps the support for the change the bias -K' lam makes
+    # iteration 1 (lam = 0) is a full sweep giving qdd0 and a0 in ws.acc;
+    # each later one sweeps the support for the change the bias -K' lam makes
     qdd = _aba(model, cache, ws, tau, reg, _multiplier_bias(cs, beta / mu))
-    a0 = ws.a
-    position = model.plan.position
-    da = ws.da
-    da[ws.support_pos] = 0.0
+    ws.da[ws.support_pos] = 0.0
     lam = ws.lam
     lam[:] = 0.0
     resid = ws.resid
@@ -784,14 +775,8 @@ def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
             _add_terms(model, ws.pA, _multiplier_bias(cs, lam))
             _bias_pass(model, cache, ws, ws.support_levels)
             _forward_pass(model, cache, ws, ws.support_levels, change=True)
-        work = 0
-        for ci, con in enumerate(cs):
-            rows = cs.rows(ci)
-            resid[rows] = con.K @ (a0[con.link] + da[position[con.link], :, 0]) - beta[rows]
-            work += flops.gemm(con.dim, 6, 1) + flops.ADD6
-        flops.add(work)
+        rnorm = _residual(model, cs, ws, beta, ws.da)
         lam -= resid / mu
-        rnorm = float(np.linalg.norm(resid))
         history.append(rnorm)
         if rnorm <= settings.tol_primal:
             status = "converged"

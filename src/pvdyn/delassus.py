@@ -129,8 +129,7 @@ def _push_block(model: Model, ws: PvWorkspace, cache, i: int,
 
 def extended_force_propagator(model: Model, state: State, link: int,
                               ancestor: int,
-                              ws: PvWorkspace | None = None,
-                              cache: KinematicsCache | None = None) -> np.ndarray:
+                              ws: PvWorkspace | None = None) -> np.ndarray:
     """6x6 force propagator from `link` up to `ancestor` (or -1, the world).
 
     The propagator of an empty path (link to itself) is the identity, and
@@ -139,8 +138,7 @@ def extended_force_propagator(model: Model, state: State, link: int,
     """
     if ws is None:
         ws = PvWorkspace(model, ConstraintSet.empty())
-    if cache is None:
-        cache = forward_kinematics(model, state)
+    cache = forward_kinematics(model, state)
     np.copyto(ws.IA, model.plan.inertia66)
     _inertia_pass(model, cache, ws, model.plan.sweep)
     prop = np.eye(6)

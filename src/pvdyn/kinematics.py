@@ -61,12 +61,12 @@ class PlanFrames:
     arithmetic of ``spatial.xm6`` and ``spatial.xft6`` in the same order."""
 
     xm: np.ndarray         # (n,6,6) parent-to-link motion transforms
-    rot: np.ndarray        # (n,3,3) parent-to-link rotations
     p_roll: np.ndarray     # (n,6,1) rolled translations
     c: np.ndarray          # (n,6,1) velocity-product accelerations
 
     def __post_init__(self):
         self.xm_t = self.xm.swapaxes(1, 2)
+        self.rot = self.xm[:, :3, :3]      # parent-to-link rotations
         self.p_row = self.p_roll[:, :, 0]
 
     def xm6(self, links, v: np.ndarray) -> np.ndarray:
@@ -130,22 +130,22 @@ def forward_kinematics(model: Model, state: State) -> KinematicsCache:
     # roots keep their own pose, v = vj and zero avp
     world = pose.copy()
     v = vj_l.copy()
-    for links, parents in plan.levels:
-        world[links] = world[parents] @ pose[links]
-        v[links] = (xm[links] @ v[parents, :, None])[:, :, 0] + vj_l[links]
+    for lv in plan.sweep[1:]:
+        world[lv.links] = world[lv.parents] @ pose[lv.links]
+        v[lv.links] = (xm[lv.links] @ v[lv.parents, :, None])[:, :, 0] + vj_l[lv.links]
     # c = v x vj; exactly zero at a root, where v = vj
     c = np.empty((n, 6))
     c[:, :3] = cross_rows(v[:, :3], vj_l[:, :3])
     c[:, 3:] = cross_rows(v[:, :3], vj_l[:, 3:]) + cross_rows(v[:, 3:], vj_l[:, :3])
     avp = np.zeros((n, 6))
-    for links, parents in plan.levels:
-        avp[links] = (xm[links] @ avp[parents, :, None])[:, :, 0] + c[links]
+    for lv in plan.sweep[1:]:
+        avp[lv.links] = (xm[lv.links] @ avp[lv.parents, :, None])[:, :, 0] + c[lv.links]
     back = plan.position
     world = world[back]
     w_rot = np.swapaxes(world[:, :3, :3], 1, 2).copy()
     w_trans = world[:, :3, 3].copy()
     flops.add(plan.fk_flops)
-    frames = PlanFrames(xm, rot_l, trans_l[:, [1, 2, 0, 2, 0, 1], None], c[:, :, None])
+    frames = PlanFrames(xm, trans_l[:, [1, 2, 0, 2, 0, 1], None], c[:, :, None])
     return KinematicsCache(rot, trans, w_rot, w_trans, v[back], c[back], avp[back], vj,
                            frames)
 

@@ -150,14 +150,12 @@ class LevelPlan:
     Links at the same depth do not depend on each other, so each
     recursion runs one array step per level.  It runs in level order:
     ``order`` lists the links breadth first (by depth, then by parent,
-    then by index) and ``position`` is its inverse.  ``levels[d - 1]``
-    holds, as positions in that order, the slice of the links at depth d
-    and their parents (a slice where contiguous, else an index array).
-    The link-local joint work runs once over each 1-dof joint-kind group
-    and per floating link.
+    then by index) and ``position`` is its inverse.  ``sweep`` holds the
+    levels of the whole tree from the root down (``Level``), as positions
+    in that order.  The link-local joint work runs once over each 1-dof
+    joint-kind group and per floating link.
 
-    The articulated sweeps run on ``sweep``, the levels of the whole tree
-    from the root down, with each joint below the root stacked as a 6 x 1
+    The articulated sweeps stack each joint below the root as a 6 x 1
     column of ``S`` (zero at a fixed joint, where ``fixed`` is 1).  A joint
     vector in plan layout has a slot per position and then the root's
     dofs; ``dof_slot`` and ``slot_dof`` map dofs and slots (nv: padding).
@@ -165,7 +163,6 @@ class LevelPlan:
 
     order: np.ndarray
     position: np.ndarray
-    levels: tuple
     revolute: JointGroup
     prismatic: JointGroup
     floating: tuple[int, ...]
@@ -211,11 +208,10 @@ class LevelPlan:
                         + flops.CROSS_M + 2 * flops.ADD6) + 6 * model.nv
         slot_dof = np.r_[np.where(moving, np.array(model.v_offset)[order], model.nv),
                          np.arange(model.joints[0].nv)]
-        return LevelPlan(order, position, tuple((lv.links, lv.parents) for lv in sweep[1:]),
-                         group("revolute"), group("prismatic"), tuple(links_of("floating")),
-                         fk_flops, parent, depth, s, s.swapaxes(1, 2), fixed,
-                         model.inertia66[order], np.argsort(slot_dof, kind="stable")[:model.nv],
-                         slot_dof, sweep)
+        return LevelPlan(order, position, group("revolute"), group("prismatic"),
+                         tuple(links_of("floating")), fk_flops, parent, depth, s,
+                         s.swapaxes(1, 2), fixed, model.inertia66[order],
+                         np.argsort(slot_dof, kind="stable")[:model.nv], slot_dof, sweep)
 
     def levels_of(self, links) -> tuple[Level, ...]:
         """The levels of a link subset, from the root down."""

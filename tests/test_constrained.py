@@ -41,7 +41,7 @@ def engine_aba(model, cache, tau, added, bias):
     """(qdd, link accelerations) of the engine's whole-tree sweep."""
     ws = PvWorkspace(model, ConstraintSet.empty())
     qdd = _aba(model, cache, ws, np.asarray(tau, float), added, bias)
-    return qdd, ws.a
+    return qdd, ws.acc[model.plan.position, :, 0]
 
 
 def full_sweep_caba(model, state, tau, cs, settings=None, sweep=engine_aba):

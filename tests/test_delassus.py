@@ -216,11 +216,9 @@ class TestSolverConsistency:
 class TestPassedCache:
     """A producer given the kinematics cache skips only its own FK pass."""
 
-    @pytest.mark.parametrize("producer", ["pv_osim", "pv_osimr", "caba_osim",
-                                          "extended_force_propagator"])
+    @pytest.mark.parametrize("producer", ["pv_osim", "pv_osimr", "caba_osim"])
     @pytest.mark.parametrize("base_kind", ["fixed", "floating"])
     def test_same_matrix_for_one_fk_pass_less(self, producer, base_kind):
-        from pvdyn.delassus import extended_force_propagator
         model = generate_tree(30, 3, seed=21, base_kind=base_kind)
         state = random_state(model, 21)
         cs = ConstraintSet([point_constraint(model.n_links - 1, [0.1, 0.0, 0.0]),
@@ -229,9 +227,6 @@ class TestPassedCache:
             "pv_osim": lambda **kw: pv_osim(model, state, cs, **kw).matrix,
             "pv_osimr": lambda **kw: pv_osimr(model, state, cs, **kw).matrix,
             "caba_osim": lambda **kw: caba_osim(model, state, cs, **kw).matrix,
-            "extended_force_propagator":
-                lambda **kw: extended_force_propagator(model, state, model.n_links - 1,
-                                                       -1, **kw),
         }[producer]
         cache = forward_kinematics(model, state)
         with flops.counted() as own:

@@ -20,7 +20,7 @@ from pvdyn import (ConstraintSet, Joint, Model, PlueckerTransform, PvWorkspace,
 from pvdyn.bench import load_model
 from pvdyn.constrained import (_DUAL_PIVOT_RATIO, _ELIM_PIVOT_RATIO,
                                _Elimination, _aba, _add_terms, _beta_hat, _bias_pass,
-                               _dofs, _forward_pass, _try_chol)
+                               _dofs, _forward_pass, _inertia_pass, _try_chol)
 from pvdyn.errors import (NotPositiveDefinite, SingularBaseInertia, SingularDual,
                           SingularJointInertia)
 from pvdyn.generators import standard_constraints
@@ -515,6 +515,26 @@ class TestLevelBatchedEngine:
         for got, full, b, wb in zip(subset, whole, base, with_bias):
             assert _close(got, full)
             assert _close(got, wb - b, 1e-12 * (1 + np.linalg.norm(wb)))
+
+    @pytest.mark.parametrize("name", ["tree:128:3", "welded-tree"])
+    def test_inertia_pass_writes_factors_on_subset_levels(self, name):
+        # a subset level whose links are not contiguous in plan order is an
+        # index array; each of its links' factors must still be stored,
+        # from the articulated inertia its children left it
+        model, state, tau, cs = _engine_case(name)
+        cache = forward_kinematics(model, state)
+        ws = PvWorkspace(model, cs)
+        plan = model.plan
+        assert any(not isinstance(lv.links, slice) for lv in ws.support_levels)
+        np.copyto(ws.IA, plan.inertia66)
+        ws.U[:] = ws.D_inv[:] = ws.IA_proj[:] = np.nan
+        _inertia_pass(model, cache, ws, ws.support_levels)
+        pos = ws.support_pos[ws.support_pos > 0]
+        u = ws.IA[pos] @ plan.S[pos]
+        inv = 1.0 / (plan.ST[pos] @ u + plan.fixed[pos])
+        np.testing.assert_array_equal(ws.U[pos], u)
+        np.testing.assert_array_equal(ws.D_inv[pos], inv)
+        np.testing.assert_array_equal(ws.IA_proj[pos], ws.IA[pos] - u * (u.swapaxes(1, 2) * inv))
 
     def test_singular_joint_named_in_a_level_of_two_massless_links(self):
         # depth 1 holds, in order: a welded body, a massless link carrying a

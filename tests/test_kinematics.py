@@ -167,9 +167,9 @@ class TestLevelBatchedKinematics:
         plan = model.plan
         np.testing.assert_array_equal(plan.order[plan.position], np.arange(model.n_links))
         seen = np.zeros(model.n_links, dtype=int)
-        for d, (links, parents) in enumerate(plan.levels, start=1):
-            links = plan.order[links]
-            parents = plan.order[parents]
+        for d, lv in enumerate(plan.sweep[1:], start=1):
+            links = plan.order[lv.links]
+            parents = plan.order[lv.parents]
             seen[links] += 1
             np.testing.assert_array_equal(model.parent[links], parents)
             assert np.all(model.link_depth[links] == d)
