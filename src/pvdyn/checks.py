@@ -363,15 +363,16 @@ def _check_singular(seed, count) -> list[CheckResult]:
                                  and np.all(np.isfinite(sol.lam)))
         worst_ls = max(worst_ls, float(np.linalg.norm(sol.qdd - ref.qdd))
                        / (1 + float(np.linalg.norm(ref.qdd))))
-        try:
-            constrained.pv_solve(model, state, tau, cs)
-            raised = False
-        except SingularDual:
-            pass
+        for solve in (constrained.pv_solve, constrained.pv_early_solve):
+            try:
+                solve(model, state, tau, cs)
+                raised = False
+            except SingularDual:
+                pass
     err = worst_ls if (raised and finite) else 1.0
     return [_result("constrained.least_squares_on_singular", err, 1e-6,
-                    detail="pv_solve raised SingularDual on all" if raised
-                    else "pv_solve failed to raise")]
+                    detail="pv_solve and pv_early_solve raised SingularDual on all"
+                    if raised else "an exact solver failed to raise")]
 
 
 def run_check_suite(seed: int = 0, sizes=(12, 24, 40),

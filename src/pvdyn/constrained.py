@@ -25,10 +25,10 @@ link.  The buffers are in plan order, where each level is a slice, and
 below the root every joint has one dof or none, so its factors stack as
 arrays: U, D^-1 and u per link (a fixed joint has S = 0 and D = 1).
 Link 0, with 0, 1 or 6 dofs, is a level of its own with a small dense
-factor.  A level pushes into its parents in steps (``Level.scatter``)
-that add each parent's children in descending link order, and the
-batched transforms do each link's arithmetic in the per-link order, so
-the answers match a per-link sweep bit for bit on the tested models.  A
+factor.  A level step transforms with one 6x6 product per link
+(``PlanFrames``) and adds each run of siblings into its parent with one
+sum (``Level.scatter``).  Sums run in another order than in a per-link
+sweep, so answers agree with one to rounding, not bit for bit.  A
 subset pass (the support, or the links off it) runs on the subset's
 levels (``LevelPlan.levels_of``), as index arrays where a level's links
 are not contiguous.
@@ -358,7 +358,7 @@ def _bias_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels,
             work += lv.size * flops.APPLY_I + lv.moving * flops.ADD6
         ws.u[sl] = u
         pa = pa + ws.U[sl] * (u * ws.D_inv[sl])
-        lv.scatter(ws.pA, frames.xft6(sl, pa))
+        lv.scatter(ws.pA, frames.xm_t[sl] @ pa)
         work += lv.moving * _JOINT_BIAS + lv.size * (flops.XFORCE_T + flops.ADD6)
     flops.add(work)
 
@@ -400,7 +400,7 @@ def _forward_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels,
         if lv.parents is None:
             work += _root_forward(model, cache, ws, lv, lam, change)
         else:
-            a_in = frames.xm6(sl, acc[lv.parents])
+            a_in = frames.xm[sl] @ acc[lv.parents]
             if not change:
                 a_in += frames.c[sl]
             t = ws.u[sl] - ws.U_t[sl] @ a_in
@@ -526,6 +526,7 @@ def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, links,
     eliminated early); None means all.  Each link's K is pushed into its
     parent's block, and at the base into ``ws.Kw`` if `with_l`.
     """
+    position = model.plan.position
     work = 0
     for i in links:
         rows_i = ws.rows[i]
@@ -542,9 +543,14 @@ def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, links,
         nv = model.joints[i].nv
         k_new = ka
         if nv:
-            uu, solve, u_i = _factor(model, ws, i)
             ks = ka @ model.S[i]
-            w = solve(ks.T).T
+            if i:
+                k = position[i]
+                uu, u_i = ws.U[k], ws.u[k, 0]
+                w = ks * ws.D_inv[k, 0, 0]
+            else:
+                uu, u_i = ws.root_U, ws.root_u
+                w = ws.root_D.solve(ks.T).T
             ws.L[np.ix_(ract, ract)] += w @ ks.T
             if with_l:
                 c_i = cache.c[i]
@@ -569,14 +575,18 @@ def _eliminate(cs: ConstraintSet, ws: PvWorkspace, links, alive: np.ndarray,
                elim_at: list[list[_Elimination]]) -> None:
     """Early elimination at each of `links` (support links, before their
     projections): every coupled constraint block that has become safely
-    invertible is solved out of L and l into IA, pA and the other rows."""
+    invertible is solved out of L and l into IA, pA and the other rows.
+
+    No pass reads an eliminated row of L or l again, so they keep their
+    values: each pivot test is scaled by the largest diagonal of the
+    subtree's rows, eliminated ones included, and the roundoff that a
+    duplicated row leaves once its twin is eliminated fails it.
+    """
     position = ws.model.plan.position
     work = 0
     for i in links:
         rows_i = ws.rows[i]
-        alive_rows_i = rows_i[alive[rows_i]]
-        dual_scale = float(np.max(np.diag(ws.L)[alive_rows_i])) \
-            if alive_rows_i.size else 0.0
+        dual_scale = float(np.max(np.diag(ws.L)[rows_i]))
         for ci in ws.cons_in_subtree[i]:
             rj = cs.rows(ci)
             if not alive[rj[0]]:
@@ -605,9 +615,6 @@ def _eliminate(cs: ConstraintSet, ws: PvWorkspace, links, alive: np.ndarray,
                 ws.L[np.ix_(others, others)] -= ljo.T @ x_l
                 ws.l[others] -= ljo.T @ x_b
                 work += flops.gemm(others.size, len(rj), 6 + others.size + 1)
-            ws.L[rj, :] = 0.0
-            ws.L[:, rj] = 0.0
-            ws.l[rj] = 0.0
             alive[rj] = False
             elim_at[i].append(_Elimination(rj, low, kj, others.copy(), ljo, lj))
             ws.counters["dual_factor_dims"].append(len(rj))
@@ -649,12 +656,13 @@ def _exact(model: Model, state: State, tau, cs: ConstraintSet, ws: PvWorkspace,
         _bias_pass(model, cache, ws, ws.sweep, tau, root=True)
         _coupling_pass(model, cache, ws, ws.support[::-1])
 
-    # dense dual solve for whatever rows survived to the base
+    # dense dual solve for the rows that reached the base, scaled as in _eliminate
     act = np.flatnonzero(alive)
     ws.counters["base_dual_dim"] = int(act.size)
     if act.size:
         rhs = -(ws.l[act] + ws.Kw[act] @ -model.gravity6())
-        low = _try_chol(ws.L[np.ix_(act, act)], _DUAL_PIVOT_RATIO)
+        low = _try_chol(ws.L[np.ix_(act, act)], _DUAL_PIVOT_RATIO,
+                        float(np.max(np.diag(ws.L))))
         flops.add(flops.gemm(act.size, 6, 1) + flops.cholesky(act.size))
         if low is None:
             raise SingularDual(

@@ -49,40 +49,18 @@ class KinematicsCache:
     frames: "PlanFrames | None" = None     # set by forward_kinematics
 
 
-# f -> (f_z, f_x, f_y, f_y, f_z, f_x); times (p_y, p_z, p_x, p_z, p_x, p_y),
-# the first half less the second is p x f, formed as the per-link kernels do
-_ROLL = np.array([2, 0, 1, 1, 2, 0])
-
-
 @dataclass
 class PlanFrames:
     """Joint frames and ``c`` in plan order (``Model.plan``) for the level
-    sweeps, vectors as (n,6,1) columns.  ``xm6`` and ``xft6`` do the
-    arithmetic of ``spatial.xm6`` and ``spatial.xft6`` in the same order."""
+    sweeps, vectors as (n,6,1) columns: ``xm @ v`` takes parent motion
+    vectors into the links' frames and ``xm_t @ f`` pushes link forces
+    into their parents'."""
 
     xm: np.ndarray         # (n,6,6) parent-to-link motion transforms
-    p_roll: np.ndarray     # (n,6,1) rolled translations
     c: np.ndarray          # (n,6,1) velocity-product accelerations
 
     def __post_init__(self):
         self.xm_t = self.xm.swapaxes(1, 2)
-        self.rot = self.xm[:, :3, :3]      # parent-to-link rotations
-        self.p_row = self.p_roll[:, :, 0]
-
-    def xm6(self, links, v: np.ndarray) -> np.ndarray:
-        """Motion transforms of (k,6,1) columns v into the links' frames."""
-        rot = self.rot[links]
-        q = self.p_roll[links] * v.take(_ROLL, axis=1)
-        return np.concatenate((rot @ v[:, :3], rot @ (v[:, 3:] - (q[:, :3] - q[:, 3:]))),
-                              axis=1)
-
-    def xft6(self, links, f: np.ndarray) -> np.ndarray:
-        """Transposed motion transforms of (k,6,1) force columns f (the
-        pushes from the links into their parents)."""
-        g = f.reshape(-1, 2, 3) @ self.rot[links]     # rows R' f_ang, R' f_lin
-        q = self.p_row[links] * g[:, 1].take(_ROLL, axis=1)
-        g[:, 0] += q[:, :3] - q[:, 3:]
-        return g.reshape(-1, 6, 1)
 
 
 _SKEW_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
@@ -145,7 +123,7 @@ def forward_kinematics(model: Model, state: State) -> KinematicsCache:
     w_rot = np.swapaxes(world[:, :3, :3], 1, 2).copy()
     w_trans = world[:, :3, 3].copy()
     flops.add(plan.fk_flops)
-    frames = PlanFrames(xm, trans_l[:, [1, 2, 0, 2, 0, 1], None], c[:, :, None])
+    frames = PlanFrames(xm, c[:, :, None])
     return KinematicsCache(rot, trans, w_rot, w_trans, v[back], c[back], avp[back], vj,
                            frames)
 

@@ -121,26 +121,25 @@ class JointGroup:
 @dataclass(frozen=True)
 class Level:
     """One array step of the articulated sweeps: the links of a subset at
-    one depth, as positions in plan order (the root level has no parents).
-    ``steps`` pairs offsets in the level with parent positions, each
-    parent at most once per step: every parent's last child first, then
-    the one before it, so that each parent sums its children in
-    descending link order.  ``moving`` counts the 1-dof joints;
-    ``support`` lists a workspace's support links here as (offset, link)
-    in descending link order.
+    one depth and their parents, as positions in plan order (the root
+    level has no parents).  In plan order the children of a parent are
+    adjacent, so the level is a sequence of sibling runs: ``starts`` holds
+    the offset where each run begins and ``heads`` its parent.
+    ``moving`` counts the 1-dof joints; ``support`` lists a workspace's
+    support links here as (offset, link) in descending link order.
     """
 
     links: slice | np.ndarray
     parents: slice | np.ndarray | None
-    steps: tuple
+    starts: np.ndarray | None
+    heads: slice | np.ndarray | None
     size: int
     moving: int
     support: tuple = ()
 
     def scatter(self, buf: np.ndarray, push: np.ndarray) -> None:
         """Add each link's push into its parent's row of `buf`."""
-        for links, parents in self.steps:
-            buf[parents] += push[links]
+        buf[self.heads] += np.add.reduceat(push, self.starts, axis=0)
 
 
 @dataclass(frozen=True)
@@ -228,20 +227,12 @@ def _levels(parent: np.ndarray, depth: np.ndarray, fixed: np.ndarray,
     for _, level in itertools.groupby(pos.tolist(), key=depth.__getitem__):
         p = list(level)
         if p[0] == 0:
-            out.append(Level(slice(0, 1), None, (), 1, 0))
+            out.append(Level(slice(0, 1), None, None, None, 1, 0))
             continue
         par = [parent[k] for k in p]
-        # rank of each link among its siblings here, counted from the last
-        rank = [0] * len(p)
-        for j in range(len(p) - 2, -1, -1):
-            if par[j] == par[j + 1]:
-                rank[j] = rank[j + 1] + 1
-        parents = _index(par)
-        steps = ((slice(None), parents),) if not max(rank) else tuple(
-            (_index([j for j, r in enumerate(rank) if r == step]),
-             _index([q for q, r in zip(par, rank) if r == step]))
-            for step in range(max(rank) + 1))
-        out.append(Level(_index(p), parents, steps, len(p), sum(moving[k] for k in p)))
+        starts = [j for j in range(len(p)) if not j or par[j] != par[j - 1]]
+        out.append(Level(_index(p), _index(par), np.array(starts),
+                         _index([par[j] for j in starts]), len(p), sum(moving[k] for k in p)))
     return tuple(out)
 
 

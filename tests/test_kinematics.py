@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from pvdyn import (ConstraintSet, Joint, KinematicsCache, Model, State,
+from pvdyn import (ConstraintSet, Joint, KinematicsCache, Model, PvWorkspace, State,
                    constraint_drift, constraint_jacobian, flops,
                    forward_kinematics, generate_chain, generate_humanoid_like,
                    generate_tree, link_jacobian, neutral_state,
                    parse_urdf_subset, point_constraint, random_state,
                    weld_constraint)
 from pvdyn.errors import DimensionMismatch
+from pvdyn.generators import standard_constraints
 from pvdyn.integrate import integrate_position
 from pvdyn.kinematics import velocity_products
 from pvdyn.spatial import compose_rt, cross_f6, cross_m6, xm6
@@ -163,17 +164,36 @@ class TestLevelBatchedKinematics:
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_levels_cover_each_link_once(self, name):
+        # on the whole tree and on a workspace's support and off-support
+        # subsets, whose levels are index arrays where links are not adjacent
         model = MODELS[name]()
         plan = model.plan
         np.testing.assert_array_equal(plan.order[plan.position], np.arange(model.n_links))
-        seen = np.zeros(model.n_links, dtype=int)
-        for d, lv in enumerate(plan.sweep[1:], start=1):
-            links = plan.order[lv.links]
-            parents = plan.order[lv.parents]
-            seen[links] += 1
-            np.testing.assert_array_equal(model.parent[links], parents)
-            assert np.all(model.link_depth[links] == d)
-        np.testing.assert_array_equal(seen, (model.link_depth > 0).astype(int))
+        m = min(6, model.nv - 1)
+        ws = PvWorkspace(model, standard_constraints(model, m, seed=11) if m > 0
+                         else ConstraintSet.empty())
+        for levels, subset in ((plan.sweep, range(model.n_links)),
+                               (ws.support_levels, ws.support),
+                               (ws.off_levels, ws.off_support)):
+            seen = np.zeros(model.n_links, dtype=int)
+            depths = []
+            for lv in levels:
+                links = plan.order[lv.links]
+                seen[links] += 1
+                depths.append(model.link_depth[links[0]])
+                assert np.all(model.link_depth[links] == depths[-1]) and len(links) == lv.size
+                if lv.parents is None:
+                    np.testing.assert_array_equal(links, [0])
+                    continue
+                np.testing.assert_array_equal(model.parent[links], plan.order[lv.parents])
+                # each sibling run under its parent, each parent once
+                heads = plan.order[lv.heads]
+                runs = np.split(links, lv.starts[1:])
+                assert lv.starts[0] == 0 and len(runs) == len(set(heads.tolist()))
+                for run, head in zip(runs, heads):
+                    np.testing.assert_array_equal(model.parent[run], head)
+            assert depths == sorted(set(depths))
+            np.testing.assert_array_equal(seen, np.isin(np.arange(model.n_links), subset))
 
     @pytest.mark.parametrize("name", ["chain7", "tree-floating", "humanoid", "urdf-mixed"])
     def test_velocity_products(self, name):
