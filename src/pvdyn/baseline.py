@@ -5,6 +5,14 @@ forward dynamics), the branch-sparse LTL factorization family, and the
 dense KKT oracle for least-constraint dynamics.  The oracle is the
 grading reference for every recursive solver in the library.
 
+The LTL-OSIM front end runs on tree levels, not per link or per scalar:
+CRBA's composite inertias take one array step per depth level
+(``Model.plan``) and its off-diagonal blocks one step per hop of a
+batched root-path walk; the LTL factor and its solves take one step per
+dof level (``Model.dof_levels``), deepest first, since dofs at one depth
+never update each other's rows.  Each charges the flops of the per-link
+and per-dof recursion.
+
 Gravity enters through the base-acceleration trick: the world "parent"
 is given acceleration -g, which folds a uniform field into every sweep
 without per-link gravity forces.
@@ -26,8 +34,8 @@ from .errors import DimensionMismatch, NotPositiveDefinite
 from .kinematics import (KinematicsCache, constraint_drift,
                          constraint_jacobian, forward_kinematics,
                          velocity_products)
-from .model import ConstraintSet, Model, State, check_state
-from .spatial import xft6, xi6, xm6
+from .model import ConstraintSet, Model, State, check_state, dof_levels
+from .spatial import xft6, xm6
 
 
 def _check_vec(model: Model, vec, name: str) -> np.ndarray:
@@ -88,10 +96,16 @@ def bias_force(model: Model, state: State,
 
 @dataclass
 class MassMatrix:
-    """Joint-space inertia with the tree's branch-sparsity pattern."""
+    """Joint-space inertia with the tree's branch-sparsity pattern (exact
+    zeros outside it); `levels` are ``model.dof_levels(dof_parent)``."""
 
     matrix: np.ndarray
     dof_parent: np.ndarray
+    levels: tuple | None = None
+
+    def __post_init__(self):
+        if self.levels is None:
+            self.levels = dof_levels(self.dof_parent)
 
     @property
     def n(self) -> int:
@@ -99,51 +113,47 @@ class MassMatrix:
 
     def ancestry_mask(self) -> np.ndarray:
         """Boolean mask of structurally coupled dof pairs."""
-        n = self.n
-        mask = np.eye(n, dtype=bool)
-        for i in range(n):
-            j = self.dof_parent[i]
-            while j >= 0:
-                mask[i, j] = mask[j, i] = True
-                j = self.dof_parent[j]
-        return mask
+        mask = np.eye(self.n, dtype=bool)
+        for dofs, anc in self.levels:
+            mask[dofs[:, None], anc] = True
+        return mask | mask.T
 
 
 def crba(model: Model, state: State,
          cache: KinematicsCache | None = None) -> MassMatrix:
-    """Composite rigid-body algorithm; exact zeros between disjoint branches."""
+    """Composite rigid-body algorithm; exact zeros between disjoint branches.
+    The column F = IC S of every moving link walks its root path, all
+    columns one parent per step, and each joint it passes gets S' F."""
     if cache is None:
         cache = forward_kinematics(model, state)
-    n = model.n_links
-    composite = model.inertia66.copy()
-    m = np.zeros((model.nv, model.nv))
-    work = 0
-    for i in range(n - 1, -1, -1):
-        p = model.parent[i]
-        if p >= 0:
-            composite[p] += xi6(cache.rot[i], cache.trans[i], composite[i])
-            work += flops.XINERTIA + 36
-    for i in range(n):
-        nv = model.joints[i].nv
-        if nv == 0:
-            continue
-        fblock = composite[i] @ model.S[i]
-        blk_i = model.v_block(i)
-        m[blk_i, blk_i] = model.S[i].T @ fblock
-        work += flops.gemm(6, 6, nv) + flops.gemm(nv, 6, nv)
-        j = i
-        while model.parent[j] >= 0:
-            fblock = xft6(cache.rot[j], cache.trans[j], fblock)
-            j = model.parent[j]
-            work += flops.XFORCE_T * nv
-            nv_j = model.joints[j].nv
-            if nv_j:
-                blk_j = model.v_block(j)
-                m[blk_j, blk_i] = model.S[j].T @ fblock
-                m[blk_i, blk_j] = m[blk_j, blk_i].T
-                work += flops.gemm(nv_j, 6, nv)
+    plan, frames = model.plan, cache.frames
+    composite = plan.inertia66.copy()
+    for lv in reversed(plan.sweep[1:]):
+        push = frames.xm_t[lv.links] @ composite[lv.links] @ frames.xm[lv.links]
+        lv.scatter(composite, 0.5 * (push + push.swapaxes(1, 2)))
+    nv, nv0, s0 = model.nv, model.joints[0].nv, model.S[0]
+    m = np.zeros((nv + 1, nv + 1))            # row and column nv: the root and fixed joints
+    m[:nv0, :nv0] = s0.T @ composite[0] @ s0
+    work = (model.n_links - 1) * (flops.XINERTIA + 36) \
+        + flops.gemm(6, 6, nv0) + flops.gemm(nv0, 6, nv0)
+    # the moving links deepest first, so the columns still walking are a prefix
+    pos = np.flatnonzero(plan.fixed[:, 0, 0] == 0.0)[::-1]
+    depth, cols = plan.depth[pos], plan.slot_dof[pos]
+    f = composite[pos] @ plan.S[pos]
+    m[cols, cols] = (plan.ST[pos] @ f)[:, 0, 0]
+    work += pos.size * (flops.gemm(6, 6, 1) + flops.gemm(1, 6, 1))
+    for hop in range(1, depth[0] + 1 if pos.size else 0):
+        k, below = np.count_nonzero(depth >= hop), np.count_nonzero(depth > hop)
+        f = frames.xm_t[pos[:k]] @ f[:k]
+        pos = plan.parent[pos[:k]]
+        rows = plan.slot_dof[pos]
+        m[rows, cols[:k]] = m[cols[:k], rows] = (plan.ST[pos] @ f)[:, 0, 0]
+        m[cols[below:k], :nv0] = f[below:k, :, 0] @ s0
+        m[:nv0, cols[below:k]] = m[cols[below:k], :nv0].T
+        work += k * flops.XFORCE_T + flops.gemm(1, 6, 1) * np.count_nonzero(rows < nv) \
+            + (k - below) * flops.gemm(nv0, 6, 1)
     flops.add(work)
-    return MassMatrix(m, model.dof_parent.copy())
+    return MassMatrix(m[:nv, :nv].copy(), model.dof_parent.copy(), model.dof_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -172,101 +182,74 @@ def aba(model: Model, state: State, tau, f_ext=None,
 
 
 @dataclass
-class LtlFactor:
+class LtlFactor(MassMatrix):
     """Factor L with M = L' L; fill-in confined to the ancestry pattern."""
-
-    matrix: np.ndarray
-    dof_parent: np.ndarray
 
 
 def ltl_factorize(mass: MassMatrix) -> LtlFactor:
-    """Factor M = L' L without fill outside the tree's ancestry pattern."""
-    n = mass.n
-    low = np.tril(mass.matrix.copy())
-    pi = mass.dof_parent
+    """Factor M = L' L without fill outside the tree's ancestry pattern.
+    Per dof level: pivots, rows of L, and one scatter-add of the rows'
+    outer products into their (ancestor, ancestor) entries."""
+    low = np.tril(mass.matrix)
+    flat = low.reshape(-1)
     work = 0
-    for k in range(n - 1, -1, -1):
-        if low[k, k] <= 0.0:
-            raise NotPositiveDefinite(f"pivot {k} is not positive")
-        low[k, k] = np.sqrt(low[k, k])
-        work += 1
-        i = pi[k]
-        while i >= 0:
-            low[k, i] /= low[k, k]
-            work += 1
-            i = pi[i]
-        i = pi[k]
-        while i >= 0:
-            j = i
-            while j >= 0:
-                low[i, j] -= low[k, i] * low[k, j]
-                work += 2
-                j = pi[j]
-            i = pi[i]
+    for k, anc in reversed(mass.levels):
+        piv = low[k, k]
+        if (piv <= 0.0).any():
+            raise NotPositiveDefinite(f"pivot {k[np.argmax(piv <= 0.0)]} is not positive")
+        low[k, k] = piv = np.sqrt(piv)
+        low[k[:, None], anc] = rows = low[k[:, None], anc] / piv[:, None]
+        i = np.repeat(np.arange(anc.shape[1]), np.arange(1, anc.shape[1] + 1))
+        j = np.arange(i.size) - i * (i + 1) // 2            # the pairs j <= i
+        np.subtract.at(flat, (anc[:, i] * mass.n + anc[:, j]).ravel(),
+                       (rows[:, i] * rows[:, j]).ravel())
+        work += k.size * (1 + anc.shape[1] * (anc.shape[1] + 2))
     flops.add(work)
-    return LtlFactor(low, pi.copy())
+    return LtlFactor(low, mass.dof_parent.copy(), mass.levels)
+
+
+def _solve_lt(factor: LtlFactor, z: np.ndarray) -> int:
+    """z <- L^-T z in place for a C-ordered (n, k) block, deepest dof level first.
+
+    Returns the flops of the per-entry recursion that skips entries still
+    zero when their dof is reached: 1 + 2 (ancestor count) per nonzero.
+    """
+    low, k_cols = factor.matrix, z.shape[1]
+    flat = z.reshape(-1)
+    work = 0
+    for k, anc in reversed(factor.levels):
+        work += (1 + 2 * anc.shape[1]) * np.count_nonzero(z[k])
+        z[k] = zk = z[k] / low[k, k][:, None]
+        idx = anc[:, :, None] * k_cols + np.arange(k_cols)
+        np.subtract.at(flat, idx.ravel(), (low[k[:, None], anc][..., None] * zk[:, None]).ravel())
+    return work
 
 
 def ltl_solve(factor: LtlFactor, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs through the two sparse triangular systems."""
+    """Solve M x = rhs through the two sparse triangular systems, one array
+    step per dof level each way."""
     low = factor.matrix
-    pi = factor.dof_parent
-    n = low.shape[0]
-    y = np.asarray(rhs, dtype=float).copy()
-    work = 0
-    for i in range(n - 1, -1, -1):           # y = L^-T rhs
-        y[i] /= low[i, i]
-        work += 1
-        j = pi[i]
-        while j >= 0:
-            y[j] -= low[i, j] * y[i]
-            work += 2
-            j = pi[j]
-    for i in range(n):                        # x = L^-1 y
-        j = pi[i]
-        while j >= 0:
-            y[i] -= low[i, j] * y[j]
-            work += 2
-            j = pi[j]
-        y[i] /= low[i, i]
-        work += 1
-    flops.add(work)
+    y = np.array(rhs, dtype=float, order="C")
+    z = y.reshape(len(y), -1)
+    _solve_lt(factor, z)                      # y = L^-T rhs
+    for k, anc in factor.levels:              # x = L^-1 y, root level first
+        z[k] = (z[k] - (low[k[:, None], anc][:, :, None] * z[anc]).sum(axis=1)) \
+            / low[k, k][:, None]
+    flops.add(2 * sum(anc.shape[0] + 2 * anc.size for _, anc in factor.levels))
     return y
 
 
 def ltl_osim(mass: MassMatrix, jac: np.ndarray) -> DelassusOperator:
-    """Delassus operator J M^-1 J' through the sparse LTL factors."""
+    """Delassus operator J M^-1 J' through the sparse LTL factors:
+    z = L^-T J' for all m columns at once, then the Gram matrix z' z."""
     m = jac.shape[0]
     if m == 0:
         return DelassusOperator("explicit", np.zeros((0, 0)))
     factor = ltl_factorize(mass)
-    low = factor.matrix
-    pi = factor.dof_parent
-    n = low.shape[0]
-    z = jac.T.copy()                          # columns become L^-T J'
-    work = 0
-    for col in range(m):
-        y = z[:, col]
-        for i in range(n - 1, -1, -1):
-            yi = y[i]
-            if yi == 0.0:
-                continue
-            yi /= low[i, i]
-            y[i] = yi
-            work += 1
-            j = pi[i]
-            while j >= 0:
-                y[j] -= low[i, j] * yi
-                work += 2
-                j = pi[j]
-    lam = np.empty((m, m))
-    for a in range(m):
-        for b in range(a, m):
-            lam[a, b] = lam[b, a] = z[:, a] @ z[:, b]
-            work += 2 * n
-    flops.add(work)
-    lam = 0.5 * (lam + lam.T)
-    return DelassusOperator("explicit", lam)
+    z = jac.T.copy()
+    flops.add(_solve_lt(factor, z) + m * (m + 1) * factor.n)
+    lam = z.T @ z
+    return DelassusOperator("explicit", 0.5 * (lam + lam.T))
 
 
 # ---------------------------------------------------------------------------

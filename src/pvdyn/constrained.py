@@ -252,16 +252,6 @@ def _add_terms(model: Model, buf: np.ndarray, terms: dict[int, np.ndarray] | Non
         flops.add(buf[0].size * len(terms))
 
 
-def _factor(model: Model, ws: _Sweep, i: int):
-    """U, the solve with D and the bias u of link i's moving joint, as
-    6 x nv, nv x k and nv blocks."""
-    if i == 0:
-        return ws.root_U, ws.root_D.solve, ws.root_u
-    k = model.plan.position[i]
-    inv = ws.D_inv[k, 0, 0]
-    return ws.U[k], lambda x: x * inv, ws.u[k, 0]
-
-
 # per-link flops of a 1-dof joint below the root: its factors and IA_proj,
 # its bias and projected bias, and its acceleration
 _JOINT_FACTOR = flops.gemm(6, 6, 1) + flops.gemm(1, 6, 1) + flops.cholesky(1) \

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flops, linalg
-from .constrained import (PvWorkspace, SolverSettings, _coupling_pass, _factor,
+from .constrained import (PvWorkspace, SolverSettings, _coupling_pass,
                           _inertia_pass, _seed_coupling)
 from .kinematics import KinematicsCache, forward_kinematics
 from .model import ConstraintSet, Model, State
@@ -111,20 +111,24 @@ def pv_osim(model: Model, state: State, cs: ConstraintSet,
 # propagator-composition variant
 
 
+def _d_solve(model: Model, ws: PvWorkspace, i: int, x: np.ndarray) -> np.ndarray:
+    """D^-1 x at the moving joint of link i."""
+    if i:
+        return x * ws.D_inv[model.plan.position[i], 0, 0]
+    return ws.root_D.solve(x)
+
+
 def _push_block(model: Model, ws: PvWorkspace, cache, i: int,
-                block: np.ndarray) -> np.ndarray:
-    """Apply the joint-i force propagator and frame change to a 6 x k block."""
-    nv = model.joints[i].nv
+                block: np.ndarray) -> tuple[np.ndarray, int]:
+    """The joint-i force propagator and frame change applied to a 6 x k
+    block, and the flops of doing so."""
+    nv, k = model.joints[i].nv, block.shape[1]
+    work = flops.XFORCE_T * k
     if nv:
-        uu, solve, _ = _factor(model, ws, i)
-        reduced = block - uu @ solve(model.S[i].T @ block)
-        flops.add(flops.gemm(model.joints[i].nv, 6, block.shape[1])
-                  + flops.chol_solve(nv, block.shape[1])
-                  + flops.gemm(6, nv, block.shape[1]))
-    else:
-        reduced = block
-    flops.add(flops.XFORCE_T * block.shape[1])
-    return xft6(cache.rot[i], cache.trans[i], reduced)
+        uu = ws.U[model.plan.position[i]] if i else ws.root_U
+        block = block - uu @ _d_solve(model, ws, i, model.S[i].T @ block)
+        work += flops.gemm(nv, 6, k) + flops.chol_solve(nv, k) + flops.gemm(6, nv, k)
+    return xft6(cache.rot[i], cache.trans[i], block), work
 
 
 def extended_force_propagator(model: Model, state: State, link: int,
@@ -142,12 +146,15 @@ def extended_force_propagator(model: Model, state: State, link: int,
     np.copyto(ws.IA, model.plan.inertia66)
     _inertia_pass(model, cache, ws, model.plan.sweep)
     prop = np.eye(6)
+    work = 0
     j = link
     while j != ancestor:
         if j < 0:
             raise ValueError(f"link {ancestor} is not an ancestor of {link}")
-        prop = _push_block(model, ws, cache, j, prop)
+        prop, w = _push_block(model, ws, cache, j, prop)
+        work += w
         j = model.parent[j]
+    flops.add(work)
     return prop
 
 
@@ -165,17 +172,10 @@ def pv_osimr(model: Model, state: State, cs: ConstraintSet,
     _inertia_pass(model, cache, ws, model.plan.sweep)
 
     # group constraint rows by link
-    rows_by_link: dict[int, np.ndarray] = {}
-    k_by_link: dict[int, np.ndarray] = {}
-    for ci, con in enumerate(cs):
-        e = con.link
-        if e in rows_by_link:
-            rows_by_link[e] = np.concatenate((rows_by_link[e], cs.rows(ci)))
-            k_by_link[e] = np.vstack((k_by_link[e], con.K))
-        else:
-            rows_by_link[e] = cs.rows(ci)
-            k_by_link[e] = con.K.copy()
-    e_links = sorted(rows_by_link)
+    e_links = sorted({con.link for con in cs})
+    rows_by_link = {e: np.concatenate([cs.rows(c) for c, con in enumerate(cs) if con.link == e])
+                    for e in e_links}
+    k_by_link = {e: np.vstack([con.K for con in cs if con.link == e]) for e in e_links}
 
     # reduced tree: constrained links, their pairwise nearest common
     # ancestors, and the world anchor (-1)
@@ -186,10 +186,8 @@ def pv_osimr(model: Model, state: State, cs: ConstraintSet,
             if a < b:
                 in_b = set(chains[b])
                 nodes.add(next(x for x in chains[a] if x in in_b))
-    reduced_parent: dict[int, int] = {}
-    for node in nodes - {-1}:
-        chain = [node] + model.ancestors(node) + [-1]
-        reduced_parent[node] = next(x for x in chain[1:] if x in nodes)
+    reduced_parent = {node: next(x for x in model.ancestors(node) + [-1] if x in nodes)
+                      for node in nodes - {-1}}
 
     # walk each reduced edge once: propagator transpose and kernel sum
     edge_t: dict[int, np.ndarray] = {}
@@ -197,16 +195,19 @@ def pv_osimr(model: Model, state: State, cs: ConstraintSet,
     for node in reduced_parent:
         t = np.eye(6)
         sigma = np.zeros((6, 6))
+        work = 0
         j = node
         while j != reduced_parent[node]:
             nv = model.joints[j].nv
             if nv:
                 phi = t @ model.S[j]
-                sigma += phi @ _factor(model, ws, j)[1](phi.T)
-                flops.add(flops.gemm(6, 6, nv) + flops.chol_solve(nv, 6)
-                          + flops.gemm(6, nv, 6))
-            t = _push_block(model, ws, cache, j, t.T).T
+                sigma += phi @ _d_solve(model, ws, j, phi.T)
+                work += flops.gemm(6, 6, nv) + flops.chol_solve(nv, 6) + flops.gemm(6, nv, 6)
+            t, w = _push_block(model, ws, cache, j, t.T)
+            t = t.T
+            work += w
             j = model.parent[j]
+        flops.add(work)
         edge_t[node] = t
         edge_sigma[node] = sigma
 
@@ -236,17 +237,20 @@ def pv_osimr(model: Model, state: State, cs: ConstraintSet,
         pushed[e] = blocks
         red_chain[e] = chain
 
-    lam = np.zeros((m, m))
+    # blocks in link order, then one permutation into row order
+    grid = [[None] * len(e_links) for _ in e_links]
+    work = 0
     for ai, e in enumerate(e_links):
-        for f in e_links[ai:]:
-            common = next(x for x in red_chain[e] if x in set(red_chain[f]))
-            block = pushed[e][common] @ omega_of(common) @ pushed[f][common].T
-            flops.add(flops.gemm(pushed[e][common].shape[0], 6, 6)
-                      + flops.gemm(pushed[e][common].shape[0], 6,
-                                   pushed[f][common].shape[0]))
-            lam[np.ix_(rows_by_link[e], rows_by_link[f])] = block
-            if e != f:
-                lam[np.ix_(rows_by_link[f], rows_by_link[e])] = block.T
+        for bi in range(ai, len(e_links)):
+            f = e_links[bi]
+            in_f = set(red_chain[f])
+            common = next(x for x in red_chain[e] if x in in_f)
+            grid[ai][bi] = block = pushed[e][common] @ omega_of(common) @ pushed[f][common].T
+            grid[bi][ai] = block.T
+            work += flops.gemm(len(block), 6, 6) + flops.gemm(len(block), 6, block.shape[1])
+    flops.add(work)
+    back = np.argsort(np.concatenate([rows_by_link[e] for e in e_links]))
+    lam = np.concatenate([np.concatenate(row, axis=1) for row in grid])[np.ix_(back, back)]
     return DelassusOperator("explicit", 0.5 * (lam + lam.T),
                             offsets=tuple(cs.offsets))
 

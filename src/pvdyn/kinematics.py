@@ -31,7 +31,7 @@ import numpy as np
 
 from . import flops
 from .model import ConstraintSet, Model, State, check_state
-from .spatial import axis_angle_rotation, compose_rt, cross_rows, xm6
+from .spatial import axis_angle_rotation, compose_rt, cross_rows
 
 
 @dataclass
@@ -140,38 +140,43 @@ def velocity_products(model: Model, cache: KinematicsCache) -> np.ndarray:
     return out.reshape(n, 6)
 
 
+def _jacobians(model: Model, cache: KinematicsCache, links) -> np.ndarray:
+    """Local-frame geometric Jacobians of `links` as a (links, 6, nv) array.
+    Each link's transform from an ancestor's frame is composed one parent
+    per step, all links at once (deepest first, so those still walking are
+    a prefix), and maps the ancestor's joint columns into the link's frame."""
+    plan, frames, s0 = model.plan, cache.frames, model.S[0]
+    pos = plan.position[np.asarray(links, dtype=int)]
+    order = np.argsort(-plan.depth[pos], kind="stable")
+    pos, depth = pos[order], plan.depth[pos[order]]
+    jac = np.zeros((pos.size, 6, model.nv + 1))    # column nv takes the fixed joints
+    x = np.broadcast_to(np.eye(6), (pos.size, 6, 6))
+    work = pos.size * flops.COMPOSE
+    for hop in range(depth[0] + 1 if pos.size else 0):
+        k, below = np.count_nonzero(depth >= hop), np.count_nonzero(depth > hop)
+        pos, x = pos[:below], x[:k]
+        dof = plan.slot_dof[pos]
+        jac[order[:below], :, dof] = (x[:below] @ plan.S[pos])[:, :, 0]
+        jac[order[below:k], :, :s0.shape[1]] = x[below:] @ s0
+        x = x[:below] @ frames.xm[pos]
+        pos = plan.parent[pos]
+        work += below * flops.COMPOSE + flops.XMOT * (np.count_nonzero(dof < model.nv)
+                                                      + (k - below) * s0.shape[1])
+    flops.add(work)
+    return jac[:, :, :model.nv]
+
+
 def link_jacobian(model: Model, cache: KinematicsCache, link: int) -> np.ndarray:
     """Local-frame geometric Jacobian of a link: J v = link twist."""
-    jac = np.zeros((6, model.nv))
-    work = 0
-    i = link
-    r = np.eye(3)
-    t = np.zeros(3)
-    first = True
-    while i >= 0:
-        nv = model.joints[i].nv
-        if nv:
-            cols = model.S[i] if first else xm6(r, t, model.S[i])
-            jac[:, model.v_block(i)] = cols
-            work += flops.XMOT * nv
-        # walk one level up: prepend the parent-to-i transform
-        r, t = compose_rt(r, t, cache.rot[i], cache.trans[i])
-        work += flops.COMPOSE
-        first = False
-        i = model.parent[i]
-    flops.add(work)
-    return jac
+    return _jacobians(model, cache, [link])[0]
 
 
 def constraint_jacobian(model: Model, cache: KinematicsCache,
                         cs: ConstraintSet) -> np.ndarray:
     """Stacked m x n Jacobian of a constraint set (dense, oracle-facing)."""
-    jac = np.zeros((cs.m, model.nv))
-    for idx, con in enumerate(cs):
-        rows = cs.rows(idx)
-        jac[rows] = con.K @ link_jacobian(model, cache, con.link)
-        flops.add(flops.gemm(con.dim, 6, model.nv))
-    return jac
+    jac = _jacobians(model, cache, [con.link for con in cs])
+    flops.add(sum(flops.gemm(con.dim, 6, model.nv) for con in cs))
+    return np.concatenate([np.zeros((0, model.nv))] + [con.K @ j for con, j in zip(cs, jac)])
 
 
 def constraint_drift(model: Model, cache: KinematicsCache,

@@ -236,6 +236,22 @@ def _levels(parent: np.ndarray, depth: np.ndarray, fixed: np.ndarray,
     return tuple(out)
 
 
+def dof_levels(dof_parent: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The dofs by their number of ancestors in `dof_parent`, root level
+    first, as (dofs, ancestor table) pairs with each dof's ancestors from
+    the root down; the LTL factor and solves take one step per level."""
+    levels, row = [], np.zeros(len(dof_parent), dtype=int)
+    dofs = np.flatnonzero(dof_parent < 0)
+    while dofs.size:
+        row[dofs] = np.arange(dofs.size)
+        par = dof_parent[dofs]
+        anc = (np.column_stack((levels[-1][1][row[par]], par)) if levels
+               else np.zeros((dofs.size, 0), dtype=int))
+        levels.append((dofs, anc))
+        dofs = np.flatnonzero(np.isin(dof_parent, dofs))
+    return tuple(levels)
+
+
 class Model:
     """Immutable kinematic tree: topology, joints, placements, inertias."""
 
@@ -279,10 +295,9 @@ class Model:
         self.plan = LevelPlan.of(self)
 
         # per-dof parent chain (previous dof of the same joint, else the
-        # last dof of the nearest movable ancestor); drives the
-        # branch-sparse factorization pattern
+        # last dof of the nearest movable ancestor) and its levels; they
+        # drive the branch-sparse factorization pattern
         dof_parent = np.full(self.nv, -1, dtype=int)
-        dof_link = np.zeros(self.nv, dtype=int)
         last_dof = np.full(self.n_links, -1, dtype=int)
         for i in range(self.n_links):
             nv = self.joints[i].nv
@@ -291,11 +306,10 @@ class Model:
             for k in range(nv):
                 d = self.v_offset[i] + k
                 dof_parent[d] = prev
-                dof_link[d] = i
                 prev = d
             last_dof[i] = prev if nv > 0 else (last_dof[anc] if anc >= 0 else -1)
         self.dof_parent = dof_parent
-        self.dof_link = dof_link
+        self.dof_levels = dof_levels(dof_parent)
         self._last_dof = last_dof
 
     @property

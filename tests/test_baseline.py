@@ -287,3 +287,260 @@ def test_dense_delassus_psd(humanoid):
     lam = dense_delassus(humanoid, state, cs)
     eigs = np.linalg.eigvalsh(lam)
     assert eigs.min() >= -1e-10 * max(1.0, eigs.max())
+
+
+# ---------------------------------------------------------------------------
+# the level-batched LTL pipeline against the per-link and per-dof loops
+
+
+def per_link_crba(model, state, cache):
+    """CRBA with one Python iteration per link and per root-path hop."""
+    from pvdyn import flops
+    from pvdyn.spatial import xft6, xi6
+    n = model.n_links
+    composite = model.inertia66.copy()
+    m = np.zeros((model.nv, model.nv))
+    work = 0
+    for i in range(n - 1, -1, -1):
+        p = model.parent[i]
+        if p >= 0:
+            composite[p] += xi6(cache.rot[i], cache.trans[i], composite[i])
+            work += flops.XINERTIA + 36
+    for i in range(n):
+        nv = model.joints[i].nv
+        if nv == 0:
+            continue
+        fblock = composite[i] @ model.S[i]
+        blk_i = model.v_block(i)
+        m[blk_i, blk_i] = model.S[i].T @ fblock
+        work += flops.gemm(6, 6, nv) + flops.gemm(nv, 6, nv)
+        j = i
+        while model.parent[j] >= 0:
+            fblock = xft6(cache.rot[j], cache.trans[j], fblock)
+            j = model.parent[j]
+            work += flops.XFORCE_T * nv
+            nv_j = model.joints[j].nv
+            if nv_j:
+                blk_j = model.v_block(j)
+                m[blk_j, blk_i] = model.S[j].T @ fblock
+                m[blk_i, blk_j] = m[blk_j, blk_i].T
+                work += flops.gemm(nv_j, 6, nv)
+    flops.add(work)
+    return m
+
+
+def per_dof_ltl_factorize(matrix, pi):
+    """L' L factor with one Python iteration per dof, ancestor and entry."""
+    from pvdyn import flops
+    n = matrix.shape[0]
+    low = np.tril(matrix.copy())
+    work = 0
+    for k in range(n - 1, -1, -1):
+        if low[k, k] <= 0.0:
+            raise NotPositiveDefinite(f"pivot {k} is not positive")
+        low[k, k] = np.sqrt(low[k, k])
+        work += 1
+        i = pi[k]
+        while i >= 0:
+            low[k, i] /= low[k, k]
+            work += 1
+            i = pi[i]
+        i = pi[k]
+        while i >= 0:
+            j = i
+            while j >= 0:
+                low[i, j] -= low[k, i] * low[k, j]
+                work += 2
+                j = pi[j]
+            i = pi[i]
+    flops.add(work)
+    return low
+
+
+def per_dof_ltl_solve(low, pi, rhs):
+    from pvdyn import flops
+    n = low.shape[0]
+    y = np.asarray(rhs, dtype=float).copy()
+    work = 0
+    for i in range(n - 1, -1, -1):
+        y[i] /= low[i, i]
+        work += 1
+        j = pi[i]
+        while j >= 0:
+            y[j] -= low[i, j] * y[i]
+            work += 2
+            j = pi[j]
+    for i in range(n):
+        j = pi[i]
+        while j >= 0:
+            y[i] -= low[i, j] * y[j]
+            work += 2
+            j = pi[j]
+        y[i] /= low[i, i]
+        work += 1
+    flops.add(work)
+    return y
+
+
+def per_dof_ltl_osim(matrix, pi, jac):
+    """J M^-1 J', one column, dof and ancestor at a time, skipping zeros."""
+    from pvdyn import flops
+    m = jac.shape[0]
+    low = per_dof_ltl_factorize(matrix, pi)
+    n = low.shape[0]
+    z = jac.T.copy()
+    work = 0
+    for col in range(m):
+        y = z[:, col]
+        for i in range(n - 1, -1, -1):
+            yi = y[i]
+            if yi == 0.0:
+                continue
+            yi /= low[i, i]
+            y[i] = yi
+            work += 1
+            j = pi[i]
+            while j >= 0:
+                y[j] -= low[i, j] * yi
+                work += 2
+                j = pi[j]
+    lam = np.empty((m, m))
+    for a in range(m):
+        for b in range(a, m):
+            lam[a, b] = lam[b, a] = z[:, a] @ z[:, b]
+            work += 2 * n
+    flops.add(work)
+    return 0.5 * (lam + lam.T)
+
+
+def per_constraint_jacobian(model, cache, cs):
+    """Stacked Jacobian with one compose_rt walk per constraint."""
+    from pvdyn import flops
+    from pvdyn.spatial import compose_rt, xm6
+    jac = np.zeros((cs.m, model.nv))
+    for idx, con in enumerate(cs):
+        link_jac = np.zeros((6, model.nv))
+        work = 0
+        i, r, t, first = con.link, np.eye(3), np.zeros(3), True
+        while i >= 0:
+            nv = model.joints[i].nv
+            if nv:
+                cols = model.S[i] if first else xm6(r, t, model.S[i])
+                link_jac[:, model.v_block(i)] = cols
+                work += flops.XMOT * nv
+            r, t = compose_rt(r, t, cache.rot[i], cache.trans[i])
+            work += flops.COMPOSE
+            first = False
+            i = model.parent[i]
+        jac[cs.rows(idx)] = con.K @ link_jac
+        flops.add(work + flops.gemm(con.dim, 6, model.nv))
+    return jac
+
+
+def _ltl_models():
+    from pvdyn import generate_humanoid_like
+    from pvdyn.bench import load_model
+    from pvdyn.urdf import parse_urdf_subset
+    from test_constrained import with_fixed_joints
+    from test_kinematics import MIXED_URDF
+    tree = load_model("tree:40:3")
+    return {
+        "chain:64": lambda: load_model("chain:64"),
+        "star": star_model,
+        "tree:128:3": lambda: load_model("tree:128:3"),
+        "humanoid": generate_humanoid_like,
+        "floating-tree": lambda: generate_tree(30, 3, seed=4, base_kind="floating"),
+        "welded-tree": lambda: with_fixed_joints(
+            tree, {i for i in range(1, tree.n_links) if tree.children[i]} & set(range(2, 40, 3))),
+        "urdf-floating-prismatic": lambda: parse_urdf_subset(MIXED_URDF),
+    }
+
+
+LTL_MODELS = sorted(_ltl_models())
+
+
+def _ltl_case(name):
+    from pvdyn.generators import standard_constraints
+    model = _ltl_models()[name]()
+    state = random_state(model, 21)
+    m = min(12, model.nv - 1)
+    cs = standard_constraints(model, m, seed=21)
+    links = [con.link for con in cs] + [0, model.n_links - 1]
+    cs = ConstraintSet(list(cs) + [weld_constraint(link) for link in links[-2:]])
+    return model, state, forward_kinematics(model, state), cs
+
+
+def _same(got, ref):
+    return np.linalg.norm(got - ref) <= 1e-12 * (1 + np.linalg.norm(ref))
+
+
+def _counted(fn, *args):
+    from pvdyn import flops
+    with flops.counted() as count:
+        out = fn(*args)
+    return out, count()
+
+
+class TestLevelBatchedLtl:
+    @pytest.mark.parametrize("name", LTL_MODELS)
+    def test_crba_matches_per_link_loop(self, name):
+        model, state, cache, _ = _ltl_case(name)
+        ref, ref_flops = _counted(per_link_crba, model, state, cache)
+        mass, got_flops = _counted(crba, model, state, cache)
+        assert _same(mass.matrix, ref) and got_flops == ref_flops
+        assert np.array_equal(mass.matrix, mass.matrix.T)
+        assert np.all(mass.matrix[~mass.ancestry_mask()] == 0.0)
+
+    @pytest.mark.parametrize("name", LTL_MODELS)
+    def test_factor_and_solves_match_per_dof_loops(self, name):
+        model, state, cache, cs = _ltl_case(name)
+        mass = crba(model, state, cache)
+        pi = model.dof_parent
+        ref, ref_flops = _counted(per_dof_ltl_factorize, mass.matrix, pi)
+        factor, got_flops = _counted(ltl_factorize, mass)
+        assert _same(factor.matrix, ref) and got_flops == ref_flops
+        assert np.all(factor.matrix[~mass.ancestry_mask()] == 0.0)
+        rhs = np.random.default_rng(3).uniform(-1, 1, model.nv)
+        x_ref, ref_flops = _counted(per_dof_ltl_solve, ref, pi, rhs)
+        x, got_flops = _counted(ltl_solve, factor, rhs)
+        assert _same(x, x_ref) and got_flops == ref_flops
+        jac = constraint_jacobian(model, cache, cs)
+        lam_ref, ref_flops = _counted(per_dof_ltl_osim, mass.matrix, pi, jac)
+        lam, got_flops = _counted(ltl_osim, mass, jac)
+        assert _same(lam.matrix, lam_ref) and got_flops == ref_flops
+
+    @pytest.mark.parametrize("name", LTL_MODELS)
+    def test_constraint_jacobian_matches_per_constraint_walk(self, name):
+        from pvdyn import link_jacobian
+        model, state, cache, cs = _ltl_case(name)
+        ref, ref_flops = _counted(per_constraint_jacobian, model, cache, cs)
+        jac, got_flops = _counted(constraint_jacobian, model, cache, cs)
+        assert _same(jac, ref) and got_flops == ref_flops
+        for con in cs:
+            one = ConstraintSet([weld_constraint(con.link)])
+            ref, ref_flops = _counted(per_constraint_jacobian, model, cache, one)
+            got, got_flops = _counted(link_jacobian, model, cache, con.link)
+            assert _same(got, ref)
+            assert got_flops + 2 * 36 * model.nv == ref_flops
+
+    def test_ancestry_mask_matches_parent_walk(self):
+        model = _ltl_models()["welded-tree"]()
+        mass = crba(model, random_state(model, 2))
+        mask = np.eye(model.nv, dtype=bool)
+        for i in range(model.nv):
+            j = model.dof_parent[i]
+            while j >= 0:
+                mask[i, j] = mask[j, i] = True
+                j = model.dof_parent[j]
+        assert np.array_equal(mass.ancestry_mask(), mask)
+        assert not mask.all()
+
+    @pytest.mark.parametrize("dof", [0, 5, -1])
+    def test_not_positive_definite_at_any_level(self, dof):
+        model = _ltl_models()["tree:128:3"]()
+        mass = crba(model, random_state(model, 4))
+        mass.matrix[dof, dof] = -1.0
+        with pytest.raises(NotPositiveDefinite):
+            ltl_factorize(mass)
+        with pytest.raises(NotPositiveDefinite):
+            ltl_osim(mass, np.eye(model.nv)[:2])
