@@ -5,13 +5,14 @@ forward dynamics), the branch-sparse LTL factorization family, and the
 dense KKT oracle for least-constraint dynamics.  The oracle is the
 grading reference for every recursive solver in the library.
 
-The LTL-OSIM front end runs on tree levels, not per link or per scalar:
-CRBA's composite inertias take one array step per depth level
-(``Model.plan``) and its off-diagonal blocks one step per hop of a
-batched root-path walk; the LTL factor and its solves take one step per
-dof level (``Model.dof_levels``), deepest first, since dofs at one depth
-never update each other's rows.  Each charges the flops of the per-link
-and per-dof recursion.
+RNEA and the LTL-OSIM front end run on tree levels, not per link or
+per scalar: RNEA's accelerations and forces and CRBA's composite
+inertias take one array step per depth level (``Model.plan``), CRBA's
+off-diagonal blocks one step per hop of a batched root-path walk; the
+LTL factor and its solves take one step per dof level
+(``Model.dof_levels``), deepest first, since dofs at one depth never
+update each other's rows.  Each charges the flops of the per-link and
+per-dof recursion.
 
 Gravity enters through the base-acceleration trick: the world "parent"
 is given acceleration -g, which folds a uniform field into every sweep
@@ -35,7 +36,6 @@ from .kinematics import (KinematicsCache, constraint_drift,
                          constraint_jacobian, forward_kinematics,
                          velocity_products)
 from .model import ConstraintSet, Model, State, check_state, dof_levels
-from .spatial import xft6, xm6
 
 
 def _check_vec(model: Model, vec, name: str) -> np.ndarray:
@@ -51,37 +51,27 @@ def _check_vec(model: Model, vec, name: str) -> np.ndarray:
 
 def rnea(model: Model, state: State, qdd, f_ext=None,
          cache: KinematicsCache | None = None) -> np.ndarray:
-    """Inverse dynamics: tau = M qdd + h(q, v) - J_ext' f_ext."""
+    """Inverse dynamics: tau = M qdd + h(q, v) - J_ext' f_ext, one array
+    step per depth level of ``Model.plan`` down for a and back up for f."""
     qdd = _check_vec(model, qdd, "qdd")
     if cache is None:
         cache = forward_kinematics(model, state)
-    n = model.n_links
-    a = np.empty((n, 6))
-    f = velocity_products(model, cache)
-    a_world = -model.gravity6()
-    work = 0
-    for i in range(n):
-        p = model.parent[i]
-        a[i] = xm6(cache.rot[i], cache.trans[i], a_world if p < 0 else a[p]) + cache.c[i]
-        nv = model.joints[i].nv
-        if nv:
-            a[i] += model.S[i] @ qdd[model.v_block(i)]
-        f[i] += model.inertia66[i] @ a[i]
-        if f_ext is not None and f_ext[i] is not None:
-            f[i] -= np.asarray(f_ext[i], dtype=float)
-        work += flops.XMOT + 2 * flops.ADD6 + 6 * nv + flops.APPLY_I
-    tau = np.zeros(model.nv)
-    for i in range(n - 1, -1, -1):
-        nv = model.joints[i].nv
-        if nv:
-            tau[model.v_block(i)] = model.S[i].T @ f[i]
-            work += 11 * nv
-        p = model.parent[i]
-        if p >= 0:
-            f[p] += xft6(cache.rot[i], cache.trans[i], f[i])
-            work += flops.XFORCE_T + flops.ADD6
-    flops.add(work)
-    return tau
+    plan, frames, n, s0 = model.plan, cache.frames, model.n_links, model.S[0]
+    qj = np.append(qdd, 0.0)[plan.slot_dof, None, None]
+    a = np.empty((n, 6, 1))
+    a[0] = frames.xm[0] @ -model.gravity6()[:, None] + frames.c[0] + s0 @ qj[n:, 0]
+    for lv in plan.sweep[1:]:
+        a[lv.links] = frames.xm[lv.links] @ a[lv.parents] + frames.c[lv.links] \
+            + plan.S[lv.links] * qj[lv.links]
+    f = velocity_products(model, cache)[plan.order, :, None] + plan.inertia66 @ a
+    if f_ext is not None:
+        f[plan.position, :, 0] -= [np.zeros(6) if fi is None else fi for fi in f_ext]
+    for lv in reversed(plan.sweep[1:]):
+        lv.scatter(f, frames.xm_t[lv.links] @ f[lv.links])
+    tj = np.append((plan.ST @ f)[:, 0, 0], s0.T @ f[0, :, 0])
+    flops.add(n * (flops.XMOT + 2 * flops.ADD6 + flops.APPLY_I) + 17 * model.nv
+              + (n - 1) * (flops.XFORCE_T + flops.ADD6))
+    return tj[plan.dof_slot]
 
 
 def bias_force(model: Model, state: State,

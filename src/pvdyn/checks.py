@@ -173,7 +173,8 @@ def _check_spatial(rng) -> list[CheckResult]:
         rot, trans = random_transform()
         v, f = rng.standard_normal(6), rng.standard_normal(6)
         power = float(f @ v)
-        power_t = float(spatial.xf6(rot, trans, f) @ spatial.xm6(rot, trans, v))
+        power_t = float((spatial.force_matrix(rot, trans) @ f)
+                        @ (spatial.motion_matrix(rot, trans) @ v))
         worst_power = max(worst_power, abs(power - power_t) / (1 + abs(power)))
     rot, trans = np.eye(3), np.zeros(3)
     for _ in range(1000):

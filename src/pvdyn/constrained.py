@@ -73,7 +73,6 @@ from .errors import (DimensionMismatch, NotPositiveDefinite, SingularBaseInertia
                      SingularDual, SingularJointInertia)
 from .kinematics import KinematicsCache, forward_kinematics, velocity_products
 from .model import ConstraintSet, Level, Model, State, check_state
-from .spatial import xft6, xm6
 
 _ELIM_PIVOT_RATIO = 1e-6     # eagerness threshold for early elimination
 _DUAL_PIVOT_RATIO = 1e-10    # base dual block counts as singular below this
@@ -224,12 +223,9 @@ def _check_inputs(model: Model, state: State, tau) -> np.ndarray:
 def _beta_hat(model: Model, cache: KinematicsCache, cs: ConstraintSet,
               out: np.ndarray) -> np.ndarray:
     """Constraint targets shifted into gravity-trick sweep coordinates."""
-    agrav = model.gravity6()
     work = 0
     for ci, con in enumerate(cs):
-        e = con.link
-        g_local = xm6(cache.w_rot[e], cache.w_trans[e], agrav)
-        out[cs.rows(ci)] = con.a_star - con.K @ g_local
+        out[cs.rows(ci)] = con.a_star - con.K[:, 3:] @ (cache.w_rot[con.link] @ model.gravity)
         work += flops.XMOT + flops.gemm(con.dim, 6, 1)
     flops.add(work)
     return out
@@ -419,7 +415,7 @@ def _root_forward(model: Model, cache: KinematicsCache, ws: _Sweep, lv: Level,
     if change:
         a_in, work = np.zeros(6), 0
     else:
-        a_in = xm6(cache.rot[0], cache.trans[0], -model.gravity6()) + cache.c[0]
+        a_in = cache.frames.xm[0] @ -model.gravity6() + cache.c[0]
         work = flops.XMOT + flops.ADD6
     nv = model.joints[0].nv
     if nv:
@@ -516,7 +512,7 @@ def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, links,
     eliminated early); None means all.  Each link's K is pushed into its
     parent's block, and at the base into ``ws.Kw`` if `with_l`.
     """
-    position = model.plan.position
+    position, xm = model.plan.position, cache.frames.xm
     work = 0
     for i in links:
         rows_i = ws.rows[i]
@@ -552,7 +548,7 @@ def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, links,
                 + flops.gemm(r, nv, r) + flops.gemm(r, nv, 6)
         p = model.parent[i]
         if p >= 0 or with_l:
-            k_push = xft6(cache.rot[i], cache.trans[i], k_new.T).T
+            k_push = k_new @ xm[position[i]]
             work += flops.XFORCE_T * r
             if p >= 0:
                 ws.K[p][ws.pos_in_parent[i][loc]] = k_push

@@ -34,7 +34,6 @@ from .constrained import (PvWorkspace, SolverSettings, _coupling_pass,
                           _inertia_pass, _seed_coupling)
 from .kinematics import KinematicsCache, forward_kinematics
 from .model import ConstraintSet, Model, State
-from .spatial import xft6
 
 
 @dataclass
@@ -122,40 +121,13 @@ def _push_block(model: Model, ws: PvWorkspace, cache, i: int,
                 block: np.ndarray) -> tuple[np.ndarray, int]:
     """The joint-i force propagator and frame change applied to a 6 x k
     block, and the flops of doing so."""
-    nv, k = model.joints[i].nv, block.shape[1]
+    nv, k, pos = model.joints[i].nv, block.shape[1], model.plan.position[i]
     work = flops.XFORCE_T * k
     if nv:
-        uu = ws.U[model.plan.position[i]] if i else ws.root_U
+        uu = ws.U[pos] if i else ws.root_U
         block = block - uu @ _d_solve(model, ws, i, model.S[i].T @ block)
         work += flops.gemm(nv, 6, k) + flops.chol_solve(nv, k) + flops.gemm(6, nv, k)
-    return xft6(cache.rot[i], cache.trans[i], block), work
-
-
-def extended_force_propagator(model: Model, state: State, link: int,
-                              ancestor: int,
-                              ws: PvWorkspace | None = None) -> np.ndarray:
-    """6x6 force propagator from `link` up to `ancestor` (or -1, the world).
-
-    The propagator of an empty path (link to itself) is the identity, and
-    propagators compose over concatenated path segments:
-    P(link -> g2) == P(g1 -> g2) @ P(link -> g1) for g1 on the path.
-    """
-    if ws is None:
-        ws = PvWorkspace(model, ConstraintSet.empty())
-    cache = forward_kinematics(model, state)
-    np.copyto(ws.IA, model.plan.inertia66)
-    _inertia_pass(model, cache, ws, model.plan.sweep)
-    prop = np.eye(6)
-    work = 0
-    j = link
-    while j != ancestor:
-        if j < 0:
-            raise ValueError(f"link {ancestor} is not an ancestor of {link}")
-        prop, w = _push_block(model, ws, cache, j, prop)
-        work += w
-        j = model.parent[j]
-    flops.add(work)
-    return prop
+    return cache.frames.xm_t[pos] @ block, work
 
 
 def pv_osimr(model: Model, state: State, cs: ConstraintSet,

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import flops
 from .model import ConstraintSet, Model, State, check_state
-from .spatial import axis_angle_rotation, compose_rt, cross_rows
+from .spatial import axis_angle_rotation, compose_rt, cross_rows, motion_matrix
 
 
 @dataclass
@@ -63,9 +63,6 @@ class PlanFrames:
         self.xm_t = self.xm.swapaxes(1, 2)
 
 
-_SKEW_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
-
-
 def forward_kinematics(model: Model, state: State) -> KinematicsCache:
     """Position and velocity recursion over the tree, one step per depth level."""
     check_state(model, state)
@@ -95,12 +92,7 @@ def forward_kinematics(model: Model, state: State) -> KinematicsCache:
     # 6x6 motion transforms and 4x4 link-to-world poses [[w_rot', w_trans], [0, 1]]
     order = plan.order
     rot_l, trans_l, vj_l = rot[order], trans[order], vj[order]
-    skew = np.zeros((n, 9))
-    skew[:, [1, 2, 3, 5, 6, 7]] = trans_l[:, [2, 1, 2, 0, 1, 0]] * _SKEW_SIGNS
-    xm = np.zeros((n, 6, 6))
-    xm[:, :3, :3] = rot_l
-    xm[:, 3:, 3:] = rot_l
-    xm[:, 3:, :3] = -rot_l @ skew.reshape(n, 3, 3)
+    xm = motion_matrix(rot_l, trans_l)
     pose = np.zeros((n, 4, 4))
     pose[:, :3, :3] = np.swapaxes(rot_l, 1, 2)
     pose[:, :3, 3] = trans_l
@@ -123,9 +115,8 @@ def forward_kinematics(model: Model, state: State) -> KinematicsCache:
     w_rot = np.swapaxes(world[:, :3, :3], 1, 2).copy()
     w_trans = world[:, :3, 3].copy()
     flops.add(plan.fk_flops)
-    frames = PlanFrames(xm, c[:, :, None])
     return KinematicsCache(rot, trans, w_rot, w_trans, v[back], c[back], avp[back], vj,
-                           frames)
+                           PlanFrames(xm, c[:, :, None]))
 
 
 def velocity_products(model: Model, cache: KinematicsCache) -> np.ndarray:

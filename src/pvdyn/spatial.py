@@ -9,16 +9,18 @@ Conventions, fixed once and used everywhere:
 * the motion transform of X is the 6x6 block matrix
   ``[[R, 0], [-R.skew(p), R]]`` and the force transform is its inverse
   transpose ``[[R, -R.skew(p)], [0, R]]``, so power v.f is invariant;
-* transforms are stored as (rotation, translation) pairs; 6x6 forms are
-  materialized only inside inertia congruences.
+* transforms are stored as (rotation, translation) pairs and applied as
+  6x6 matrices: ``motion_matrix`` builds them for a stack of links at
+  once, ``X @ v`` moves a motion into the target frame and ``X.T @ f``
+  pushes a target-frame force back into the source frame.
 
 All scalars are double precision.  Every value type here is immutable;
 instances can be shared freely between threads.
 
-Motions, forces and inertias are plain arrays, acted on by the kernels
-(``xm6``, ``xf6``, ``xft6``, ``xi6`` ...) that the recursive sweeps
-use.  Two small frozen dataclasses describe a model: a transform
-(``PlueckerTransform``) and a rigid-body inertia (``SpatialInertia``).
+Motions, forces and inertias are plain arrays, acted on by 6x6 matrix
+products in the recursive sweeps.  Two small frozen dataclasses describe
+a model: a transform (``PlueckerTransform``) and a rigid-body inertia
+(``SpatialInertia``).
 """
 
 from __future__ import annotations
@@ -29,10 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
+_SKEW_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+
+
 def skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrix: skew(v) @ w == cross(v, w)."""
-    x, y, z = np.asarray(v, dtype=float).tolist()
-    return np.array(((0.0, -z, y), (z, 0.0, -x), (-y, x, 0.0)))
+    """Cross-product matrix: skew(v) @ w == cross(v, w); broadcasts over
+    the leading axes of v (..., 3)."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape[:-1] + (9,))
+    out[..., [1, 2, 3, 5, 6, 7]] = v[..., [2, 1, 2, 0, 1, 0]] * _SKEW_SIGNS
+    return out.reshape(v.shape[:-1] + (3, 3))
 
 
 def axis_angle_rotation(axis: np.ndarray, angle: float | np.ndarray) -> np.ndarray:
@@ -108,15 +116,6 @@ def quat_exp(omega_dt: np.ndarray) -> np.ndarray:
 # array kernels used by the recursive sweeps
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b for a 3-vector a and a 3-vector or 3xk block b (column-wise)."""
-    if b.ndim == 2:
-        return skew(a) @ b
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
-
-
 def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross product over the last axis of two broadcastable (..., 3) arrays."""
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
@@ -124,59 +123,22 @@ def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
 
 
-def xm6(rot: np.ndarray, trans: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Motion transform of a 6-vector (or 6xk block) into the target frame."""
-    ang = v[:3]
-    return np.concatenate((rot @ ang, rot @ (v[3:] - _cross(trans, ang))), axis=0)
-
-
-def xf6(rot: np.ndarray, trans: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Force transform of a 6-vector (or 6xk block) into the target frame."""
-    lin = f[3:]
-    return np.concatenate((rot @ (f[:3] - _cross(trans, lin)), rot @ lin), axis=0)
-
-
-def xft6(rot: np.ndarray, trans: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Transposed motion transform applied to a force (child-to-parent push)."""
-    fl = rot.T @ f[3:]
-    return np.concatenate((rot.T @ f[:3] + _cross(trans, fl), fl), axis=0)
-
-
 def motion_matrix(rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    x = np.zeros((6, 6))
-    x[:3, :3] = rot
-    x[3:, 3:] = rot
-    x[3:, :3] = -rot @ skew(trans)
+    """The motion transform of (R, p), for one link or a stack of links."""
+    rot = np.asarray(rot, dtype=float)
+    x = np.zeros(rot.shape[:-2] + (6, 6))
+    x[..., :3, :3] = x[..., 3:, 3:] = rot
+    x[..., 3:, :3] = -rot @ skew(trans)
     return x
 
 
 def force_matrix(rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    x = np.zeros((6, 6))
-    x[:3, :3] = rot
-    x[3:, 3:] = rot
-    x[:3, 3:] = -rot @ skew(trans)
-    return x
-
-
-def xi6(rot: np.ndarray, trans: np.ndarray, inertia: np.ndarray) -> np.ndarray:
-    """Congruence X' I X of a 6x6 inertia, mapping it target-to-source frame."""
+    """The force transform of (R, p): the motion transform with its
+    off-diagonal block moved to the top right."""
     x = motion_matrix(rot, trans)
-    out = x.T @ inertia @ x
-    return 0.5 * (out + out.T)
-
-
-def cross_m6(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Spatial cross product of a motion vector with a motion 6-vector or 6xk block."""
-    vw = v[:3]
-    wa = w[:3]
-    return np.concatenate((_cross(vw, wa), _cross(vw, w[3:]) + _cross(v[3:], wa)), axis=0)
-
-
-def cross_f6(v: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Dual spatial cross product of a motion with a force 6-vector or 6xk block."""
-    vw = v[:3]
-    fl = f[3:]
-    return np.concatenate((_cross(vw, f[:3]) + _cross(v[3:], fl), _cross(vw, fl)), axis=0)
+    x[..., :3, 3:] = x[..., 3:, :3]
+    x[..., 3:, :3] = 0.0
+    return x
 
 
 def compose_rt(r1: np.ndarray, p1: np.ndarray, r2: np.ndarray, p2: np.ndarray):

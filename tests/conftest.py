@@ -34,3 +34,10 @@ def random_transform(rng):
     axis /= np.linalg.norm(axis)
     return PlueckerTransform(axis_angle_rotation(axis, rng.uniform(-3, 3)),
                              rng.standard_normal(3))
+
+
+def congruence(x, inertia):
+    """X' I X of a 6x6 inertia, symmetrized: the inertia mapped from the
+    target frame of the motion transform X into its source frame."""
+    out = x.T @ inertia @ x
+    return 0.5 * (out + out.T)

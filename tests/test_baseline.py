@@ -5,7 +5,7 @@ from pvdyn import (ConstraintSet, State, aba, bias_force, crba,
                    constraint_jacobian, dense_delassus, forward_kinematics,
                    generate_chain, generate_tree, kkt_oracle, ltl_factorize,
                    ltl_osim, ltl_solve, neutral_state, point_constraint,
-                   random_state, relaxed_kkt_oracle, weld_constraint)
+                   random_state, relaxed_kkt_oracle, rnea, weld_constraint)
 from pvdyn.errors import NotPositiveDefinite
 from pvdyn.baseline import MassMatrix
 
@@ -37,7 +37,6 @@ class TestRnea:
         np.testing.assert_allclose(tau, np.zeros(8), atol=1e-14)
 
     def test_affinity_in_qdd(self, chain8):
-        from pvdyn import rnea
         state = random_state(chain8, 2)
         rng = np.random.default_rng(0)
         q1, q2 = rng.uniform(-1, 1, (2, 8))
@@ -46,7 +45,6 @@ class TestRnea:
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_external_force_balances_gravity(self, pendulum):
-        from pvdyn import rnea
         state = neutral_state(pendulum)
         # upward force at the bob cancels the gravity torque
         f_ext = [None, np.array([0, 0, 4.905, 0, 9.81, 0])]
@@ -70,7 +68,6 @@ class TestCrba:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_rnea_columns(self, seed):
-        from pvdyn import rnea
         model = generate_tree(18, 2, seed=seed,
                               base_kind="floating" if seed % 2 else "fixed")
         state = random_state(model, seed)
@@ -93,7 +90,6 @@ class TestCrba:
 class TestAba:
     @pytest.mark.parametrize("seed", range(5))
     def test_rnea_roundtrip(self, seed):
-        from pvdyn import rnea
         model = generate_tree(20, 3, seed=seed,
                               base_kind="floating" if seed % 2 else "fixed")
         state = random_state(model, seed + 50)
@@ -256,7 +252,6 @@ class TestRelaxedOracle:
 
 
 def test_aba_external_force_roundtrip(chain8):
-    from pvdyn import rnea
     state = random_state(chain8, 17)
     rng = np.random.default_rng(17)
     qdd = rng.uniform(-1, 1, 8)
@@ -293,18 +288,57 @@ def test_dense_delassus_psd(humanoid):
 # the level-batched LTL pipeline against the per-link and per-dof loops
 
 
+def per_link_rnea(model, state, qdd, f_ext=None, cache=None):
+    """RNEA with one Python iteration per link each way."""
+    from pvdyn import flops
+    from pvdyn.kinematics import velocity_products
+    from pvdyn.spatial import motion_matrix
+    if cache is None:
+        cache = forward_kinematics(model, state)
+    n = model.n_links
+    xm = motion_matrix(cache.rot, cache.trans)
+    a = np.empty((n, 6))
+    f = velocity_products(model, cache)
+    a_world = -model.gravity6()
+    work = 0
+    for i in range(n):
+        p = model.parent[i]
+        a[i] = xm[i] @ (a_world if p < 0 else a[p]) + cache.c[i]
+        nv = model.joints[i].nv
+        if nv:
+            a[i] += model.S[i] @ qdd[model.v_block(i)]
+        f[i] += model.inertia66[i] @ a[i]
+        if f_ext is not None and f_ext[i] is not None:
+            f[i] -= np.asarray(f_ext[i], dtype=float)
+        work += flops.XMOT + 2 * flops.ADD6 + 6 * nv + flops.APPLY_I
+    tau = np.zeros(model.nv)
+    for i in range(n - 1, -1, -1):
+        nv = model.joints[i].nv
+        if nv:
+            tau[model.v_block(i)] = model.S[i].T @ f[i]
+            work += 11 * nv
+        p = model.parent[i]
+        if p >= 0:
+            f[p] += xm[i].T @ f[i]
+            work += flops.XFORCE_T + flops.ADD6
+    flops.add(work)
+    return tau
+
+
 def per_link_crba(model, state, cache):
     """CRBA with one Python iteration per link and per root-path hop."""
     from pvdyn import flops
-    from pvdyn.spatial import xft6, xi6
+    from pvdyn.spatial import motion_matrix
+    from conftest import congruence
     n = model.n_links
+    xm = motion_matrix(cache.rot, cache.trans)
     composite = model.inertia66.copy()
     m = np.zeros((model.nv, model.nv))
     work = 0
     for i in range(n - 1, -1, -1):
         p = model.parent[i]
         if p >= 0:
-            composite[p] += xi6(cache.rot[i], cache.trans[i], composite[i])
+            composite[p] += congruence(xm[i], composite[i])
             work += flops.XINERTIA + 36
     for i in range(n):
         nv = model.joints[i].nv
@@ -316,7 +350,7 @@ def per_link_crba(model, state, cache):
         work += flops.gemm(6, 6, nv) + flops.gemm(nv, 6, nv)
         j = i
         while model.parent[j] >= 0:
-            fblock = xft6(cache.rot[j], cache.trans[j], fblock)
+            fblock = xm[j].T @ fblock
             j = model.parent[j]
             work += flops.XFORCE_T * nv
             nv_j = model.joints[j].nv
@@ -416,7 +450,7 @@ def per_dof_ltl_osim(matrix, pi, jac):
 def per_constraint_jacobian(model, cache, cs):
     """Stacked Jacobian with one compose_rt walk per constraint."""
     from pvdyn import flops
-    from pvdyn.spatial import compose_rt, xm6
+    from pvdyn.spatial import compose_rt, motion_matrix
     jac = np.zeros((cs.m, model.nv))
     for idx, con in enumerate(cs):
         link_jac = np.zeros((6, model.nv))
@@ -425,7 +459,7 @@ def per_constraint_jacobian(model, cache, cs):
         while i >= 0:
             nv = model.joints[i].nv
             if nv:
-                cols = model.S[i] if first else xm6(r, t, model.S[i])
+                cols = model.S[i] if first else motion_matrix(r, t) @ model.S[i]
                 link_jac[:, model.v_block(i)] = cols
                 work += flops.XMOT * nv
             r, t = compose_rt(r, t, cache.rot[i], cache.trans[i])
@@ -457,6 +491,8 @@ def _ltl_models():
 
 
 LTL_MODELS = sorted(_ltl_models())
+RNEA_MODELS = ["chain:1", "chain:7", "chain:64", "tree:128:3", "humanoid", "welded-tree",
+               "urdf-floating-prismatic"]
 
 
 def _ltl_case(name):
@@ -544,3 +580,30 @@ class TestLevelBatchedLtl:
             ltl_factorize(mass)
         with pytest.raises(NotPositiveDefinite):
             ltl_osim(mass, np.eye(model.nv)[:2])
+
+
+class TestLevelBatchedRnea:
+    """The level-batched RNEA against the per-link loop: torques within
+    1e-12 relative and the same flop charge."""
+
+    @pytest.mark.parametrize("case", ["plain", "f_ext", "zero_gravity"])
+    @pytest.mark.parametrize("name", RNEA_MODELS)
+    def test_matches_per_link_loop(self, name, case):
+        from pvdyn.bench import load_model
+        model = load_model(name) if name.startswith("chain") else _ltl_models()[name]()
+        if case == "zero_gravity":
+            model = model.with_gravity(np.zeros(3))
+        state = random_state(model, 31)
+        rng = np.random.default_rng(31)
+        qdd = rng.uniform(-2.0, 2.0, model.nv)
+        f_ext = None
+        if case == "f_ext":
+            f_ext = [None if i % 3 == 1 else rng.standard_normal(6)
+                     for i in range(model.n_links)]
+        cache = forward_kinematics(model, state)
+        ref, ref_flops = _counted(per_link_rnea, model, state, qdd, f_ext, cache)
+        tau, got_flops = _counted(rnea, model, state, qdd, f_ext, cache)
+        assert _same(tau, ref) and got_flops == ref_flops
+        _, fk_flops = _counted(forward_kinematics, model, state)
+        _, full_flops = _counted(rnea, model, state, qdd, f_ext)
+        assert full_flops == fk_flops + got_flops

@@ -167,35 +167,6 @@ class TestApplySolve:
             delassus_factor_solve(op, np.ones(2))
 
 
-class TestExtendedPropagator:
-    def test_empty_path_is_identity(self, chain8):
-        from pvdyn.delassus import extended_force_propagator
-        state = random_state(chain8, 11)
-        prop = extended_force_propagator(chain8, state, 5, 5)
-        np.testing.assert_array_equal(prop, np.eye(6))
-
-    def test_composition_over_segments(self, chain8):
-        from pvdyn.delassus import extended_force_propagator
-        state = random_state(chain8, 12)
-        full = extended_force_propagator(chain8, state, 8, 2)
-        upper = extended_force_propagator(chain8, state, 5, 2)
-        lower = extended_force_propagator(chain8, state, 8, 5)
-        np.testing.assert_allclose(full, upper @ lower, atol=1e-12)
-
-    def test_composition_to_world(self):
-        from pvdyn.delassus import extended_force_propagator
-        model = generate_tree(10, 2, seed=13, base_kind="floating")
-        state = random_state(model, 13)
-        leaf = model.n_links - 1
-        full = extended_force_propagator(model, state, leaf, -1)
-        mid = model.parent[leaf]
-        np.testing.assert_allclose(
-            full,
-            extended_force_propagator(model, state, mid, -1)
-            @ extended_force_propagator(model, state, leaf, mid),
-            atol=1e-12)
-
-
 class TestSolverConsistency:
     @pytest.mark.parametrize("seed", range(5))
     def test_multipliers_via_operator_match_pv(self, seed):

@@ -25,8 +25,8 @@ from pvdyn.errors import (NotPositiveDefinite, SingularBaseInertia, SingularDual
                           SingularJointInertia)
 from pvdyn.generators import standard_constraints
 from pvdyn.kinematics import forward_kinematics, velocity_products
-from pvdyn.spatial import xft6, xi6, xm6
 from pvdyn.urdf import parse_urdf_subset
+from conftest import congruence
 from test_constrained import full_sweep_caba, with_fixed_joints
 from test_kinematics import MIXED_URDF
 
@@ -40,6 +40,7 @@ def reference_pv(model, state, tau, cs, early):
     ws = PvWorkspace(model, cs)
     with flops.counted() as count:
         cache = forward_kinematics(model, state)
+        xm = cache.frames.xm[model.plan.position]     # the engine's frames, by link
         n, m = model.n_links, cs.m
         work = 0
         beta = _beta_hat(model, cache, cs, np.empty(m)) if m else np.empty(0)
@@ -132,11 +133,11 @@ def reference_pv(model, state, tau, cs, early):
                 work += flops.APPLY_I
             ks_rows[i] = ract
             if ract.size:
-                k_push = xft6(cache.rot[i], cache.trans[i], k_new.T).T
+                k_push = k_new @ xm[i]
                 work += flops.XFORCE_T * ract.size
             if p >= 0:
-                ia[p] += xi6(cache.rot[i], cache.trans[i], ia_proj)
-                pa[p] += xft6(cache.rot[i], cache.trans[i], pa_proj)
+                ia[p] += congruence(xm[i], ia_proj)
+                pa[p] += xm[i].T @ pa_proj
                 work += flops.XINERTIA + flops.XFORCE_T + 42
                 if ract.size:
                     ws.K[p][ws.pos_in_parent[i][loc]] = k_push
@@ -157,7 +158,7 @@ def reference_pv(model, state, tau, cs, early):
         qdd = np.zeros(model.nv)
         for i in range(n):
             p = model.parent[i]
-            a_in = xm6(cache.rot[i], cache.trans[i], a_world if p < 0 else a[p]) + cache.c[i]
+            a_in = xm[i] @ (a_world if p < 0 else a[p]) + cache.c[i]
             nv = model.joints[i].nv
             if nv:
                 t = u[i] - uu[i].T @ a_in
@@ -395,7 +396,7 @@ def per_link_aba(model, cache, tau, added=None, bias=None):
     replaced: inertias and biases from the leaves, then accelerations from
     the root, one Python iteration per link.  Returns (qdd, link
     accelerations)."""
-    n = model.n_links
+    n, xm = model.n_links, cache.frames.xm[model.plan.position]
     ia = model.inertia66.copy()
     pa = velocity_products(model, cache)
     for link, extra in (added or {}).items():
@@ -414,14 +415,13 @@ def per_link_aba(model, cache, tau, added=None, bias=None):
             pa_proj = pa[i] + ia_proj @ cache.c[i] + uu[i] @ dfac[i].solve(u[i])
         p = model.parent[i]
         if p >= 0:
-            ia[p] += xi6(cache.rot[i], cache.trans[i], ia_proj)
-            pa[p] += xft6(cache.rot[i], cache.trans[i], pa_proj)
+            ia[p] += congruence(xm[i], ia_proj)
+            pa[p] += xm[i].T @ pa_proj
     qdd = np.zeros(model.nv)
     a = np.empty((n, 6))
     for i in range(n):
         p = model.parent[i]
-        a[i] = xm6(cache.rot[i], cache.trans[i],
-                   -model.gravity6() if p < 0 else a[p]) + cache.c[i]
+        a[i] = xm[i] @ (-model.gravity6() if p < 0 else a[p]) + cache.c[i]
         if model.joints[i].nv:
             qdd[model.v_block(i)] = blk = dfac[i].solve(u[i] - uu[i].T @ a[i])
             a[i] += model.S[i] @ blk

@@ -11,9 +11,18 @@ from pvdyn.errors import DimensionMismatch
 from pvdyn.generators import standard_constraints
 from pvdyn.integrate import integrate_position
 from pvdyn.kinematics import velocity_products
-from pvdyn.spatial import compose_rt, cross_f6, cross_m6, xm6
+from pvdyn.spatial import compose_rt, motion_matrix, skew
 
 FIELDS = ("rot", "trans", "w_rot", "w_trans", "v", "c", "avp", "vj")
+
+
+def cross_matrix(v):
+    """6x6 matrix of v x (.) on motion vectors, [[w^, 0], [u^, w^]]; its
+    negative transpose is v x* (.) on forces."""
+    out = np.zeros((6, 6))
+    out[:3, :3] = out[3:, 3:] = skew(v[:3])
+    out[3:, :3] = skew(v[3:])
+    return out
 
 
 def per_link_fk(model, state):
@@ -41,9 +50,10 @@ def per_link_fk(model, state):
         if joint.nv:
             vj[i] = model.S[i] @ state.v[model.v_block(i)]
         if p >= 0:
-            v[i] = xm6(rot[i], trans[i], v[p]) + vj[i]
-            c[i] = cross_m6(v[i], vj[i])
-            avp[i] = xm6(rot[i], trans[i], avp[p]) + c[i]
+            x = motion_matrix(rot[i], trans[i])
+            v[i] = x @ v[p] + vj[i]
+            c[i] = cross_matrix(v[i]) @ vj[i]
+            avp[i] = x @ avp[p] + c[i]
         else:
             v[i] = vj[i]
         work += flops.AXIS_ANGLE + 2 * flops.COMPOSE + 2 * flops.XMOT \
@@ -200,7 +210,7 @@ class TestLevelBatchedKinematics:
         model = MODELS[name]()
         state = random_state(model, 7)
         cache = forward_kinematics(model, state)
-        ref = np.array([cross_f6(cache.v[i], model.inertia66[i] @ cache.v[i])
+        ref = np.array([-cross_matrix(cache.v[i]).T @ model.inertia66[i] @ cache.v[i]
                         for i in range(model.n_links)])
         with flops.counted() as fl:
             out = velocity_products(model, cache)

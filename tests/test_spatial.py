@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 
 from pvdyn import PlueckerTransform, SpatialInertia, compose, inverse
-from pvdyn.spatial import cross_f6, cross_m6, xf6, xi6, xm6
-from conftest import random_transform
+from pvdyn.spatial import cross_rows, force_matrix, motion_matrix
+from conftest import congruence, random_transform
 
 
 def xm(x, v):
-    return xm6(x.rotation, x.translation, v)
+    return x.motion_matrix() @ v
+
+
+def xf(rot, trans, f):
+    return force_matrix(rot, trans) @ f
 
 
 def xi(x, inertia):
-    return xi6(x.rotation, x.translation, inertia)
+    return congruence(x.motion_matrix(), inertia)
 
 
 def random_spd(rng):
@@ -51,43 +55,23 @@ class TestTransformForce:
     def test_identity(self, rng):
         f = rng.standard_normal(6)
         x = PlueckerTransform.identity()
-        np.testing.assert_array_equal(xf6(x.rotation, x.translation, f), f)
+        np.testing.assert_array_equal(xf(x.rotation, x.translation, f), f)
 
     def test_power_invariance(self, rng):
         for _ in range(50):
             x = random_transform(rng)
             v, f = rng.standard_normal(6), rng.standard_normal(6)
             p0 = f @ v
-            p1 = xf6(x.rotation, x.translation, f) @ xm(x, v)
+            p1 = xf(x.rotation, x.translation, f) @ xm(x, v)
             assert abs(p0 - p1) <= 1e-12 * (1 + abs(p0))
 
     def test_pure_rotation_rotates_both(self, rng):
         from pvdyn.spatial import axis_angle_rotation
         r = axis_angle_rotation(np.array([0.0, 0.0, 1.0]), 0.7)
         f = rng.standard_normal(6)
-        out = xf6(r, np.zeros(3), f)
+        out = xf(r, np.zeros(3), f)
         np.testing.assert_allclose(out[:3], r @ f[:3], atol=1e-14)
         np.testing.assert_allclose(out[3:], r @ f[3:], atol=1e-14)
-
-
-class TestCrossProducts:
-    def test_self_cross_vanishes(self, rng):
-        v = rng.standard_normal(6)
-        np.testing.assert_allclose(cross_m6(v, v), np.zeros(6), atol=1e-14)
-
-    def test_componentwise_example(self):
-        v = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-        w = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-        out = cross_m6(v, w)
-        np.testing.assert_allclose(out[:3], np.zeros(3))
-        np.testing.assert_allclose(out[3:], [0.0, 1.0, 0.0])
-
-    def test_duality(self, rng):
-        for _ in range(30):
-            v, w, f = (rng.standard_normal(6) for _ in range(3))
-            lhs = f @ cross_m6(v, w)
-            rhs = -cross_f6(v, f) @ w
-            assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
 
 
 class TestInertia:
@@ -150,55 +134,29 @@ def test_transform_validation():
         PlueckerTransform(np.eye(3) * 2.0, np.zeros(3)).validate()
 
 
-def _cross_matrix_m(v):
-    """6x6 matrix of v x (.) on motion vectors: [[w^, 0], [u^, w^]]."""
-    from pvdyn.spatial import skew
-    out = np.zeros((6, 6))
-    out[:3, :3] = out[3:, 3:] = skew(v[:3])
-    out[3:, :3] = skew(v[3:])
-    return out
-
-
 class TestArrayKernels:
     """The array kernels against np.cross and the 6x6 matrix forms."""
 
     def test_cross_helper_matches_numpy(self, rng):
-        from pvdyn.spatial import _cross
         for _ in range(50):
             a, b = rng.standard_normal(3), rng.standard_normal(3)
-            np.testing.assert_allclose(_cross(a, b), np.cross(a, b), rtol=0, atol=1e-15)
-        for k in (1, 2, 7):
-            a, blk = rng.standard_normal(3), rng.standard_normal((3, k))
-            out = _cross(a, blk)
-            assert out.shape == (3, k)
-            np.testing.assert_allclose(out, np.cross(a, blk.T).T, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(cross_rows(a, b), np.cross(a, b), rtol=0, atol=1e-15)
+        a, blk = rng.standard_normal((4, 1, 3)), rng.standard_normal((5, 3))
+        out = cross_rows(a, blk)
+        assert out.shape == (4, 5, 3)
+        np.testing.assert_allclose(out, np.cross(a, blk), rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("name", ["xm6", "xf6", "xft6"])
-    def test_transforms_blockwise_and_dense(self, rng, name):
-        from pvdyn import spatial
-        kernel = getattr(spatial, name)
-        for _ in range(20):
-            x = random_transform(rng)
-            rot, trans = x.rotation, x.translation
-            dense = {"xm6": x.motion_matrix(), "xf6": x.force_matrix(),
-                     "xft6": x.motion_matrix().T}[name]
-            blk = rng.standard_normal((6, 5))
-            out = kernel(rot, trans, blk)
-            assert out.shape == (6, 5)
-            for j in range(5):
-                np.testing.assert_allclose(out[:, j], kernel(rot, trans, blk[:, j]),
-                                           rtol=0, atol=1e-14)
-            np.testing.assert_allclose(out, dense @ blk, rtol=0, atol=1e-14)
-
-    def test_spatial_cross_products_match_matrices(self, rng):
-        for _ in range(20):
-            v, w = rng.standard_normal(6), rng.standard_normal(6)
-            crm = _cross_matrix_m(v)
-            np.testing.assert_allclose(cross_m6(v, w), crm @ w, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(cross_f6(v, w), -crm.T @ w, rtol=0, atol=1e-14)
-            blk = rng.standard_normal((6, 4))
-            np.testing.assert_allclose(cross_m6(v, blk), crm @ blk, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(cross_f6(v, blk), -crm.T @ blk, rtol=0, atol=1e-14)
+    def test_matrices_broadcast_over_links(self, rng):
+        xs = [random_transform(rng) for _ in range(7)]
+        rot = np.stack([x.rotation for x in xs])
+        trans = np.stack([x.translation for x in xs])
+        xm_all, xf_all = motion_matrix(rot, trans), force_matrix(rot, trans)
+        assert xm_all.shape == xf_all.shape == (7, 6, 6)
+        for k, x in enumerate(xs):
+            np.testing.assert_array_equal(xm_all[k], x.motion_matrix())
+            np.testing.assert_array_equal(xf_all[k], x.force_matrix())
+            np.testing.assert_allclose(xf_all[k], np.linalg.inv(xm_all[k]).T,
+                                       rtol=0, atol=1e-12)
 
     def test_axis_angle_rotation_matches_rodrigues(self, rng):
         from pvdyn.spatial import axis_angle_rotation, skew
