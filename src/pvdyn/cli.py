@@ -1,9 +1,9 @@
 """Command-line interface: check, bench, rollout, info.
 
 Exit codes: 0 on success, 1 when the check suite finds a failure,
-2 on usage or model-loading errors and when a bench cell raises a
-library error (a singular dual, for one); the other cells' rows are
-still printed and written.
+2 on usage or model-loading errors and when a rollout or a bench cell
+raises a library error (a singular dual, for one); the other cells'
+rows are still printed and written.
 """
 
 from __future__ import annotations
@@ -34,7 +34,10 @@ def main():
 @click.option("--out", default=None, type=click.Path(), help="write JSON report")
 def check(seed, sizes, instances, out):
     """Run the cross-module property check suite."""
-    size_list = tuple(int(s) for s in sizes.split(","))
+    try:
+        size_list = tuple(int(s) for s in sizes.split(","))
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="--sizes") from exc
     report = checks.run_check_suite(seed=seed, sizes=size_list,
                                     instance_count=instances)
     for line in report.lines():
@@ -108,7 +111,10 @@ def rollout_cmd(model_spec, solver, m, dt, steps, seed, scheme, baumgarte, out):
         model = bench_mod.load_model(model_spec, seed)
     except ModelLoadError as exc:
         raise click.UsageError(str(exc)) from exc
-    kp, kd = (float(x) for x in baumgarte.split(","))
+    try:
+        kp, kd = (float(x) for x in baumgarte.split(","))
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="--baumgarte") from exc
     state = random_state(model, seed) if seed else neutral_state(model)
     cs = generators.standard_constraints(model, m, seed) if m else ConstraintSet.empty()
     if cs.m and (kp or kd):
@@ -118,7 +124,11 @@ def rollout_cmd(model_spec, solver, m, dt, steps, seed, scheme, baumgarte, out):
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     tau = np.zeros(model.nv)
-    traj = rollout(model, state, tau, cs, solver, config, steps)
+    try:
+        traj = rollout(model, state, tau, cs, solver, config, steps)
+    except PvdynError as exc:
+        raise click.UsageError(f"model {model_spec}, solver {solver}, m={m}: "
+                               f"{type(exc).__name__}: {exc}") from exc
     final = traj[-1]
     summary = {
         "model": model_spec, "solver": solver, "steps": steps, "dt": dt,

@@ -64,6 +64,14 @@ class TestCheckFailureExit:
         assert "FAIL" in result.output
 
 
+class TestCheckUsage:
+    def test_bad_sizes_is_usage_error(self, runner):
+        result = runner.invoke(main, ["check", "--sizes", "12,x"])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert "--sizes" in result.output
+
+
 class TestBench:
     def test_csv_output(self, runner, tmp_path):
         out = tmp_path / "bench.csv"
@@ -164,3 +172,17 @@ class TestRollout:
     def test_missing_model_usage_error(self, runner):
         result = runner.invoke(main, ["rollout"])
         assert result.exit_code == 2
+
+    def test_bad_baumgarte_is_usage_error(self, runner):
+        result = runner.invoke(main, ["rollout", "--model", "chain:4", "--baumgarte", "1",
+                                      "--steps", "2"])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert "--baumgarte" in result.output
+
+    def test_singular_dual_is_usage_error(self, runner):
+        result = runner.invoke(main, ["rollout", "--model", "humanoid", "--solver", "pv",
+                                      "--m", "24", "--steps", "1"])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert "model humanoid, solver pv, m=24: SingularDual" in result.output
