@@ -263,7 +263,8 @@ def kkt_oracle(model: Model, state: State, tau, cs: ConstraintSet,
     """Solve [M, J'; J, 0] [qdd; -lam] = [tau - h; a* - gamma] densely.
 
     Solved through the Schur complement on the constraint block, which
-    is equivalent for SPD M.  Singular or infeasible constraint systems
+    is equivalent for SPD M, with one Cholesky factor of M for both
+    tau - h and J'.  Singular or infeasible constraint systems
     fall back to an eigenvalue-based minimum-norm least-squares solve,
     reported through `rank`; the primal then solves the nearest feasible
     problem and the multiplier is the minimum-norm one.
@@ -273,7 +274,8 @@ def kkt_oracle(model: Model, state: State, tau, cs: ConstraintSet,
     cache = forward_kinematics(model, state)
     mass = crba(model, state, cache=cache)
     h = bias_force(model, state, cache=cache)
-    qdd_free = linalg.solve_pd(mass.matrix, tau - h)
+    low_m = linalg.chol_factor(mass.matrix)
+    qdd_free = linalg.chol_solve(low_m, tau - h)
     flops.add(flops.gemm(model.nv, model.nv, 1))
     if cs.m == 0:
         return KktSolution(qdd_free, np.zeros(0), np.zeros(0),
@@ -281,7 +283,7 @@ def kkt_oracle(model: Model, state: State, tau, cs: ConstraintSet,
     jac = constraint_jacobian(model, cache, cs)
     gamma = constraint_drift(model, cache, cs)
     target = cs.stacked_targets() - gamma
-    minv_jt = linalg.solve_pd(mass.matrix, jac.T)
+    minv_jt = linalg.chol_solve(low_m, jac.T)
     lam_mat = jac @ minv_jt
     lam_mat = 0.5 * (lam_mat + lam_mat.T)
     flops.add(flops.gemm(cs.m, model.nv, cs.m))

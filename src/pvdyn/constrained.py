@@ -177,6 +177,8 @@ class PvWorkspace(_Sweep):
         # each constraint's rows as positions in its link's subtree rows
         self.own = tuple(np.searchsorted(rows[con.link], cs.rows(ci))
                          for ci, con in enumerate(cs))
+        # each support link's block of L, for a coupling pass with all its rows alive
+        self.grids = [np.ix_(rows[i], rows[i]) if in_subtree[i] else None for i in range(n)]
         self.da = np.empty((n, 6, 1))
         self.dqj = np.empty_like(self.qj)
         self.K = [np.empty((len(rows[i]), 6)) for i in range(n)]
@@ -483,12 +485,11 @@ def _try_chol(block: np.ndarray, ratio: float, scale: float = 0.0):
     of the surrounding system); without it a tiny-but-positive block
     would pass its own relative test and poison the elimination.
     """
-    try:
-        low = np.linalg.cholesky(block)
-    except np.linalg.LinAlgError:
+    low = linalg._factor_or_none(block)
+    if low is None:
         return None
-    dmax = max(float(np.max(np.diag(block))), scale)
-    if dmax <= 0.0 or float(np.min(np.diag(low)) ** 2) < ratio * dmax:
+    dmax = max(float(block.diagonal().max()), scale)
+    if dmax <= 0.0 or float(low.diagonal().min() ** 2) < ratio * dmax:
         return None
     return low
 
@@ -516,12 +517,13 @@ def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, links,
     work = 0
     for i in links:
         rows_i = ws.rows[i]
-        if alive is None:
+        loc = None if alive is None else alive[rows_i].nonzero()[0]
+        if loc is None or loc.size == rows_i.size:
             loc = slice(None)
-            ract, ka = rows_i, ws.K[i]
+            ract, ka, grid = rows_i, ws.K[i], ws.grids[i]
         else:
-            loc = np.flatnonzero(alive[rows_i])
             ract, ka = rows_i[loc], ws.K[i][loc]
+            grid = (ract[:, None], ract)
         r = ract.size
         ws.ks[i], ws.ks_rows[i] = None, ract
         if not r:
@@ -537,7 +539,7 @@ def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, links,
             else:
                 uu, u_i = ws.root_U, ws.root_u
                 w = ws.root_D.solve(ks.T).T
-            ws.L[np.ix_(ract, ract)] += w @ ks.T
+            ws.L[grid] += w @ ks.T
             if with_l:
                 c_i = cache.c[i]
                 ws.l[ract] += ka @ c_i + w @ (u_i - uu.T @ c_i)
@@ -572,38 +574,38 @@ def _eliminate(cs: ConstraintSet, ws: PvWorkspace, links, alive: np.ndarray,
     work = 0
     for i in links:
         rows_i = ws.rows[i]
-        dual_scale = float(np.max(np.diag(ws.L)[rows_i]))
+        dual_scale = float(ws.L[rows_i, rows_i].max())
         for ci in ws.cons_in_subtree[i]:
-            rj = cs.rows(ci)
-            if not alive[rj[0]]:
+            # a constraint's rows are one run, so its blocks are slices
+            start, dim = cs.offsets[ci], cs.constraints[ci].dim
+            if not alive[start]:
                 continue
-            low = _try_chol(ws.L[np.ix_(rj, rj)], _ELIM_PIVOT_RATIO, dual_scale)
-            work += flops.cholesky(len(rj))
+            rj = slice(start, start + dim)
+            low = _try_chol(ws.L[rj, rj], _ELIM_PIVOT_RATIO, dual_scale)
+            work += flops.cholesky(dim)
             if low is None:
                 continue
-            loc = np.flatnonzero(alive[rows_i])
+            loc = alive[rows_i].nonzero()[0]
             ract = rows_i[loc]
-            keep = ~np.isin(ract, rj)
+            keep = (ract < start) | (ract >= start + dim)
             others = ract[keep]
-            pos_j = loc[~keep]
-            pos_o = loc[keep]
-            kj = ws.K[i][pos_j].copy()
-            ljo = ws.L[np.ix_(rj, others)].copy()
+            kj = ws.K[i][loc[~keep]]
+            ljo = ws.L[rj, others]
             lj = ws.l[rj].copy()
             x_k = linalg.chol_solve(low, kj)
             x_l = linalg.chol_solve(low, ljo) if others.size else ljo
             x_b = linalg.chol_solve(low, lj)
             ws.IA[position[i]] += kj.T @ x_k
             ws.pA[position[i], :, 0] += kj.T @ x_b
-            work += flops.gemm(6, len(rj), 6) + flops.gemm(6, len(rj), 1)
+            work += flops.gemm(6, dim, 6) + flops.gemm(6, dim, 1)
             if others.size:
-                ws.K[i][pos_o] -= ljo.T @ x_k
-                ws.L[np.ix_(others, others)] -= ljo.T @ x_l
+                ws.K[i][loc[keep]] -= ljo.T @ x_k
+                ws.L[others[:, None], others] -= ljo.T @ x_l
                 ws.l[others] -= ljo.T @ x_b
-                work += flops.gemm(others.size, len(rj), 6 + others.size + 1)
+                work += flops.gemm(others.size, dim, 6 + others.size + 1)
             alive[rj] = False
-            elim_at[i].append(_Elimination(rj, low, kj, others.copy(), ljo, lj))
-            ws.counters["dual_factor_dims"].append(len(rj))
+            elim_at[i].append(_Elimination(cs.rows(ci), low, kj, others, ljo, lj))
+            ws.counters["dual_factor_dims"].append(dim)
     flops.add(work)
 
 
@@ -643,12 +645,12 @@ def _exact(model: Model, state: State, tau, cs: ConstraintSet, ws: PvWorkspace,
         _coupling_pass(model, cache, ws, ws.support[::-1])
 
     # dense dual solve for the rows that reached the base, scaled as in _eliminate
-    act = np.flatnonzero(alive)
+    act = alive.nonzero()[0]
     ws.counters["base_dual_dim"] = int(act.size)
     if act.size:
         rhs = -(ws.l[act] + ws.Kw[act] @ -model.gravity6())
-        low = _try_chol(ws.L[np.ix_(act, act)], _DUAL_PIVOT_RATIO,
-                        float(np.max(np.diag(ws.L))))
+        low = _try_chol(ws.L[act[:, None], act], _DUAL_PIVOT_RATIO,
+                        float(ws.L.diagonal().max()))
         flops.add(flops.gemm(act.size, 6, 1) + flops.cholesky(act.size))
         if low is None:
             raise SingularDual(

@@ -64,10 +64,6 @@ def _slot():
     return _tls
 
 
-def reset() -> None:
-    _slot().count = 0
-
-
 def add(n: int) -> None:
     s = _slot()
     if not s.paused:

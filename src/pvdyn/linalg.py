@@ -1,35 +1,52 @@
 """Small dense linear-algebra helpers with flop accounting.
 
-Thin wrappers over numpy/scipy factorizations used by the oracles and
-the m x m dual solves.  They translate failures into library errors and
-charge the shared flop counter so that dense baselines and recursive
-algorithms are priced consistently.
+The oracles and the dual solves factor and solve many small blocks
+(3x3 and 6x6 on the recursive solvers' dual paths), where the fixed
+cost of a call outweighs its arithmetic.  So the helpers call LAPACK's
+``dpotrf`` and ``dpotrs`` directly, the routines under
+``np.linalg.cholesky`` and ``scipy.linalg.cho_solve``, without their
+wrappers' checks.  A failed factorization is ``NotPositiveDefinite``.
+The public helpers charge the shared flop counter so that dense
+baselines and recursive algorithms are priced consistently.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import flops
 from .errors import NotPositiveDefinite
 
 
+def _factor_or_none(a: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of `a`, or None if it is not positive definite."""
+    low, info = dpotrf(a, lower=1)
+    return None if info else low
+
+
+def _factor(a: np.ndarray) -> np.ndarray:
+    low, info = dpotrf(a, lower=1)
+    if info:
+        raise NotPositiveDefinite(f"leading minor {info} is not positive definite")
+    return low
+
+
+def _solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return dpotrs(low, b, lower=1)[0]
+
+
 def chol_factor(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix."""
-    n = a.shape[0]
-    flops.add(flops.cholesky(n))
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from None
+    flops.add(flops.cholesky(a.shape[0]))
+    return _factor(a)
 
 
 def chol_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = low.shape[0]
     nrhs = 1 if b.ndim == 1 else b.shape[1]
     flops.add(flops.chol_solve(n, nrhs))
-    return scipy.linalg.cho_solve((low, True), b, check_finite=False)
+    return _solve(low, b)
 
 
 def solve_pd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -41,7 +58,7 @@ def chol_inverse(low: np.ndarray) -> np.ndarray:
     """Explicit inverse from a Cholesky factor (standard 2n^3/3 cost)."""
     n = low.shape[0]
     flops.add((2 * n ** 3) // 3)
-    inv = scipy.linalg.cho_solve((low, True), np.eye(n), check_finite=False)
+    inv = _solve(low, np.eye(n))
     return 0.5 * (inv + inv.T)
 
 
@@ -70,12 +87,9 @@ class SmallPD:
             self._low = None
         else:
             self._inv = None
-            try:
-                self._low = np.linalg.cholesky(d)
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefinite(str(exc)) from None
+            self._low = _factor(d)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self._low is None:
             return rhs * self._inv
-        return scipy.linalg.cho_solve((self._low, True), rhs, check_finite=False)
+        return _solve(self._low, rhs)

@@ -467,6 +467,9 @@ class ConstraintSet:
             m += c.dim
         self.offsets = tuple(offsets)
         self.m = m
+        self._rows = tuple(np.arange(o, o + c.dim) for o, c in zip(offsets, self.constraints))
+        for r in self._rows:
+            r.flags.writeable = False
 
     @staticmethod
     def empty() -> "ConstraintSet":
@@ -479,8 +482,8 @@ class ConstraintSet:
         return iter(self.constraints)
 
     def rows(self, i: int) -> np.ndarray:
-        """Global row indices of constraint i."""
-        return np.arange(self.offsets[i], self.offsets[i] + self.constraints[i].dim)
+        """Global row indices of constraint i (a shared, read-only array)."""
+        return self._rows[i]
 
     def stacked_targets(self) -> np.ndarray:
         if not self.constraints:

@@ -200,7 +200,39 @@ def _exact_cases():
                           rng.uniform(-2, 2, welded.nv), cs))
     for seed in range(8):
         cases.append((f"singular{seed}", *random_singular_instance(seed)))
+    cases.append(("split_rows", *_split_rows_instance()))
     return cases
+
+
+def _split_rows_instance():
+    """Two 10-link branches a and b off a fixed base, constrained by
+    weld(a7), weld(b10), point(a10) and point(b7) in that order.  Each
+    constraint's rows are one run, but no branch's rows are: early
+    elimination takes out the a10 point at a7 beside the a7 weld rows
+    listed before it, the b10 weld at b4 beside the b7 point rows listed
+    after it, and the two remaining blocks at a1 and b1.  Links are
+    numbered breadth first (a_k is 2k-1, b_k is 2k), so that the
+    reference's link order is the engine's level order."""
+    axes = (np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]))
+    parent, joints = [-1], [Joint.fixed()]
+    placement = [PlueckerTransform.identity()]
+    inertia = [SpatialInertia.from_com(2.0, np.zeros(3), 0.02 * np.eye(3))]
+    for k in range(10):
+        for branch, first_offset in enumerate(([0.3, 0.0, 0.0], [0.0, 0.3, 0.0])):
+            parent.append(0 if k == 0 else len(parent) - 2)
+            joints.append(Joint("revolute", axes[(k + branch) % 2]))
+            offset = first_offset if k == 0 else [0.3, 0.0, 0.0]
+            placement.append(PlueckerTransform(np.eye(3), np.array(offset)))
+            inertia.append(SpatialInertia.from_com(1.0, np.array([0.15, 0.0, 0.0]),
+                                                   0.01 * np.eye(3)))
+    model = Model(parent, joints, placement, inertia)
+    rng = np.random.default_rng(1)
+    cs = ConstraintSet([
+        weld_constraint(13, a_star=rng.uniform(-1, 1, 6)),
+        weld_constraint(20, a_star=rng.uniform(-1, 1, 6)),
+        point_constraint(19, rng.uniform(-0.1, 0.1, 3), a_star=rng.uniform(-1, 1, 3)),
+        point_constraint(14, rng.uniform(-0.1, 0.1, 3), a_star=rng.uniform(-1, 1, 3))])
+    return model, random_state(model, 1), rng.uniform(-2, 2, model.nv), cs
 
 
 EXACT_CASES = _exact_cases()
@@ -256,6 +288,29 @@ class TestSameAnswers:
             if reference_pv(model, state, tau, cs, True)[4]:
                 shapes.add("eliminates_early")
         assert shapes == {"floating", "fixed_interior", "singular", "eliminates_early"}
+
+    def test_split_rows_case_eliminates_beside_other_rows(self, monkeypatch):
+        # _eliminate takes each constraint's rows as one slice of L; the
+        # split_rows case must keep eliminating weld and point blocks at
+        # links whose subtree rows are not one run, with the rows still
+        # coupled listed before and after the eliminated ones
+        model, state, tau, cs = next(c[1:] for c in EXACT_CASES if c[0] == "split_rows")
+        seen = []
+        eliminate = constrained._eliminate
+
+        def spy(cs, ws, links, alive, elim_at):
+            done = [len(recs) for recs in elim_at]
+            eliminate(cs, ws, links, alive, elim_at)
+            for i, recs in enumerate(elim_at):
+                rows = ws.rows[i]
+                split = rows[-1] - rows[0] + 1 != rows.size
+                seen.extend((i, rec.rows[0], split, rec.other_rows.tolist())
+                            for rec in recs[done[i]:])
+
+        monkeypatch.setattr(constrained, "_eliminate", spy)
+        pv_early_solve(model, state, tau, cs)
+        assert sorted(seen) == [(1, 0, True, []), (2, 15, True, []),
+                                (8, 6, True, [15, 16, 17]), (13, 12, True, [0, 1, 2, 3, 4, 5])]
 
 
 def _pin_fixtures():
