@@ -17,21 +17,24 @@ set of passes, each charging its own flops:
   with an optional K_S' lam term and the back-substitution of rows
   eliminated early.
 
-Links at one depth do not depend on each other, so the inertia, bias
-and forward passes take one array step per depth level of
+Links at one depth do not depend on each other, so the inertia, bias,
+coupling and forward passes take one array step per depth level of
 ``Model.plan`` (``model.Level``), children first backward and parents
-first forward; the coupling pass and ``_eliminate`` stay per support
-link.  The buffers are in plan order, where each level is a slice, and
-below the root every joint has one dof or none, so its factors stack as
-arrays: U, D^-1 and u per link (a fixed joint has S = 0 and D = 1).
-Link 0, with 0, 1 or 6 dofs, is a level of its own with a small dense
-factor.  A level step transforms with one 6x6 product per link
-(``PlanFrames``) and adds each run of siblings into its parent with one
-sum (``Level.scatter``).  Sums run in another order than in a per-link
-sweep, so answers agree with one to rounding, not bit for bit.  A
-subset pass (the support, or the links off it) runs on the subset's
-levels (``LevelPlan.levels_of``), as index arrays where a level's links
-are not contiguous.
+first forward; only ``_eliminate`` stays per support link.  The buffers
+are in plan order, where each level is a slice, and below the root
+every joint has one dof or none, so its factors stack as arrays: U,
+D^-1 and u per link (a fixed joint has S = 0 and D = 1).  Link 0, with
+0, 1 or 6 dofs, is a level of its own with a small dense factor.  A
+level step transforms with one 6x6 product per link (``PlanFrames``)
+and adds each run of siblings into its parent with one sum
+(``Level.scatter``).  The coupling pass keeps K as one array indexed by
+constraint row, each row in the frame of its link's ancestor at the
+depth the sweep has reached; sibling subtrees hold disjoint rows, so a
+level step updates the rows of all its support links at once.  Sums
+run in another order than in a per-link sweep, so answers agree with
+one to rounding, not bit for bit.  A subset pass (the support, or the
+links off it) runs on the subset's levels (``LevelPlan.levels_of``), as
+index arrays where a level's links are not contiguous.
 
 How the solvers compose them:
 
@@ -64,7 +67,8 @@ but one workspace must never be shared by two simultaneous solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,10 +133,13 @@ class PvWorkspace(_Sweep):
     """Preallocated buffers and static row bookkeeping for one (model, cs).
 
     ``rows[i]`` lists the global constraint rows active in link i's
-    subtree; its length is the m_i of the sweep.  Shapes and bookkeeping
-    depend only on the model and each constraint's (link, dim) in order,
-    so a workspace is reusable across solves and across constraint sets
-    with that layout (new targets, gains or matrices).
+    subtree; its length is the m_i of the sweep.  The coupling pass
+    holds K as one (m, 6) array indexed by constraint row and walks
+    ``coupling``, one ``_LevelRows`` per level of ``sweep`` (None where a
+    level has no support link).  Shapes and bookkeeping depend only on
+    the model and each constraint's (link, dim) in order, so a workspace
+    is reusable across solves and across constraint sets with that
+    layout (new targets, gains or matrices).
     """
 
     def __init__(self, model: Model, cs: ConstraintSet):
@@ -160,8 +167,6 @@ class PvWorkspace(_Sweep):
         self.off_levels = plan.levels_of(self.off_support)
         self.support_pos = plan.position[np.array(self.support, dtype=int)]
         self.off_pos = plan.position[np.array(self.off_support, dtype=int)]
-        # the whole tree's levels, each with its support links
-        self.sweep = tuple(_with_support(lv, plan, in_subtree) for lv in plan.sweep)
         rows: list[np.ndarray] = [np.zeros(0, dtype=int)] * n
         for i in range(n - 1, -1, -1):
             acc = list(row_sets[i])
@@ -169,32 +174,20 @@ class PvWorkspace(_Sweep):
                 acc.extend(rows[c].tolist())
             rows[i] = np.array(sorted(acc), dtype=int)
         self.rows = rows
-        self.pos_in_parent = [
-            np.searchsorted(rows[model.parent[i]], rows[i]) if model.parent[i] >= 0
-            else np.zeros(0, dtype=int)
-            for i in range(n)
-        ]
-        # each constraint's rows as positions in its link's subtree rows
-        self.own = tuple(np.searchsorted(rows[con.link], cs.rows(ci))
-                         for ci, con in enumerate(cs))
-        # each support link's block of L, for a coupling pass with all its rows alive
-        self.grids = [np.ix_(rows[i], rows[i]) if in_subtree[i] else None for i in range(n)]
+        # the whole tree's levels, each with its support links and their rows
+        self.sweep = tuple(_with_support(lv, plan, in_subtree) for lv in plan.sweep)
+        self.coupling = _coupling_levels(plan, self.sweep, rows, self.support, m)
         self.da = np.empty((n, 6, 1))
         self.dqj = np.empty_like(self.qj)
-        self.K = [np.empty((len(rows[i]), 6)) for i in range(n)]
-        self.Kw = np.empty((m, 6))
+        self.K = np.empty((m, 6))
         self.L = np.empty((m, m))
         self.l = np.empty(m)
         self.lam = np.empty(m)
         self.beta = np.empty(m)
         self.resid = np.empty(m)
-        # coupling-pass stores for the forward multiplier term
-        self.ks: list = [None] * n
-        self.ks_rows: list = [None] * n
+        # per level of the coupling pass, its K_S and rows for the forward pass
+        self.ks: list = [None] * len(self.sweep)
         self.counters: dict = {}
-
-    def subtree_rows(self, i: int) -> int:
-        return len(self.rows[i])
 
     @staticmethod
     def ensure(model: Model, cs: ConstraintSet, ws: "PvWorkspace | None"):
@@ -207,7 +200,59 @@ def _with_support(lv: Level, plan, in_subtree) -> Level:
     support = tuple((int(plan.position[i]) - lv.links.start, i)
                     for i in sorted(plan.order[lv.links].tolist(), reverse=True)
                     if in_subtree[i])
-    return replace(lv, support=support) if support else lv
+    if not support:
+        return lv
+    return Level(lv.links, lv.parents, lv.starts, lv.heads, lv.size, lv.moving, support)
+
+
+class _LevelRows(NamedTuple):
+    """The constraint rows of one level's support links, grouped by link
+    in plan order: each row with its link's plan position, its link's
+    offset in the level and whether that link's joint moves, and the
+    counts of rows and same-link row pairs at moving joints.  On a level
+    of more than one support link ``pairs`` holds every same-link pair
+    of rows as two positions in ``rows`` and its flat index in L (no pair
+    repeats within a level); on a level of one it is None, and the pairs
+    are the whole rows x rows block."""
+
+    rows: np.ndarray
+    pos: np.ndarray
+    off: np.ndarray
+    moving: np.ndarray
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    n_moving: int
+    n_pairs: int
+
+
+def _coupling_levels(plan, sweep, rows: list[np.ndarray], support, m: int) -> tuple:
+    """A ``_LevelRows`` per level of `sweep` (None where the level has no
+    support link), as views of arrays built for all levels at once."""
+    levels: list = [None] * len(sweep)
+    if not support:
+        return tuple(levels)
+    link_pos = np.sort(plan.position[list(support)])
+    links = plan.order[link_pos].tolist()
+    sizes = [rows[i].size for i in links]
+    row_of = np.concatenate([rows[i] for i in links])
+    pos = np.repeat(link_pos, sizes)
+    depth = plan.depth[pos]
+    off = pos - np.searchsorted(plan.depth, depth)
+    moving = plan.fixed[pos, 0, 0] == 0.0
+    # running counts of moving rows and of the pairs they start
+    n_moving = [0] + np.cumsum(moving).tolist()
+    n_pairs = [0] + np.cumsum(np.where(moving, np.repeat(sizes, sizes), 0)).tolist()
+    # the support is closed under parents, so every depth down to the
+    # deepest support link holds a run of rows
+    bounds = np.searchsorted(depth, np.arange(depth[-1] + 2)).tolist()
+    for d, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        r = slice(lo, hi)
+        pairs = None
+        if len(sweep[d].support) > 1:
+            a, b = np.nonzero(off[r, None] == off[r])
+            pairs = (a, b, row_of[r][a] * m + row_of[r][b])
+        levels[d] = _LevelRows(row_of[r], pos[r], off[r], moving[r], pairs,
+                               n_moving[hi] - n_moving[lo], n_pairs[hi] - n_pairs[lo])
+    return tuple(levels)
 
 
 def _layout(cs: ConstraintSet) -> tuple[tuple[int, int], ...]:
@@ -373,29 +418,31 @@ def _forward_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels,
     """Link and joint accelerations over `levels`, parents first.
 
     The full form starts from the world's acceleration -g, adds each
-    link's c and writes ``ws.acc`` and ``ws.qj``; `lam` adds
-    the coupling term K_S' lam at the support links of the levels and
-    `elim` back-substitutes the rows eliminated early there.  With
-    `change` it is the homogeneous form of the bias pass's: from rest,
-    without c, into ``ws.da`` and ``ws.dqj`` (each link's parent in the
-    levels or already done).
+    link's c and writes ``ws.acc`` and ``ws.qj``; `lam` adds the coupling
+    term K_S' lam that the coupling pass left at the support links of
+    the levels (`levels` is then ``ws.sweep``) and `elim`
+    back-substitutes the rows eliminated early there.  With `change` it
+    is the homogeneous form of the bias pass's: from rest, without c,
+    into ``ws.da`` and ``ws.dqj`` (each link's parent in the levels or
+    already done).
     """
     plan, frames = model.plan, cache.frames
     acc, qj = (ws.da, ws.dqj) if change else (ws.acc, ws.qj)
     work = 0
-    for lv in levels:
+    for k, lv in enumerate(levels):
         sl = lv.links
+        coupled = None if lam is None else ws.ks[k]
         if lv.parents is None:
-            work += _root_forward(model, cache, ws, lv, lam, change)
+            work += _root_forward(model, cache, ws, lam, coupled, change)
         else:
             a_in = frames.xm[sl] @ acc[lv.parents]
             if not change:
                 a_in += frames.c[sl]
             t = ws.u[sl] - ws.U_t[sl] @ a_in
-            for j, i in lv.support if lam is not None else ():
-                if ws.ks[i] is not None:
-                    t[j, 0] += ws.ks[i].T @ lam[ws.ks_rows[i]]
-                    work += flops.gemm(1, len(ws.ks_rows[i]), 1)
+            if coupled is not None:
+                ks, rows, off, n_moving = coupled
+                t[:, 0, 0] += np.bincount(off, ks * lam[rows], minlength=lv.size)
+                work += 2 * n_moving
             qj[sl] = q = t * ws.D_inv[sl]
             acc[sl] = a_in + plan.S[sl] * q
             work += lv.size * (flops.XMOT + (0 if change else flops.ADD6)) \
@@ -411,8 +458,8 @@ def _forward_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels,
     flops.add(work)
 
 
-def _root_forward(model: Model, cache: KinematicsCache, ws: _Sweep, lv: Level,
-                  lam: np.ndarray | None, change: bool) -> int:
+def _root_forward(model: Model, cache: KinematicsCache, ws: _Sweep,
+                  lam: np.ndarray | None, coupled: tuple | None, change: bool) -> int:
     acc, qj = (ws.da, ws.dqj) if change else (ws.acc, ws.qj)
     if change:
         a_in, work = np.zeros(6), 0
@@ -422,9 +469,10 @@ def _root_forward(model: Model, cache: KinematicsCache, ws: _Sweep, lv: Level,
     nv = model.joints[0].nv
     if nv:
         t = ws.root_u - ws.root_U.T @ a_in
-        if lam is not None and lv.support and ws.ks[0] is not None:
-            t = t + ws.ks[0].T @ lam[ws.ks_rows[0]]
-            work += flops.gemm(nv, len(ws.ks_rows[0]), 1)
+        if coupled is not None:
+            ks, rows = coupled
+            t = t + ks.T @ lam[rows]
+            work += flops.gemm(nv, rows.size, 1)
         qj[model.n_links:, 0, 0] = blk = ws.root_D.solve(t)
         a_in = a_in + model.S[0] @ blk
         work += flops.gemm(nv, 6, 1) + flops.chol_solve(nv) + 6 * nv + flops.ADD6
@@ -496,67 +544,97 @@ def _try_chol(block: np.ndarray, ratio: float, scale: float = 0.0):
 
 def _seed_coupling(cs: ConstraintSet, ws: PvWorkspace,
                    beta: np.ndarray | None = None) -> None:
-    """Each constraint's K into its link's block, L = 0, l = -beta."""
-    for ci, con in enumerate(cs):
-        ws.K[con.link][ws.own[ci]] = con.K
+    """Each constraint's K into its rows of ``ws.K``, L = 0, l = -beta."""
+    for start, con in zip(cs.offsets, cs):
+        ws.K[start:start + con.dim] = con.K
     ws.L[:] = 0.0
     if beta is not None:
         ws.l[:] = -beta
 
 
-def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, links,
+def _rows_times(k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each row of k times x: one (6, j) block for all rows, or an
+    (r, 6, j) stack with one block per row."""
+    return k @ x if x.ndim == 2 else (k[:, None, :] @ x)[:, 0]
+
+
+def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, levels,
                    alive: np.ndarray | None = None, with_l: bool = True) -> None:
-    """K, L and optionally l over `links` (support links, children first).
+    """K, L and optionally l over `levels` (indices into ``ws.sweep``,
+    children first).
 
     Runs after the inertia pass, and after the bias pass if `with_l`, on
-    the same links.  `alive` masks the rows still coupled (those not
-    eliminated early); None means all.  Each link's K is pushed into its
-    parent's block, and at the base into ``ws.Kw`` if `with_l`.
+    the same levels.  `alive` masks the rows still coupled (those not
+    eliminated early); None means all.  A level step takes each of its
+    rows of ``ws.K`` from its link's frame into its parent's, and at the
+    base into the world frame if `with_l`.  Per same-link pair of rows
+    it adds to L; an eliminated row is skipped, so its diagonal of L
+    keeps the value that ``_eliminate`` scales its pivot tests by.
     """
-    position, xm = model.plan.position, cache.frames.xm
+    plan, frames = model.plan, cache.frames
     work = 0
-    for i in links:
-        rows_i = ws.rows[i]
-        loc = None if alive is None else alive[rows_i].nonzero()[0]
-        if loc is None or loc.size == rows_i.size:
-            loc = slice(None)
-            ract, ka, grid = rows_i, ws.K[i], ws.grids[i]
-        else:
-            ract, ka = rows_i[loc], ws.K[i][loc]
-            grid = (ract[:, None], ract)
-        r = ract.size
-        ws.ks[i], ws.ks_rows[i] = None, ract
-        if not r:
+    for k in levels:
+        lr = ws.coupling[k]
+        ws.ks[k] = None
+        if lr is None:
             continue
-        nv = model.joints[i].nv
-        k_new = ka
-        if nv:
-            ks = ka @ model.S[i]
-            if i:
-                k = position[i]
-                uu, u_i = ws.U[k], ws.u[k, 0]
-                w = ks * ws.D_inv[k, 0, 0]
-            else:
-                uu, u_i = ws.root_U, ws.root_u
-                w = ws.root_D.solve(ks.T).T
-            ws.L[grid] += w @ ks.T
-            if with_l:
-                c_i = cache.c[i]
-                ws.l[ract] += ka @ c_i + w @ (u_i - uu.T @ c_i)
-                work += flops.gemm(r, 6, 1) + flops.gemm(r, nv, 1)
-            k_new = ka - w @ uu.T
-            ws.ks[i] = ks
-            work += flops.gemm(r, 6, nv) + flops.chol_solve(nv, r) \
-                + flops.gemm(r, nv, r) + flops.gemm(r, nv, 6)
-        p = model.parent[i]
-        if p >= 0 or with_l:
-            k_push = k_new @ xm[position[i]]
-            work += flops.XFORCE_T * r
-            if p >= 0:
-                ws.K[p][ws.pos_in_parent[i][loc]] = k_push
-            else:
-                ws.Kw[ract] = k_push
+        rows, pos, off, moving, pairs, n_moving, n_pairs = lr
+        if alive is not None and not (keep := alive[rows]).all():
+            if not keep.any():
+                continue
+            rows, pos, off, moving = rows[keep], pos[keep], off[keep], moving[keep]
+            n_moving = int(np.count_nonzero(moving))
+            n_pairs = n_moving * rows.size
+            if pairs is not None:
+                a, b, flat = pairs
+                both, at = keep[a] & keep[b], np.cumsum(keep) - 1
+                pairs = (at[a[both]], at[b[both]], flat[both])
+                n_pairs = int(np.count_nonzero(moving[pairs[0]]))
+        if ws.sweep[k].parents is None:
+            work += _root_coupling(model, cache, ws, k, rows, with_l)
+            continue
+        # a level of one support link (each level of a chain) takes its
+        # blocks as 2-D products, which round as a per-link sweep does
+        idx = pos[0] if pairs is None else pos
+        ka = ws.K[rows]
+        ks = _rows_times(ka, plan.S[idx])[:, 0]
+        w = ks * ws.D_inv[idx, 0, 0]
+        if pairs is None:
+            ws.L[rows[:, None], rows] += w[:, None] * ks
+        else:
+            a, b, flat = pairs
+            ws.L.reshape(-1)[flat] += w[a] * ks[b]
+        if with_l:
+            c = frames.c[idx]
+            uc = (ws.U_t[idx] @ c)[..., 0, 0]
+            ws.l[rows] += _rows_times(ka, c)[:, 0] + w * (ws.u[idx, 0, 0] - uc)
+        ws.K[rows] = _rows_times(ka - w[:, None] * ws.U[idx, :, 0], frames.xm[idx])
+        ws.ks[k] = (ks, rows, off, n_moving)
+        work += n_moving * (26 + (14 if with_l else 0)) + 2 * n_pairs \
+            + flops.XFORCE_T * rows.size
     flops.add(work)
+
+
+def _root_coupling(model: Model, cache: KinematicsCache, ws: PvWorkspace, k: int,
+                   rows: np.ndarray, with_l: bool) -> int:
+    ka, r, nv = ws.K[rows], rows.size, model.joints[0].nv
+    k_new, work = ka, 0
+    if nv:
+        ks = ka @ model.S[0]
+        w = ws.root_D.solve(ks.T).T
+        ws.L[rows[:, None], rows] += w @ ks.T
+        if with_l:
+            c = cache.c[0]
+            ws.l[rows] += ka @ c + w @ (ws.root_u - ws.root_U.T @ c)
+            work += flops.gemm(r, 6, 1) + flops.gemm(r, nv, 1)
+        k_new = ka - w @ ws.root_U.T
+        ws.ks[k] = (ks, rows)
+        work += flops.gemm(r, 6, nv) + flops.chol_solve(nv, r) \
+            + flops.gemm(r, nv, r) + flops.gemm(r, nv, 6)
+    if with_l:
+        ws.K[rows] = k_new @ cache.frames.xm[0]
+        work += flops.XFORCE_T * r
+    return work
 
 
 def _eliminate(cs: ConstraintSet, ws: PvWorkspace, links, alive: np.ndarray,
@@ -585,11 +663,9 @@ def _eliminate(cs: ConstraintSet, ws: PvWorkspace, links, alive: np.ndarray,
             work += flops.cholesky(dim)
             if low is None:
                 continue
-            loc = alive[rows_i].nonzero()[0]
-            ract = rows_i[loc]
-            keep = (ract < start) | (ract >= start + dim)
-            others = ract[keep]
-            kj = ws.K[i][loc[~keep]]
+            ract = rows_i[alive[rows_i]]
+            others = ract[(ract < start) | (ract >= start + dim)]
+            kj = ws.K[rj].copy()
             ljo = ws.L[rj, others]
             lj = ws.l[rj].copy()
             x_k = linalg.chol_solve(low, kj)
@@ -599,7 +675,7 @@ def _eliminate(cs: ConstraintSet, ws: PvWorkspace, links, alive: np.ndarray,
             ws.pA[position[i], :, 0] += kj.T @ x_b
             work += flops.gemm(6, dim, 6) + flops.gemm(6, dim, 1)
             if others.size:
-                ws.K[i][loc[keep]] -= ljo.T @ x_k
+                ws.K[others] -= ljo.T @ x_k
                 ws.L[others[:, None], others] -= ljo.T @ x_l
                 ws.l[others] -= ljo.T @ x_b
                 work += flops.gemm(others.size, dim, 6 + others.size + 1)
@@ -633,22 +709,22 @@ def _exact(model: Model, state: State, tau, cs: ConstraintSet, ws: PvWorkspace,
     ws.counters = {"base_dual_dim": 0, "dual_factor_dims": []}
 
     if early:
-        for lv in reversed(ws.sweep):
-            support = [i for _, i in lv.support]
-            _eliminate(cs, ws, support, alive, elim_at)
+        for k in reversed(range(len(ws.sweep))):
+            lv = ws.sweep[k]
+            _eliminate(cs, ws, [i for _, i in lv.support], alive, elim_at)
             _inertia_pass(model, cache, ws, (lv,))
             _bias_pass(model, cache, ws, (lv,), tau, root=True)
-            _coupling_pass(model, cache, ws, support, alive)
+            _coupling_pass(model, cache, ws, (k,), alive)
     else:
         _inertia_pass(model, cache, ws, ws.sweep)
         _bias_pass(model, cache, ws, ws.sweep, tau, root=True)
-        _coupling_pass(model, cache, ws, ws.support[::-1])
+        _coupling_pass(model, cache, ws, reversed(range(len(ws.sweep))))
 
     # dense dual solve for the rows that reached the base, scaled as in _eliminate
     act = alive.nonzero()[0]
     ws.counters["base_dual_dim"] = int(act.size)
     if act.size:
-        rhs = -(ws.l[act] + ws.Kw[act] @ -model.gravity6())
+        rhs = -(ws.l[act] + ws.K[act] @ -model.gravity6())
         low = _try_chol(ws.L[act[:, None], act], _DUAL_PIVOT_RATIO,
                         float(ws.L.diagonal().max()))
         flops.add(flops.gemm(act.size, 6, 1) + flops.cholesky(act.size))

@@ -90,7 +90,7 @@ def _coupled_delassus(model: Model, cache, cs: ConstraintSet, ws: PvWorkspace) -
     np.copyto(ws.IA, model.plan.inertia66)
     _seed_coupling(cs, ws)
     _inertia_pass(model, cache, ws, model.plan.sweep)
-    _coupling_pass(model, cache, ws, ws.support[::-1], with_l=False)
+    _coupling_pass(model, cache, ws, reversed(range(len(ws.sweep))), with_l=False)
     out = ws.L.copy()
     return 0.5 * (out + out.T)
 

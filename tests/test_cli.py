@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -186,3 +190,13 @@ class TestRollout:
         assert result.exit_code == 2
         assert "Traceback" not in result.output
         assert "model humanoid, solver pv, m=24: SingularDual" in result.output
+
+
+def test_module_entry_point_runs():
+    # `python -m pvdyn` from a source checkout, without an installed script
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-m", "pvdyn", "--help"], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "Usage: pvdyn" in result.stdout

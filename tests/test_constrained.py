@@ -153,10 +153,10 @@ class TestPvSolve:
     def test_workspace_subtree_rows(self, chain8):
         cs = ConstraintSet([point_constraint(5, [0.1, 0, 0]), weld_constraint(8)])
         ws = PvWorkspace(chain8, cs)
-        assert ws.subtree_rows(8) == 6
-        assert ws.subtree_rows(5) == 9
-        assert ws.subtree_rows(1) == 9
-        assert ws.subtree_rows(6) == 6
+        assert len(ws.rows[8]) == 6
+        assert len(ws.rows[5]) == 9
+        assert len(ws.rows[1]) == 9
+        assert len(ws.rows[6]) == 6
 
 
 class TestPvEarly:

@@ -13,7 +13,7 @@ import pytest
 
 from pvdyn import (ConstraintSet, Joint, Model, PlueckerTransform, PvWorkspace,
                    SolverSettings, SpatialInertia, aba, caba_osim, constrained,
-                   constrained_aba, flops, generate_humanoid_like, linalg,
+                   constrained_aba, dense_delassus, flops, generate_humanoid_like, linalg,
                    point_constraint, pv_early_solve, pv_osim, pv_osimr,
                    pv_soft_solve, pv_solve, random_feasible_instance,
                    random_singular_instance, random_state, weld_constraint)
@@ -33,11 +33,16 @@ from test_kinematics import MIXED_URDF
 
 def reference_pv(model, state, tau, cs, early):
     """One backward loop doing each link's eliminations, factors, coupling
-    and projections together, then the dual solve and the forward loop.
+    and projections together, with a K block per link, then the dual
+    solve and the forward loop.  The backward loop takes the links in the
+    engine's order, deepest level first and by descending index within a
+    level, so that eliminations happen in the same order.
 
     Returns (qdd, lam, flops, base dual dim, eliminated block sizes).
     """
     ws = PvWorkspace(model, cs)
+    rows = ws.rows
+    k_blk = [np.empty((len(r), 6)) for r in rows]
     with flops.counted() as count:
         cache = forward_kinematics(model, state)
         xm = cache.frames.xm[model.plan.position]     # the engine's frames, by link
@@ -55,11 +60,11 @@ def reference_pv(model, state, tau, cs, early):
         elim_at = [[] for _ in range(n)]
         dims = []
         uu, dfac, u, ks, ks_rows = ([None] * n for _ in range(5))
-        for i in range(n - 1, -1, -1):
-            rows_i = ws.rows[i]
+        for i in sorted(range(n), key=lambda i: (-model.link_depth[i], -i)):
+            rows_i = rows[i]
             for ci, con in enumerate(cs):
                 if con.link == i:
-                    ws.K[i][ws.own[ci]] = con.K
+                    k_blk[i][np.searchsorted(rows_i, cs.rows(ci))] = con.K
             if early and ws.cons_in_subtree[i]:
                 scale = float(np.max(np.where(alive, np.diag(big_l), elim_diag)[rows_i]))
                 for ci in ws.cons_in_subtree[i]:
@@ -74,7 +79,7 @@ def reference_pv(model, state, tau, cs, early):
                     ract = rows_i[loc]
                     keep = ~np.isin(ract, rj)
                     others = ract[keep]
-                    kj = ws.K[i][loc[~keep]].copy()
+                    kj = k_blk[i][loc[~keep]].copy()
                     ljo = big_l[np.ix_(rj, others)].copy()
                     lj = small_l[rj].copy()
                     x_k = linalg.chol_solve(low, kj)
@@ -84,7 +89,7 @@ def reference_pv(model, state, tau, cs, early):
                     pa[i] += kj.T @ x_b
                     work += flops.gemm(6, len(rj), 6) + flops.gemm(6, len(rj), 1)
                     if others.size:
-                        ws.K[i][loc[keep]] -= ljo.T @ x_k
+                        k_blk[i][loc[keep]] -= ljo.T @ x_k
                         big_l[np.ix_(others, others)] -= ljo.T @ x_l
                         small_l[others] -= ljo.T @ x_b
                         work += flops.gemm(others.size, len(rj), 6 + others.size + 1)
@@ -97,7 +102,7 @@ def reference_pv(model, state, tau, cs, early):
                     dims.append(len(rj))
             loc = np.flatnonzero(alive[rows_i])
             ract = rows_i[loc]
-            ka = ws.K[i][loc]
+            ka = k_blk[i][loc]
             nv = model.joints[i].nv
             p = model.parent[i]
             c_i = cache.c[i]
@@ -140,7 +145,7 @@ def reference_pv(model, state, tau, cs, early):
                 pa[p] += xm[i].T @ pa_proj
                 work += flops.XINERTIA + flops.XFORCE_T + 42
                 if ract.size:
-                    ws.K[p][ws.pos_in_parent[i][loc]] = k_push
+                    k_blk[p][np.searchsorted(rows[p], ract)] = k_push
             elif ract.size:
                 k_world[ract] = k_push
         a_world = -model.gravity6()
@@ -201,37 +206,44 @@ def _exact_cases():
     for seed in range(8):
         cases.append((f"singular{seed}", *random_singular_instance(seed)))
     cases.append(("split_rows", *_split_rows_instance()))
+    cases.append(("split_rows_depth_first", *_split_rows_instance(depth_first=True)))
     return cases
 
 
-def _split_rows_instance():
+def _split_rows_instance(depth_first=False):
     """Two 10-link branches a and b off a fixed base, constrained by
     weld(a7), weld(b10), point(a10) and point(b7) in that order.  Each
     constraint's rows are one run, but no branch's rows are: early
     elimination takes out the a10 point at a7 beside the a7 weld rows
     listed before it, the b10 weld at b4 beside the b7 point rows listed
     after it, and the two remaining blocks at a1 and b1.  Links are
-    numbered breadth first (a_k is 2k-1, b_k is 2k), so that the
-    reference's link order is the engine's level order."""
+    numbered breadth first (a_k is 2k-1, b_k is 2k) or depth first (a_k
+    is k, b_k is 10+k); depth first, the engine's level order is not the
+    link order, and the blocks are eliminated in the order 3, 6, 3, 6
+    where a link-by-link sweep from the highest index gives 6, 3, 3, 6."""
+    def link(branch, k):
+        return 10 * branch + k if depth_first else 2 * k - 1 + branch
+
     axes = (np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]))
-    parent, joints = [-1], [Joint.fixed()]
-    placement = [PlueckerTransform.identity()]
-    inertia = [SpatialInertia.from_com(2.0, np.zeros(3), 0.02 * np.eye(3))]
-    for k in range(10):
+    parent, joints = [-1] * 21, [Joint.fixed()] * 21
+    placement = [PlueckerTransform.identity()] * 21
+    inertia = [SpatialInertia.from_com(2.0, np.zeros(3), 0.02 * np.eye(3))] * 21
+    for k in range(1, 11):
         for branch, first_offset in enumerate(([0.3, 0.0, 0.0], [0.0, 0.3, 0.0])):
-            parent.append(0 if k == 0 else len(parent) - 2)
-            joints.append(Joint("revolute", axes[(k + branch) % 2]))
-            offset = first_offset if k == 0 else [0.3, 0.0, 0.0]
-            placement.append(PlueckerTransform(np.eye(3), np.array(offset)))
-            inertia.append(SpatialInertia.from_com(1.0, np.array([0.15, 0.0, 0.0]),
-                                                   0.01 * np.eye(3)))
+            i = link(branch, k)
+            parent[i] = 0 if k == 1 else link(branch, k - 1)
+            joints[i] = Joint("revolute", axes[(k - 1 + branch) % 2])
+            offset = first_offset if k == 1 else [0.3, 0.0, 0.0]
+            placement[i] = PlueckerTransform(np.eye(3), np.array(offset))
+            inertia[i] = SpatialInertia.from_com(1.0, np.array([0.15, 0.0, 0.0]),
+                                                 0.01 * np.eye(3))
     model = Model(parent, joints, placement, inertia)
     rng = np.random.default_rng(1)
     cs = ConstraintSet([
-        weld_constraint(13, a_star=rng.uniform(-1, 1, 6)),
-        weld_constraint(20, a_star=rng.uniform(-1, 1, 6)),
-        point_constraint(19, rng.uniform(-0.1, 0.1, 3), a_star=rng.uniform(-1, 1, 3)),
-        point_constraint(14, rng.uniform(-0.1, 0.1, 3), a_star=rng.uniform(-1, 1, 3))])
+        weld_constraint(link(0, 7), a_star=rng.uniform(-1, 1, 6)),
+        weld_constraint(link(1, 10), a_star=rng.uniform(-1, 1, 6)),
+        point_constraint(link(0, 10), rng.uniform(-0.1, 0.1, 3), a_star=rng.uniform(-1, 1, 3)),
+        point_constraint(link(1, 7), rng.uniform(-0.1, 0.1, 3), a_star=rng.uniform(-1, 1, 3))])
     return model, random_state(model, 1), rng.uniform(-2, 2, model.nv), cs
 
 
@@ -288,6 +300,46 @@ class TestSameAnswers:
             if reference_pv(model, state, tau, cs, True)[4]:
                 shapes.add("eliminates_early")
         assert shapes == {"floating", "fixed_interior", "singular", "eliminates_early"}
+
+    def test_cases_cover_the_level_shapes(self, monkeypatch):
+        # the shapes only a level step of the coupling pass has: a level of
+        # three or more support links with unequal row counts (a weld's 6
+        # beside a point's 3), one of them at a fixed joint, and a level
+        # below the root of one link with some of its rows eliminated early
+        # and some still coupled
+        shapes = {}
+        coupling_pass = constrained._coupling_pass
+        current = []
+
+        def spy(model, cache, ws, levels, alive=None, with_l=True):
+            for k in levels:
+                lr = ws.coupling[k]
+                if lr is None or ws.sweep[k].parents is None:
+                    continue
+                counts = np.unique(lr.off, return_counts=True)[1]
+                if counts.size >= 3 and counts.min() < counts.max() and not lr.moving.all():
+                    shapes.setdefault("wide_level", set()).add(current[-1])
+                if lr.pairs is None and alive is not None \
+                        and 0 < alive[lr.rows].sum() < lr.rows.size:
+                    shapes.setdefault("partly_eliminated", set()).add(current[-1])
+            coupling_pass(model, cache, ws, levels, alive, with_l)
+
+        monkeypatch.setattr(constrained, "_coupling_pass", spy)
+        for name, model, state, tau, cs in EXACT_CASES:
+            current.append(name)
+            try:
+                pv_early_solve(model, state, tau, cs)
+            except SingularDual:
+                pass
+        assert {"welded0", "welded8"} <= shapes["wide_level"]
+        assert {"feasible1", "welded2"} <= shapes["partly_eliminated"]
+
+    @pytest.mark.parametrize("case", EXACT_CASES, ids=[c[0] for c in EXACT_CASES])
+    def test_pv_osim_matches_dense_delassus(self, case):
+        _, model, state, _, cs = case
+        ref = dense_delassus(model, state, cs)
+        assert np.abs(pv_osim(model, state, cs).matrix - ref).max() \
+            <= 1e-10 * max(1.0, np.abs(ref).max())
 
     def test_split_rows_case_eliminates_beside_other_rows(self, monkeypatch):
         # _eliminate takes each constraint's rows as one slice of L; the
