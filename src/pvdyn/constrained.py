@@ -5,7 +5,8 @@ the articulated-body recursion plus one extra term, so they share one
 set of passes, each charging its own flops:
 
 * ``_inertia_pass`` — articulated inertias IA (plus any added inertia),
-  joint factors U = IA S, D = S' U, and IA_proj = IA - U D^-1 U'.
+  joint factors U = IA S, D = S' U, and below the root
+  IA_proj = IA - U D^-1 U'.
 * ``_bias_pass`` — joint biases u and articulated biases pA: over the
   whole tree from tau, velocity products and c, or homogeneous (no tau,
   no c) over a link subset for the change a bias increment makes.
@@ -55,7 +56,8 @@ How the solvers compose them:
   links off it are filled in once at exit.  Rank-deficient or
   infeasible systems converge to the least-squares solution with the
   minimum-norm multipliers.
-* ``pv_osim`` and ``caba_osim`` run inertia and coupling without l.
+* ``pv_osim`` and ``caba_osim`` run inertia and coupling without l;
+  ``pv_osimr`` over rows compressed to six per link (``_Compressed``).
 
 Gravity is applied by giving the world an acceleration of -g, so a
 constraint target a* on true link acceleration becomes
@@ -68,6 +70,7 @@ but one workspace must never be shared by two simultaneous solves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -117,7 +120,7 @@ class _Sweep:
     def __init__(self, model: Model):
         n, nv0 = model.n_links, model.joints[0].nv
         self.IA = np.empty((n, 6, 6))
-        self.IA_proj = np.empty((n, 6, 6))     # IA projected across each joint
+        self.IA_proj = np.empty((n, 6, 6))     # IA projected across each joint but the root
         self.pA = np.empty((n, 6, 1))
         self.U = np.zeros((n, 6, 1))
         self.U_t = self.U.swapaxes(1, 2)
@@ -136,10 +139,10 @@ class PvWorkspace(_Sweep):
     subtree; its length is the m_i of the sweep.  The coupling pass
     holds K as one (m, 6) array indexed by constraint row and walks
     ``coupling``, one ``_LevelRows`` per level of ``sweep`` (None where a
-    level has no support link).  Shapes and bookkeeping depend only on
-    the model and each constraint's (link, dim) in order, so a workspace
-    is reusable across solves and across constraint sets with that
-    layout (new targets, gains or matrices).
+    level has no support link); ``compressed``, built on first use, is
+    ``pv_osimr``'s.  Shapes and bookkeeping depend only on the model and
+    each constraint's (link, dim) in order, so a workspace is reusable
+    across solves and constraint sets with that layout.
     """
 
     def __init__(self, model: Model, cs: ConstraintSet):
@@ -148,9 +151,6 @@ class PvWorkspace(_Sweep):
         super().__init__(model)
         self.model = model
         self.layout = _layout(cs)
-        row_sets: list[list[int]] = [[] for _ in range(n)]
-        for ci, con in enumerate(cs):
-            row_sets[con.link].extend(range(cs.offsets[ci], cs.offsets[ci] + con.dim))
         in_subtree: list[list[int]] = [[] for _ in range(n)]
         for ci, con in enumerate(cs):
             j = con.link
@@ -167,13 +167,7 @@ class PvWorkspace(_Sweep):
         self.off_levels = plan.levels_of(self.off_support)
         self.support_pos = plan.position[np.array(self.support, dtype=int)]
         self.off_pos = plan.position[np.array(self.off_support, dtype=int)]
-        rows: list[np.ndarray] = [np.zeros(0, dtype=int)] * n
-        for i in range(n - 1, -1, -1):
-            acc = list(row_sets[i])
-            for c in model.children[i]:
-                acc.extend(rows[c].tolist())
-            rows[i] = np.array(sorted(acc), dtype=int)
-        self.rows = rows
+        self.rows = rows = _carried_rows(model, self.layout)[0]
         # the whole tree's levels, each with its support links and their rows
         self.sweep = tuple(_with_support(lv, plan, in_subtree) for lv in plan.sweep)
         self.coupling = _coupling_levels(plan, self.sweep, rows, self.support, m)
@@ -195,13 +189,50 @@ class PvWorkspace(_Sweep):
             return PvWorkspace(model, cs)
         return ws
 
+    @cached_property
+    def compressed(self) -> "_Compressed":
+        rows, swaps = _carried_rows(self.model, self.layout, 6)
+        mm = self.K.shape[0] + 6 * len(swaps)
+        return _Compressed(_coupling_levels(self.model.plan, self.sweep, rows, self.support, mm),
+                           tuple(reversed(swaps)), np.empty((mm, 6)), np.empty((mm, mm)))
+
+
+def _carried_rows(model: Model, layout, cap: int | None = None):
+    """The rows each link's coupling step carries, bottom-up from the
+    constraint `layout`: its own and its children's.  With `cap`, a link
+    below the root with more carries `cap` fresh rows (numbered from m
+    up) instead; returns the rows and those links' (replaced, fresh)."""
+    rows: list[list[int]] = [[] for _ in range(model.n_links)]
+    top = 0
+    for link, dim in layout:
+        rows[link] += range(top, top + dim)
+        top += dim
+    swaps = []
+    for i in range(model.n_links - 1, -1, -1):
+        for c in model.children[i]:
+            rows[i] += rows[c]
+        rows[i].sort()
+        if cap and i and len(rows[i]) > cap:
+            swaps.append((np.array(rows[i]), np.arange(top, top + cap)))
+            rows[i], top = list(range(top, top + cap)), top + cap
+    return [np.array(r, dtype=int) for r in rows], swaps
+
+
+class _Compressed(NamedTuple):
+    """``pv_osimr``'s rows: a link below the root with more than 6 rows R
+    carries 6 fresh rows V, seeded with K = I, instead.  The pass leaves
+    C = K[R] in its frame, and above it R's rows of K are C times V's, so
+    ``swaps`` ((R, V), ancestors first) expand L; Lambda is L[:m, :m]."""
+
+    coupling: tuple
+    swaps: tuple
+    K: np.ndarray
+    L: np.ndarray
+
 
 def _with_support(lv: Level, plan, in_subtree) -> Level:
-    support = tuple((int(plan.position[i]) - lv.links.start, i)
-                    for i in sorted(plan.order[lv.links].tolist(), reverse=True)
+    support = tuple(i for i in sorted(plan.order[lv.links].tolist(), reverse=True)
                     if in_subtree[i])
-    if not support:
-        return lv
     return Level(lv.links, lv.parents, lv.starts, lv.heads, lv.size, lv.moving, support)
 
 
@@ -213,13 +244,14 @@ class _LevelRows(NamedTuple):
     of more than one support link ``pairs`` holds every same-link pair
     of rows as two positions in ``rows`` and its flat index in L (no pair
     repeats within a level); on a level of one it is None, and the pairs
-    are the whole rows x rows block."""
+    are the whole rows x rows ``block`` of L (``_block``)."""
 
     rows: np.ndarray
     pos: np.ndarray
     off: np.ndarray
     moving: np.ndarray
     pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    block: tuple | None
     n_moving: int
     n_pairs: int
 
@@ -244,15 +276,24 @@ def _coupling_levels(plan, sweep, rows: list[np.ndarray], support, m: int) -> tu
     # the support is closed under parents, so every depth down to the
     # deepest support link holds a run of rows
     bounds = np.searchsorted(depth, np.arange(depth[-1] + 2)).tolist()
+    row_list = row_of.tolist()
     for d, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         r = slice(lo, hi)
-        pairs = None
+        pairs = block = None
         if len(sweep[d].support) > 1:
             a, b = np.nonzero(off[r, None] == off[r])
             pairs = (a, b, row_of[r][a] * m + row_of[r][b])
-        levels[d] = _LevelRows(row_of[r], pos[r], off[r], moving[r], pairs,
+        else:
+            block = _block(row_of[r], row_list[lo], row_list[hi - 1])
+        levels[d] = _LevelRows(row_of[r], pos[r], off[r], moving[r], pairs, block,
                                n_moving[hi] - n_moving[lo], n_pairs[hi] - n_pairs[lo])
     return tuple(levels)
+
+
+def _block(rows: np.ndarray, first: int, last: int) -> tuple:
+    """L's block of ascending `rows` (`first` to `last`), as slices for one run."""
+    run = slice(first, last + 1)
+    return (run, run) if last - first == len(rows) - 1 else (rows[:, None], rows)
 
 
 def _layout(cs: ConstraintSet) -> tuple[tuple[int, int], ...]:
@@ -341,7 +382,6 @@ def _inertia_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels) -> N
 def _root_inertia(model: Model, ws: _Sweep) -> int:
     ia, nv = ws.IA[0], model.joints[0].nv
     ws.root_U = ws.root_D = None
-    ws.IA_proj[0] = ia
     if not nv:
         return 0
     s = model.S[0]
@@ -354,13 +394,11 @@ def _root_inertia(model: Model, ws: _Sweep) -> int:
                 "floating-base articulated inertia is singular") from None
         raise SingularJointInertia("joint 0 inertia is singular") from None
     ws.root_U, ws.root_D = uu, dfac
-    ws.IA_proj[0] = ia - uu @ dfac.solve(uu.T)
-    return flops.gemm(6, 6, nv) + flops.gemm(nv, 6, nv) + flops.cholesky(nv) \
-        + flops.chol_solve(nv, 6) + flops.gemm(6, nv, 6)
+    return flops.gemm(6, 6, nv) + flops.gemm(nv, 6, nv) + flops.cholesky(nv)
 
 
 def _bias_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels,
-               tau: np.ndarray | None = None, root: bool = False) -> None:
+               tau: np.ndarray | None = None) -> None:
     """Joint biases u and articulated biases pA over `levels`, children first.
 
     ``ws.pA`` holds each link's own bias on entry: the velocity products
@@ -370,16 +408,15 @@ def _bias_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels,
     homogeneous (no tau, no c): with fixed factors the bias and forward
     passes are affine in the bias, so the pass gives the change that the
     bias in ``ws.pA`` makes, provided `levels` hold the root paths of the
-    links carrying it.  `root` also forms the base's projected bias,
-    which nothing reads; the exact solvers keep it so that their flop
-    counts stay comparable.
+    links carrying it.  At the root only the joint bias is formed, since
+    no pass reads a projected base bias.
     """
     plan, frames = model.plan, cache.frames
     work = 0
     for lv in reversed(levels):
         sl = lv.links
         if lv.parents is None:
-            work += _root_bias(model, cache, ws, tau, root)
+            work += _root_bias(model, ws, tau)
             continue
         pa = ws.pA[sl]
         su = plan.ST[sl] @ pa
@@ -396,20 +433,12 @@ def _bias_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels,
     flops.add(work)
 
 
-def _root_bias(model: Model, cache: KinematicsCache, ws: _Sweep,
-               tau: np.ndarray | None, root: bool) -> int:
-    pa, nv = ws.pA[0, :, 0], model.joints[0].nv
-    work = 11 * nv
+def _root_bias(model: Model, ws: _Sweep, tau: np.ndarray | None) -> int:
+    nv = model.joints[0].nv
     if nv:
-        su = model.S[0].T @ pa
-        ws.root_u = u = -su if tau is None else tau[model.n_links:, 0, 0] - su
-    if tau is not None and (root or not nv):
-        pa = pa + ws.IA_proj[0] @ cache.c[0]
-        work += flops.APPLY_I + (flops.ADD6 if nv else 0)
-    if nv and root:
-        pa = pa + ws.root_U @ ws.root_D.solve(u)
-        work += flops.gemm(6, nv, 1) + flops.chol_solve(nv) + flops.ADD6
-    return work
+        su = model.S[0].T @ ws.pA[0, :, 0]
+        ws.root_u = -su if tau is None else tau[model.n_links:, 0, 0] - su
+    return 11 * nv
 
 
 def _forward_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels,
@@ -447,14 +476,14 @@ def _forward_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels,
             acc[sl] = a_in + plan.S[sl] * q
             work += lv.size * (flops.XMOT + (0 if change else flops.ADD6)) \
                 + lv.moving * _JOINT_ACC
-        for _, i in lv.support if elim else ():
+        for i in lv.support if elim else ():
             for rec in reversed(elim[i]):
                 rhs = rec.K @ acc[plan.position[i], :, 0] + rec.l_j
                 if rec.other_rows.size:
                     rhs = rhs + rec.L_jo @ lam[rec.other_rows]
                     work += flops.gemm(len(rec.rows), rec.other_rows.size, 1)
                 lam[rec.rows] = -linalg.chol_solve(rec.low, rhs)
-                work += flops.gemm(len(rec.rows), 6, 1) + flops.chol_solve(len(rec.rows))
+                work += flops.gemm(len(rec.rows), 6, 1)
     flops.add(work)
 
 
@@ -542,11 +571,13 @@ def _try_chol(block: np.ndarray, ratio: float, scale: float = 0.0):
     return low
 
 
-def _seed_coupling(cs: ConstraintSet, ws: PvWorkspace,
-                   beta: np.ndarray | None = None) -> None:
-    """Each constraint's K into its rows of ``ws.K``, L = 0, l = -beta."""
+def _seed_coupling(cs: ConstraintSet, ws, beta: np.ndarray | None = None) -> None:
+    """Each constraint's K into its rows of ``ws.K`` (a workspace or a
+    ``_Compressed`` layout, whose fresh rows past m take K = I by blocks
+    of six), L = 0, l = -beta."""
     for start, con in zip(cs.offsets, cs):
         ws.K[start:start + con.dim] = con.K
+    ws.K[cs.m:].reshape(-1, 6, 6)[:] = np.eye(6)
     ws.L[:] = 0.0
     if beta is not None:
         ws.l[:] = -beta
@@ -559,7 +590,8 @@ def _rows_times(k: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, levels,
-                   alive: np.ndarray | None = None, with_l: bool = True) -> None:
+                   alive: np.ndarray | None = None, with_l: bool = True,
+                   layout: _Compressed | None = None) -> None:
     """K, L and optionally l over `levels` (indices into ``ws.sweep``,
     children first).
 
@@ -570,59 +602,64 @@ def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, levels
     base into the world frame if `with_l`.  Per same-link pair of rows
     it adds to L; an eliminated row is skipped, so its diagonal of L
     keeps the value that ``_eliminate`` scales its pivot tests by.
+    `layout` brings the rows, K and L of a compressed layout instead.
     """
     plan, frames = model.plan, cache.frames
+    lay = layout or ws
+    K, L = lay.K, lay.L
     work = 0
     for k in levels:
-        lr = ws.coupling[k]
+        lr = lay.coupling[k]
         ws.ks[k] = None
         if lr is None:
             continue
-        rows, pos, off, moving, pairs, n_moving, n_pairs = lr
+        rows, pos, off, moving, pairs, block, n_moving, n_pairs = lr
         if alive is not None and not (keep := alive[rows]).all():
             if not keep.any():
                 continue
             rows, pos, off, moving = rows[keep], pos[keep], off[keep], moving[keep]
             n_moving = int(np.count_nonzero(moving))
             n_pairs = n_moving * rows.size
-            if pairs is not None:
+            if pairs is None:
+                block = _block(rows, int(rows[0]), int(rows[-1]))
+            else:
                 a, b, flat = pairs
                 both, at = keep[a] & keep[b], np.cumsum(keep) - 1
                 pairs = (at[a[both]], at[b[both]], flat[both])
                 n_pairs = int(np.count_nonzero(moving[pairs[0]]))
         if ws.sweep[k].parents is None:
-            work += _root_coupling(model, cache, ws, k, rows, with_l)
+            work += _root_coupling(model, cache, ws, K, L, k, rows, with_l)
             continue
         # a level of one support link (each level of a chain) takes its
         # blocks as 2-D products, which round as a per-link sweep does
-        idx = pos[0] if pairs is None else pos
-        ka = ws.K[rows]
+        idx, sel = (pos[0], block[1]) if pairs is None else (pos, rows)
+        ka = K[sel]
         ks = _rows_times(ka, plan.S[idx])[:, 0]
         w = ks * ws.D_inv[idx, 0, 0]
         if pairs is None:
-            ws.L[rows[:, None], rows] += w[:, None] * ks
+            L[block] += w[:, None] * ks
         else:
             a, b, flat = pairs
-            ws.L.reshape(-1)[flat] += w[a] * ks[b]
+            L.reshape(-1)[flat] += w[a] * ks[b]
         if with_l:
             c = frames.c[idx]
             uc = (ws.U_t[idx] @ c)[..., 0, 0]
             ws.l[rows] += _rows_times(ka, c)[:, 0] + w * (ws.u[idx, 0, 0] - uc)
-        ws.K[rows] = _rows_times(ka - w[:, None] * ws.U[idx, :, 0], frames.xm[idx])
+        K[sel] = _rows_times(ka - w[:, None] * ws.U[idx, :, 0], frames.xm[idx])
         ws.ks[k] = (ks, rows, off, n_moving)
         work += n_moving * (26 + (14 if with_l else 0)) + 2 * n_pairs \
             + flops.XFORCE_T * rows.size
     flops.add(work)
 
 
-def _root_coupling(model: Model, cache: KinematicsCache, ws: PvWorkspace, k: int,
-                   rows: np.ndarray, with_l: bool) -> int:
-    ka, r, nv = ws.K[rows], rows.size, model.joints[0].nv
+def _root_coupling(model: Model, cache: KinematicsCache, ws: PvWorkspace, K: np.ndarray,
+                   L: np.ndarray, k: int, rows: np.ndarray, with_l: bool) -> int:
+    ka, r, nv = K[rows], rows.size, model.joints[0].nv
     k_new, work = ka, 0
     if nv:
         ks = ka @ model.S[0]
         w = ws.root_D.solve(ks.T).T
-        ws.L[rows[:, None], rows] += w @ ks.T
+        L[rows[:, None], rows] += w @ ks.T
         if with_l:
             c = cache.c[0]
             ws.l[rows] += ka @ c + w @ (ws.root_u - ws.root_U.T @ c)
@@ -632,7 +669,7 @@ def _root_coupling(model: Model, cache: KinematicsCache, ws: PvWorkspace, k: int
         work += flops.gemm(r, 6, nv) + flops.chol_solve(nv, r) \
             + flops.gemm(r, nv, r) + flops.gemm(r, nv, 6)
     if with_l:
-        ws.K[rows] = k_new @ cache.frames.xm[0]
+        K[rows] = k_new @ cache.frames.xm[0]
         work += flops.XFORCE_T * r
     return work
 
@@ -711,13 +748,13 @@ def _exact(model: Model, state: State, tau, cs: ConstraintSet, ws: PvWorkspace,
     if early:
         for k in reversed(range(len(ws.sweep))):
             lv = ws.sweep[k]
-            _eliminate(cs, ws, [i for _, i in lv.support], alive, elim_at)
+            _eliminate(cs, ws, lv.support, alive, elim_at)
             _inertia_pass(model, cache, ws, (lv,))
-            _bias_pass(model, cache, ws, (lv,), tau, root=True)
+            _bias_pass(model, cache, ws, (lv,), tau)
             _coupling_pass(model, cache, ws, (k,), alive)
     else:
         _inertia_pass(model, cache, ws, ws.sweep)
-        _bias_pass(model, cache, ws, ws.sweep, tau, root=True)
+        _bias_pass(model, cache, ws, ws.sweep, tau)
         _coupling_pass(model, cache, ws, reversed(range(len(ws.sweep))))
 
     # dense dual solve for the rows that reached the base, scaled as in _eliminate
@@ -733,7 +770,6 @@ def _exact(model: Model, state: State, tau, cs: ConstraintSet, ws: PvWorkspace,
                 "dual system is singular (rank-deficient constraint rows); "
                 "constrained_aba handles such systems in a least-squares sense")
         lam[act] = linalg.chol_solve(low, rhs)
-        flops.add(flops.chol_solve(act.size))
 
     _forward_pass(model, cache, ws, ws.sweep, lam, elim_at)
     qdd = _dofs(model, ws.qj)

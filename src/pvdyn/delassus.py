@@ -7,10 +7,10 @@ Three producers and one consumer:
   constraint support (``constrained.py``).  The Delassus matrix is the
   L block left at the base; crossing a floating base joint supplies the
   rank-6 base correction, a fixed base adds nothing.
-* ``pv_osimr`` — the same matrix from extended propagators after the
-  inertia pass: each reduced-tree edge is walked once, junction kernels
-  are memoized, and blocks couple only through nearest common
-  ancestors, so shared paths do not pay the per-joint m-row cost.
+* ``pv_osimr`` — the same passes over rows compressed to six per link
+  (``PvWorkspace.compressed``), so that, as in PV-OSIMr, no joint
+  carries more than one 6x6 block; an expansion after the pass gives
+  the compressed rows their L entries.
 * ``caba_osim`` — damped inverse (Lambda + mu I)^-1: the ``pv_osim``
   matrix shifted and factored at the constraint dimension, well-defined
   for rank-deficient rows since the damping keeps the system PD.
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flops, linalg
-from .constrained import (PvWorkspace, SolverSettings, _coupling_pass,
+from .constrained import (PvWorkspace, SolverSettings, _Compressed, _coupling_pass,
                           _inertia_pass, _seed_coupling)
 from .kinematics import KinematicsCache, forward_kinematics
 from .model import ConstraintSet, Model, State
@@ -79,19 +79,20 @@ def delassus_apply(op: DelassusOperator, rhs: np.ndarray) -> np.ndarray:
     return delassus_factor_solve(op, rhs)
 
 
-# ---------------------------------------------------------------------------
-# coupling-block variant
-
-
-def _coupled_delassus(model: Model, cache, cs: ConstraintSet, ws: PvWorkspace) -> np.ndarray:
-    """Lambda as the base L block of the inertia and coupling passes."""
+def _coupled_delassus(model: Model, cache, cs: ConstraintSet, ws: PvWorkspace,
+                      layout: _Compressed | None = None) -> np.ndarray:
+    """Lambda as the base L block of the inertia and coupling passes, over
+    the workspace's rows or a compressed `layout` of them."""
     if cs.m == 0:
         return np.zeros((0, 0))
     np.copyto(ws.IA, model.plan.inertia66)
-    _seed_coupling(cs, ws)
+    _seed_coupling(cs, layout or ws)
     _inertia_pass(model, cache, ws, model.plan.sweep)
-    _coupling_pass(model, cache, ws, reversed(range(len(ws.sweep))), with_l=False)
-    out = ws.L.copy()
+    _coupling_pass(model, cache, ws, reversed(range(len(ws.sweep))), with_l=False,
+                   layout=layout)
+    if layout:
+        _expand(layout)
+    out = (layout or ws).L[:cs.m, :cs.m]
     return 0.5 * (out + out.T)
 
 
@@ -106,125 +107,41 @@ def pv_osim(model: Model, state: State, cs: ConstraintSet,
     return DelassusOperator("explicit", lam, offsets=tuple(cs.offsets))
 
 
-# ---------------------------------------------------------------------------
-# propagator-composition variant
-
-
-def _d_solve(model: Model, ws: PvWorkspace, i: int, x: np.ndarray) -> np.ndarray:
-    """D^-1 x at the moving joint of link i."""
-    if i:
-        return x * ws.D_inv[model.plan.position[i], 0, 0]
-    return ws.root_D.solve(x)
-
-
-def _push_block(model: Model, ws: PvWorkspace, cache, i: int,
-                block: np.ndarray) -> tuple[np.ndarray, int]:
-    """The joint-i force propagator and frame change applied to a 6 x k
-    block, and the flops of doing so."""
-    nv, k, pos = model.joints[i].nv, block.shape[1], model.plan.position[i]
-    work = flops.XFORCE_T * k
-    if nv:
-        uu = ws.U[pos] if i else ws.root_U
-        block = block - uu @ _d_solve(model, ws, i, model.S[i].T @ block)
-        work += flops.gemm(nv, 6, k) + flops.chol_solve(nv, k) + flops.gemm(6, nv, k)
-    return cache.frames.xm_t[pos] @ block, work
+def _expand(layout: _Compressed) -> None:
+    """The L entries that each compressed link's rows R take above it,
+    ancestors first.  Above the link R's rows of K are C = K[R] times the
+    fresh rows V's, so over the columns that V meets L[R, cols] gains
+    C L[V, cols], L[cols, R] its transpose and L[R, R] C L[V, V] C'.
+    No later step reads V, so its entries are cleared."""
+    K, L = layout.K, layout.L
+    work = 0
+    for replaced, fresh in layout.swaps:
+        lv, vv = L[fresh], L[fresh[:, None], fresh]
+        L[fresh] = L[:, fresh] = lv[:, fresh] = 0.0
+        if not vv.any():
+            continue                # V meets no moving joint
+        cols = np.flatnonzero(lv.any(axis=0))
+        c = K[replaced]
+        g = c @ lv[:, cols]
+        L[replaced[:, None], cols] += g
+        L[cols[:, None], replaced] += g.T
+        L[replaced[:, None], replaced] += c @ vv @ c.T
+        r, k = replaced.size, cols.size
+        work += flops.gemm(r, 6, k) + 2 * r * k + flops.gemm(r, 6, 6) \
+            + flops.gemm(r, 6, r) + r * r
+    flops.add(work)
 
 
 def pv_osimr(model: Model, state: State, cs: ConstraintSet,
              ws: PvWorkspace | None = None,
              cache: KinematicsCache | None = None) -> DelassusOperator:
-    """Delassus matrix by composing extended propagators at tree junctions."""
+    """Delassus matrix by the coupling pass over rows compressed to six
+    per link, as PV-OSIMr pushes one 6x6 block through each joint."""
     ws = PvWorkspace.ensure(model, cs, ws)
     if cache is None:
         cache = forward_kinematics(model, state)
-    m = cs.m
-    if m == 0:
-        return DelassusOperator("explicit", np.zeros((0, 0)), offsets=())
-    np.copyto(ws.IA, model.plan.inertia66)
-    _inertia_pass(model, cache, ws, model.plan.sweep)
-
-    # group constraint rows by link
-    e_links = sorted({con.link for con in cs})
-    rows_by_link = {e: np.concatenate([cs.rows(c) for c, con in enumerate(cs) if con.link == e])
-                    for e in e_links}
-    k_by_link = {e: np.vstack([con.K for con in cs if con.link == e]) for e in e_links}
-
-    # reduced tree: constrained links, their pairwise nearest common
-    # ancestors, and the world anchor (-1)
-    chains = {e: [e] + model.ancestors(e) + [-1] for e in e_links}
-    nodes = set(e_links) | {-1}
-    for a in e_links:
-        for b in e_links:
-            if a < b:
-                in_b = set(chains[b])
-                nodes.add(next(x for x in chains[a] if x in in_b))
-    reduced_parent = {node: next(x for x in model.ancestors(node) + [-1] if x in nodes)
-                      for node in nodes - {-1}}
-
-    # walk each reduced edge once: propagator transpose and kernel sum
-    edge_t: dict[int, np.ndarray] = {}
-    edge_sigma: dict[int, np.ndarray] = {}
-    for node in reduced_parent:
-        t = np.eye(6)
-        sigma = np.zeros((6, 6))
-        work = 0
-        j = node
-        while j != reduced_parent[node]:
-            nv = model.joints[j].nv
-            if nv:
-                phi = t @ model.S[j]
-                sigma += phi @ _d_solve(model, ws, j, phi.T)
-                work += flops.gemm(6, 6, nv) + flops.chol_solve(nv, 6) + flops.gemm(6, nv, 6)
-            t, w = _push_block(model, ws, cache, j, t.T)
-            t = t.T
-            work += w
-            j = model.parent[j]
-        flops.add(work)
-        edge_t[node] = t
-        edge_sigma[node] = sigma
-
-    # junction kernels from the world down
-    omega: dict[int, np.ndarray] = {-1: np.zeros((6, 6))}
-
-    def omega_of(node: int) -> np.ndarray:
-        if node not in omega:
-            up = omega_of(reduced_parent[node])
-            omega[node] = edge_sigma[node] + edge_t[node] @ up @ edge_t[node].T
-            flops.add(2 * flops.gemm(6, 6, 6))
-        return omega[node]
-
-    # constraint blocks pushed to every reduced ancestor
-    pushed: dict[int, dict[int, np.ndarray]] = {}
-    red_chain: dict[int, list[int]] = {}
-    for e in e_links:
-        blocks = {e: k_by_link[e]}
-        chain = [e]
-        node = e
-        while node != -1:
-            nxt = reduced_parent[node]
-            blocks[nxt] = blocks[node] @ edge_t[node]
-            flops.add(flops.gemm(blocks[node].shape[0], 6, 6))
-            chain.append(nxt)
-            node = nxt
-        pushed[e] = blocks
-        red_chain[e] = chain
-
-    # blocks in link order, then one permutation into row order
-    grid = [[None] * len(e_links) for _ in e_links]
-    work = 0
-    for ai, e in enumerate(e_links):
-        for bi in range(ai, len(e_links)):
-            f = e_links[bi]
-            in_f = set(red_chain[f])
-            common = next(x for x in red_chain[e] if x in in_f)
-            grid[ai][bi] = block = pushed[e][common] @ omega_of(common) @ pushed[f][common].T
-            grid[bi][ai] = block.T
-            work += flops.gemm(len(block), 6, 6) + flops.gemm(len(block), 6, block.shape[1])
-    flops.add(work)
-    back = np.argsort(np.concatenate([rows_by_link[e] for e in e_links]))
-    lam = np.concatenate([np.concatenate(row, axis=1) for row in grid])[np.ix_(back, back)]
-    return DelassusOperator("explicit", 0.5 * (lam + lam.T),
-                            offsets=tuple(cs.offsets))
+    lam = _coupled_delassus(model, cache, cs, ws, ws.compressed)
+    return DelassusOperator("explicit", lam, offsets=tuple(cs.offsets))
 
 
 def caba_osim(model: Model, state: State, cs: ConstraintSet,

@@ -126,7 +126,7 @@ class Level:
     adjacent, so the level is a sequence of sibling runs: ``starts`` holds
     the offset where each run begins and ``heads`` its parent.
     ``moving`` counts the 1-dof joints; ``support`` lists a workspace's
-    support links here as (offset, link) in descending link order.
+    support links here in descending link order.
     """
 
     links: slice | np.ndarray
@@ -324,15 +324,6 @@ class Model:
 
     def q_block(self, i: int) -> slice:
         return slice(self.q_offset[i], self.q_offset[i] + self.joints[i].nq)
-
-    def ancestors(self, link: int) -> list[int]:
-        """Ancestor links of `link`, nearest first, excluding the world."""
-        out = []
-        j = self.parent[link]
-        while j >= 0:
-            out.append(j)
-            j = self.parent[j]
-        return out
 
     def ancestor_dofs(self, link: int) -> np.ndarray:
         """All dofs on the path from `link` (inclusive) to the base, sorted."""

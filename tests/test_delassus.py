@@ -9,8 +9,11 @@ from pvdyn import (ConstraintSet, MotionConstraint, PvWorkspace,
                    kkt_oracle, pv_osim, pv_osimr, pv_solve,
                    random_feasible_instance, random_singular_instance,
                    random_state, weld_constraint, point_constraint)
+from pvdyn import delassus
+from pvdyn.constrained import _carried_rows
 from pvdyn.delassus import DelassusOperator
 from pvdyn.errors import NotPositiveDefinite
+from test_constrained import with_fixed_joints
 
 
 class TestPvOsim:
@@ -50,6 +53,27 @@ class TestPvOsim:
         lam = pv_osim(humanoid, state, cs).matrix
         np.testing.assert_allclose(lam, lam.T, atol=1e-10)
         assert np.linalg.eigvalsh(lam).min() >= -1e-10 * np.abs(lam).max()
+
+
+def _graded_osimr(model, cs, seed=0):
+    """pv_osimr against pv_osim at 1e-10 and against the dense oracle;
+    returns the workspace and the capped carried rows for shape checks."""
+    state = random_state(model, seed)
+    ws = PvWorkspace(model, cs)
+    got = pv_osimr(model, state, cs, ws).matrix
+    ref = pv_osim(model, state, cs).matrix
+    dense = dense_delassus(model, state, cs)
+    assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+    assert np.abs(got - dense).max() <= 1e-8 * max(1.0, np.abs(dense).max())
+    return ws, _carried_rows(model, ws.layout, 6)
+
+
+def _branching_tree(base_kind="fixed"):
+    """A complete binary tree of depth 3 and a link at depth 1 with both
+    of its children's subtrees."""
+    model = generate_tree(14, 2, seed=6, base_kind=base_kind)
+    junction = model.children[0][0]
+    return model, junction
 
 
 class TestPvOsimr:
@@ -92,6 +116,94 @@ class TestPvOsimr:
         a = pv_osimr(model, state, cs).matrix
         ref = dense_delassus(model, state, cs)
         assert np.abs(a - ref).max() <= 1e-8 * max(1.0, np.abs(ref).max())
+
+    def test_two_welds_on_one_link(self, chain8):
+        k = np.random.default_rng(3).standard_normal((6, 6))
+        cs = ConstraintSet([weld_constraint(8), MotionConstraint(8, k, np.zeros(6))])
+        ws, (rows, swaps) = _graded_osimr(chain8, cs)
+        # compressed at its own link, so only 6 rows climb the chain
+        assert [r.tolist() for r, _ in swaps] == [list(range(12))]
+        assert rows[8].tolist() == list(range(12, 18))
+
+    def test_junction_receives_more_than_six_rows(self):
+        model, junction = _branching_tree()
+        a, b = model.children[junction]
+        cs = ConstraintSet([weld_constraint(a), weld_constraint(b)])
+        ws, (rows, swaps) = _graded_osimr(model, cs)
+        assert rows[a].size == rows[b].size == 6
+        assert [r.tolist() for r, _ in swaps] == [list(range(12))]
+        assert rows[junction].tolist() == list(range(12, 18))
+
+    def test_nested_compression(self):
+        model, junction = _branching_tree()
+        a, b = model.children[junction]
+        a1, a2 = model.children[a]
+        cs = ConstraintSet([weld_constraint(a1), point_constraint(a2, [0.1, 0, 0]),
+                            weld_constraint(b), point_constraint(junction, [0, 0.1, 0])])
+        ws, (rows, swaps) = _graded_osimr(model, cs)
+        # link a replaces 9 rows by 6, which the junction replaces again
+        # with b's 6 and its own 3
+        (r_a, v_a), (r_j, v_j) = swaps
+        assert r_a.size == 9 and set(v_a) <= set(r_j) and r_j.size == 15
+        assert rows[junction].tolist() == v_j.tolist()
+        assert len(ws.compressed.swaps) == 2
+
+    def test_floating_base_takes_more_than_six_rows(self):
+        model, junction = _branching_tree("floating")
+        other = model.children[0][1]
+        cs = ConstraintSet([weld_constraint(junction), weld_constraint(other),
+                            point_constraint(model.children[other][0], [0.1, 0, 0])])
+        ws, (rows, swaps) = _graded_osimr(model, cs)
+        assert rows[0].size > 6 and len(swaps) == 1
+
+    def test_compressed_link_on_a_fixed_root_path(self):
+        # links 1-4 are welded to the fixed base, so the rows compressed at
+        # link 4 couple nothing above it (L[V, V] = 0) and the weld there
+        # has an exactly zero Delassus block
+        model = with_fixed_joints(generate_chain(8), [1, 2, 3, 4])
+        cs = ConstraintSet([point_constraint(8, [0.1, 0, 0]),
+                            point_constraint(7, [0, 0.1, 0]), weld_constraint(4)])
+        ws, (rows, swaps) = _graded_osimr(model, cs)
+        assert [r.size for r, _ in swaps] == [12]
+        lam = pv_osimr(model, random_state(model, 0), cs, ws).matrix
+        assert not lam[6:].any() and lam[:6, :6].any()
+
+    def test_constraint_on_link_0(self):
+        model, junction = _branching_tree("floating")
+        a, b = model.children[junction]
+        cs = ConstraintSet([point_constraint(0, [0.1, 0, 0]), weld_constraint(a),
+                            weld_constraint(b)])
+        ws, (rows, swaps) = _graded_osimr(model, cs)
+        assert len(swaps) == 1 and rows[0].size == 9
+
+    def test_no_level_step_carries_more_than_six_rows_per_link(self, monkeypatch):
+        # exactly 6 rows stay as they are; 7 are compressed
+        model = generate_chain(8)
+        one_row = MotionConstraint(7, np.ones((1, 6)), np.zeros(1))
+        six = ConstraintSet([weld_constraint(8)])
+        seven = ConstraintSet([weld_constraint(8), one_row])
+        assert PvWorkspace(model, six).compressed.L.shape == (6, 6)
+        assert PvWorkspace(model, seven).compressed.L.shape == (13, 13)
+        seen = []
+        coupling_pass = delassus._coupling_pass
+
+        def spy(model, cache, ws, levels, alive=None, with_l=True, layout=None):
+            levels = list(levels)
+            for k in levels if layout is not None else ():
+                lr = layout.coupling[k]
+                if lr is not None and ws.sweep[k].parents is not None:
+                    seen.append(np.unique(lr.off, return_counts=True)[1].max())
+            coupling_pass(model, cache, ws, levels, alive, with_l, layout)
+
+        monkeypatch.setattr(delassus, "_coupling_pass", spy)
+        tree, junction = _branching_tree("floating")
+        a, b = tree.children[junction]
+        cases = [(model, seven), (tree, ConstraintSet([weld_constraint(a), weld_constraint(b),
+                                                       weld_constraint(junction)]))]
+        cases += [random_feasible_instance(seed + 900)[::3] for seed in range(10)]
+        for mdl, cs in cases:
+            _graded_osimr(mdl, cs)
+        assert seen and max(seen) == 6
 
 
 class TestCabaOsim:
