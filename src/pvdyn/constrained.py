@@ -46,18 +46,23 @@ How the solvers compose them:
   independent, so before a level's projections each of its links
   eliminates the multiplier blocks that have become safely invertible;
   blocks that stay singular ride to the base as in ``pv_solve``.
-* ``pv_soft_solve`` — relaxed: K' R^-1 K is added inertia and the
-  matching term added bias, then inertia, bias, forward.
-* ``constrained_aba`` — proximal method of multipliers.  K' K / mu is
-  added inertia and the first iteration a full inertia, bias and
-  forward pass.  The passes are affine in the bias, and later
-  iterations change it only by -K' lam on the constrained links, so
-  each runs the homogeneous bias and forward passes over the support;
-  links off it are filled in once at exit.  Rank-deficient or
+* ``pv_soft_solve`` — the relaxed solve (``_relaxed``): K' R^-1 K is
+  added inertia and -K' R^-1 beta_hat added bias, then inertia, bias,
+  forward.
+* ``constrained_aba`` — proximal method of multipliers: the relaxed
+  solve with R = mu, which is its first iteration (lam = 0), followed
+  by support-only iterations.  The passes are affine in the bias, and
+  later iterations change it only by -K' lam on the constrained links,
+  so each runs the homogeneous bias and forward passes over the
+  support; links off it are filled in once at exit.  Rank-deficient or
   infeasible systems converge to the least-squares solution with the
   minimum-norm multipliers.
 * ``pv_osim`` and ``caba_osim`` run inertia and coupling without l;
   ``pv_osimr`` over rows compressed to six per link (``_Compressed``).
+
+A constraint set enters as its stacked rows (``ConstraintSet.K``):
+added terms are per-row terms summed into their links' entries of IA
+and pA (``_add_rows``), and the residual reads K a row by row.
 
 Gravity is applied by giving the world an acceleration of -g, so a
 constraint target a* on true link acceleration becomes
@@ -136,13 +141,16 @@ class PvWorkspace(_Sweep):
     """Preallocated buffers and static row bookkeeping for one (model, cs).
 
     ``rows[i]`` lists the global constraint rows active in link i's
-    subtree; its length is the m_i of the sweep.  The coupling pass
-    holds K as one (m, 6) array indexed by constraint row and walks
-    ``coupling``, one ``_LevelRows`` per level of ``sweep`` (None where a
-    level has no support link); ``compressed``, built on first use, is
-    ``pv_osimr``'s.  Shapes and bookkeeping depend only on the model and
-    each constraint's (link, dim) in order, so a workspace is reusable
-    across solves and constraint sets with that layout.
+    subtree; its length is the m_i of the sweep.  ``con_pos`` and
+    ``row_pos`` hold each constraint's and each row's link as a plan
+    position.  The coupling pass holds K as one (m, 6) array indexed by
+    constraint row and walks ``coupling``, one ``_LevelRows`` per level
+    of ``sweep`` (None where a level has no support link);
+    ``compressed``, built on first use, is ``pv_osimr``'s.  Shapes and
+    bookkeeping depend only on the model and each constraint's (link,
+    dim) in order, so a workspace is reusable across solves and
+    constraint sets with that layout; the rows' K come from the set on
+    every call.
     """
 
     def __init__(self, model: Model, cs: ConstraintSet):
@@ -167,6 +175,9 @@ class PvWorkspace(_Sweep):
         self.off_levels = plan.levels_of(self.off_support)
         self.support_pos = plan.position[np.array(self.support, dtype=int)]
         self.off_pos = plan.position[np.array(self.off_support, dtype=int)]
+        self.con_pos = plan.position[np.array([link for link, _ in self.layout], dtype=int)]
+        self.row_pos = np.repeat(self.con_pos, [dim for _, dim in self.layout])
+        self.n_con_links = np.unique(self.con_pos).size
         self.rows = rows = _carried_rows(model, self.layout)[0]
         # the whole tree's levels, each with its support links and their rows
         self.sweep = tuple(_with_support(lv, plan, in_subtree) for lv in plan.sweep)
@@ -311,11 +322,9 @@ def _check_inputs(model: Model, state: State, tau) -> np.ndarray:
 def _beta_hat(model: Model, cache: KinematicsCache, cs: ConstraintSet,
               out: np.ndarray) -> np.ndarray:
     """Constraint targets shifted into gravity-trick sweep coordinates."""
-    work = 0
-    for ci, con in enumerate(cs):
-        out[cs.rows(ci)] = con.a_star - con.K[:, 3:] @ (cache.w_rot[con.link] @ model.gravity)
-        work += flops.XMOT + flops.gemm(con.dim, 6, 1)
-    flops.add(work)
+    g = (cache.w_rot[cs.links] @ model.gravity)[cs.row_con]
+    np.subtract(cs.stacked_targets(), (cs.K[:, 3:] * g).sum(1), out=out)
+    flops.add(len(cs) * flops.XMOT + flops.gemm(cs.m, 6, 1))
     return out
 
 
@@ -328,12 +337,12 @@ def _dofs(model: Model, xj: np.ndarray) -> np.ndarray:
     return xj[model.plan.dof_slot, 0, 0]
 
 
-def _add_terms(model: Model, buf: np.ndarray, terms: dict[int, np.ndarray] | None) -> None:
-    """Add per-link terms (added inertia or bias) into a plan-order buffer."""
-    if terms:
-        for link, extra in terms.items():
-            buf[model.plan.position[link]] += np.reshape(extra, buf.shape[1:])
-        flops.add(buf[0].size * len(terms))
+def _add_rows(ws: PvWorkspace, buf: np.ndarray, terms: np.ndarray) -> None:
+    """Add per-row terms (added inertia or bias, one product of a row of
+    K each) into their links' entries of a plan-order buffer, charged as
+    those products and one sum per constrained link."""
+    np.add.at(buf, ws.row_pos, terms)
+    flops.add(buf[0].size * (2 * len(terms) + ws.n_con_links))
 
 
 # per-link flops of a 1-dof joint below the root: its factors and IA_proj,
@@ -509,35 +518,30 @@ def _root_forward(model: Model, cache: KinematicsCache, ws: _Sweep,
     return work
 
 
-def _aba(model: Model, cache: KinematicsCache, ws: _Sweep, tau: np.ndarray,
-         added: dict[int, np.ndarray] | None = None,
-         bias: dict[int, np.ndarray] | None = None) -> np.ndarray:
-    """Inertia, bias and forward pass over the whole tree, with extra
-    inertia `added` and extra bias `bias` per link; returns qdd (link
-    accelerations in ``ws.acc``)."""
+def _own_terms(model: Model, cache: KinematicsCache, ws: _Sweep) -> None:
+    """Each link's own inertia and velocity-product bias into ``ws.IA`` and ``ws.pA``."""
+    np.copyto(ws.IA, model.plan.inertia66)
+    ws.pA[:, :, 0] = velocity_products(model, cache)[model.plan.order]
+
+
+def _aba(model: Model, cache: KinematicsCache, ws: _Sweep, tau: np.ndarray) -> np.ndarray:
+    """Inertia, bias and forward pass over the whole tree from the terms
+    in ``ws.IA`` and ``ws.pA``; returns qdd (link accelerations in ``ws.acc``)."""
     plan = model.plan
-    np.copyto(ws.IA, plan.inertia66)
-    _add_terms(model, ws.IA, added)
-    ws.pA[:, :, 0] = velocity_products(model, cache)[plan.order]
-    _add_terms(model, ws.pA, bias)
     _inertia_pass(model, cache, ws, plan.sweep)
     _bias_pass(model, cache, ws, plan.sweep, _slots(model, tau))
     _forward_pass(model, cache, ws, plan.sweep)
     return _dofs(model, ws.qj)
 
 
-def _residual(model: Model, cs: ConstraintSet, ws: PvWorkspace, beta: np.ndarray,
-              da: np.ndarray | None = None) -> float:
+def _residual(cs: ConstraintSet, ws: PvWorkspace, da: np.ndarray | None = None) -> float:
     """K a - beta_hat into ``ws.resid`` from the accelerations in ``ws.acc``
-    (plus `da`); returns its norm."""
-    position = model.plan.position
-    work = 0
-    for ci, con in enumerate(cs):
-        rows, k = cs.rows(ci), position[con.link]
-        a = ws.acc[k, :, 0] if da is None else ws.acc[k, :, 0] + da[k, :, 0]
-        ws.resid[rows] = con.K @ a - beta[rows]
-        work += flops.gemm(con.dim, 6, 1) + (0 if da is None else flops.ADD6)
-    flops.add(work)
+    (plus `da`) and beta_hat in ``ws.beta``; returns its norm."""
+    a = ws.acc[ws.con_pos, :, 0]
+    if da is not None:
+        a = a + da[ws.con_pos, :, 0]
+    np.subtract((cs.K * a[cs.row_con]).sum(1), ws.beta, out=ws.resid)
+    flops.add(flops.gemm(cs.m, 6, 1) + (0 if da is None else flops.ADD6 * len(cs)))
     return float(np.linalg.norm(ws.resid))
 
 
@@ -575,8 +579,7 @@ def _seed_coupling(cs: ConstraintSet, ws, beta: np.ndarray | None = None) -> Non
     """Each constraint's K into its rows of ``ws.K`` (a workspace or a
     ``_Compressed`` layout, whose fresh rows past m take K = I by blocks
     of six), L = 0, l = -beta."""
-    for start, con in zip(cs.offsets, cs):
-        ws.K[start:start + con.dim] = con.K
+    ws.K[:cs.m] = cs.K
     ws.K[cs.m:].reshape(-1, 6, 6)[:] = np.eye(6)
     ws.L[:] = 0.0
     if beta is not None:
@@ -655,21 +658,21 @@ def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, levels
 def _root_coupling(model: Model, cache: KinematicsCache, ws: PvWorkspace, K: np.ndarray,
                    L: np.ndarray, k: int, rows: np.ndarray, with_l: bool) -> int:
     ka, r, nv = K[rows], rows.size, model.joints[0].nv
-    k_new, work = ka, 0
+    work = 0
     if nv:
         ks = ka @ model.S[0]
         w = ws.root_D.solve(ks.T).T
         L[rows[:, None], rows] += w @ ks.T
+        ws.ks[k] = (ks, rows)
+        work += flops.gemm(r, 6, nv) + flops.chol_solve(nv, r) + flops.gemm(r, nv, r)
         if with_l:
             c = cache.c[0]
             ws.l[rows] += ka @ c + w @ (ws.root_u - ws.root_U.T @ c)
-            work += flops.gemm(r, 6, 1) + flops.gemm(r, nv, 1)
-        k_new = ka - w @ ws.root_U.T
-        ws.ks[k] = (ks, rows)
-        work += flops.gemm(r, 6, nv) + flops.chol_solve(nv, r) \
-            + flops.gemm(r, nv, r) + flops.gemm(r, nv, 6)
+            ka = ka - w @ ws.root_U.T
+            work += flops.gemm(r, 6, 1) + flops.gemm(r, nv, 1) + flops.gemm(r, nv, 6)
+    # K in the world frame only feeds the base solve's gravity term
     if with_l:
-        K[rows] = k_new @ cache.frames.xm[0]
+        K[rows] = ka @ cache.frames.xm[0]
         work += flops.XFORCE_T * r
     return work
 
@@ -732,16 +735,13 @@ def _exact(model: Model, state: State, tau, cs: ConstraintSet, ws: PvWorkspace,
     if cache is None:
         cache = forward_kinematics(model, state)
     n = model.n_links
-    m = cs.m
-    plan = model.plan
-    beta = _beta_hat(model, cache, cs, ws.beta) if m else ws.beta
-    np.copyto(ws.IA, plan.inertia66)
-    ws.pA[:, :, 0] = velocity_products(model, cache)[plan.order]
+    beta = _beta_hat(model, cache, cs, ws.beta)
+    _own_terms(model, cache, ws)
     tau = _slots(model, tau)
     _seed_coupling(cs, ws, beta)
     lam = ws.lam
     lam[:] = 0.0
-    alive = np.ones(m, dtype=bool)
+    alive = np.ones(cs.m, dtype=bool)
     elim_at: list[list[_Elimination]] = [[] for _ in range(n)]
     ws.counters = {"base_dual_dim": 0, "dual_factor_dims": []}
 
@@ -774,7 +774,7 @@ def _exact(model: Model, state: State, tau, cs: ConstraintSet, ws: PvWorkspace,
     _forward_pass(model, cache, ws, ws.sweep, lam, elim_at)
     qdd = _dofs(model, ws.qj)
 
-    resid = _residual(model, cs, ws, beta) if m else 0.0
+    resid = _residual(cs, ws)
     return ConstrainedSolution(qdd, lam.copy(), 1, resid, "converged", (resid,))
 
 
@@ -798,15 +798,18 @@ def pv_early_solve(model: Model, state: State, tau, cs: ConstraintSet,
 # relaxed and proximal solvers
 
 
-def _multiplier_bias(cs: ConstraintSet, y: np.ndarray) -> dict[int, np.ndarray]:
-    """Per-link bias -K' y of constraint-space values y."""
-    bias: dict[int, np.ndarray] = {}
-    work = 0
-    for ci, con in enumerate(cs):
-        bias[con.link] = bias.get(con.link, 0) - con.K.T @ y[cs.rows(ci)]
-        work += flops.gemm(6, con.dim, 1)
-    flops.add(work)
-    return bias
+def _relaxed(model: Model, cache: KinematicsCache, cs: ConstraintSet, ws: PvWorkspace,
+             tau: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """The relaxed solve with R = diag(`weights`): K' R^-1 K added inertia,
+    -K' R^-1 beta_hat added bias, the whole-tree sweep and the residual
+    K a - beta_hat in ``ws.resid``.  Returns qdd and the residual norm."""
+    beta = _beta_hat(model, cache, cs, ws.beta)
+    kw = cs.K / weights[:, None]
+    _own_terms(model, cache, ws)
+    _add_rows(ws, ws.IA, kw[:, :, None] * cs.K[:, None, :])
+    _add_rows(ws, ws.pA[:, :, 0], cs.K * (-beta / weights)[:, None])
+    qdd = _aba(model, cache, ws, tau)
+    return qdd, _residual(cs, ws)
 
 
 def pv_soft_solve(model: Model, state: State, tau, cs: ConstraintSet,
@@ -819,28 +822,10 @@ def pv_soft_solve(model: Model, state: State, tau, cs: ConstraintSet,
     tau = _check_inputs(model, state, tau)
     if cache is None:
         cache = forward_kinematics(model, state)
-    m = cs.m
-    if m == 0:
-        qdd = _aba(model, cache, ws, tau)
-        return ConstrainedSolution(qdd, np.zeros(0), 1, 0.0, "converged", (0.0,))
-    weights = np.broadcast_to(np.asarray(settings.soft_R, dtype=float), (m,))
-    beta = _beta_hat(model, cache, cs, ws.beta)
-    reg: dict[int, np.ndarray] = {}
-    bias: dict[int, np.ndarray] = {}
-    work = 0
-    for ci, con in enumerate(cs):
-        rows = cs.rows(ci)
-        kr = con.K / weights[rows][:, None]
-        reg_blk = con.K.T @ kr
-        bias_blk = -con.K.T @ (beta[rows] / weights[rows])
-        reg[con.link] = reg.get(con.link, 0) + reg_blk
-        bias[con.link] = bias.get(con.link, 0) + bias_blk
-        work += flops.gemm(6, con.dim, 6) + flops.gemm(6, con.dim, 1)
-    flops.add(work)
-    qdd = _aba(model, cache, ws, tau, reg, bias)
-    rnorm = _residual(model, cs, ws, beta)
+    weights = np.broadcast_to(np.asarray(settings.soft_R, dtype=float), (cs.m,))
+    qdd, rnorm = _relaxed(model, cache, cs, ws, tau, weights)
     lam = -ws.resid / weights
-    flops.add(2 * m)
+    flops.add(2 * cs.m)
     return ConstrainedSolution(qdd, lam, 1, rnorm, "converged", (rnorm,))
 
 
@@ -854,24 +839,11 @@ def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
     tau = _check_inputs(model, state, tau)
     if cache is None:
         cache = forward_kinematics(model, state)
-    m = cs.m
-    if m == 0:
-        qdd = _aba(model, cache, ws, tau)
-        return ConstrainedSolution(qdd, np.zeros(0), 1, 0.0, "converged", (0.0,))
-
     mu = settings.mu
-    beta = _beta_hat(model, cache, cs, ws.beta)
-    reg: dict[int, np.ndarray] = {}
-    work = 0
-    for con in cs:
-        reg[con.link] = reg.get(con.link, 0) + con.K.T @ con.K / mu
-        work += flops.gemm(6, con.dim, 6)
-    flops.add(work)
-
-    # iteration 1 (lam = 0) is a full sweep giving qdd0 and a0 in ws.acc;
-    # each later one sweeps the support for the change the bias -K' lam makes
-    qdd = _aba(model, cache, ws, tau, reg, _multiplier_bias(cs, beta / mu))
-    ws.da[ws.support_pos] = 0.0
+    # iteration 1 (lam = 0) is the relaxed solve with R = mu, giving qdd0
+    # and a0 in ws.acc; each later one sweeps the support for the change
+    # the bias -K' lam makes
+    qdd, rnorm = _relaxed(model, cache, cs, ws, tau, np.full(cs.m, mu))
     lam = ws.lam
     lam[:] = 0.0
     resid = ws.resid
@@ -880,10 +852,10 @@ def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
     for it in range(1, settings.max_iter + 1):
         if it > 1:
             ws.pA[ws.support_pos] = 0.0
-            _add_terms(model, ws.pA, _multiplier_bias(cs, lam))
+            _add_rows(ws, ws.pA[:, :, 0], cs.K * -lam[:, None])
             _bias_pass(model, cache, ws, ws.support_levels)
             _forward_pass(model, cache, ws, ws.support_levels, change=True)
-        rnorm = _residual(model, cs, ws, beta, ws.da)
+            rnorm = _residual(cs, ws, ws.da)
         lam -= resid / mu
         history.append(rnorm)
         if rnorm <= settings.tol_primal:
@@ -906,5 +878,5 @@ def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
         # lam has drifted along the infeasible residual by resid/mu per
         # iteration; taking that component off leaves the min-norm lam
         lam -= (resid @ lam) / (resid @ resid) * resid
-        flops.add(6 * m)
+        flops.add(6 * cs.m)
     return ConstrainedSolution(qdd, lam.copy(), it, rnorm, status, tuple(history))

@@ -49,7 +49,6 @@ class DelassusOperator:
     kind: str
     matrix: np.ndarray
     mu: float | None = None
-    offsets: tuple = ()
     factorizations: int = 0
     _chol: np.ndarray | None = field(default=None, repr=False)
 
@@ -104,7 +103,7 @@ def pv_osim(model: Model, state: State, cs: ConstraintSet,
     if cache is None:
         cache = forward_kinematics(model, state)
     lam = _coupled_delassus(model, cache, cs, ws)
-    return DelassusOperator("explicit", lam, offsets=tuple(cs.offsets))
+    return DelassusOperator("explicit", lam)
 
 
 def _expand(layout: _Compressed) -> None:
@@ -141,7 +140,7 @@ def pv_osimr(model: Model, state: State, cs: ConstraintSet,
     if cache is None:
         cache = forward_kinematics(model, state)
     lam = _coupled_delassus(model, cache, cs, ws, ws.compressed)
-    return DelassusOperator("explicit", lam, offsets=tuple(cs.offsets))
+    return DelassusOperator("explicit", lam)
 
 
 def caba_osim(model: Model, state: State, cs: ConstraintSet,
@@ -166,5 +165,4 @@ def caba_osim(model: Model, state: State, cs: ConstraintSet,
     lam = _coupled_delassus(model, cache, cs, ws)
     shifted = lam + settings.mu * np.eye(m)
     x = linalg.chol_inverse(linalg.chol_factor(shifted))
-    return DelassusOperator("damped_inverse", x, mu=settings.mu,
-                            offsets=tuple(cs.offsets))
+    return DelassusOperator("damped_inverse", x, mu=settings.mu)

@@ -45,7 +45,6 @@ class KinematicsCache:
     v: np.ndarray          # (n,6)   link twists, link frame
     c: np.ndarray          # (n,6)   velocity-product accelerations
     avp: np.ndarray        # (n,6)   zero-gravity acceleration at qdd = 0
-    vj: np.ndarray         # (n,6)   joint-contributed twists
     frames: "PlanFrames | None" = None     # set by forward_kinematics
 
 
@@ -115,7 +114,7 @@ def forward_kinematics(model: Model, state: State) -> KinematicsCache:
     w_rot = np.swapaxes(world[:, :3, :3], 1, 2).copy()
     w_trans = world[:, :3, 3].copy()
     flops.add(plan.fk_flops)
-    return KinematicsCache(rot, trans, w_rot, w_trans, v[back], c[back], avp[back], vj,
+    return KinematicsCache(rot, trans, w_rot, w_trans, v[back], c[back], avp[back],
                            PlanFrames(xm, c[:, :, None]))
 
 
@@ -165,9 +164,9 @@ def link_jacobian(model: Model, cache: KinematicsCache, link: int) -> np.ndarray
 def constraint_jacobian(model: Model, cache: KinematicsCache,
                         cs: ConstraintSet) -> np.ndarray:
     """Stacked m x n Jacobian of a constraint set (dense, oracle-facing)."""
-    jac = _jacobians(model, cache, [con.link for con in cs])
-    flops.add(sum(flops.gemm(con.dim, 6, model.nv) for con in cs))
-    return np.concatenate([np.zeros((0, model.nv))] + [con.K @ j for con, j in zip(cs, jac)])
+    jac = _jacobians(model, cache, cs.links)[cs.row_con]
+    flops.add(flops.gemm(cs.m, 6, model.nv))
+    return np.einsum("ij,ijk->ik", cs.K, jac)
 
 
 def constraint_drift(model: Model, cache: KinematicsCache,
@@ -178,8 +177,5 @@ def constraint_drift(model: Model, cache: KinematicsCache,
     acceleration projected through its constraint rows; independent of
     the gravity setting by construction.
     """
-    gamma = np.zeros(cs.m)
-    for idx, con in enumerate(cs):
-        gamma[cs.rows(idx)] = con.K @ cache.avp[con.link]
-        flops.add(flops.gemm(con.dim, 6, 1))
-    return gamma
+    flops.add(flops.gemm(cs.m, 6, 1))
+    return (cs.K * cache.avp[cs.links][cs.row_con]).sum(1)

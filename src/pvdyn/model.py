@@ -18,6 +18,7 @@ threads; State is a plain value type.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field, replace
 
@@ -447,20 +448,25 @@ def weld_constraint(link: int, a_star=None, baumgarte=None) -> MotionConstraint:
 
 
 class ConstraintSet:
-    """Ordered collection of motion constraints with a row-offset table."""
+    """Ordered collection of motion constraints, stacked as rows.
+
+    The rows are built once and are read-only: ``K`` (m x 6), each row's
+    constraint index ``row_con``, each constraint's link in ``links`` and
+    the targets behind ``stacked_targets``.  ``replace_targets`` shares
+    all of them but the targets.
+    """
 
     def __init__(self, constraints=()):
         self.constraints = tuple(constraints)
-        offsets = []
-        m = 0
-        for c in self.constraints:
-            offsets.append(m)
-            m += c.dim
-        self.offsets = tuple(offsets)
-        self.m = m
-        self._rows = tuple(np.arange(o, o + c.dim) for o, c in zip(offsets, self.constraints))
-        for r in self._rows:
-            r.flags.writeable = False
+        dims = [c.dim for c in self.constraints]
+        self.offsets = tuple(itertools.accumulate(dims, initial=0))[:-1]
+        self.m = sum(dims)
+        self.K = _frozen(np.concatenate([np.zeros((0, 6))] + [c.K for c in self.constraints]))
+        self.row_con = _frozen(np.repeat(np.arange(len(dims)), dims))
+        self.links = _frozen(np.array([c.link for c in self.constraints], dtype=int))
+        self._targets = _frozen(np.concatenate([np.zeros(0)]
+                                               + [c.a_star for c in self.constraints]))
+        self._rows = tuple(_frozen(np.arange(o, o + d)) for o, d in zip(self.offsets, dims))
 
     @staticmethod
     def empty() -> "ConstraintSet":
@@ -477,12 +483,19 @@ class ConstraintSet:
         return self._rows[i]
 
     def stacked_targets(self) -> np.ndarray:
-        if not self.constraints:
-            return np.zeros(0)
-        return np.concatenate([c.a_star for c in self.constraints])
+        """The targets a_star of all rows (a shared, read-only array)."""
+        return self._targets
 
     def replace_targets(self, a_star: np.ndarray) -> "ConstraintSet":
-        cs = []
-        for i, c in enumerate(self.constraints):
-            cs.append(replace(c, a_star=a_star[self.offsets[i]:self.offsets[i] + c.dim]))
-        return ConstraintSet(cs)
+        out = copy.copy(self)
+        out._targets = targets = _frozen(np.array(a_star, dtype=float))
+        if targets.shape != (self.m,):
+            raise DimensionMismatch(f"a_star must have length m={self.m}")
+        out.constraints = tuple(replace(c, a_star=targets[o:o + c.dim])
+                                for o, c in zip(self.offsets, self.constraints))
+        return out
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a

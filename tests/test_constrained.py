@@ -8,8 +8,8 @@ from pvdyn import (ConstraintSet, MotionConstraint, PvWorkspace,
                    random_feasible_instance, random_singular_instance,
                    random_state, relaxed_kkt_oracle, weld_constraint)
 from pvdyn.bench import load_model
-from pvdyn.constrained import (_aba, _add_terms, _beta_hat, _bias_pass, _forward_pass,
-                               _inertia_pass, _slots)
+from pvdyn.constrained import (_aba, _beta_hat, _bias_pass, _forward_pass, _inertia_pass,
+                               _own_terms, _slots)
 from pvdyn.errors import SingularDual
 from pvdyn.generators import standard_constraints
 from pvdyn.kinematics import forward_kinematics, velocity_products
@@ -40,8 +40,14 @@ def quadruped():
 def engine_aba(model, cache, tau, added, bias):
     """(qdd, link accelerations) of the engine's whole-tree sweep."""
     ws = PvWorkspace(model, ConstraintSet.empty())
-    qdd = _aba(model, cache, ws, np.asarray(tau, float), added, bias)
-    return qdd, ws.acc[model.plan.position, :, 0]
+    _own_terms(model, cache, ws)
+    position = model.plan.position
+    for link, extra in added.items():
+        ws.IA[position[link]] += extra
+    for link, extra in bias.items():
+        ws.pA[position[link], :, 0] += extra
+    qdd = _aba(model, cache, ws, np.asarray(tau, float))
+    return qdd, ws.acc[position, :, 0]
 
 
 def full_sweep_caba(model, state, tau, cs, settings=None, sweep=engine_aba):
@@ -270,6 +276,14 @@ class TestConstrainedAba:
         sol = constrained_aba(chain8, state, tau, ConstraintSet.empty())
         assert sol.iterations == 1
         np.testing.assert_allclose(sol.qdd, aba(chain8, state, tau), atol=1e-12)
+        # the relaxed solve over no rows is aba, in its answer and its flops
+        with flops.counted() as count:
+            free = aba(chain8, state, tau)
+            free_flops = count()
+        with flops.counted() as count:
+            soft = pv_soft_solve(chain8, state, tau, ConstraintSet.empty())
+            assert count() == free_flops
+        np.testing.assert_array_equal(soft.qdd, free)
 
     def test_contradictory_rows_least_squares(self, chain8):
         state = random_state(chain8, 14)
@@ -583,7 +597,7 @@ class TestStoredProjectedInertia:
         cache = forward_kinematics(model, random_state(model, 6))
         plan = model.plan
         np.copyto(ws.IA, plan.inertia66)
-        _add_terms(model, ws.IA, {10: np.eye(6)})
+        ws.IA[plan.position[10]] += np.eye(6)
         _inertia_pass(model, cache, ws, plan.sweep)
         # the root's projection feeds no parent, so the pass forms none
         for k, i in enumerate(plan.order[1:], start=1):

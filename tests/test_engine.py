@@ -18,8 +18,8 @@ from pvdyn import (ConstraintSet, Joint, Model, PlueckerTransform, PvWorkspace,
                    random_singular_instance, random_state, weld_constraint)
 from pvdyn.bench import load_model
 from pvdyn.constrained import (_DUAL_PIVOT_RATIO, _ELIM_PIVOT_RATIO,
-                               _Elimination, _aba, _add_terms, _beta_hat, _bias_pass,
-                               _dofs, _forward_pass, _inertia_pass, _try_chol)
+                               _Elimination, _aba, _beta_hat, _bias_pass, _dofs,
+                               _forward_pass, _inertia_pass, _own_terms, _try_chol)
 from pvdyn.errors import (NotPositiveDefinite, SingularBaseInertia, SingularDual,
                           SingularJointInertia)
 from pvdyn.generators import standard_constraints
@@ -378,14 +378,16 @@ def _pin_fixtures():
 PIN_FIXTURES = _pin_fixtures()
 
 # flops per call on each fixture (state seed 3): the per-link engine's
-# charges without the base projections nothing reads or a second charge
-# per Cholesky solve, and pv_osimr over its rows compressed to six
+# charges without the base projections nothing reads, a second charge
+# per Cholesky solve, the producers' root K - w U' or caba's sum
+# acc + da in its first iteration, and pv_osimr over its rows
+# compressed to six
 PINNED_FLOPS = {
-    "tree:128:3": {"pv": 239925, "pv_early": 228423, "pv_soft": 218277, "caba": 235331,
+    "tree:128:3": {"pv": 239925, "pv_early": 228423, "pv_soft": 218277, "caba": 235283,
                    "pv_osim": 182658, "pv_osimr": 185178, "caba_osim": 202242},
-    "humanoid": {"pv": 102117, "pv_early": 82101, "pv_soft": 58413, "caba": 69097,
-                 "pv_osim": 73662, "pv_osimr": 71598, "caba_osim": 93246},
-    "chain:64": {"pv": 145099, "pv_early": 111637, "pv_soft": 108529, "caba": 127681,
+    "humanoid": {"pv": 102117, "pv_early": 82101, "pv_soft": 58413, "caba": 69073,
+                 "pv_osim": 71934, "pv_osimr": 70302, "caba_osim": 91518},
+    "chain:64": {"pv": 145099, "pv_early": 111637, "pv_soft": 108529, "caba": 127669,
                  "pv_osim": 117280, "pv_osimr": 117280, "caba_osim": 117640},
 }
 
@@ -413,6 +415,20 @@ class TestSameFlops:
                 call()
                 counted[name] = count()
         assert counted == PINNED_FLOPS[fixture]
+
+
+class TestRelaxedFirstIteration:
+    @pytest.mark.parametrize("fixture", ["tree:128:3", "humanoid"])
+    def test_one_caba_iteration_is_the_relaxed_solve(self, fixture):
+        model, cs = PIN_FIXTURES[fixture]
+        state = random_state(model, 3)
+        tau = np.random.default_rng(3).uniform(-5, 5, model.nv)
+        settings = SolverSettings(max_iter=1)
+        soft = pv_soft_solve(model, state, tau, cs, SolverSettings(soft_R=settings.mu))
+        prox = constrained_aba(model, state, tau, cs, settings)
+        np.testing.assert_array_equal(prox.qdd, soft.qdd)
+        np.testing.assert_array_equal(prox.lam, soft.lam)
+        assert prox.primal_residual == soft.primal_residual
 
 
 # iterations and the first letter of the status of constrained_aba at the
@@ -622,16 +638,20 @@ class TestLevelBatchedEngine:
         bias = {con.link: rng.uniform(-1, 1, 6) for con in cs}
         cache = forward_kinematics(model, state)
         ws = PvWorkspace(model, cs)
+        position = model.plan.position
+        _own_terms(model, cache, ws)
         _aba(model, cache, ws, tau)
         ws.pA[ws.support_pos] = 0.0
-        _add_terms(model, ws.pA, bias)
+        for link, extra in bias.items():
+            ws.pA[position[link], :, 0] += extra
         _bias_pass(model, cache, ws, ws.support_levels)
         _forward_pass(model, cache, ws, ws.support_levels, change=True)
         ws.u[ws.off_pos] = 0.0
         _forward_pass(model, cache, ws, ws.off_levels, change=True)
         subset = _dofs(model, ws.dqj), ws.da[model.plan.position, :, 0]
         ws.pA[:] = 0.0
-        _add_terms(model, ws.pA, bias)
+        for link, extra in bias.items():
+            ws.pA[position[link], :, 0] += extra
         _bias_pass(model, cache, ws, model.plan.sweep)
         _forward_pass(model, cache, ws, model.plan.sweep, change=True)
         whole = _dofs(model, ws.dqj), ws.da[model.plan.position, :, 0]

@@ -13,7 +13,7 @@ from pvdyn.integrate import integrate_position
 from pvdyn.kinematics import velocity_products
 from pvdyn.spatial import compose_rt, motion_matrix, skew
 
-FIELDS = ("rot", "trans", "w_rot", "w_trans", "v", "c", "avp", "vj")
+FIELDS = ("rot", "trans", "w_rot", "w_trans", "v", "c", "avp")
 
 
 def cross_matrix(v):
@@ -59,7 +59,7 @@ def per_link_fk(model, state):
         work += flops.AXIS_ANGLE + 2 * flops.COMPOSE + 2 * flops.XMOT \
             + flops.CROSS_M + 6 * joint.nv + 2 * flops.ADD6
     flops.add(work)
-    return KinematicsCache(rot, trans, w_rot, w_trans, v, c, avp, vj)
+    return KinematicsCache(rot, trans, w_rot, w_trans, v, c, avp)
 
 
 # floating trunk; document order interleaves depths 0,1,2,1,3,4,2 and

@@ -4,6 +4,7 @@ import pytest
 from pvdyn import (ConstraintSet, Joint, MotionConstraint, generate_chain,
                    generate_humanoid_like, generate_tree, neutral_state,
                    point_constraint, random_state)
+from pvdyn.errors import DimensionMismatch
 
 
 class TestJoint:
@@ -107,6 +108,21 @@ class TestConstraints:
         assert cs.m == 9
         assert cs.offsets == (0, 3)
         np.testing.assert_array_equal(cs.rows(1), np.arange(3, 9))
+        # the stacked rows match the constraints and are read-only
+        for ci, con in enumerate(cs):
+            np.testing.assert_array_equal(cs.K[cs.rows(ci)], con.K)
+            np.testing.assert_array_equal(cs.stacked_targets()[cs.rows(ci)], con.a_star)
+            assert (cs.row_con[cs.rows(ci)] == ci).all() and cs.links[ci] == con.link
+        for rows in (cs.K, cs.row_con, cs.links, cs.stacked_targets(), cs.rows(0)):
+            assert not rows.flags.writeable
+        # new targets share every other row array
+        new = cs.replace_targets(np.arange(9.0))
+        assert new.K is cs.K and new.row_con is cs.row_con and new.links is cs.links
+        np.testing.assert_array_equal(new.stacked_targets(), np.arange(9.0))
+        np.testing.assert_array_equal(new.constraints[1].a_star, np.arange(3.0, 9.0))
+        np.testing.assert_array_equal(cs.stacked_targets(), np.zeros(9))
+        with pytest.raises(DimensionMismatch):
+            cs.replace_targets(np.zeros(10))
 
     def test_row_dim_validation(self):
         with pytest.raises(ValueError):
