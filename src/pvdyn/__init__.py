@@ -11,7 +11,7 @@ from .model import (ConstraintSet, Joint, Model, MotionConstraint, State,
                     neutral_state, point_constraint, random_state,
                     weld_constraint)
 from .generators import (generate_chain, generate_humanoid_like,
-                         generate_tree, standard_constraints, weld_tips)
+                         generate_tree, standard_constraints)
 from .urdf import load_urdf, parse_urdf_subset, serialize_urdf
 from .kinematics import (KinematicsCache, constraint_drift,
                          constraint_jacobian, forward_kinematics,

@@ -31,7 +31,8 @@ and adds each run of siblings into its parent with one sum
 (``Level.scatter``).  The coupling pass keeps K as one array indexed by
 constraint row, each row in the frame of its link's ancestor at the
 depth the sweep has reached; sibling subtrees hold disjoint rows, so a
-level step updates the rows of all its support links at once.  Sums
+level step updates the rows of all its support links at once and adds
+to L over the level's block of rows (``_LevelRows``).  Sums
 run in another order than in a per-link sweep, so answers agree with
 one to rounding, not bit for bit.  A subset pass (the support, or the
 links off it) runs on the subset's levels (``LevelPlan.levels_of``), as
@@ -84,7 +85,7 @@ from . import flops, linalg
 from .errors import (DimensionMismatch, NotPositiveDefinite, SingularBaseInertia,
                      SingularDual, SingularJointInertia)
 from .kinematics import KinematicsCache, forward_kinematics, velocity_products
-from .model import ConstraintSet, Level, Model, State, check_state
+from .model import ConstraintSet, Model, State, check_state
 
 _ELIM_PIVOT_RATIO = 1e-6     # eagerness threshold for early elimination
 _DUAL_PIVOT_RATIO = 1e-10    # base dual block counts as singular below this
@@ -145,7 +146,7 @@ class PvWorkspace(_Sweep):
     ``row_pos`` hold each constraint's and each row's link as a plan
     position.  The coupling pass holds K as one (m, 6) array indexed by
     constraint row and walks ``coupling``, one ``_LevelRows`` per level
-    of ``sweep`` (None where a level has no support link);
+    of ``Model.plan.sweep`` (None where a level has no support link);
     ``compressed``, built on first use, is ``pv_osimr``'s.  Shapes and
     bookkeeping depend only on the model and each constraint's (link,
     dim) in order, so a workspace is reusable across solves and
@@ -179,9 +180,7 @@ class PvWorkspace(_Sweep):
         self.row_pos = np.repeat(self.con_pos, [dim for _, dim in self.layout])
         self.n_con_links = np.unique(self.con_pos).size
         self.rows = rows = _carried_rows(model, self.layout)[0]
-        # the whole tree's levels, each with its support links and their rows
-        self.sweep = tuple(_with_support(lv, plan, in_subtree) for lv in plan.sweep)
-        self.coupling = _coupling_levels(plan, self.sweep, rows, self.support, m)
+        self.coupling = _coupling_levels(plan, rows, self.support)
         self.da = np.empty((n, 6, 1))
         self.dqj = np.empty_like(self.qj)
         self.K = np.empty((m, 6))
@@ -191,7 +190,7 @@ class PvWorkspace(_Sweep):
         self.beta = np.empty(m)
         self.resid = np.empty(m)
         # per level of the coupling pass, its K_S and rows for the forward pass
-        self.ks: list = [None] * len(self.sweep)
+        self.ks: list = [None] * len(plan.sweep)
         self.counters: dict = {}
 
     @staticmethod
@@ -204,7 +203,7 @@ class PvWorkspace(_Sweep):
     def compressed(self) -> "_Compressed":
         rows, swaps = _carried_rows(self.model, self.layout, 6)
         mm = self.K.shape[0] + 6 * len(swaps)
-        return _Compressed(_coupling_levels(self.model.plan, self.sweep, rows, self.support, mm),
+        return _Compressed(_coupling_levels(self.model.plan, rows, self.support),
                            tuple(reversed(swaps)), np.empty((mm, 6)), np.empty((mm, mm)))
 
 
@@ -241,36 +240,31 @@ class _Compressed(NamedTuple):
     L: np.ndarray
 
 
-def _with_support(lv: Level, plan, in_subtree) -> Level:
-    support = tuple(i for i in sorted(plan.order[lv.links].tolist(), reverse=True)
-                    if in_subtree[i])
-    return Level(lv.links, lv.parents, lv.starts, lv.heads, lv.size, lv.moving, support)
-
-
 class _LevelRows(NamedTuple):
-    """The constraint rows of one level's support links, grouped by link
-    in plan order: each row with its link's plan position, its link's
-    offset in the level and whether that link's joint moves, and the
-    counts of rows and same-link row pairs at moving joints.  On a level
-    of more than one support link ``pairs`` holds every same-link pair
-    of rows as two positions in ``rows`` and its flat index in L (no pair
-    repeats within a level); on a level of one it is None, and the pairs
-    are the whole rows x rows ``block`` of L (``_block``)."""
+    """The constraint rows of one level's support links, in ascending
+    order: each row with its link's plan position, its link's
+    offset in the level and whether that link's joint moves.  ``links``
+    lists the support links in descending index order, ``block`` is L's
+    rows x rows block (``_block``) and ``same`` masks its same-link pairs
+    with 1 and the others with 0 on a level of more than one support link
+    (None on a level of one, where every pair is); the counts are of rows
+    and of same-link row pairs at moving joints."""
 
     rows: np.ndarray
     pos: np.ndarray
     off: np.ndarray
     moving: np.ndarray
-    pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None
-    block: tuple | None
+    links: tuple[int, ...]
+    block: tuple
+    same: np.ndarray | None
     n_moving: int
     n_pairs: int
 
 
-def _coupling_levels(plan, sweep, rows: list[np.ndarray], support, m: int) -> tuple:
-    """A ``_LevelRows`` per level of `sweep` (None where the level has no
-    support link), as views of arrays built for all levels at once."""
-    levels: list = [None] * len(sweep)
+def _coupling_levels(plan, rows: list[np.ndarray], support) -> tuple:
+    """A ``_LevelRows`` per level of ``plan.sweep`` (None where the level
+    has no support link), as views of arrays built for all levels at once."""
+    levels: list = [None] * len(plan.sweep)
     if not support:
         return tuple(levels)
     link_pos = np.sort(plan.position[list(support)])
@@ -279,32 +273,35 @@ def _coupling_levels(plan, sweep, rows: list[np.ndarray], support, m: int) -> tu
     row_of = np.concatenate([rows[i] for i in links])
     pos = np.repeat(link_pos, sizes)
     depth = plan.depth[pos]
+    # each level's rows in ascending order (a link's rows already are), so
+    # that a level holding one run of rows takes its block of L as slices
+    at = np.lexsort((row_of, depth))
+    row_of, pos, link_rows = row_of[at], pos[at], np.repeat(sizes, sizes)[at]
     off = pos - np.searchsorted(plan.depth, depth)
     moving = plan.fixed[pos, 0, 0] == 0.0
     # running counts of moving rows and of the pairs they start
     n_moving = [0] + np.cumsum(moving).tolist()
-    n_pairs = [0] + np.cumsum(np.where(moving, np.repeat(sizes, sizes), 0)).tolist()
+    n_pairs = [0] + np.cumsum(np.where(moving, link_rows, 0)).tolist()
     # the support is closed under parents, so every depth down to the
     # deepest support link holds a run of rows
-    bounds = np.searchsorted(depth, np.arange(depth[-1] + 2)).tolist()
-    row_list = row_of.tolist()
+    levels_at = np.arange(depth[-1] + 2)
+    bounds = np.searchsorted(depth, levels_at).tolist()
+    link_bounds = np.searchsorted(plan.depth[link_pos], levels_at).tolist()
     for d, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         r = slice(lo, hi)
-        pairs = block = None
-        if len(sweep[d].support) > 1:
-            a, b = np.nonzero(off[r, None] == off[r])
-            pairs = (a, b, row_of[r][a] * m + row_of[r][b])
-        else:
-            block = _block(row_of[r], row_list[lo], row_list[hi - 1])
-        levels[d] = _LevelRows(row_of[r], pos[r], off[r], moving[r], pairs, block,
-                               n_moving[hi] - n_moving[lo], n_pairs[hi] - n_pairs[lo])
+        here = tuple(sorted(links[link_bounds[d]:link_bounds[d + 1]], reverse=True))
+        same = None if len(here) == 1 else (off[r, None] == off[r]).astype(float)
+        levels[d] = _LevelRows(row_of[r], pos[r], off[r], moving[r], here, _block(row_of[r]),
+                               same, n_moving[hi] - n_moving[lo], n_pairs[hi] - n_pairs[lo])
     return tuple(levels)
 
 
-def _block(rows: np.ndarray, first: int, last: int) -> tuple:
-    """L's block of ascending `rows` (`first` to `last`), as slices for one run."""
-    run = slice(first, last + 1)
-    return (run, run) if last - first == len(rows) - 1 else (rows[:, None], rows)
+def _block(rows: np.ndarray) -> tuple:
+    """L's rows x rows block: slices where `rows` ascend in one run, else
+    an index grid."""
+    r = rows.tolist()
+    run = slice(r[0], r[-1] + 1)
+    return (run, run) if r == list(range(r[0], r[-1] + 1)) else (rows[:, None], rows)
 
 
 def _layout(cs: ConstraintSet) -> tuple[tuple[int, int], ...]:
@@ -458,7 +455,7 @@ def _forward_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels,
     The full form starts from the world's acceleration -g, adds each
     link's c and writes ``ws.acc`` and ``ws.qj``; `lam` adds the coupling
     term K_S' lam that the coupling pass left at the support links of
-    the levels (`levels` is then ``ws.sweep``) and `elim`
+    the levels (`levels` is then ``Model.plan.sweep``) and `elim`
     back-substitutes the rows eliminated early there.  With `change` it
     is the homogeneous form of the bias pass's: from rest, without c,
     into ``ws.da`` and ``ws.dqj`` (each link's parent in the levels or
@@ -485,7 +482,7 @@ def _forward_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels,
             acc[sl] = a_in + plan.S[sl] * q
             work += lv.size * (flops.XMOT + (0 if change else flops.ADD6)) \
                 + lv.moving * _JOINT_ACC
-        for i in lv.support if elim else ():
+        for i in ws.coupling[k].links if elim and ws.coupling[k] else ():
             for rec in reversed(elim[i]):
                 rhs = rec.K @ acc[plan.position[i], :, 0] + rec.l_j
                 if rec.other_rows.size:
@@ -595,7 +592,7 @@ def _rows_times(k: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, levels,
                    alive: np.ndarray | None = None, with_l: bool = True,
                    layout: _Compressed | None = None) -> None:
-    """K, L and optionally l over `levels` (indices into ``ws.sweep``,
+    """K, L and optionally l over `levels` (indices into ``Model.plan.sweep``,
     children first).
 
     Runs after the inertia pass, and after the bias pass if `with_l`, on
@@ -603,8 +600,9 @@ def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, levels
     eliminated early); None means all.  A level step takes each of its
     rows of ``ws.K`` from its link's frame into its parent's, and at the
     base into the world frame if `with_l`.  Per same-link pair of rows
-    it adds to L; an eliminated row is skipped, so its diagonal of L
-    keeps the value that ``_eliminate`` scales its pivot tests by.
+    it adds to the level's block of L; an eliminated row is skipped, so
+    its diagonal of L keeps the value that ``_eliminate`` scales its
+    pivot tests by.
     `layout` brings the rows, K and L of a compressed layout instead.
     """
     plan, frames = model.plan, cache.frames
@@ -616,38 +614,32 @@ def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, levels
         ws.ks[k] = None
         if lr is None:
             continue
-        rows, pos, off, moving, pairs, block, n_moving, n_pairs = lr
+        rows, pos, off, moving, links, block, same, n_moving, n_pairs = lr
         if alive is not None and not (keep := alive[rows]).all():
             if not keep.any():
                 continue
             rows, pos, off, moving = rows[keep], pos[keep], off[keep], moving[keep]
+            block = _block(rows)
             n_moving = int(np.count_nonzero(moving))
             n_pairs = n_moving * rows.size
-            if pairs is None:
-                block = _block(rows, int(rows[0]), int(rows[-1]))
-            else:
-                a, b, flat = pairs
-                both, at = keep[a] & keep[b], np.cumsum(keep) - 1
-                pairs = (at[a[both]], at[b[both]], flat[both])
-                n_pairs = int(np.count_nonzero(moving[pairs[0]]))
-        if ws.sweep[k].parents is None:
+            if same is not None:
+                same = same[keep][:, keep]
+                n_pairs = int(np.count_nonzero(same[moving]))
+        if plan.sweep[k].parents is None:
             work += _root_coupling(model, cache, ws, K, L, k, rows, with_l)
             continue
         # a level of one support link (each level of a chain) takes its
-        # blocks as 2-D products, which round as a per-link sweep does
-        idx, sel = (pos[0], block[1]) if pairs is None else (pos, rows)
+        # blocks as 2-D products, which round as a per-link sweep does; the
+        # choice follows the level's links, not those still holding live rows
+        sel, idx = block[1], (pos[0] if len(links) == 1 else pos)
         ka = K[sel]
         ks = _rows_times(ka, plan.S[idx])[:, 0]
         w = ks * ws.D_inv[idx, 0, 0]
-        if pairs is None:
-            L[block] += w[:, None] * ks
-        else:
-            a, b, flat = pairs
-            L.reshape(-1)[flat] += w[a] * ks[b]
+        L[block] += w[:, None] * ks if same is None else w[:, None] * ks * same
         if with_l:
             c = frames.c[idx]
             uc = (ws.U_t[idx] @ c)[..., 0, 0]
-            ws.l[rows] += _rows_times(ka, c)[:, 0] + w * (ws.u[idx, 0, 0] - uc)
+            ws.l[sel] += _rows_times(ka, c)[:, 0] + w * (ws.u[idx, 0, 0] - uc)
         K[sel] = _rows_times(ka - w[:, None] * ws.U[idx, :, 0], frames.xm[idx])
         ws.ks[k] = (ks, rows, off, n_moving)
         work += n_moving * (26 + (14 if with_l else 0)) + 2 * n_pairs \
@@ -745,17 +737,18 @@ def _exact(model: Model, state: State, tau, cs: ConstraintSet, ws: PvWorkspace,
     elim_at: list[list[_Elimination]] = [[] for _ in range(n)]
     ws.counters = {"base_dual_dim": 0, "dual_factor_dims": []}
 
+    sweep = model.plan.sweep
     if early:
-        for k in reversed(range(len(ws.sweep))):
-            lv = ws.sweep[k]
-            _eliminate(cs, ws, lv.support, alive, elim_at)
-            _inertia_pass(model, cache, ws, (lv,))
-            _bias_pass(model, cache, ws, (lv,), tau)
+        for k in reversed(range(len(sweep))):
+            if ws.coupling[k]:
+                _eliminate(cs, ws, ws.coupling[k].links, alive, elim_at)
+            _inertia_pass(model, cache, ws, sweep[k:k + 1])
+            _bias_pass(model, cache, ws, sweep[k:k + 1], tau)
             _coupling_pass(model, cache, ws, (k,), alive)
     else:
-        _inertia_pass(model, cache, ws, ws.sweep)
-        _bias_pass(model, cache, ws, ws.sweep, tau)
-        _coupling_pass(model, cache, ws, reversed(range(len(ws.sweep))))
+        _inertia_pass(model, cache, ws, sweep)
+        _bias_pass(model, cache, ws, sweep, tau)
+        _coupling_pass(model, cache, ws, reversed(range(len(sweep))))
 
     # dense dual solve for the rows that reached the base, scaled as in _eliminate
     act = alive.nonzero()[0]
@@ -771,7 +764,7 @@ def _exact(model: Model, state: State, tau, cs: ConstraintSet, ws: PvWorkspace,
                 "constrained_aba handles such systems in a least-squares sense")
         lam[act] = linalg.chol_solve(low, rhs)
 
-    _forward_pass(model, cache, ws, ws.sweep, lam, elim_at)
+    _forward_pass(model, cache, ws, sweep, lam, elim_at)
     qdd = _dofs(model, ws.qj)
 
     resid = _residual(cs, ws)

@@ -86,9 +86,9 @@ def _coupled_delassus(model: Model, cache, cs: ConstraintSet, ws: PvWorkspace,
         return np.zeros((0, 0))
     np.copyto(ws.IA, model.plan.inertia66)
     _seed_coupling(cs, layout or ws)
-    _inertia_pass(model, cache, ws, model.plan.sweep)
-    _coupling_pass(model, cache, ws, reversed(range(len(ws.sweep))), with_l=False,
-                   layout=layout)
+    sweep = model.plan.sweep
+    _inertia_pass(model, cache, ws, sweep)
+    _coupling_pass(model, cache, ws, reversed(range(len(sweep))), with_l=False, layout=layout)
     if layout:
         _expand(layout)
     out = (layout or ws).L[:cs.m, :cs.m]

@@ -16,16 +16,9 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 
-# 3-vector primitives
-ROT3 = 15          # 3x3 matrix times 3-vector
-CROSS3 = 9         # 3-vector cross product
-DOT3 = 5
-DOT6 = 11
-ADD6 = 6
-
 # 6-D spatial primitives on (rotation, translation) pairs
+ADD6 = 6           # sum of two 6-vectors
 XMOT = 42          # motion transform of a 6-vector
-XFORCE = 42        # force transform of a 6-vector
 XFORCE_T = 42      # transposed force transform (child-to-parent push)
 CROSS_M = 33       # motion x motion
 CROSS_F = 33       # motion x* force
@@ -33,8 +26,6 @@ APPLY_I = 66       # 6x6 inertia times 6-vector
 XINERTIA = 850     # congruence transform of a 6x6 inertia
 COMPOSE = 63       # composition of two transforms
 AXIS_ANGLE = 35    # rotation matrix from axis-angle
-QUAT_ROT = 30      # rotation matrix from quaternion
-MATVEC66 = 66
 
 
 def gemm(m: int, n: int, k: int) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import (ConstraintSet, Joint, Model, MotionConstraint,
-                    point_constraint, weld_constraint)
+                    point_constraint)
 from .spatial import PlueckerTransform, SpatialInertia
 
 _AXES = (np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]),
@@ -186,8 +186,3 @@ def standard_constraints(model: Model, m: int, seed: int = 0) -> ConstraintSet:
                                  np.array([rng.uniform(-0.5, 0.5)]))
         constraints.append(c)
     return ConstraintSet(constraints)
-
-
-def weld_tips(model: Model, links, baumgarte=None) -> ConstraintSet:
-    """Weld constraints (6 rows each) on the given links."""
-    return ConstraintSet([weld_constraint(link, baumgarte=baumgarte) for link in links])

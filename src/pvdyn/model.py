@@ -126,8 +126,7 @@ class Level:
     level has no parents).  In plan order the children of a parent are
     adjacent, so the level is a sequence of sibling runs: ``starts`` holds
     the offset where each run begins and ``heads`` its parent.
-    ``moving`` counts the 1-dof joints; ``support`` lists a workspace's
-    support links here in descending link order.
+    ``moving`` counts the 1-dof joints.
     """
 
     links: slice | np.ndarray
@@ -136,7 +135,6 @@ class Level:
     heads: slice | np.ndarray | None
     size: int
     moving: int
-    support: tuple = ()
 
     def scatter(self, buf: np.ndarray, push: np.ndarray) -> None:
         """Add each link's push into its parent's row of `buf`."""

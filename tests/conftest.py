@@ -1,5 +1,11 @@
-import numpy as np
-import pytest
+import os
+
+# one BLAS thread before numpy loads: on a small machine OpenBLAS's
+# default threads make the dense factorizations slower and their times noisy
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from pvdyn import (ConstraintSet, SolverSettings, generate_chain,
                    generate_humanoid_like, generate_tree, neutral_state,

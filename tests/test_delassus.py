@@ -191,7 +191,7 @@ class TestPvOsimr:
             levels = list(levels)
             for k in levels if layout is not None else ():
                 lr = layout.coupling[k]
-                if lr is not None and ws.sweep[k].parents is not None:
+                if lr is not None and model.plan.sweep[k].parents is not None:
                     seen.append(np.unique(lr.off, return_counts=True)[1].max())
             coupling_pass(model, cache, ws, levels, alive, with_l, layout)
 

@@ -18,7 +18,7 @@ from pvdyn import (ConstraintSet, Joint, Model, PlueckerTransform, PvWorkspace,
                    random_singular_instance, random_state, weld_constraint)
 from pvdyn.bench import load_model
 from pvdyn.constrained import (_DUAL_PIVOT_RATIO, _ELIM_PIVOT_RATIO,
-                               _Elimination, _aba, _beta_hat, _bias_pass, _dofs,
+                               _Elimination, _aba, _beta_hat, _bias_pass, _block, _dofs,
                                _forward_pass, _inertia_pass, _own_terms, _try_chol)
 from pvdyn.errors import (NotPositiveDefinite, SingularBaseInertia, SingularDual,
                           SingularJointInertia)
@@ -313,12 +313,12 @@ class TestSameAnswers:
         def spy(model, cache, ws, levels, alive=None, with_l=True):
             for k in levels:
                 lr = ws.coupling[k]
-                if lr is None or ws.sweep[k].parents is None:
+                if lr is None or model.plan.sweep[k].parents is None:
                     continue
                 counts = np.unique(lr.off, return_counts=True)[1]
                 if counts.size >= 3 and counts.min() < counts.max() and not lr.moving.all():
                     shapes.setdefault("wide_level", set()).add(current[-1])
-                if lr.pairs is None and alive is not None \
+                if len(lr.links) == 1 and alive is not None \
                         and 0 < alive[lr.rows].sum() < lr.rows.size:
                     shapes.setdefault("partly_eliminated", set()).add(current[-1])
             coupling_pass(model, cache, ws, levels, alive, with_l)
@@ -362,6 +362,19 @@ class TestSameAnswers:
         pv_early_solve(model, state, tau, cs)
         assert sorted(seen) == [(1, 0, True, []), (2, 15, True, []),
                                 (8, 6, True, [15, 16, 17]), (13, 12, True, [0, 1, 2, 3, 4, 5])]
+
+
+@pytest.mark.parametrize("rows, grid", [([4, 5, 6], False), ([0, 2, 1, 3], True),
+                                        ([6, 7, 8, 0, 1, 2], True)],
+                         ids=["run", "shuffled_run", "two_runs"])
+def test_block_takes_slices_only_for_an_ascending_run(rows, grid):
+    # a level's block of L lists its rows in their own order, so rows that
+    # fill one run out of order (a wide level's) need the index grid
+    rows = np.array(rows)
+    block = _block(rows)
+    big = np.arange(100.0).reshape(10, 10)
+    assert isinstance(block[0], slice) != grid
+    assert np.array_equal(big[block], big[rows[:, None], rows])
 
 
 def _pin_fixtures():
