@@ -31,18 +31,11 @@ import numpy as np
 from . import flops, linalg
 from .constrained import _aba, _own_terms, _Sweep
 from .delassus import DelassusOperator
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 from .kinematics import (KinematicsCache, constraint_drift,
                          constraint_jacobian, forward_kinematics,
                          velocity_products)
-from .model import ConstraintSet, Model, State, check_state, dof_levels
-
-
-def _check_vec(model: Model, vec, name: str) -> np.ndarray:
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (model.nv,):
-        raise DimensionMismatch(f"{name} must have length nv={model.nv}")
-    return vec
+from .model import ConstraintSet, Model, State, check_state, check_vec, dof_levels
 
 
 # ---------------------------------------------------------------------------
@@ -53,21 +46,21 @@ def rnea(model: Model, state: State, qdd, f_ext=None,
          cache: KinematicsCache | None = None) -> np.ndarray:
     """Inverse dynamics: tau = M qdd + h(q, v) - J_ext' f_ext, one array
     step per depth level of ``Model.plan`` down for a and back up for f."""
-    qdd = _check_vec(model, qdd, "qdd")
+    qdd = check_vec(model, qdd, "qdd")
     if cache is None:
         cache = forward_kinematics(model, state)
-    plan, frames, n, s0 = model.plan, cache.frames, model.n_links, model.S[0]
+    plan, n, s0 = model.plan, model.n_links, model.S[0]
     qj = np.append(qdd, 0.0)[plan.slot_dof, None, None]
     a = np.empty((n, 6, 1))
-    a[0] = frames.xm[0] @ -model.gravity6()[:, None] + frames.c[0] + s0 @ qj[n:, 0]
+    a[0] = cache.xm[0] @ -model.gravity6()[:, None] + cache.c[0] + s0 @ qj[n:, 0]
     for lv in plan.sweep[1:]:
-        a[lv.links] = frames.xm[lv.links] @ a[lv.parents] + frames.c[lv.links] \
+        a[lv.links] = cache.xm[lv.links] @ a[lv.parents] + cache.c[lv.links] \
             + plan.S[lv.links] * qj[lv.links]
     f = velocity_products(model, cache)[plan.order, :, None] + plan.inertia66 @ a
     if f_ext is not None:
         f[plan.position, :, 0] -= [np.zeros(6) if fi is None else fi for fi in f_ext]
     for lv in reversed(plan.sweep[1:]):
-        lv.scatter(f, frames.xm_t[lv.links] @ f[lv.links])
+        lv.scatter(f, cache.xm_t[lv.links] @ f[lv.links])
     tj = np.append((plan.ST @ f)[:, 0, 0], s0.T @ f[0, :, 0])
     flops.add(n * (flops.XMOT + 2 * flops.ADD6 + flops.APPLY_I) + 17 * model.nv
               + (n - 1) * (flops.XFORCE_T + flops.ADD6))
@@ -116,10 +109,10 @@ def crba(model: Model, state: State,
     columns one parent per step, and each joint it passes gets S' F."""
     if cache is None:
         cache = forward_kinematics(model, state)
-    plan, frames = model.plan, cache.frames
+    plan = model.plan
     composite = plan.inertia66.copy()
     for lv in reversed(plan.sweep[1:]):
-        push = frames.xm_t[lv.links] @ composite[lv.links] @ frames.xm[lv.links]
+        push = cache.xm_t[lv.links] @ composite[lv.links] @ cache.xm[lv.links]
         lv.scatter(composite, 0.5 * (push + push.swapaxes(1, 2)))
     nv, nv0, s0 = model.nv, model.joints[0].nv, model.S[0]
     m = np.zeros((nv + 1, nv + 1))            # row and column nv: the root and fixed joints
@@ -134,7 +127,7 @@ def crba(model: Model, state: State,
     work += pos.size * (flops.gemm(6, 6, 1) + flops.gemm(1, 6, 1))
     for hop in range(1, depth[0] + 1 if pos.size else 0):
         k, below = np.count_nonzero(depth >= hop), np.count_nonzero(depth > hop)
-        f = frames.xm_t[pos[:k]] @ f[:k]
+        f = cache.xm_t[pos[:k]] @ f[:k]
         pos = plan.parent[pos[:k]]
         rows = plan.slot_dof[pos]
         m[rows, cols[:k]] = m[cols[:k], rows] = (plan.ST[pos] @ f)[:, 0, 0]
@@ -157,7 +150,7 @@ def aba(model: Model, state: State, tau, f_ext=None,
     The inertia, bias and forward passes of the constrained solvers, with
     no constraints and the external forces taken off the bias.
     """
-    tau = _check_vec(model, tau, "tau")
+    tau = check_vec(model, tau, "tau")
     if cache is None:
         cache = forward_kinematics(model, state)
     ws = _Sweep(model)
@@ -270,7 +263,7 @@ def kkt_oracle(model: Model, state: State, tau, cs: ConstraintSet,
     reported through `rank`; the primal then solves the nearest feasible
     problem and the multiplier is the minimum-norm one.
     """
-    tau = _check_vec(model, tau, "tau")
+    tau = check_vec(model, tau, "tau")
     check_state(model, state)
     cache = forward_kinematics(model, state)
     mass = crba(model, state, cache=cache)
@@ -318,7 +311,7 @@ def relaxed_kkt_oracle(model: Model, state: State, tau, cs: ConstraintSet,
     the normal equations, which would square the conditioning at small
     weights and make the oracle less accurate than the sweeps it grades.
     """
-    tau = _check_vec(model, tau, "tau")
+    tau = check_vec(model, tau, "tau")
     cache = forward_kinematics(model, state)
     mass = crba(model, state, cache=cache)
     h = bias_force(model, state, cache=cache)

@@ -17,7 +17,7 @@ from . import bench as bench_mod
 from . import checks, generators
 from .errors import ModelLoadError, PvdynError
 from .integrate import SOLVERS, IntegratorConfig, attach_anchors, rollout
-from .model import ConstraintSet, neutral_state, random_state
+from .model import neutral_state, random_state
 
 
 @click.group()
@@ -116,13 +116,13 @@ def rollout_cmd(model_spec, solver, m, dt, steps, seed, scheme, baumgarte, out):
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="--baumgarte") from exc
     state = random_state(model, seed) if seed else neutral_state(model)
-    cs = generators.standard_constraints(model, m, seed) if m else ConstraintSet.empty()
-    if cs.m and (kp or kd):
-        cs = attach_anchors(model, state, cs)
     try:
+        cs = generators.standard_constraints(model, m, seed)
         config = IntegratorConfig(scheme=scheme, dt=dt, baumgarte_default=(kp, kd))
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+    if cs.m and (kp or kd):
+        cs = attach_anchors(model, state, cs)
     tau = np.zeros(model.nv)
     try:
         traj = rollout(model, state, tau, cs, solver, config, steps)

@@ -26,7 +26,7 @@ are in plan order, where each level is a slice, and below the root
 every joint has one dof or none, so its factors stack as arrays: U,
 D^-1 and u per link (a fixed joint has S = 0 and D = 1).  Link 0, with
 0, 1 or 6 dofs, is a level of its own with a small dense factor.  A
-level step transforms with one 6x6 product per link (``PlanFrames``)
+level step transforms with one 6x6 product per link (the cache's ``xm``)
 and adds each run of siblings into its parent with one sum
 (``Level.scatter``).  The coupling pass keeps K as one array indexed by
 constraint row, each row in the frame of its link's ancestor at the
@@ -82,10 +82,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import flops, linalg
-from .errors import (DimensionMismatch, NotPositiveDefinite, SingularBaseInertia,
-                     SingularDual, SingularJointInertia)
+from .errors import NotPositiveDefinite, SingularBaseInertia, SingularDual, SingularJointInertia
 from .kinematics import KinematicsCache, forward_kinematics, velocity_products
-from .model import ConstraintSet, Model, State, check_state
+from .model import ConstraintSet, Model, State, check_state, check_vec
 
 _ELIM_PIVOT_RATIO = 1e-6     # eagerness threshold for early elimination
 _DUAL_PIVOT_RATIO = 1e-10    # base dual block counts as singular below this
@@ -132,7 +131,7 @@ class _Sweep:
         self.U_t = self.U.swapaxes(1, 2)
         self.D_inv = np.ones((n, 1, 1))
         self.u = np.zeros((n, 1, 1))           # joint bias force
-        self.root_U = self.root_D = None       # root_D: SmallPD
+        self.root_U = self.root_D = None       # root_D: lower Cholesky factor of D
         self.root_u = np.zeros(nv0)
         self.acc = np.empty((n, 6, 1))
         self.qj = np.empty((n + nv0, 1, 1))    # joint accelerations, plan layout
@@ -310,10 +309,7 @@ def _layout(cs: ConstraintSet) -> tuple[tuple[int, int], ...]:
 
 def _check_inputs(model: Model, state: State, tau) -> np.ndarray:
     check_state(model, state)
-    tau = np.asarray(tau, dtype=float)
-    if tau.shape != (model.nv,):
-        raise DimensionMismatch(f"tau must have length nv={model.nv}")
-    return tau
+    return check_vec(model, tau, "tau")
 
 
 def _beta_hat(model: Model, cache: KinematicsCache, cs: ConstraintSet,
@@ -364,7 +360,7 @@ def _inertia_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels) -> N
     SingularBaseInertia at a floating base and SingularJointInertia
     anywhere else.
     """
-    plan, frames = model.plan, cache.frames
+    plan = model.plan
     work = 0
     for lv in reversed(levels):
         sl = lv.links
@@ -379,7 +375,7 @@ def _inertia_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels) -> N
             raise SingularJointInertia(f"joint {joint} inertia is singular")
         ws.D_inv[sl] = inv = 1.0 / d
         ws.IA_proj[sl] = proj = ia - uu * (uu.swapaxes(1, 2) * inv)
-        push = frames.xm_t[sl] @ proj @ frames.xm[sl]
+        push = cache.xm_t[sl] @ proj @ cache.xm[sl]
         lv.scatter(ws.IA, 0.5 * (push + push.swapaxes(1, 2)))
         work += lv.moving * _JOINT_FACTOR + lv.size * (flops.XINERTIA + 36)
     flops.add(work)
@@ -393,7 +389,7 @@ def _root_inertia(model: Model, ws: _Sweep) -> int:
     s = model.S[0]
     uu = ia @ s
     try:
-        dfac = linalg.SmallPD(s.T @ uu)
+        dfac = linalg._factor(s.T @ uu)
     except NotPositiveDefinite:
         if model.base_kind == "floating":
             raise SingularBaseInertia(
@@ -417,7 +413,7 @@ def _bias_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels,
     links carrying it.  At the root only the joint bias is formed, since
     no pass reads a projected base bias.
     """
-    plan, frames = model.plan, cache.frames
+    plan = model.plan
     work = 0
     for lv in reversed(levels):
         sl = lv.links
@@ -430,11 +426,11 @@ def _bias_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels,
             u = -su
         else:
             u = tau[sl] - su
-            pa = pa + ws.IA_proj[sl] @ frames.c[sl]
+            pa = pa + ws.IA_proj[sl] @ cache.c[sl]
             work += lv.size * flops.APPLY_I + lv.moving * flops.ADD6
         ws.u[sl] = u
         pa = pa + ws.U[sl] * (u * ws.D_inv[sl])
-        lv.scatter(ws.pA, frames.xm_t[sl] @ pa)
+        lv.scatter(ws.pA, cache.xm_t[sl] @ pa)
         work += lv.moving * _JOINT_BIAS + lv.size * (flops.XFORCE_T + flops.ADD6)
     flops.add(work)
 
@@ -461,7 +457,7 @@ def _forward_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels,
     into ``ws.da`` and ``ws.dqj`` (each link's parent in the levels or
     already done).
     """
-    plan, frames = model.plan, cache.frames
+    plan = model.plan
     acc, qj = (ws.da, ws.dqj) if change else (ws.acc, ws.qj)
     work = 0
     for k, lv in enumerate(levels):
@@ -470,9 +466,9 @@ def _forward_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels,
         if lv.parents is None:
             work += _root_forward(model, cache, ws, lam, coupled, change)
         else:
-            a_in = frames.xm[sl] @ acc[lv.parents]
+            a_in = cache.xm[sl] @ acc[lv.parents]
             if not change:
-                a_in += frames.c[sl]
+                a_in += cache.c[sl]
             t = ws.u[sl] - ws.U_t[sl] @ a_in
             if coupled is not None:
                 ks, rows, off, n_moving = coupled
@@ -499,7 +495,7 @@ def _root_forward(model: Model, cache: KinematicsCache, ws: _Sweep,
     if change:
         a_in, work = np.zeros(6), 0
     else:
-        a_in = cache.frames.xm[0] @ -model.gravity6() + cache.c[0]
+        a_in = cache.xm[0] @ -model.gravity6() + cache.c[0, :, 0]
         work = flops.XMOT + flops.ADD6
     nv = model.joints[0].nv
     if nv:
@@ -508,7 +504,7 @@ def _root_forward(model: Model, cache: KinematicsCache, ws: _Sweep,
             ks, rows = coupled
             t = t + ks.T @ lam[rows]
             work += flops.gemm(nv, rows.size, 1)
-        qj[model.n_links:, 0, 0] = blk = ws.root_D.solve(t)
+        qj[model.n_links:, 0, 0] = blk = linalg._solve(ws.root_D, t)
         a_in = a_in + model.S[0] @ blk
         work += flops.gemm(nv, 6, 1) + flops.chol_solve(nv) + 6 * nv + flops.ADD6
     acc[0, :, 0] = a_in
@@ -605,7 +601,7 @@ def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, levels
     pivot tests by.
     `layout` brings the rows, K and L of a compressed layout instead.
     """
-    plan, frames = model.plan, cache.frames
+    plan = model.plan
     lay = layout or ws
     K, L = lay.K, lay.L
     work = 0
@@ -637,10 +633,10 @@ def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, levels
         w = ks * ws.D_inv[idx, 0, 0]
         L[block] += w[:, None] * ks if same is None else w[:, None] * ks * same
         if with_l:
-            c = frames.c[idx]
+            c = cache.c[idx]
             uc = (ws.U_t[idx] @ c)[..., 0, 0]
             ws.l[sel] += _rows_times(ka, c)[:, 0] + w * (ws.u[idx, 0, 0] - uc)
-        K[sel] = _rows_times(ka - w[:, None] * ws.U[idx, :, 0], frames.xm[idx])
+        K[sel] = _rows_times(ka - w[:, None] * ws.U[idx, :, 0], cache.xm[idx])
         ws.ks[k] = (ks, rows, off, n_moving)
         work += n_moving * (26 + (14 if with_l else 0)) + 2 * n_pairs \
             + flops.XFORCE_T * rows.size
@@ -653,18 +649,18 @@ def _root_coupling(model: Model, cache: KinematicsCache, ws: PvWorkspace, K: np.
     work = 0
     if nv:
         ks = ka @ model.S[0]
-        w = ws.root_D.solve(ks.T).T
+        w = linalg._solve(ws.root_D, ks.T).T
         L[rows[:, None], rows] += w @ ks.T
         ws.ks[k] = (ks, rows)
         work += flops.gemm(r, 6, nv) + flops.chol_solve(nv, r) + flops.gemm(r, nv, r)
         if with_l:
-            c = cache.c[0]
+            c = cache.c[0, :, 0]
             ws.l[rows] += ka @ c + w @ (ws.root_u - ws.root_U.T @ c)
             ka = ka - w @ ws.root_U.T
             work += flops.gemm(r, 6, 1) + flops.gemm(r, nv, 1) + flops.gemm(r, nv, 6)
     # K in the world frame only feeds the base solve's gravity term
     if with_l:
-        K[rows] = ka @ cache.frames.xm[0]
+        K[rows] = ka @ cache.xm[0]
         work += flops.XFORCE_T * r
     return work
 

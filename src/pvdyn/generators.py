@@ -165,6 +165,8 @@ def standard_constraints(model: Model, m: int, seed: int = 0) -> ConstraintSet:
     links, spread across distinct branches; a remainder of 1 or 2 rows
     becomes single-direction constraints.  Targets are small and seeded.
     """
+    if m < 0:
+        raise ValueError(f"m must be non-negative, got {m}")
     if m == 0:
         return ConstraintSet.empty()
     rng = np.random.default_rng(seed)

@@ -2,20 +2,21 @@
 
 Everything is expressed in link-local frames.  The cache produced here
 is the shared front end of all dynamics sweeps: joint transforms,
-world transforms, link twists, velocity-product accelerations, and the
-zero-gravity bias acceleration used to form constraint drift.
+world transforms, link twists and velocity-product accelerations.
 
 The pass is batched over the tree's depth levels.  The link-local
 terms (joint transforms, composition with the placements, joint twists,
 6x6 motion transforms) run as whole-tree array operations; the
 recursion then runs one array step per depth level, since links at the
 same depth do not depend on each other: world poses and twists, then
-``c`` for the whole tree at once, then ``avp``.  The schedule is the
-model's ``LevelPlan``, and the cache keeps the frames in its order for
-the articulated sweeps.  The arithmetic and its flop charge are those
-of the per-link recursion; only the Python overhead changes, from per
-link to per level.  ``velocity_products`` does the same for the bias forces
-``v x* (I v)`` that every sweep starts from.
+``c`` for the whole tree at once.  The schedule is the model's
+``LevelPlan``; the cache holds poses and twists by link index, and the
+frames and ``c`` in plan order for the articulated sweeps.  The
+arithmetic and its flop charge are those of the per-link recursion;
+only the Python overhead changes, from per link to per level.
+``velocity_products`` does the same for the bias forces ``v x* (I v)``
+that every sweep starts from, and ``constraint_drift`` for the
+zero-gravity acceleration at qdd = 0 that the oracles' drift reads.
 
 Cache construction is a pure function of (model, state); caches are
 immutable once built and tied to the state they came from.  Solvers
@@ -36,30 +37,18 @@ from .spatial import axis_angle_rotation, compose_rt, cross_rows, motion_matrix
 
 @dataclass
 class KinematicsCache:
-    """Per-link kinematic quantities for one (q, v)."""
+    """Kinematic quantities for one (q, v): world poses and twists by link
+    index, and the joint frames and ``c`` in plan order (``Model.plan``)
+    for the level sweeps, vectors as (n,6,1) columns: ``xm @ v`` takes
+    parent motion vectors into the links' frames and ``xm_t @ f`` pushes
+    link forces into their parents'."""
 
-    rot: np.ndarray        # (n,3,3) parent-to-link rotations
-    trans: np.ndarray      # (n,3)   parent-to-link translations
     w_rot: np.ndarray      # (n,3,3) world-to-link rotations
     w_trans: np.ndarray    # (n,3)   world-to-link translations
     v: np.ndarray          # (n,6)   link twists, link frame
-    c: np.ndarray          # (n,6)   velocity-product accelerations
-    avp: np.ndarray        # (n,6)   zero-gravity acceleration at qdd = 0
-    frames: "PlanFrames | None" = None     # set by forward_kinematics
-
-
-@dataclass
-class PlanFrames:
-    """Joint frames and ``c`` in plan order (``Model.plan``) for the level
-    sweeps, vectors as (n,6,1) columns: ``xm @ v`` takes parent motion
-    vectors into the links' frames and ``xm_t @ f`` pushes link forces
-    into their parents'."""
-
-    xm: np.ndarray         # (n,6,6) parent-to-link motion transforms
-    c: np.ndarray          # (n,6,1) velocity-product accelerations
-
-    def __post_init__(self):
-        self.xm_t = self.xm.swapaxes(1, 2)
+    xm: np.ndarray         # (n,6,6) parent-to-link motion transforms, plan order
+    xm_t: np.ndarray       # (n,6,6) their transposes
+    c: np.ndarray          # (n,6,1) velocity-product accelerations, plan order
 
 
 def forward_kinematics(model: Model, state: State) -> KinematicsCache:
@@ -96,7 +85,7 @@ def forward_kinematics(model: Model, state: State) -> KinematicsCache:
     pose[:, :3, :3] = np.swapaxes(rot_l, 1, 2)
     pose[:, :3, 3] = trans_l
     pose[:, 3, 3] = 1.0
-    # roots keep their own pose, v = vj and zero avp
+    # roots keep their own pose and v = vj
     world = pose.copy()
     v = vj_l.copy()
     for lv in plan.sweep[1:]:
@@ -106,16 +95,12 @@ def forward_kinematics(model: Model, state: State) -> KinematicsCache:
     c = np.empty((n, 6))
     c[:, :3] = cross_rows(v[:, :3], vj_l[:, :3])
     c[:, 3:] = cross_rows(v[:, :3], vj_l[:, 3:]) + cross_rows(v[:, 3:], vj_l[:, :3])
-    avp = np.zeros((n, 6))
-    for lv in plan.sweep[1:]:
-        avp[lv.links] = (xm[lv.links] @ avp[lv.parents, :, None])[:, :, 0] + c[lv.links]
     back = plan.position
     world = world[back]
     w_rot = np.swapaxes(world[:, :3, :3], 1, 2).copy()
     w_trans = world[:, :3, 3].copy()
     flops.add(plan.fk_flops)
-    return KinematicsCache(rot, trans, w_rot, w_trans, v[back], c[back], avp[back],
-                           PlanFrames(xm, c[:, :, None]))
+    return KinematicsCache(w_rot, w_trans, v[back], xm, xm.swapaxes(1, 2), c[:, :, None])
 
 
 def velocity_products(model: Model, cache: KinematicsCache) -> np.ndarray:
@@ -135,7 +120,7 @@ def _jacobians(model: Model, cache: KinematicsCache, links) -> np.ndarray:
     Each link's transform from an ancestor's frame is composed one parent
     per step, all links at once (deepest first, so those still walking are
     a prefix), and maps the ancestor's joint columns into the link's frame."""
-    plan, frames, s0 = model.plan, cache.frames, model.S[0]
+    plan, s0 = model.plan, model.S[0]
     pos = plan.position[np.asarray(links, dtype=int)]
     order = np.argsort(-plan.depth[pos], kind="stable")
     pos, depth = pos[order], plan.depth[pos[order]]
@@ -148,7 +133,7 @@ def _jacobians(model: Model, cache: KinematicsCache, links) -> np.ndarray:
         dof = plan.slot_dof[pos]
         jac[order[:below], :, dof] = (x[:below] @ plan.S[pos])[:, :, 0]
         jac[order[below:k], :, :s0.shape[1]] = x[below:] @ s0
-        x = x[:below] @ frames.xm[pos]
+        x = x[:below] @ cache.xm[pos]
         pos = plan.parent[pos]
         work += below * flops.COMPOSE + flops.XMOT * (np.count_nonzero(dof < model.nv)
                                                       + (k - below) * s0.shape[1])
@@ -177,5 +162,9 @@ def constraint_drift(model: Model, cache: KinematicsCache,
     acceleration projected through its constraint rows; independent of
     the gravity setting by construction.
     """
-    flops.add(flops.gemm(cs.m, 6, 1))
-    return (cs.K * cache.avp[cs.links][cs.row_con]).sum(1)
+    plan = model.plan
+    avp = np.zeros((model.n_links, 6, 1))
+    for lv in plan.sweep[1:]:
+        avp[lv.links] = cache.xm[lv.links] @ avp[lv.parents] + cache.c[lv.links]
+    flops.add(model.n_links * (flops.XMOT + flops.ADD6) + flops.gemm(cs.m, 6, 1))
+    return (cs.K * avp[plan.position[cs.links], :, 0][cs.row_con]).sum(1)

@@ -67,29 +67,3 @@ def eigh_psd(a: np.ndarray):
     flops.add(flops.sym_eig(a.shape[0]))
     return np.linalg.eigh(a)
 
-
-class SmallPD:
-    """Cached factorization of a small SPD matrix (a joint-space inertia).
-
-    Scalar 1x1 blocks are inverted directly; larger blocks hold a
-    Cholesky factor.  Raises :class:`NotPositiveDefinite` if the block
-    is not PD.  Callers charge flops themselves.
-    """
-
-    __slots__ = ("n", "_inv", "_low")
-
-    def __init__(self, d: np.ndarray):
-        self.n = d.shape[0]
-        if self.n == 1:
-            if d[0, 0] <= 0.0:
-                raise NotPositiveDefinite("1x1 block is not positive")
-            self._inv = 1.0 / d[0, 0]
-            self._low = None
-        else:
-            self._inv = None
-            self._low = _factor(d)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._low is None:
-            return rhs * self._inv
-        return _solve(self._low, rhs)

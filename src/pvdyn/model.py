@@ -202,8 +202,8 @@ class LevelPlan:
         fixed = (~moving).astype(float).reshape(n, 1, 1)
         depth = model.link_depth[order]
         sweep = _levels(parent, depth, fixed, np.arange(n))
-        fk_flops = n * (flops.AXIS_ANGLE + 2 * flops.COMPOSE + 2 * flops.XMOT
-                        + flops.CROSS_M + 2 * flops.ADD6) + 6 * model.nv
+        fk_flops = n * (flops.AXIS_ANGLE + 2 * flops.COMPOSE + flops.XMOT
+                        + flops.CROSS_M + flops.ADD6) + 6 * model.nv
         slot_dof = np.r_[np.where(moving, np.array(model.v_offset)[order], model.nv),
                          np.arange(model.joints[0].nv)]
         return LevelPlan(order, position, group("revolute"), group("prismatic"),
@@ -373,6 +373,14 @@ def check_state(model: Model, state: State) -> None:
         raise DimensionMismatch(
             f"state dims {state.q.shape}/{state.v.shape} do not match "
             f"model nq={model.nq}, nv={model.nv}")
+
+
+def check_vec(model: Model, vec, name: str) -> np.ndarray:
+    """`vec` as a float array of length nv."""
+    vec = np.asarray(vec, dtype=float)
+    if vec.shape != (model.nv,):
+        raise DimensionMismatch(f"{name} must have length nv={model.nv}")
+    return vec
 
 
 def neutral_state(model: Model) -> State:

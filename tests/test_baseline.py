@@ -292,18 +292,17 @@ def per_link_rnea(model, state, qdd, f_ext=None, cache=None):
     """RNEA with one Python iteration per link each way."""
     from pvdyn import flops
     from pvdyn.kinematics import velocity_products
-    from pvdyn.spatial import motion_matrix
     if cache is None:
         cache = forward_kinematics(model, state)
     n = model.n_links
-    xm = motion_matrix(cache.rot, cache.trans)
+    xm, c = cache.xm[model.plan.position], cache.c[model.plan.position, :, 0]
     a = np.empty((n, 6))
     f = velocity_products(model, cache)
     a_world = -model.gravity6()
     work = 0
     for i in range(n):
         p = model.parent[i]
-        a[i] = xm[i] @ (a_world if p < 0 else a[p]) + cache.c[i]
+        a[i] = xm[i] @ (a_world if p < 0 else a[p]) + c[i]
         nv = model.joints[i].nv
         if nv:
             a[i] += model.S[i] @ qdd[model.v_block(i)]
@@ -328,10 +327,9 @@ def per_link_rnea(model, state, qdd, f_ext=None, cache=None):
 def per_link_crba(model, state, cache):
     """CRBA with one Python iteration per link and per root-path hop."""
     from pvdyn import flops
-    from pvdyn.spatial import motion_matrix
     from conftest import congruence
     n = model.n_links
-    xm = motion_matrix(cache.rot, cache.trans)
+    xm = cache.xm[model.plan.position]
     composite = model.inertia66.copy()
     m = np.zeros((model.nv, model.nv))
     work = 0
@@ -448,23 +446,21 @@ def per_dof_ltl_osim(matrix, pi, jac):
 
 
 def per_constraint_jacobian(model, cache, cs):
-    """Stacked Jacobian with one compose_rt walk per constraint."""
+    """Stacked Jacobian with one walk of composed joint frames per constraint."""
     from pvdyn import flops
-    from pvdyn.spatial import compose_rt, motion_matrix
+    xm = cache.xm[model.plan.position]
     jac = np.zeros((cs.m, model.nv))
     for idx, con in enumerate(cs):
         link_jac = np.zeros((6, model.nv))
         work = 0
-        i, r, t, first = con.link, np.eye(3), np.zeros(3), True
+        i, x = con.link, np.eye(6)
         while i >= 0:
             nv = model.joints[i].nv
             if nv:
-                cols = model.S[i] if first else motion_matrix(r, t) @ model.S[i]
-                link_jac[:, model.v_block(i)] = cols
+                link_jac[:, model.v_block(i)] = x @ model.S[i]
                 work += flops.XMOT * nv
-            r, t = compose_rt(r, t, cache.rot[i], cache.trans[i])
+            x = x @ xm[i]
             work += flops.COMPOSE
-            first = False
             i = model.parent[i]
         jac[cs.rows(idx)] = con.K @ link_jac
         flops.add(work + flops.gemm(con.dim, 6, model.nv))

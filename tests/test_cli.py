@@ -146,6 +146,15 @@ class TestBench:
         assert result.exit_code == 2
         assert "Traceback" not in result.output
 
+    def test_negative_m_is_usage_error(self, runner):
+        # no row is printed for m = -4
+        result = runner.invoke(main, ["bench", "--model", "chain:8", "--solver", "pv",
+                                      "--m", "-4"])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert "m must be non-negative" in result.output
+        assert not any(line.startswith("pv,") for line in result.output.splitlines())
+
     def test_low_reps_usage_error(self, runner):
         result = runner.invoke(main, ["bench", "--model", "chain:4",
                                       "--solver", "pv", "--reps", "3"])
@@ -183,6 +192,13 @@ class TestRollout:
         assert result.exit_code == 2
         assert "Traceback" not in result.output
         assert "--baumgarte" in result.output
+
+    def test_negative_m_is_usage_error(self, runner):
+        result = runner.invoke(main, ["rollout", "--model", "chain:8", "--m", "-4",
+                                      "--steps", "2"])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert "m must be non-negative" in result.output
 
     def test_singular_dual_is_usage_error(self, runner):
         result = runner.invoke(main, ["rollout", "--model", "humanoid", "--solver", "pv",

@@ -12,10 +12,11 @@ import pytest
 
 from pvdyn import (ConstraintSet, Joint, Model, PlueckerTransform, PvWorkspace,
                    SolverSettings, SpatialInertia, aba, caba_osim, constrained,
-                   constrained_aba, dense_delassus, flops, generate_humanoid_like, linalg,
-                   point_constraint, pv_early_solve, pv_osim, pv_osimr,
-                   pv_soft_solve, pv_solve, random_feasible_instance,
-                   random_singular_instance, random_state, weld_constraint)
+                   constrained_aba, dense_delassus, flops, generate_humanoid_like,
+                   kkt_oracle, linalg, point_constraint, pv_early_solve, pv_osim,
+                   pv_osimr, pv_soft_solve, pv_solve, random_feasible_instance,
+                   random_singular_instance, random_state, relaxed_kkt_oracle,
+                   weld_constraint)
 from pvdyn.bench import load_model
 from pvdyn.constrained import (_DUAL_PIVOT_RATIO, _ELIM_PIVOT_RATIO,
                                _Elimination, _aba, _beta_hat, _bias_pass, _block, _dofs,
@@ -28,6 +29,18 @@ from pvdyn.urdf import parse_urdf_subset
 from conftest import congruence
 from test_constrained import full_sweep_caba, with_fixed_joints
 from test_kinematics import MIXED_URDF
+
+
+def joint_solver(d):
+    """x -> D^-1 x for a joint's D as the engine applies it: times 1/D at
+    one dof, as below the root, and through a Cholesky factor otherwise.
+    Raises NotPositiveDefinite on a D that is not PD."""
+    if d.shape == (1, 1):
+        if d[0, 0] <= 0.0:
+            raise NotPositiveDefinite("1x1 block is not positive")
+        return lambda x: x * (1.0 / d[0, 0])
+    low = linalg._factor(d)
+    return lambda x: linalg._solve(low, x)
 
 
 def reference_pv(model, state, tau, cs, early):
@@ -44,7 +57,8 @@ def reference_pv(model, state, tau, cs, early):
     k_blk = [np.empty((len(r), 6)) for r in rows]
     with flops.counted() as count:
         cache = forward_kinematics(model, state)
-        xm = cache.frames.xm[model.plan.position]     # the engine's frames, by link
+        # the engine's frames and c, by link
+        xm, c = cache.xm[model.plan.position], cache.c[model.plan.position, :, 0]
         n, m = model.n_links, cs.m
         work = 0
         beta = _beta_hat(model, cache, cs, np.empty(m)) if m else np.empty(0)
@@ -104,13 +118,13 @@ def reference_pv(model, state, tau, cs, early):
             ka = k_blk[i][loc]
             nv = model.joints[i].nv
             p = model.parent[i]
-            c_i = cache.c[i]
+            c_i = c[i]
             k_new = ka
             if nv:
                 s = model.S[i]
                 uu[i] = ia[i] @ s
                 try:
-                    dfac[i] = linalg.SmallPD(s.T @ uu[i])
+                    dfac[i] = joint_solver(s.T @ uu[i])
                 except NotPositiveDefinite:
                     raise SingularJointInertia(f"joint {i} inertia is singular") from None
                 u[i] = tau[model.v_block(i)] - s.T @ pa[i]
@@ -118,7 +132,7 @@ def reference_pv(model, state, tau, cs, early):
                     + flops.cholesky(nv) + 11 * nv
                 if ract.size:
                     ks[i] = ka @ s
-                    w = dfac[i].solve(ks[i].T).T
+                    w = dfac[i](ks[i].T).T
                     big_l[np.ix_(ract, ract)] += w @ ks[i].T
                     small_l[ract] += ka @ c_i + w @ (u[i] - uu[i].T @ c_i)
                     k_new = ka - w @ uu[i].T
@@ -133,8 +147,8 @@ def reference_pv(model, state, tau, cs, early):
             # the projections only feed the parent, so the root forms none
             if p >= 0:
                 if nv:
-                    ia_proj = ia[i] - uu[i] @ dfac[i].solve(uu[i].T)
-                    pa_proj = pa[i] + ia_proj @ c_i + uu[i] @ dfac[i].solve(u[i])
+                    ia_proj = ia[i] - uu[i] @ dfac[i](uu[i].T)
+                    pa_proj = pa[i] + ia_proj @ c_i + uu[i] @ dfac[i](u[i])
                     work += flops.chol_solve(nv, 6) + flops.gemm(6, nv, 6) + flops.APPLY_I \
                         + flops.gemm(6, nv, 1) + flops.chol_solve(nv) + 2 * flops.ADD6
                 else:
@@ -162,14 +176,14 @@ def reference_pv(model, state, tau, cs, early):
         qdd = np.zeros(model.nv)
         for i in range(n):
             p = model.parent[i]
-            a_in = xm[i] @ (a_world if p < 0 else a[p]) + cache.c[i]
+            a_in = xm[i] @ (a_world if p < 0 else a[p]) + c[i]
             nv = model.joints[i].nv
             if nv:
                 t = u[i] - uu[i].T @ a_in
                 if ks[i] is not None:
                     t = t + ks[i].T @ lam[ks_rows[i]]
                     work += flops.gemm(nv, len(ks_rows[i]), 1)
-                blk = dfac[i].solve(t)
+                blk = dfac[i](t)
                 a[i] = a_in + model.S[i] @ blk
                 qdd[model.v_block(i)] = blk
                 work += flops.gemm(nv, 6, 1) + flops.chol_solve(nv) + 6 * nv + flops.ADD6
@@ -393,15 +407,24 @@ PIN_FIXTURES = _pin_fixtures()
 # flops per call on each fixture (state seed 3): the per-link engine's
 # charges without the base projections nothing reads, a second charge
 # per Cholesky solve, the producers' root K - w U' or caba's sum
-# acc + da in its first iteration, and pv_osimr over its rows
-# compressed to six
+# acc + da in its first iteration, pv_osimr over its rows compressed
+# to six, and forward kinematics without the zero-gravity acceleration
+# (XMOT + ADD6 = 48 per link), which only constraint_drift forms
 PINNED_FLOPS = {
-    "tree:128:3": {"pv": 239925, "pv_early": 228423, "pv_soft": 218277, "caba": 235283,
-                   "pv_osim": 182658, "pv_osimr": 185178, "caba_osim": 202242},
-    "humanoid": {"pv": 102117, "pv_early": 82101, "pv_soft": 58413, "caba": 69073,
-                 "pv_osim": 71934, "pv_osimr": 70302, "caba_osim": 91518},
-    "chain:64": {"pv": 145099, "pv_early": 111637, "pv_soft": 108529, "caba": 127669,
-                 "pv_osim": 117280, "pv_osimr": 117280, "caba_osim": 117640},
+    "tree:128:3": {"pv": 233733, "pv_early": 222231, "pv_soft": 212085, "caba": 229091,
+                   "pv_osim": 176466, "pv_osimr": 178986, "caba_osim": 196050},
+    "humanoid": {"pv": 100533, "pv_early": 80517, "pv_soft": 56829, "caba": 67489,
+                 "pv_osim": 70350, "pv_osimr": 68718, "caba_osim": 89934},
+    "chain:64": {"pv": 141979, "pv_early": 108517, "pv_soft": 105409, "caba": 124549,
+                 "pv_osim": 114160, "pv_osimr": 114160, "caba_osim": 114520},
+}
+# the dense oracles' flops on the same calls (weights 1e-6 for the
+# relaxed one): constraint_drift charges the 48 per link that forward
+# kinematics no longer does
+PINNED_ORACLE_FLOPS = {
+    "tree:128:3": {"kkt_oracle": 2856734, "relaxed_kkt_oracle": 2651806},
+    "humanoid": {"kkt_oracle": 390284, "relaxed_kkt_oracle": 245116},
+    "chain:64": {"kkt_oracle": 486484, "relaxed_kkt_oracle": 467868},
 }
 
 
@@ -428,6 +451,20 @@ class TestSameFlops:
                 call()
                 counted[name] = count()
         assert counted == PINNED_FLOPS[fixture]
+
+    @pytest.mark.parametrize("fixture", sorted(PINNED_ORACLE_FLOPS))
+    def test_oracle_flops_are_pinned(self, fixture):
+        model, cs = PIN_FIXTURES[fixture]
+        state = random_state(model, 3)
+        tau = np.random.default_rng(3).uniform(-5, 5, model.nv)
+        counted = {}
+        for name, call in (("kkt_oracle", lambda: kkt_oracle(model, state, tau, cs)),
+                           ("relaxed_kkt_oracle",
+                            lambda: relaxed_kkt_oracle(model, state, tau, cs, 1e-6))):
+            with flops.counted() as count:
+                call()
+                counted[name] = count()
+        assert counted == PINNED_ORACLE_FLOPS[fixture]
 
 
 class TestRelaxedFirstIteration:
@@ -532,7 +569,7 @@ def per_link_aba(model, cache, tau, added=None, bias=None):
     replaced: inertias and biases from the leaves, then accelerations from
     the root, one Python iteration per link.  Returns (qdd, link
     accelerations)."""
-    n, xm = model.n_links, cache.frames.xm[model.plan.position]
+    n, xm, c = model.n_links, cache.xm[model.plan.position], cache.c[model.plan.position, :, 0]
     ia = model.inertia66.copy()
     pa = velocity_products(model, cache)
     for link, extra in (added or {}).items():
@@ -541,14 +578,14 @@ def per_link_aba(model, cache, tau, added=None, bias=None):
         pa[link] += extra
     uu, dfac, u = [None] * n, [None] * n, [None] * n
     for i in range(n - 1, -1, -1):
-        ia_proj, pa_proj = ia[i], pa[i] + ia[i] @ cache.c[i]
+        ia_proj, pa_proj = ia[i], pa[i] + ia[i] @ c[i]
         if model.joints[i].nv:
             s = model.S[i]
             uu[i] = ia[i] @ s
-            dfac[i] = linalg.SmallPD(s.T @ uu[i])
+            dfac[i] = joint_solver(s.T @ uu[i])
             u[i] = tau[model.v_block(i)] - s.T @ pa[i]
-            ia_proj = ia[i] - uu[i] @ dfac[i].solve(uu[i].T)
-            pa_proj = pa[i] + ia_proj @ cache.c[i] + uu[i] @ dfac[i].solve(u[i])
+            ia_proj = ia[i] - uu[i] @ dfac[i](uu[i].T)
+            pa_proj = pa[i] + ia_proj @ c[i] + uu[i] @ dfac[i](u[i])
         p = model.parent[i]
         if p >= 0:
             ia[p] += congruence(xm[i], ia_proj)
@@ -557,9 +594,9 @@ def per_link_aba(model, cache, tau, added=None, bias=None):
     a = np.empty((n, 6))
     for i in range(n):
         p = model.parent[i]
-        a[i] = xm[i] @ (-model.gravity6() if p < 0 else a[p]) + cache.c[i]
+        a[i] = xm[i] @ (-model.gravity6() if p < 0 else a[p]) + c[i]
         if model.joints[i].nv:
-            qdd[model.v_block(i)] = blk = dfac[i].solve(u[i] - uu[i].T @ a[i])
+            qdd[model.v_block(i)] = blk = dfac[i](u[i] - uu[i].T @ a[i])
             a[i] += model.S[i] @ blk
     return qdd, a
 

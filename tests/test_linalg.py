@@ -67,21 +67,23 @@ class TestCholSolve:
         np.testing.assert_array_equal(linalg.chol_inverse(low), 0.5 * (inv + inv.T))
 
 
-class TestSmallPD:
+class TestFactorSolve:
+    """The uncharged factor and solve that hold and apply the root's D."""
+
     @pytest.mark.parametrize("n", [1, 6])
     def test_solves_vectors_and_blocks(self, n):
         a = _spd(n, 2)
-        fac = linalg.SmallPD(a)
+        low = linalg._factor(a)
         rng = np.random.default_rng(3)
         for rhs in (rng.standard_normal(n), rng.standard_normal((n, 5))):
-            np.testing.assert_allclose(a @ fac.solve(rhs), rhs, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(a @ linalg._solve(low, rhs), rhs, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("a", [np.zeros((1, 1)), -np.eye(1), np.zeros((6, 6)),
                                    np.diag([1.0, 1.0, 1.0, -1.0, 1.0, 1.0])],
                              ids=["zero1", "negative1", "zero6", "indefinite6"])
     def test_raises_on_a_block_that_is_not_pd(self, a):
         with pytest.raises(NotPositiveDefinite):
-            linalg.SmallPD(a)
+            linalg._factor(a)
 
 
 class TestTryChol:

@@ -5,6 +5,7 @@ from pvdyn import (ConstraintSet, Joint, MotionConstraint, generate_chain,
                    generate_humanoid_like, generate_tree, neutral_state,
                    point_constraint, random_state)
 from pvdyn.errors import DimensionMismatch
+from pvdyn.generators import standard_constraints
 
 
 class TestJoint:
@@ -133,6 +134,11 @@ class TestConstraints:
     def test_empty(self):
         cs = ConstraintSet.empty()
         assert cs.m == 0 and len(cs) == 0
+
+    @pytest.mark.parametrize("m", [-1, -4, -5])
+    def test_standard_constraints_refuse_negative_m(self, m):
+        with pytest.raises(ValueError, match="non-negative"):
+            standard_constraints(generate_chain(8), m)
 
 
 def test_model_validation_catches_bad_mass():
