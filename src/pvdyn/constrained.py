@@ -51,13 +51,17 @@ How the solvers compose them:
   added inertia and -K' R^-1 beta_hat added bias, then inertia, bias,
   forward.
 * ``constrained_aba`` — proximal method of multipliers: the relaxed
-  solve with R = mu, which is its first iteration (lam = 0), followed
-  by support-only iterations.  The passes are affine in the bias, and
-  later iterations change it only by -K' lam on the constrained links,
-  so each runs the homogeneous bias and forward passes over the
-  support; links off it are filled in once at exit.  Rank-deficient or
-  infeasible systems converge to the least-squares solution with the
-  minimum-norm multipliers.
+  solve with R = mu and the added bias -K' (beta_hat/mu + lam0), which
+  is its first iteration, followed by support-only iterations.  The
+  passes are affine in the bias, and later iterations change it only by
+  -K' (lam - lam0) on the constrained links, so each runs the
+  homogeneous bias and forward passes over the support; links off it
+  are filled in once at exit.  lam0 is zero unless the caller passes a
+  warm start (``integrate`` passes the previous RK4 stage's lam), and
+  the iterates are those of the method started at lam0.  Rank-deficient
+  or infeasible systems converge to the least-squares solution; from
+  lam0 = 0 the multipliers are the minimum-norm ones, while a warm start
+  keeps lam0's component in the null space of K', which qdd does not see.
 * ``pv_osim`` and ``caba_osim`` run inertia and coupling without l;
   ``pv_osimr`` over rows compressed to six per link (``_Compressed``).
 
@@ -82,7 +86,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import flops, linalg
-from .errors import NotPositiveDefinite, SingularBaseInertia, SingularDual, SingularJointInertia
+from .errors import (DimensionMismatch, NotPositiveDefinite, SingularBaseInertia, SingularDual,
+                     SingularJointInertia)
 from .kinematics import KinematicsCache, forward_kinematics, velocity_products
 from .model import ConstraintSet, Model, State, check_state, check_vec
 
@@ -158,10 +163,9 @@ class PvWorkspace(_Sweep):
         m = cs.m
         super().__init__(model)
         self.model = model
-        self.layout = _layout(cs)
+        self.layout = cs.layout
         in_subtree: list[list[int]] = [[] for _ in range(n)]
-        for ci, con in enumerate(cs):
-            j = con.link
+        for ci, (j, _) in enumerate(cs.layout):
             while j >= 0:
                 in_subtree[j].append(ci)
                 j = model.parent[j]
@@ -194,7 +198,7 @@ class PvWorkspace(_Sweep):
 
     @staticmethod
     def ensure(model: Model, cs: ConstraintSet, ws: "PvWorkspace | None"):
-        if ws is None or ws.model is not model or ws.layout != _layout(cs):
+        if ws is None or ws.model is not model or ws.layout != cs.layout:
             return PvWorkspace(model, cs)
         return ws
 
@@ -301,10 +305,6 @@ def _block(rows: np.ndarray) -> tuple:
     r = rows.tolist()
     run = slice(r[0], r[-1] + 1)
     return (run, run) if r == list(range(r[0], r[-1] + 1)) else (rows[:, None], rows)
-
-
-def _layout(cs: ConstraintSet) -> tuple[tuple[int, int], ...]:
-    return tuple((con.link, con.dim) for con in cs)
 
 
 def _check_inputs(model: Model, state: State, tau) -> np.ndarray:
@@ -683,7 +683,7 @@ def _eliminate(cs: ConstraintSet, ws: PvWorkspace, links, alive: np.ndarray,
         dual_scale = float(ws.L[rows_i, rows_i].max())
         for ci in ws.cons_in_subtree[i]:
             # a constraint's rows are one run, so its blocks are slices
-            start, dim = cs.offsets[ci], cs.constraints[ci].dim
+            start, dim = cs.offsets[ci], cs.layout[ci][1]
             if not alive[start]:
                 continue
             rj = slice(start, start + dim)
@@ -788,15 +788,21 @@ def pv_early_solve(model: Model, state: State, tau, cs: ConstraintSet,
 
 
 def _relaxed(model: Model, cache: KinematicsCache, cs: ConstraintSet, ws: PvWorkspace,
-             tau: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float]:
+             tau: np.ndarray, weights: np.ndarray,
+             lam0: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """The relaxed solve with R = diag(`weights`): K' R^-1 K added inertia,
-    -K' R^-1 beta_hat added bias, the whole-tree sweep and the residual
-    K a - beta_hat in ``ws.resid``.  Returns qdd and the residual norm."""
+    -K' (R^-1 beta_hat + lam0) added bias, the whole-tree sweep and the
+    residual K a - beta_hat in ``ws.resid``.  Returns qdd and the residual
+    norm."""
     beta = _beta_hat(model, cache, cs, ws.beta)
     kw = cs.K / weights[:, None]
     _own_terms(model, cache, ws)
     _add_rows(ws, ws.IA, kw[:, :, None] * cs.K[:, None, :])
-    _add_rows(ws, ws.pA[:, :, 0], cs.K * (-beta / weights)[:, None])
+    bias = -beta / weights
+    if lam0 is not None:
+        bias -= lam0
+        flops.add(cs.m)
+    _add_rows(ws, ws.pA[:, :, 0], cs.K * bias[:, None])
     qdd = _aba(model, cache, ws, tau)
     return qdd, _residual(cs, ws)
 
@@ -821,27 +827,45 @@ def pv_soft_solve(model: Model, state: State, tau, cs: ConstraintSet,
 def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
                     settings: SolverSettings | None = None,
                     ws: PvWorkspace | None = None,
-                    cache: KinematicsCache | None = None) -> ConstrainedSolution:
-    """Proximal constrained dynamics; robust to singular and infeasible rows."""
+                    cache: KinematicsCache | None = None,
+                    lam0=None) -> ConstrainedSolution:
+    """Proximal constrained dynamics; robust to singular and infeasible rows.
+
+    `lam0` (length m) warm-starts the multipliers, for instance from the
+    previous solve along a trajectory; None starts from zero.  The
+    iterates are those of the proximal method started at `lam0`, so a
+    good guess saves iterations.  On rank-deficient rows qdd and K' lam
+    are the least-squares ones either way, but lam is the minimum-norm
+    multiplier only for ``lam0=None``: a warm start keeps its component
+    in the null space of K'.
+    """
     settings = settings or SolverSettings()
     ws = PvWorkspace.ensure(model, cs, ws)
     tau = _check_inputs(model, state, tau)
+    if lam0 is not None:
+        lam0 = np.array(lam0, dtype=float)
+        if lam0.shape != (cs.m,):
+            raise DimensionMismatch(f"lam0 must have length m={cs.m}")
     if cache is None:
         cache = forward_kinematics(model, state)
     mu = settings.mu
-    # iteration 1 (lam = 0) is the relaxed solve with R = mu, giving qdd0
-    # and a0 in ws.acc; each later one sweeps the support for the change
-    # the bias -K' lam makes
-    qdd, rnorm = _relaxed(model, cache, cs, ws, tau, np.full(cs.m, mu))
+    # iteration 1 is the relaxed solve with R = mu and the bias
+    # -K' (beta_hat/mu + lam0), giving qdd0 and a0 in ws.acc; each later
+    # one sweeps the support for the change the bias -K' (lam - lam0) makes
+    qdd, rnorm = _relaxed(model, cache, cs, ws, tau, np.full(cs.m, mu), lam0)
     lam = ws.lam
-    lam[:] = 0.0
+    lam[:] = 0.0 if lam0 is None else lam0
     resid = ws.resid
     status = "max_iter"
     history: list[float] = []
     for it in range(1, settings.max_iter + 1):
         if it > 1:
             ws.pA[ws.support_pos] = 0.0
-            _add_rows(ws, ws.pA[:, :, 0], cs.K * -lam[:, None])
+            shift = lam
+            if lam0 is not None:
+                shift = lam - lam0
+                flops.add(cs.m)
+            _add_rows(ws, ws.pA[:, :, 0], cs.K * -shift[:, None])
             _bias_pass(model, cache, ws, ws.support_levels)
             _forward_pass(model, cache, ws, ws.support_levels, change=True)
             rnorm = _residual(cs, ws, ws.da)

@@ -10,12 +10,21 @@ Baumgarte stabilization: constraints may carry (k_p, k_d) gains and a
 pose anchor captured at attachment time.  Each step folds
 ``k_p * (pose error) - k_d * (velocity error)`` into the constraint
 target before calling the solver, bounding position-level drift that
-acceleration-level constraints cannot see.
+acceleration-level constraints cannot see.  The gains and anchors are
+stacked once per step or rollout (``_Baumgarte``), and each derivative
+forms its targets from them with array expressions.
+
+With the proximal solver (``caba``) each derivative after the first
+warm-starts from the multipliers of the one before: RK4 stages 2-4 from
+the previous stage's, and in ``rollout`` each step's first derivative
+from the previous step's last.  Nearby states have nearby multipliers,
+so the warm start saves proximal iterations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,46 +66,60 @@ def attach_anchors(model: Model, state: State, cs: ConstraintSet) -> ConstraintS
     return ConstraintSet(out)
 
 
-def _log_rotation(r: np.ndarray) -> np.ndarray:
-    """Rotation vector of a rotation matrix."""
-    cos = max(-1.0, min(1.0, 0.5 * (np.trace(r) - 1.0)))
-    angle = np.arccos(cos)
-    axis_raw = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    if angle < 1e-9:
-        return axis_raw
-    return axis_raw * angle / np.sin(angle)
+class _Baumgarte(NamedTuple):
+    """A constraint set's Baumgarte terms, stacked: each constraint's k_d,
+    and the constraints with k_p > 0 and an anchor, with their k_p, links,
+    transposed anchor rotations and anchor translations."""
+
+    kd: np.ndarray
+    anchored: np.ndarray
+    kp: np.ndarray
+    links: np.ndarray
+    rot_t: np.ndarray
+    trans: np.ndarray
 
 
-def _pose_error(cache, con) -> np.ndarray:
-    """Twist (link frame) moving the current pose onto the anchor pose."""
-    e = con.link
-    ang = _log_rotation(cache.w_rot[e] @ con.anchor.rotation.T)
-    lin = cache.w_rot[e] @ (con.anchor.translation - cache.w_trans[e])
-    return np.concatenate((ang, lin))
+def _baumgarte(cs: ConstraintSet, config: IntegratorConfig) -> _Baumgarte | None:
+    """The set's stacked Baumgarte terms; None where every gain is zero."""
+    gains = np.array([con.baumgarte or config.baumgarte_default for con in cs], dtype=float)
+    if not gains.any():
+        return None
+    anchored = np.array([ci for ci, con in enumerate(cs)
+                         if gains[ci, 0] > 0.0 and con.anchor is not None], dtype=int)
+    anchors = [cs.constraints[ci].anchor for ci in anchored]
+    # a gain that is not positive is off
+    return _Baumgarte(np.maximum(gains[:, 1], 0.0), anchored, gains[anchored, 0],
+                      cs.links[anchored],
+                      np.array([a.rotation.T for a in anchors]).reshape(-1, 3, 3),
+                      np.array([a.translation for a in anchors]).reshape(-1, 3))
 
 
 def _stabilized_targets(cache: KinematicsCache, cs: ConstraintSet,
-                        config: IntegratorConfig) -> ConstraintSet:
-    if cs.m == 0:
+                        terms: _Baumgarte | None) -> ConstraintSet:
+    """The set with k_p (pose error) - k_d (link velocity) folded into
+    each constraint's targets through its rows of K."""
+    if terms is None:
         return cs
-    gains = [con.baumgarte or config.baumgarte_default for con in cs]
-    if all(g == (0.0, 0.0) for g in gains):
-        return cs
-    new_targets = cs.stacked_targets().copy()
-    for ci, con in enumerate(cs):
-        kp, kd = gains[ci]
-        if kp == 0.0 and kd == 0.0:
-            continue
-        rows = cs.rows(ci)
-        if kp > 0.0 and con.anchor is not None:
-            new_targets[rows] += kp * (con.K @ _pose_error(cache, con))
-        if kd > 0.0:
-            new_targets[rows] -= kd * (con.K @ cache.v[con.link])
-    return cs.replace_targets(new_targets)
+    # the twist (link frame) moving each anchored pose onto its anchor: the
+    # log map of the relative rotation, and the translation in the link frame
+    rot = cache.w_rot[terms.links]
+    r = rot @ terms.rot_t
+    angle = np.arccos(np.clip(0.5 * (np.trace(r, axis1=1, axis2=2) - 1.0), -1.0, 1.0))
+    axis = 0.5 * np.stack((r[:, 2, 1] - r[:, 1, 2], r[:, 0, 2] - r[:, 2, 0],
+                           r[:, 1, 0] - r[:, 0, 1]), axis=1)
+    scale = np.where(angle < 1e-9, 1.0, angle / np.sin(np.maximum(angle, 1e-9)))
+    lin = (rot @ (terms.trans - cache.w_trans[terms.links])[:, :, None])[:, :, 0]
+    twist = -terms.kd[:, None] * cache.v[cs.links]
+    twist[terms.anchored] += terms.kp[:, None] * np.concatenate((axis * scale[:, None], lin),
+                                                                 axis=1)
+    return cs.replace_targets(cs.stacked_targets() + (cs.K * twist[cs.row_con]).sum(1))
 
 
 def _accel(model: Model, state: State, tau, cs: ConstraintSet, solver: str,
-           config: IntegratorConfig, ws=None) -> np.ndarray:
+           config: IntegratorConfig, ws, terms: _Baumgarte | None,
+           lam0: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """qdd, and with ``caba`` its multipliers, warm-started from `lam0`
+    (None with the other solvers)."""
     if solver not in SOLVERS:
         raise UnknownAlgorithm(f"unknown solver {solver!r}; choose from {SOLVERS}")
     if solver == "aba" and cs.m:
@@ -104,35 +127,64 @@ def _accel(model: Model, state: State, tau, cs: ConstraintSet, solver: str,
     # one kinematics pass serves the Baumgarte targets and the solver
     cache = forward_kinematics(model, state)
     if solver == "aba":
-        return aba(model, state, tau, cache=cache)
-    cs_eff = _stabilized_targets(cache, cs, config)
+        return aba(model, state, tau, cache=cache), None
+    cs_eff = _stabilized_targets(cache, cs, terms)
     settings = config.settings or SolverSettings()
     if solver == "pv":
-        return pv_solve(model, state, tau, cs_eff, ws, cache=cache).qdd
+        return pv_solve(model, state, tau, cs_eff, ws, cache=cache).qdd, None
     if solver == "pv_early":
-        return pv_early_solve(model, state, tau, cs_eff, ws, cache=cache).qdd
+        return pv_early_solve(model, state, tau, cs_eff, ws, cache=cache).qdd, None
     if solver == "pv_soft":
-        return pv_soft_solve(model, state, tau, cs_eff, settings, ws, cache=cache).qdd
-    return constrained_aba(model, state, tau, cs_eff, settings, ws, cache=cache).qdd
+        return pv_soft_solve(model, state, tau, cs_eff, settings, ws, cache=cache).qdd, None
+    sol = constrained_aba(model, state, tau, cs_eff, settings, ws, cache=cache, lam0=lam0)
+    return sol.qdd, sol.lam
 
 
 def integrate_position(model: Model, q: np.ndarray, v: np.ndarray,
                        dt: float) -> np.ndarray:
     """q + dt*v through the exponential map on floating-base blocks."""
     out = q.copy()
-    for i, joint in enumerate(model.joints):
+    plan = model.plan
+    for group in (plan.revolute, plan.prismatic):
+        out[group.q] += dt * v[group.v]
+    for i in plan.floating:
         qo = model.q_offset[i]
         vo = model.v_offset[i]
-        if joint.kind in ("revolute", "prismatic"):
-            out[qo] += dt * v[vo]
-        elif joint.kind == "floating":
-            quat = q[qo:qo + 4]
-            omega = v[vo:vo + 3]
-            vlin = v[vo + 3:vo + 6]
-            quat_new = quat_multiply(quat, quat_exp(dt * omega))
-            out[qo:qo + 4] = quat_new / np.linalg.norm(quat_new)
-            out[qo + 4:qo + 7] += dt * (quat_to_rotation(quat) @ vlin)
+        quat = q[qo:qo + 4]
+        omega = v[vo:vo + 3]
+        vlin = v[vo + 3:vo + 6]
+        quat_new = quat_multiply(quat, quat_exp(dt * omega))
+        out[qo:qo + 4] = quat_new / np.linalg.norm(quat_new)
+        out[qo + 4:qo + 7] += dt * (quat_to_rotation(quat) @ vlin)
     return out
+
+
+def _step(model: Model, state: State, tau, cs: ConstraintSet, solver: str,
+          config: IntegratorConfig, ws, terms: _Baumgarte | None,
+          lam: np.ndarray | None) -> tuple[State, np.ndarray | None]:
+    """One step whose first derivative warm-starts from `lam`; returns the
+    new state and the last derivative's multipliers."""
+    dt = config.dt
+    if config.scheme == "semi_implicit_euler":
+        qdd, lam = _accel(model, state, tau, cs, solver, config, ws, terms, lam)
+        v_new = state.v + dt * qdd
+        q_new = integrate_position(model, state.q, v_new, dt)
+        return State(q_new, v_new), lam
+    # classical RK4 on the (q, v) flow with manifold retraction, each
+    # stage warm-started from the previous one
+    k1a, lam = _accel(model, state, tau, cs, solver, config, ws, terms, lam)
+    s2 = State(integrate_position(model, state.q, state.v, 0.5 * dt),
+               state.v + 0.5 * dt * k1a)
+    k2a, lam = _accel(model, s2, tau, cs, solver, config, ws, terms, lam)
+    s3 = State(integrate_position(model, state.q, s2.v, 0.5 * dt),
+               state.v + 0.5 * dt * k2a)
+    k3a, lam = _accel(model, s3, tau, cs, solver, config, ws, terms, lam)
+    s4 = State(integrate_position(model, state.q, s3.v, dt), state.v + dt * k3a)
+    k4a, lam = _accel(model, s4, tau, cs, solver, config, ws, terms, lam)
+    v_avg = (state.v + 2 * s2.v + 2 * s3.v + s4.v) / 6.0
+    a_avg = (k1a + 2 * k2a + 2 * k3a + k4a) / 6.0
+    return State(integrate_position(model, state.q, v_avg, dt),
+                 state.v + dt * a_avg), lam
 
 
 def step(model: Model, state: State, tau, cs: ConstraintSet,
@@ -140,38 +192,18 @@ def step(model: Model, state: State, tau, cs: ConstraintSet,
          ws=None) -> State:
     """Advance one time step with the chosen solver and scheme."""
     config = config or IntegratorConfig()
-    dt = config.dt
-    if config.scheme == "semi_implicit_euler":
-        qdd = _accel(model, state, tau, cs, solver, config, ws)
-        v_new = state.v + dt * qdd
-        q_new = integrate_position(model, state.q, v_new, dt)
-        return State(q_new, v_new)
-    # classical RK4 on the (q, v) flow with manifold retraction
-    def deriv(st: State):
-        return st.v, _accel(model, st, tau, cs, solver, config, ws)
-
-    k1v, k1a = deriv(state)
-    s2 = State(integrate_position(model, state.q, k1v, 0.5 * dt),
-               state.v + 0.5 * dt * k1a)
-    k2v, k2a = deriv(s2)
-    s3 = State(integrate_position(model, state.q, k2v, 0.5 * dt),
-               state.v + 0.5 * dt * k2a)
-    k3v, k3a = deriv(s3)
-    s4 = State(integrate_position(model, state.q, k3v, dt), state.v + dt * k3a)
-    k4v, k4a = deriv(s4)
-    v_avg = (k1v + 2 * k2v + 2 * k3v + k4v) / 6.0
-    a_avg = (k1a + 2 * k2a + 2 * k3a + k4a) / 6.0
-    return State(integrate_position(model, state.q, v_avg, dt),
-                 state.v + dt * a_avg)
+    return _step(model, state, tau, cs, solver, config, ws, _baumgarte(cs, config), None)[0]
 
 
 def rollout(model: Model, state: State, tau, cs: ConstraintSet,
             solver: str = "pv", config: IntegratorConfig | None = None,
             steps: int = 100, ws=None) -> list[State]:
-    """Simulate `steps` steps; returns the trajectory including the start."""
+    """Simulate `steps` steps; returns the trajectory including the start.
+    With ``caba`` each step warm-starts from the previous step's multipliers."""
     config = config or IntegratorConfig()
-    traj = [state]
+    terms = _baumgarte(cs, config)
+    traj, lam = [state], None
     for _ in range(steps):
-        state = step(model, state, tau, cs, solver, config, ws)
+        state, lam = _step(model, state, tau, cs, solver, config, ws, terms, lam)
         traj.append(state)
     return traj

@@ -21,6 +21,7 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -457,29 +458,37 @@ class ConstraintSet:
     """Ordered collection of motion constraints, stacked as rows.
 
     The rows are built once and are read-only: ``K`` (m x 6), each row's
-    constraint index ``row_con``, each constraint's link in ``links`` and
-    the targets behind ``stacked_targets``.  ``replace_targets`` shares
-    all of them but the targets.
+    constraint index ``row_con``, each constraint's link in ``links``,
+    each constraint's (link, dim) in ``layout`` and the targets behind
+    ``stacked_targets``.  ``replace_targets`` shares all of them but the
+    targets, and builds its ``constraints`` only when they are read.
     """
 
     def __init__(self, constraints=()):
-        self.constraints = tuple(constraints)
-        dims = [c.dim for c in self.constraints]
+        self._source = self.constraints = tuple(constraints)
+        self.layout = tuple((c.link, c.dim) for c in self._source)
+        dims = [d for _, d in self.layout]
         self.offsets = tuple(itertools.accumulate(dims, initial=0))[:-1]
         self.m = sum(dims)
-        self.K = _frozen(np.concatenate([np.zeros((0, 6))] + [c.K for c in self.constraints]))
+        self.K = _frozen(np.concatenate([np.zeros((0, 6))] + [c.K for c in self._source]))
         self.row_con = _frozen(np.repeat(np.arange(len(dims)), dims))
-        self.links = _frozen(np.array([c.link for c in self.constraints], dtype=int))
+        self.links = _frozen(np.array([link for link, _ in self.layout], dtype=int))
         self._targets = _frozen(np.concatenate([np.zeros(0)]
-                                               + [c.a_star for c in self.constraints]))
+                                               + [c.a_star for c in self._source]))
         self._rows = tuple(_frozen(np.arange(o, o + d)) for o, d in zip(self.offsets, dims))
+
+    @cached_property
+    def constraints(self) -> tuple[MotionConstraint, ...]:
+        """The constraints, each with its rows of the targets."""
+        return tuple(replace(c, a_star=self._targets[o:o + c.dim])
+                     for o, c in zip(self.offsets, self._source))
 
     @staticmethod
     def empty() -> "ConstraintSet":
         return ConstraintSet()
 
     def __len__(self) -> int:
-        return len(self.constraints)
+        return len(self.layout)
 
     def __iter__(self):
         return iter(self.constraints)
@@ -497,8 +506,7 @@ class ConstraintSet:
         out._targets = targets = _frozen(np.array(a_star, dtype=float))
         if targets.shape != (self.m,):
             raise DimensionMismatch(f"a_star must have length m={self.m}")
-        out.constraints = tuple(replace(c, a_star=targets[o:o + c.dim])
-                                for o, c in zip(self.offsets, self.constraints))
+        out.__dict__.pop("constraints", None)     # built from the new targets when read
         return out
 
 

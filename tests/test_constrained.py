@@ -6,13 +6,15 @@ from pvdyn import (ConstraintSet, MotionConstraint, PvWorkspace,
                    generate_tree, kkt_oracle, neutral_state, point_constraint,
                    pv_early_solve, pv_solve, pv_soft_solve,
                    random_feasible_instance, random_singular_instance,
-                   random_state, relaxed_kkt_oracle, weld_constraint)
+                   State, random_state, relaxed_kkt_oracle, weld_constraint)
 from pvdyn.bench import load_model
-from pvdyn.constrained import (_aba, _beta_hat, _bias_pass, _forward_pass, _inertia_pass,
-                               _own_terms, _slots)
-from pvdyn.errors import SingularDual
+from pvdyn.constrained import (_aba, _add_rows, _beta_hat, _bias_pass, _dofs, _forward_pass,
+                               _inertia_pass, _own_terms, _residual, _slots)
+from pvdyn.errors import DimensionMismatch, SingularDual
 from pvdyn.generators import standard_constraints
-from pvdyn.kinematics import forward_kinematics, velocity_products
+from pvdyn.integrate import integrate_position
+from pvdyn.kinematics import (constraint_drift, constraint_jacobian, forward_kinematics,
+                              velocity_products)
 from pvdyn import flops
 
 
@@ -606,3 +608,164 @@ class TestStoredProjectedInertia:
             else:
                 expected = ws.IA[k]
             np.testing.assert_array_equal(ws.IA_proj[k], expected)
+
+
+def cold_relaxed(model, cache, cs, ws, tau, weights):
+    """The relaxed solve as it was before the warm start."""
+    beta = _beta_hat(model, cache, cs, ws.beta)
+    kw = cs.K / weights[:, None]
+    _own_terms(model, cache, ws)
+    _add_rows(ws, ws.IA, kw[:, :, None] * cs.K[:, None, :])
+    _add_rows(ws, ws.pA[:, :, 0], cs.K * (-beta / weights)[:, None])
+    qdd = _aba(model, cache, ws, tau)
+    return qdd, _residual(cs, ws)
+
+
+def cold_soft(model, state, tau, cs, settings, ws):
+    """`pv_soft_solve` as it was before the warm start."""
+    cache = forward_kinematics(model, state)
+    weights = np.broadcast_to(np.asarray(settings.soft_R, dtype=float), (cs.m,))
+    qdd, rnorm = cold_relaxed(model, cache, cs, ws, np.asarray(tau, float), weights)
+    lam = -ws.resid / weights
+    flops.add(2 * cs.m)
+    return qdd, lam, 1, rnorm, "converged", (rnorm,)
+
+
+def cold_caba(model, state, tau, cs, settings, ws):
+    """`constrained_aba` as it was before the warm start (from lam = 0),
+    on the same passes: the reference that ``lam0=None`` must match bit
+    for bit."""
+    cache = forward_kinematics(model, state)
+    mu = settings.mu
+    qdd, rnorm = cold_relaxed(model, cache, cs, ws, np.asarray(tau, float), np.full(cs.m, mu))
+    lam = ws.lam
+    lam[:] = 0.0
+    resid = ws.resid
+    status = "max_iter"
+    history = []
+    for it in range(1, settings.max_iter + 1):
+        if it > 1:
+            ws.pA[ws.support_pos] = 0.0
+            _add_rows(ws, ws.pA[:, :, 0], cs.K * -lam[:, None])
+            _bias_pass(model, cache, ws, ws.support_levels)
+            _forward_pass(model, cache, ws, ws.support_levels, change=True)
+            rnorm = _residual(cs, ws, ws.da)
+        lam -= resid / mu
+        history.append(rnorm)
+        if rnorm <= settings.tol_primal:
+            status = "converged"
+            break
+        if len(history) >= 6:
+            recent = history[-6:]
+            rel = [(recent[k] - recent[k + 1]) / max(recent[k], 1e-300) for k in range(5)]
+            if all(r < 1e-3 for r in rel):
+                status = "least_squares"
+                break
+    if it > 1:
+        ws.u[ws.off_pos] = 0.0
+        _forward_pass(model, cache, ws, ws.off_levels, change=True)
+        qdd += _dofs(model, ws.dqj)
+    if status == "least_squares":
+        lam -= (resid @ lam) / (resid @ resid) * resid
+        flops.add(6 * cs.m)
+    return qdd, lam.copy(), it, rnorm, status, tuple(history)
+
+
+def _bitwise_instances():
+    out = [(f"feasible{s}", random_feasible_instance(s, max_n=48)) for s in range(700, 760)]
+    out += [(f"singular{s}", random_singular_instance(s)) for s in range(30)]
+    for name in ("tree:128:3", "humanoid", "chain:64"):
+        model = load_model(name)
+        tau = np.random.default_rng(0).uniform(-5, 5, model.nv)
+        out += [(f"{name}-m{m}", (model, random_state(model, 0), tau,
+                                  standard_constraints(model, m, 0))) for m in (6, 12, 24)]
+    return out
+
+
+BITWISE_INSTANCES = _bitwise_instances()
+
+
+def outputs(call, ws):
+    """A solve's outputs, its flops and the workspace counters."""
+    with flops.counted() as count:
+        sol = call()
+        spent = count()
+    if not isinstance(sol, tuple):
+        sol = (sol.qdd, sol.lam, sol.iterations, sol.primal_residual, sol.status,
+               sol.residual_history)
+    return [np.asarray(x).tobytes() if isinstance(x, np.ndarray) else x for x in sol] \
+        + [spent, repr(ws.counters)]
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("case", BITWISE_INSTANCES, ids=[c[0] for c in BITWISE_INSTANCES])
+    def test_cold_start_is_bitwise_the_method_from_zero(self, case):
+        _, (model, state, tau, cs) = case
+        settings = SolverSettings()
+        shared = PvWorkspace(model, cs)
+        for make_ws in (lambda: PvWorkspace(model, cs), lambda: shared):
+            ws, ref_ws = make_ws(), PvWorkspace(model, cs)
+            assert outputs(lambda: constrained_aba(model, state, tau, cs, settings, ws,
+                                                   lam0=None), ws) \
+                == outputs(lambda: cold_caba(model, state, tau, cs, settings, ref_ws), ref_ws)
+            ws, ref_ws = make_ws(), PvWorkspace(model, cs)
+            assert outputs(lambda: pv_soft_solve(model, state, tau, cs, settings, ws), ws) \
+                == outputs(lambda: cold_soft(model, state, tau, cs, settings, ref_ws), ref_ws)
+
+    # each first iteration rounds against a bias of size |beta|/mu, as in
+    # TestSupportSweep, so answers agree to 100 eps/mu: 2.2e-11 at mu = 1e-3
+    @pytest.mark.parametrize("mu", [1e-3, 1e-6])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_converged_lambda_stops_after_one_iteration(self, seed, mu):
+        model, state, tau, cs = random_feasible_instance(seed + 2600)
+        cold = constrained_aba(model, state, tau, cs,
+                               SolverSettings(mu=mu, tol_primal=1e-13, max_iter=200))
+        assert cold.status == "converged" and cold.iterations > 1
+        warm = constrained_aba(model, state, tau, cs, SolverSettings(mu=mu), lam0=cold.lam)
+        assert (warm.iterations, warm.status) == (1, "converged")
+        tol = 100 * np.finfo(float).eps / mu
+        assert np.linalg.norm(warm.qdd - cold.qdd) <= tol * (1 + np.linalg.norm(cold.qdd))
+
+    @pytest.mark.parametrize("mu", [1e-3, 1e-6])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_iteration_is_a_dense_proximal_step(self, seed, mu):
+        # from lam0 the step solves (M + J'J/mu) qdd = tau - h + J'(lam0 + b/mu)
+        # with b = a* - gamma, then lam1 = lam0 - (J qdd - b)/mu
+        model, state, tau, cs = random_feasible_instance(seed + 2700)
+        lam0 = np.random.default_rng(seed).normal(0.0, 10.0, cs.m)
+        cache = forward_kinematics(model, state)
+        jac = constraint_jacobian(model, cache, cs)
+        b = cs.stacked_targets() - constraint_drift(model, cache, cs)
+        qdd = relaxed_kkt_oracle(model, state, tau + jac.T @ lam0, cs, mu)
+        lam = lam0 - (jac @ qdd - b) / mu
+        sol = constrained_aba(model, state, tau, cs, SolverSettings(mu=mu, max_iter=1),
+                              lam0=lam0)
+        assert sol.iterations == 1
+        tol = 100 * np.finfo(float).eps / mu
+        assert np.linalg.norm(sol.qdd - qdd) <= tol * (1 + np.linalg.norm(qdd))
+        assert np.linalg.norm(sol.lam - lam) <= tol * (1 + np.linalg.norm(lam))
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_singular_instances_keep_the_qdd_gate(self, seed):
+        # warm-started from the multipliers of a nearby state: qdd and
+        # J' lam are the least-squares ones (acceptance 4's gate), while lam
+        # keeps lam0's null-space part and is not the min-norm one
+        model, state, tau, cs = random_singular_instance(seed)
+        lam0 = constrained_aba(model, state, tau, cs).lam
+        rng = np.random.default_rng(seed)
+        moved = State(integrate_position(model, state.q, rng.normal(0, 1e-3, model.nv), 1.0),
+                      state.v + rng.normal(0, 1e-3, model.nv))
+        sol = constrained_aba(model, moved, tau, cs, lam0=lam0)
+        ref = kkt_oracle(model, moved, tau, cs)
+        assert np.all(np.isfinite(sol.qdd)) and np.all(np.isfinite(sol.lam))
+        assert np.linalg.norm(sol.qdd - ref.qdd) <= 1e-6 * (1 + np.linalg.norm(ref.qdd))
+        jac = constraint_jacobian(model, forward_kinematics(model, moved), cs)
+        force = jac.T @ ref.lam
+        assert np.linalg.norm(jac.T @ sol.lam - force) <= 1e-6 * (1 + np.linalg.norm(force))
+
+    def test_wrong_length_raises(self, chain8):
+        state = random_state(chain8, 1)
+        cs = ConstraintSet([weld_constraint(8)])
+        for bad in (np.zeros(5), np.zeros(7), np.zeros((6, 1))):
+            with pytest.raises(DimensionMismatch):
+                constrained_aba(chain8, state, np.zeros(8), cs, lam0=bad)

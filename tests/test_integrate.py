@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
-from pvdyn import (ConstraintSet, IntegratorConfig, PvWorkspace, attach_anchors,
-                   generate_tree, point_constraint, random_state, step)
+from pvdyn import (ConstraintSet, IntegratorConfig, PvWorkspace, State, attach_anchors,
+                   generate_humanoid_like, generate_tree, point_constraint, random_state,
+                   rollout, step, weld_constraint)
 from pvdyn import constrained, integrate, kinematics
+from pvdyn.bench import load_model
+from pvdyn.spatial import quat_exp, quat_multiply, quat_to_rotation
+from pvdyn.urdf import parse_urdf_subset
+from test_kinematics import MIXED_URDF
 
 SOLVER_FNS = {"aba": "aba", "pv": "pv_solve", "pv_early": "pv_early_solve",
               "pv_soft": "pv_soft_solve", "caba": "constrained_aba"}
@@ -73,3 +79,130 @@ class TestWorkspaceAcrossDerivatives:
         monkeypatch.setattr(PvWorkspace, "__init__", counted)
         step(model, state, tau, cs, "caba", IntegratorConfig(scheme="rk4"), ws)
         assert built[0] == 0
+
+
+def caba_iterations(monkeypatch):
+    """The iteration count of every constrained_aba call the integrator makes."""
+    counts = []
+    solve = integrate.constrained_aba
+
+    def counted(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        counts.append(sol.iterations)
+        return sol
+    monkeypatch.setattr(integrate, "constrained_aba", counted)
+    return counts
+
+
+class TestWarmStartAlongTrajectory:
+    def test_later_rk4_stages_take_fewer_iterations(self, monkeypatch):
+        model, state, cs, tau = baumgarte_problem()
+        counts = caba_iterations(monkeypatch)
+        step(model, state, tau, cs, "caba", IntegratorConfig(scheme="rk4"), PvWorkspace(model, cs))
+        assert len(counts) == 4
+        assert max(counts[1:]) < counts[0]
+
+    def test_rollout_carries_multipliers_across_steps(self, monkeypatch):
+        model, state, cs, tau = baumgarte_problem()
+        config = IntegratorConfig(scheme="rk4")
+        ws = PvWorkspace(model, cs)
+        counts = caba_iterations(monkeypatch)
+        traj = rollout(model, state, tau, cs, "caba", config, steps=3, ws=ws)
+        assert len(counts) == 12 and counts[4] < counts[0]
+        # the same steps, each started cold
+        current = state
+        for k in range(3):
+            current = step(model, current, tau, cs, "caba", config, ws)
+            np.testing.assert_allclose(traj[k + 1].q, current.q, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(traj[k + 1].v, current.v, rtol=0, atol=1e-9)
+
+    def test_baumgarte_terms_stacked_once(self, monkeypatch):
+        model, state, cs, tau = baumgarte_problem()
+        built = [0]
+        stack = integrate._baumgarte
+
+        def counted(*args):
+            built[0] += 1
+            return stack(*args)
+        monkeypatch.setattr(integrate, "_baumgarte", counted)
+        config = IntegratorConfig(scheme="rk4")
+        step(model, state, tau, cs, "caba", config)
+        assert built[0] == 1
+        rollout(model, state, tau, cs, "caba", config, steps=3)
+        assert built[0] == 2
+
+
+def reference_targets(cache, cs, config):
+    """Stabilized targets one constraint at a time, with scipy's log map."""
+    targets = cs.stacked_targets().copy()
+    for ci, con in enumerate(cs):
+        kp, kd = con.baumgarte or config.baumgarte_default
+        rows = cs.rows(ci)
+        rot = cache.w_rot[con.link]
+        if kp > 0.0 and con.anchor is not None:
+            ang = Rotation.from_matrix(rot @ con.anchor.rotation.T).as_rotvec()
+            lin = rot @ (con.anchor.translation - cache.w_trans[con.link])
+            targets[rows] += kp * (con.K @ np.concatenate((ang, lin)))
+        targets[rows] -= kd * (con.K @ cache.v[con.link])
+    return targets
+
+
+class TestStackedBaumgarte:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_constraint_targets(self, seed):
+        model = generate_humanoid_like()
+        idx = model.names.index
+        cs = ConstraintSet([
+            weld_constraint(idx("foot_l"), np.linspace(-1, 1, 6), baumgarte=(100.0, 20.0)),
+            weld_constraint(idx("foot_r")),                              # default gains
+            point_constraint(idx("hand_l"), [0.0, 0.0, -0.05], baumgarte=(0.0, 20.0)),
+            point_constraint(idx("hand_r"), [0.1, 0.0, 0.0], baumgarte=(50.0, 0.0)),
+        ])
+        state = random_state(model, seed)
+        anchored = ConstraintSet(list(attach_anchors(model, state, cs))
+                                 + [weld_constraint(idx("hand_r"), baumgarte=(30.0, 5.0))])
+        config = IntegratorConfig(baumgarte_default=(3.0, 1.0))
+        # at the anchors (zero rotation) and after a drift away from them
+        dq = np.random.default_rng(seed).normal(0.0, 0.2, model.nv)
+        for q in (state.q, integrate.integrate_position(model, state.q, dq, 1.0)):
+            cache = kinematics.forward_kinematics(model, State(q, state.v))
+            for con_set in (cs, anchored):      # without anchors only k_d acts
+                ref = reference_targets(cache, con_set, config)
+                got = integrate._stabilized_targets(cache, con_set,
+                                                    integrate._baumgarte(con_set, config))
+                np.testing.assert_allclose(got.stacked_targets(), ref, rtol=0,
+                                           atol=1e-13 * (1 + np.abs(ref).max()))
+                assert got.layout is con_set.layout
+
+    def test_no_gains_keep_the_set(self):
+        model, state, cs, _ = baumgarte_problem()
+        plain = ConstraintSet([point_constraint(con.link, [0.1, 0.0, 0.0]) for con in cs])
+        assert integrate._baumgarte(plain, IntegratorConfig()) is None
+        cache = kinematics.forward_kinematics(model, state)
+        assert integrate._stabilized_targets(cache, plain, None) is plain
+
+
+def per_joint_position(model, q, v, dt):
+    """integrate_position one joint at a time."""
+    out = q.copy()
+    for i, joint in enumerate(model.joints):
+        qo, vo = model.q_offset[i], model.v_offset[i]
+        if joint.kind in ("revolute", "prismatic"):
+            out[qo] += dt * v[vo]
+        elif joint.kind == "floating":
+            quat = q[qo:qo + 4]
+            quat_new = quat_multiply(quat, quat_exp(dt * v[vo:vo + 3]))
+            out[qo:qo + 4] = quat_new / np.linalg.norm(quat_new)
+            out[qo + 4:qo + 7] += dt * (quat_to_rotation(quat) @ v[vo + 3:vo + 6])
+    return out
+
+
+class TestGroupedPositionUpdate:
+    @pytest.mark.parametrize("name", ["humanoid", "tree:128:3", "chain:64", "chain:8:prismatic",
+                                      "urdf-floating-prismatic"])
+    def test_bitwise_per_joint_loop(self, name):
+        model = parse_urdf_subset(MIXED_URDF) if name.startswith("urdf") else load_model(name)
+        state = random_state(model, 2)
+        v = np.random.default_rng(2).normal(size=model.nv)
+        np.testing.assert_array_equal(integrate.integrate_position(model, state.q, v, 1e-3),
+                                      per_joint_position(model, state.q, v, 1e-3))

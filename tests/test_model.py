@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pvdyn import (ConstraintSet, Joint, MotionConstraint, generate_chain,
+from pvdyn import (ConstraintSet, Joint, MotionConstraint, PvWorkspace, generate_chain,
                    generate_humanoid_like, generate_tree, neutral_state,
                    point_constraint, random_state)
 from pvdyn.errors import DimensionMismatch
@@ -124,6 +124,24 @@ class TestConstraints:
         np.testing.assert_array_equal(cs.stacked_targets(), np.zeros(9))
         with pytest.raises(DimensionMismatch):
             cs.replace_targets(np.zeros(10))
+
+    def test_new_targets_build_no_constraints_until_read(self):
+        cs = ConstraintSet([point_constraint(2, [0.1, 0, 0], baumgarte=(1.0, 2.0)),
+                            MotionConstraint(1, np.eye(6), np.zeros(6))])
+        assert cs.layout == ((2, 3), (1, 6))
+        new = cs.replace_targets(np.arange(9.0))
+        assert new.layout is cs.layout and len(new) == 2
+        model = generate_chain(3)
+        ws = PvWorkspace(model, cs)
+        assert PvWorkspace.ensure(model, new, ws) is ws
+        assert "constraints" not in vars(new)
+        # read, each carries its rows of the new targets and keeps the rest
+        a, b = new.constraints
+        np.testing.assert_array_equal(a.a_star, np.arange(3.0))
+        assert a.baumgarte == (1.0, 2.0)
+        np.testing.assert_array_equal(a.K, cs.K[:3])
+        assert b.link == 1 and list(new)[1] is b
+        np.testing.assert_array_equal(cs.constraints[1].a_star, np.zeros(6))
 
     def test_row_dim_validation(self):
         with pytest.raises(ValueError):
