@@ -187,10 +187,3 @@ def emit_json(records: list[BenchRecord], path: str) -> None:
 def load_json(path: str) -> list[BenchRecord]:
     with open(path, "r", encoding="utf-8") as fh:
         return [BenchRecord(**row) for row in json.load(fh)]
-
-
-def loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(y) against log(x)."""
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.asarray(ys, dtype=float))
-    return float(np.polyfit(lx, ly, 1)[0])

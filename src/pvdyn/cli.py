@@ -8,6 +8,7 @@ rows are still printed and written.
 
 from __future__ import annotations
 
+import os
 import sys
 
 import click
@@ -25,6 +26,17 @@ def main():
     """Constrained rigid-body dynamics toolbox."""
 
 
+def _note_blas_threads() -> None:
+    """One stderr line when neither OPENBLAS_NUM_THREADS nor OMP_NUM_THREADS
+    is set: OpenBLAS then starts its default threads, which contend on a
+    small machine and inflate the dense solves' times (kkt_oracle's mean
+    most).  numpy has loaded BLAS by now, so only the environment can pin it."""
+    if not (os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")):
+        click.echo("note: OPENBLAS_NUM_THREADS and OMP_NUM_THREADS are unset, so BLAS runs "
+                   "its default threads; set OPENBLAS_NUM_THREADS=1 for one-thread timings",
+                   err=True)
+
+
 @main.command()
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--sizes", default="12,24,40", show_default=True,
@@ -34,6 +46,7 @@ def main():
 @click.option("--out", default=None, type=click.Path(), help="write JSON report")
 def check(seed, sizes, instances, out):
     """Run the cross-module property check suite."""
+    _note_blas_threads()
     try:
         size_list = tuple(int(s) for s in sizes.split(","))
     except ValueError as exc:
@@ -62,6 +75,7 @@ def check(seed, sizes, instances, out):
               help="output path (.csv or .json)")
 def bench(models, algorithms, m_values, reps, seed, out):
     """Benchmark algorithms over model families and constraint counts."""
+    _note_blas_threads()
     try:
         specs = [bench_mod.BenchSpec(models=tuple(models.split(",")),
                                      algorithms=tuple(algorithms.split(",")),

@@ -52,16 +52,21 @@ How the solvers compose them:
   forward.
 * ``constrained_aba`` — proximal method of multipliers: the relaxed
   solve with R = mu and the added bias -K' (beta_hat/mu + lam0), which
-  is its first iteration, followed by support-only iterations.  The
-  passes are affine in the bias, and later iterations change it only by
-  -K' (lam - lam0) on the constrained links, so each runs the
-  homogeneous bias and forward passes over the support; links off it
-  are filled in once at exit.  lam0 is zero unless the caller passes a
-  warm start (``integrate`` passes the previous RK4 stage's lam), and
-  the iterates are those of the method started at lam0.  Rank-deficient
-  or infeasible systems converge to the least-squares solution; from
-  lam0 = 0 the multipliers are the minimum-norm ones, while a warm start
-  keeps lam0's component in the null space of K', which qdd does not see.
+  is its first iteration, followed by conjugate-residual steps on the
+  bias.  The passes are affine in the bias, so the residual is
+  r0 + B y for the bias lam0 + y, where B v is the homogeneous bias and
+  forward pass over the support with the bias -K' v
+  (``_support_response``); each step runs one such pass, and links off
+  the support are filled in once at exit.  lam0 is zero unless the
+  caller passes a warm start (``integrate`` passes the previous RK4
+  stage's lam).  The solve stops ``converged`` at ||r|| <= tol_primal,
+  and ``least_squares`` when r has stopped falling and the multipliers
+  without their component along r have stopped moving, both to within
+  tol_primal/mu relative: r then lies in the null space of K', the rows
+  are rank-deficient or infeasible, and qdd is the least-squares
+  solution.  From lam0 = 0 the multipliers are then the minimum-norm
+  ones, while a warm start keeps lam0's component in the null space of
+  K', which qdd does not see.
 * ``pv_osim`` and ``caba_osim`` run inertia and coupling without l;
   ``pv_osimr`` over rows compressed to six per link (``_Compressed``).
 
@@ -79,6 +84,7 @@ but one workspace must never be shared by two simultaneous solves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -179,6 +185,12 @@ class PvWorkspace(_Sweep):
         self.off_levels = plan.levels_of(self.off_support)
         self.support_pos = plan.position[np.array(self.support, dtype=int)]
         self.off_pos = plan.position[np.array(self.off_support, dtype=int)]
+        # the support's slots in the plan layout of joint vectors (the root's
+        # dofs in place of its padding slot 0), and its links with a child
+        # off it, as plan positions
+        self.support_slots = np.append(self.support_pos[self.support_pos > 0],
+                                       n + np.arange(model.joints[0].nv if self.support else 0))
+        self.frontier_pos = np.intersect1d(plan.parent[self.off_pos], self.support_pos)
         self.con_pos = plan.position[np.array([link for link, _ in self.layout], dtype=int)]
         self.row_pos = np.repeat(self.con_pos, [dim for _, dim in self.layout])
         self.n_con_links = np.unique(self.con_pos).size
@@ -527,14 +539,12 @@ def _aba(model: Model, cache: KinematicsCache, ws: _Sweep, tau: np.ndarray) -> n
     return _dofs(model, ws.qj)
 
 
-def _residual(cs: ConstraintSet, ws: PvWorkspace, da: np.ndarray | None = None) -> float:
+def _residual(cs: ConstraintSet, ws: PvWorkspace) -> float:
     """K a - beta_hat into ``ws.resid`` from the accelerations in ``ws.acc``
-    (plus `da`) and beta_hat in ``ws.beta``; returns its norm."""
+    and beta_hat in ``ws.beta``; returns its norm."""
     a = ws.acc[ws.con_pos, :, 0]
-    if da is not None:
-        a = a + da[ws.con_pos, :, 0]
     np.subtract((cs.K * a[cs.row_con]).sum(1), ws.beta, out=ws.resid)
-    flops.add(flops.gemm(cs.m, 6, 1) + (0 if da is None else flops.ADD6 * len(cs)))
+    flops.add(flops.gemm(cs.m, 6, 1))
     return float(np.linalg.norm(ws.resid))
 
 
@@ -824,6 +834,26 @@ def pv_soft_solve(model: Model, state: State, tau, cs: ConstraintSet,
     return ConstrainedSolution(qdd, lam, 1, rnorm, "converged", (rnorm,))
 
 
+def _support_response(model: Model, cache: KinematicsCache, cs: ConstraintSet,
+                      ws: PvWorkspace, v: np.ndarray) -> np.ndarray:
+    """B v = K da: the change in the residual that the added bias -K' v
+    makes, swept over the support into ``ws.da`` and ``ws.dqj``.  With
+    the inertia of the relaxed solve, B = Lambda (I + Lambda/mu)^-1 is
+    symmetric PSD with eigenvalues below mu."""
+    ws.pA[ws.support_pos] = 0.0
+    _add_rows(ws, ws.pA[:, :, 0], cs.K * -v[:, None])
+    _bias_pass(model, cache, ws, ws.support_levels)
+    _forward_pass(model, cache, ws, ws.support_levels, change=True)
+    flops.add(flops.gemm(cs.m, 6, 1))
+    return (cs.K * ws.da[ws.con_pos, :, 0][cs.row_con]).sum(1)
+
+
+def _min_norm(w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """`w` without its component along `r`."""
+    flops.add(6 * r.size)
+    return w - (r @ w) / (r @ r) * r
+
+
 def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
                     settings: SolverSettings | None = None,
                     ws: PvWorkspace | None = None,
@@ -831,13 +861,25 @@ def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
                     lam0=None) -> ConstrainedSolution:
     """Proximal constrained dynamics; robust to singular and infeasible rows.
 
-    `lam0` (length m) warm-starts the multipliers, for instance from the
-    previous solve along a trajectory; None starts from zero.  The
-    iterates are those of the proximal method started at `lam0`, so a
-    good guess saves iterations.  On rank-deficient rows qdd and K' lam
-    are the least-squares ones either way, but lam is the minimum-norm
-    multiplier only for ``lam0=None``: a warm start keeps its component
-    in the null space of K'.
+    Iteration 1 is the relaxed solve with R = mu and the multipliers
+    `lam0` (length m; None is zero) in its bias, leaving the residual
+    r0 = K a - beta_hat.  Each later iteration is one step of conjugate
+    residuals on B y = -r0 (``_support_response``) for the bias
+    lam0 + y, and the solve returns lam = lam0 + y - r/mu at the final
+    residual r, with which qdd is exactly the dynamics.  The steps update
+    r by recurrence, which agrees with K a - beta_hat to rounding.  A warm
+    start (`integrate` passes the previous derivative's lam) saves
+    iterations.
+
+    The solve stops ``converged`` once ||r|| <= tol_primal.  It stops
+    ``least_squares`` once r lies in the null space of B: in two
+    iterations running ||r|| fell by at most tol_dual = tol_primal/mu of
+    itself, and the multipliers without their component along r moved by
+    at most tol_dual of their size; it then returns those multipliers.
+    On rank-deficient or infeasible rows qdd and K' lam are the
+    least-squares ones, and lam is the minimum-norm multiplier for
+    ``lam0=None``; a warm start keeps its component in the null space
+    of K', which qdd does not see.
     """
     settings = settings or SolverSettings()
     ws = PvWorkspace.ensure(model, cs, ws)
@@ -848,48 +890,83 @@ def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
             raise DimensionMismatch(f"lam0 must have length m={cs.m}")
     if cache is None:
         cache = forward_kinematics(model, state)
-    mu = settings.mu
-    # iteration 1 is the relaxed solve with R = mu and the bias
-    # -K' (beta_hat/mu + lam0), giving qdd0 and a0 in ws.acc; each later
-    # one sweeps the support for the change the bias -K' (lam - lam0) makes
+    mu, tol = settings.mu, settings.tol_primal
+    # B < mu, so a multiplier change below tol/mu moves the residual by
+    # less than the primal test resolves
+    tol_dual = tol / mu
     qdd, rnorm = _relaxed(model, cache, cs, ws, tau, np.full(cs.m, mu), lam0)
-    lam = ws.lam
-    lam[:] = 0.0 if lam0 is None else lam0
-    resid = ws.resid
+    r = ws.resid
+    w = np.zeros(cs.m) if lam0 is None else lam0           # lam0 + y
+    # the running sums of y's change hold what the fill off the support
+    # reads: da at the frontier and dqj over the support
+    terms = 6 * ws.frontier_pos.size + ws.support_slots.size
+    history = [rnorm]
     status = "max_iter"
-    history: list[float] = []
-    for it in range(1, settings.max_iter + 1):
-        if it > 1:
-            ws.pA[ws.support_pos] = 0.0
-            shift = lam
-            if lam0 is not None:
-                shift = lam - lam0
-                flops.add(cs.m)
-            _add_rows(ws, ws.pA[:, :, 0], cs.K * -shift[:, None])
-            _bias_pass(model, cache, ws, ws.support_levels)
-            _forward_pass(model, cache, ws, ws.support_levels, change=True)
-            rnorm = _residual(cs, ws, ws.da)
-        lam -= resid / mu
-        history.append(rnorm)
-        if rnorm <= settings.tol_primal:
+    it, gamma, lam_hat, hat_at = 1, 0.0, None, 0
+    # after one step y's change over the support is `scale` times the last
+    # sweep's; from the second step on, running sums hold it
+    scale = da_y = dqj_y = None
+    while True:
+        if rnorm <= tol:
             status = "converged"
             break
-        # residual improvement stalls once infeasible rows pin the floor
-        if len(history) >= 6:
-            recent = history[-6:]
-            rel = [(recent[k] - recent[k + 1]) / max(recent[k], 1e-300)
-                   for k in range(5)]
-            if all(r < 1e-3 for r in rel):
+        if it > 1 and history[-2] - rnorm <= tol_dual * history[-2]:
+            prev, lam_hat = lam_hat, _min_norm(w, r)
+            if hat_at == it - 1 and \
+                    np.linalg.norm(lam_hat - prev) <= tol_dual * np.linalg.norm(lam_hat):
                 status = "least_squares"
                 break
-    if it > 1:
-        # the bias change is zero off the support
+            hat_at = it
+        if it == settings.max_iter:
+            break
+        if it == 2:
+            # the next sweep overwrites the first step's
+            da_p, dqj_p = ws.da[ws.frontier_pos], ws.dqj[ws.support_slots]
+            da_y, dqj_y = scale * da_p, scale * dqj_p
+            flops.add(terms)
+        it += 1
+        br = _support_response(model, cache, cs, ws, r)
+        gamma, gamma_prev = float(r @ br), gamma
+        if not gamma > 0.0:
+            # no part of r is in the range of B
+            status, lam_hat = "least_squares", _min_norm(w, r)
+            history.append(rnorm)
+            break
+        if it == 2:
+            p, bp = r.copy(), br
+            alpha = gamma / float(bp @ bp)
+            scale = -alpha
+            work = 8 * cs.m
+        else:
+            beta = gamma / gamma_prev
+            p = r + beta * p
+            bp = br + beta * bp
+            alpha = gamma / float(bp @ bp)
+            da_p = ws.da[ws.frontier_pos] + beta * da_p
+            dqj_p = ws.dqj[ws.support_slots] + beta * dqj_p
+            da_y -= alpha * da_p
+            dqj_y -= alpha * dqj_p
+            work = 12 * cs.m + 4 * terms
+        w -= alpha * p
+        r -= alpha * bp
+        rnorm = math.sqrt(r @ r)
+        history.append(rnorm)
+        flops.add(work)
+    if scale is not None:
+        # y's change over the support, filled in off it, where the bias
+        # change is zero
+        if da_y is not None:
+            ws.da[ws.frontier_pos], ws.dqj[ws.support_slots] = da_y, dqj_y
         ws.u[ws.off_pos] = 0.0
         _forward_pass(model, cache, ws, ws.off_levels, change=True)
-        qdd += _dofs(model, ws.dqj)
+        dqdd = _dofs(model, ws.dqj)
+        if da_y is None:
+            dqdd *= scale
+            flops.add(model.nv)
+        qdd += dqdd
     if status == "least_squares":
-        # lam has drifted along the infeasible residual by resid/mu per
-        # iteration; taking that component off leaves the min-norm lam
-        lam -= (resid @ lam) / (resid @ resid) * resid
-        flops.add(6 * cs.m)
-    return ConstrainedSolution(qdd, lam.copy(), it, rnorm, status, tuple(history))
+        lam = lam_hat
+    else:
+        lam = w - r / mu
+        flops.add(2 * cs.m)
+    return ConstrainedSolution(qdd, lam, it, rnorm, status, tuple(history))

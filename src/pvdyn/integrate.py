@@ -34,7 +34,8 @@ from .constrained import (SolverSettings, constrained_aba, pv_early_solve,
 from .errors import UnknownAlgorithm
 from .kinematics import KinematicsCache, forward_kinematics
 from .model import ConstraintSet, Model, State
-from .spatial import PlueckerTransform, quat_exp, quat_multiply, quat_to_rotation
+from .spatial import (PlueckerTransform, quat_exp, quat_multiply, quat_to_rotation,
+                      rotation_log)
 
 SOLVERS = ("aba", "pv", "pv_soft", "pv_early", "caba")
 
@@ -103,15 +104,10 @@ def _stabilized_targets(cache: KinematicsCache, cs: ConstraintSet,
     # the twist (link frame) moving each anchored pose onto its anchor: the
     # log map of the relative rotation, and the translation in the link frame
     rot = cache.w_rot[terms.links]
-    r = rot @ terms.rot_t
-    angle = np.arccos(np.clip(0.5 * (np.trace(r, axis1=1, axis2=2) - 1.0), -1.0, 1.0))
-    axis = 0.5 * np.stack((r[:, 2, 1] - r[:, 1, 2], r[:, 0, 2] - r[:, 2, 0],
-                           r[:, 1, 0] - r[:, 0, 1]), axis=1)
-    scale = np.where(angle < 1e-9, 1.0, angle / np.sin(np.maximum(angle, 1e-9)))
     lin = (rot @ (terms.trans - cache.w_trans[terms.links])[:, :, None])[:, :, 0]
     twist = -terms.kd[:, None] * cache.v[cs.links]
-    twist[terms.anchored] += terms.kp[:, None] * np.concatenate((axis * scale[:, None], lin),
-                                                                 axis=1)
+    twist[terms.anchored] += terms.kp[:, None] * np.concatenate(
+        (rotation_log(rot @ terms.rot_t), lin), axis=1)
     return cs.replace_targets(cs.stacked_targets() + (cs.K * twist[cs.row_con]).sum(1))
 
 

@@ -112,6 +112,40 @@ def quat_exp(omega_dt: np.ndarray) -> np.ndarray:
     return np.concatenate(([math.cos(half)], math.sin(half) * axis))
 
 
+def _quat_outer_map() -> tuple[np.ndarray, np.ndarray]:
+    """The affine map from a rotation matrix's entries, flattened, to
+    4 q q' of its quaternion q = (x, y, z, w), flattened: 4 x x =
+    1 + r00 - r11 - r22, 4 x y = r01 + r10, 4 x w = r21 - r12 and
+    4 w w = 1 + trace, cyclically."""
+    a = np.zeros((3, 3, 4, 4))
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        a[i, i, i, i] = a[i, i, 3, 3] = 1.0
+        a[j, j, i, i] = a[k, k, i, i] = -1.0
+        a[i, j, i, j] = a[j, i, i, j] = a[i, j, j, i] = a[j, i, j, i] = 1.0
+        a[k, j, i, 3] = a[k, j, 3, i] = 1.0
+        a[j, k, i, 3] = a[j, k, 3, i] = -1.0
+    return a.reshape(9, 16), np.eye(4).reshape(16)
+
+
+_QUAT_OUTER, _QUAT_ONE = _quat_outer_map()
+
+
+def rotation_log(r: np.ndarray) -> np.ndarray:
+    """Rotation vectors (k, 3) of the rotations `r` (k, 3, 3), accurate up
+    to a half turn (Shepperd's method): of 4 q q', take the row with the
+    largest diagonal, (v, w) = 4 q_p q, and return 2 atan2(|v|, |w|) v / |v|
+    with v's sign turned where w < 0."""
+    q = r.reshape(-1, 9) @ _QUAT_OUTER + _QUAT_ONE
+    row = q.reshape(-1, 4, 4)[np.arange(len(r)), np.argmax(q[:, ::5], axis=1)]
+    v, w = row[:, :3], row[:, 3]
+    size = np.sqrt((v * v).sum(1))
+    # atan2(|v|, |w|) / |v| keeps its precision as |v| -> 0; at |v| = 0
+    # (no rotation) v is zero and any finite scale does
+    scale = np.copysign(2.0 * np.arctan2(size, np.abs(w)), w) / np.where(size > 0.0, size, 1.0)
+    return v * scale[:, None]
+
+
 # ---------------------------------------------------------------------------
 # array kernels used by the recursive sweeps
 

@@ -47,3 +47,10 @@ def congruence(x, inertia):
     target frame of the motion transform X into its source frame."""
     out = x.T @ inertia @ x
     return 0.5 * (out + out.T)
+
+
+def loglog_slope(xs, ys) -> float:
+    """Least-squares slope of log(y) against log(x)."""
+    lx = np.log(np.asarray(xs, dtype=float))
+    ly = np.log(np.asarray(ys, dtype=float))
+    return float(np.polyfit(lx, ly, 1)[0])

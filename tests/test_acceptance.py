@@ -20,8 +20,9 @@ from pvdyn import (ConstraintSet, IntegratorConfig, SolverSettings, aba,
                    random_state, relaxed_kkt_oracle, rnea, step,
                    weld_constraint)
 from pvdyn import constraint_jacobian, flops
-from pvdyn.bench import build_cell, load_model, loglog_slope
+from pvdyn.bench import build_cell, load_model
 from pvdyn.errors import SingularDual
+from conftest import loglog_slope
 from pvdyn.model import State
 
 

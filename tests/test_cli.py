@@ -161,6 +161,31 @@ class TestBench:
         assert result.exit_code == 2
 
 
+class TestBlasThreadNote:
+    COMMANDS = {"check": ["check", "--sizes", "8", "--instances", "1"],
+                "bench": ["bench", "--model", "chain:4", "--solver", "aba", "--m", "0"]}
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_unset_thread_counts_are_noted_once_on_stderr(self, runner, monkeypatch, command):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        result = runner.invoke(main, self.COMMANDS[command])
+        assert result.exit_code == 0, result.output
+        notes = [line for line in result.stderr.splitlines() if "OPENBLAS_NUM_THREADS" in line]
+        assert len(notes) == 1 and "OMP_NUM_THREADS" in notes[0]
+        assert "OPENBLAS_NUM_THREADS" not in result.stdout
+
+    @pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_either_setting_silences_the_note(self, runner, monkeypatch, command, variable):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv(variable, "1")
+        result = runner.invoke(main, self.COMMANDS[command])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+
+
 class TestRollout:
     def test_free_fall_summary(self, runner, tmp_path):
         out = tmp_path / "roll.json"

@@ -407,15 +407,16 @@ PIN_FIXTURES = _pin_fixtures()
 # flops per call on each fixture (state seed 3): the per-link engine's
 # charges without the base projections nothing reads, a second charge
 # per Cholesky solve, the producers' root K - w U' or caba's sum
-# acc + da in its first iteration, pv_osimr over its rows compressed
+# acc + da in its first iteration, caba's later iterations as
+# conjugate-residual steps, pv_osimr over its rows compressed
 # to six, and forward kinematics without the zero-gravity acceleration
 # (XMOT + ADD6 = 48 per link), which only constraint_drift forms
 PINNED_FLOPS = {
-    "tree:128:3": {"pv": 233733, "pv_early": 222231, "pv_soft": 212085, "caba": 229091,
+    "tree:128:3": {"pv": 233733, "pv_early": 222231, "pv_soft": 212085, "caba": 230128,
                    "pv_osim": 176466, "pv_osimr": 178986, "caba_osim": 196050},
-    "humanoid": {"pv": 100533, "pv_early": 80517, "pv_soft": 56829, "caba": 67489,
+    "humanoid": {"pv": 100533, "pv_early": 80517, "pv_soft": 56829, "caba": 68179,
                  "pv_osim": 70350, "pv_osimr": 68718, "caba_osim": 89934},
-    "chain:64": {"pv": 141979, "pv_early": 108517, "pv_soft": 105409, "caba": 124549,
+    "chain:64": {"pv": 141979, "pv_early": 108517, "pv_soft": 105409, "caba": 124977,
                  "pv_osim": 114160, "pv_osimr": 114160, "caba_osim": 114520},
 }
 # the dense oracles' flops on the same calls (weights 1e-6 for the
@@ -484,23 +485,33 @@ class TestRelaxedFirstIteration:
 # iterations and the first letter of the status of constrained_aba at the
 # default settings on random_feasible_instance(0..39) and
 # random_singular_instance(0..49)
-FEASIBLE_RUNS = ("2233233323332323233323232323332333233332",
+FEASIBLE_RUNS = ("2232233323332322232223222222332323223222",
                  "cccccccccccccccccccccccccccccccccccccccc")
-SINGULAR_RUNS = ("26623363662666626226226266263226666666263662262223",
+SINGULAR_RUNS = ("23322232332333323223223233232223333333232332232222",
                  "cllccclcllcllllclcclcclcllclccclllllllclcllcclcccc")
+# the same under the fixed-step iteration (lam -= r/mu, stopped after six
+# iterations that each improved by under 0.1%) that conjugate residuals
+# replaced: no instance may take more iterations, and none may change status
+FIXED_STEP_FEASIBLE_RUNS = ("2233233323332323233323232323332333233332",
+                            "cccccccccccccccccccccccccccccccccccccccc")
+FIXED_STEP_SINGULAR_RUNS = ("26623363662666626226226266263226666666263662262223",
+                            "cllccclcllcllllclcclcclcllclccclllllllclcllcclcccc")
 
 
 class TestProximalRuns:
-    @pytest.mark.parametrize("make, runs", [(random_feasible_instance, FEASIBLE_RUNS),
-                                            (random_singular_instance, SINGULAR_RUNS)],
+    @pytest.mark.parametrize("make, runs, fixed_step",
+                             [(random_feasible_instance, FEASIBLE_RUNS, FIXED_STEP_FEASIBLE_RUNS),
+                              (random_singular_instance, SINGULAR_RUNS, FIXED_STEP_SINGULAR_RUNS)],
                              ids=["feasible", "singular"])
-    def test_iterations_and_statuses_are_pinned(self, make, runs):
+    def test_iterations_and_statuses_are_pinned(self, make, runs, fixed_step):
         iterations, statuses = [], []
         for seed in range(len(runs[0])):
             sol = constrained_aba(*make(seed))
-            iterations.append(str(sol.iterations))
+            iterations.append(sol.iterations)
             statuses.append(sol.status[0])
-        assert ("".join(iterations), "".join(statuses)) == runs
+        assert ("".join(map(str, iterations)), "".join(statuses)) == runs
+        assert all(k <= int(bound) for k, bound in zip(iterations, fixed_step[0]))
+        assert "".join(statuses) == fixed_step[1]
 
 
 def _massless():

@@ -9,8 +9,9 @@ from pvdyn import (BenchRecord, BenchSpec, ConstraintSet, IntegratorConfig,
                    generate_humanoid_like, generate_tree, load_json,
                    load_model, neutral_state, random_state, rollout,
                    run_bench, run_check_suite, step, weld_constraint)
-from pvdyn.bench import CSV_HEADER, loglog_slope
+from pvdyn.bench import CSV_HEADER
 from pvdyn.errors import ModelLoadError, UnknownAlgorithm
+from conftest import loglog_slope
 
 
 def total_energy(model, state):

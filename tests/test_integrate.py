@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -7,7 +9,8 @@ from pvdyn import (ConstraintSet, IntegratorConfig, PvWorkspace, State, attach_a
                    rollout, step, weld_constraint)
 from pvdyn import constrained, integrate, kinematics
 from pvdyn.bench import load_model
-from pvdyn.spatial import quat_exp, quat_multiply, quat_to_rotation
+from pvdyn.spatial import (PlueckerTransform, axis_angle_rotation, quat_exp, quat_multiply,
+                           quat_to_rotation)
 from pvdyn.urdf import parse_urdf_subset
 from test_kinematics import MIXED_URDF
 
@@ -173,6 +176,29 @@ class TestStackedBaumgarte:
                 np.testing.assert_allclose(got.stacked_targets(), ref, rtol=0,
                                            atol=1e-13 * (1 + np.abs(ref).max()))
                 assert got.layout is con_set.layout
+
+    @pytest.mark.parametrize("angle", [3.09, 3.11, 3.13, 3.14, np.pi - 1e-9])
+    def test_near_a_half_turn(self, angle):
+        # each anchored link turned by `angle` about a random axis away
+        # from its anchor, where axis * angle / sin(angle) loses digits
+        model = generate_humanoid_like()
+        state = random_state(model, 5)
+        cache = kinematics.forward_kinematics(model, state)
+        rng = np.random.default_rng(5)
+        cons = []
+        for name in ("foot_l", "foot_r", "hand_l", "hand_r"):
+            link = model.names.index(name)
+            axis = rng.normal(size=3)
+            turn = axis_angle_rotation(axis / np.linalg.norm(axis), angle)
+            anchor = PlueckerTransform(turn.T @ cache.w_rot[link],
+                                       cache.w_trans[link] + rng.normal(0.0, 0.1, 3))
+            cons.append(replace(weld_constraint(link, baumgarte=(100.0, 20.0)), anchor=anchor))
+        cs = ConstraintSet(cons)
+        config = IntegratorConfig()
+        ref = reference_targets(cache, cs, config)
+        got = integrate._stabilized_targets(cache, cs, integrate._baumgarte(cs, config))
+        np.testing.assert_allclose(got.stacked_targets(), ref, rtol=0,
+                                   atol=1e-13 * (1 + np.abs(ref).max()))
 
     def test_no_gains_keep_the_set(self):
         model, state, cs, _ = baumgarte_problem()

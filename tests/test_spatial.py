@@ -171,3 +171,15 @@ class TestArrayKernels:
             np.testing.assert_allclose(r.T @ r, np.eye(3), rtol=0, atol=1e-15)
             assert abs(np.linalg.det(r) - 1.0) <= 1e-15
             np.testing.assert_allclose(r @ axis, axis, rtol=0, atol=1e-15)
+
+    def test_rotation_log_matches_scipy(self, rng):
+        # every turn size from none to just short of a half turn, about the
+        # coordinate axes (one pivot each) and random ones
+        from scipy.spatial.transform import Rotation
+        from pvdyn.spatial import axis_angle_rotation, rotation_log
+        axes = [np.eye(3)[i] for i in range(3)] + [rng.standard_normal(3) for _ in range(20)]
+        angles = [0.0, 1e-12, 1e-6, 0.5, 2.6, 3.09, 3.13, np.pi - 1e-9]
+        rots = np.array([axis_angle_rotation(a / np.linalg.norm(a), t)
+                         for a in axes for t in angles])
+        np.testing.assert_allclose(rotation_log(rots), Rotation.from_matrix(rots).as_rotvec(),
+                                   rtol=0, atol=1e-14)
