@@ -21,7 +21,7 @@ set of passes, each charging its own flops:
 Links at one depth do not depend on each other, so the inertia, bias,
 coupling and forward passes take one array step per depth level of
 ``Model.plan`` (``model.Level``), children first backward and parents
-first forward; only ``_eliminate`` stays per support link.  The buffers
+first forward, and so does ``_eliminate``, in rounds.  The buffers
 are in plan order, where each level is a slice, and below the root
 every joint has one dof or none, so its factors stack as arrays: U,
 D^-1 and u per link (a fixed joint has S = 0 and D = 1).  Link 0, with
@@ -42,11 +42,17 @@ How the solvers compose them:
 
 * ``pv_solve`` — inertia, bias, coupling, a dense multiplier solve at
   the base, forward.  Exact.
-* ``pv_early_solve`` — the same passes one depth level at a time
-  (``Model.plan``), deepest first.  Links within a level are
-  independent, so before a level's projections each of its links
-  eliminates the multiplier blocks that have become safely invertible;
-  blocks that stay singular ride to the base as in ``pv_solve``.
+* ``pv_early_solve`` — the same passes, stopped above each level where
+  a constraint can be eliminated: before that level's projections each
+  of its links eliminates the multiplier blocks that have become safely
+  invertible; blocks that stay singular ride to the base as in
+  ``pv_solve``.  A schedule built once per layout
+  (``PvWorkspace.early``) lists each level's candidates, the constraints
+  with at least as many moving joints between their link and the
+  eliminating one as they have rows.  Sibling subtrees hold disjoint
+  rows, so a level's links eliminate together in rounds, each round
+  one factor of the union of one block per link, and the
+  back-substitution takes one solve per round.
 * ``pv_soft_solve`` — the relaxed solve (``_relaxed``): K' R^-1 K is
   added inertia and -K' R^-1 beta_hat added bias, then inertia, bias,
   forward.
@@ -84,6 +90,7 @@ but one workspace must never be shared by two simultaneous solves.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -124,7 +131,11 @@ class ConstrainedSolution:
     iterations: int
     primal_residual: float
     status: str                   # converged | max_iter | least_squares
-    residual_history: tuple[float, ...] = ()    # primal residual per iteration
+    # primal residual per iteration: K a - beta_hat as measured for the
+    # first entry; constrained_aba's later entries are its conjugate-residual
+    # recurrence's, which match the measured one to rounding but can fall
+    # below the rounding floor that a measured residual cannot
+    residual_history: tuple[float, ...] = ()
 
 
 class _Sweep:
@@ -157,7 +168,8 @@ class PvWorkspace(_Sweep):
     position.  The coupling pass holds K as one (m, 6) array indexed by
     constraint row and walks ``coupling``, one ``_LevelRows`` per level
     of ``Model.plan.sweep`` (None where a level has no support link);
-    ``compressed``, built on first use, is ``pv_osimr``'s.  Shapes and
+    ``compressed`` (``pv_osimr``'s rows) and ``early`` (``pv_early_solve``'s
+    schedule) are built on first use.  Shapes and
     bookkeeping depend only on the model and each constraint's (link,
     dim) in order, so a workspace is reusable across solves and
     constraint sets with that layout; the rows' K come from the set on
@@ -170,17 +182,23 @@ class PvWorkspace(_Sweep):
         super().__init__(model)
         self.model = model
         self.layout = cs.layout
-        in_subtree: list[list[int]] = [[] for _ in range(n)]
-        for ci, (j, _) in enumerate(cs.layout):
-            while j >= 0:
-                in_subtree[j].append(ci)
-                j = model.parent[j]
-        self.cons_in_subtree = tuple(tuple(c) for c in in_subtree)
+        plan = model.plan
+        self.con_pos = plan.position[np.array([link for link, _ in self.layout], dtype=int)]
+        self.row_pos = np.repeat(self.con_pos, [dim for _, dim in self.layout])
+        self.n_con_links = len(set(self.con_pos.tolist()))
+        # each link's rows: those of the constrained links at or below it
+        row, at = _root_paths(plan, self.row_pos)
+        member = np.zeros((n, m), dtype=bool)
+        member[at, row] = True
+        at, row = np.nonzero(member)
+        bounds = [0, *(np.flatnonzero(at[1:] != at[:-1]) + 1).tolist(), row.size]
+        self.rows = rows = [row[:0]] * n
+        for lo, hi in zip(bounds, bounds[1:]) if m else ():
+            rows[plan.order[at[lo]]] = row[lo:hi]
         # links whose subtree holds a constraint, and the others, in index
         # order, as levels and as plan positions
-        plan = model.plan
-        self.support = tuple(i for i in range(n) if in_subtree[i])
-        self.off_support = tuple(i for i in range(n) if not in_subtree[i])
+        self.support = tuple(i for i in range(n) if rows[i].size)
+        self.off_support = tuple(i for i in range(n) if not rows[i].size)
         self.support_levels = plan.levels_of(self.support)
         self.off_levels = plan.levels_of(self.off_support)
         self.support_pos = plan.position[np.array(self.support, dtype=int)]
@@ -190,11 +208,10 @@ class PvWorkspace(_Sweep):
         # off it, as plan positions
         self.support_slots = np.append(self.support_pos[self.support_pos > 0],
                                        n + np.arange(model.joints[0].nv if self.support else 0))
-        self.frontier_pos = np.intersect1d(plan.parent[self.off_pos], self.support_pos)
-        self.con_pos = plan.position[np.array([link for link, _ in self.layout], dtype=int)]
-        self.row_pos = np.repeat(self.con_pos, [dim for _, dim in self.layout])
-        self.n_con_links = np.unique(self.con_pos).size
-        self.rows = rows = _carried_rows(model, self.layout)[0]
+        frontier = np.zeros(n + 1, dtype=bool)     # the root's parent -1 lands in the spare slot
+        frontier[plan.parent[self.off_pos]] = True
+        frontier[self.off_pos] = False
+        self.frontier_pos = np.flatnonzero(frontier[:n])
         self.coupling = _coupling_levels(plan, rows, self.support)
         self.da = np.empty((n, 6, 1))
         self.dqj = np.empty_like(self.qj)
@@ -221,12 +238,141 @@ class PvWorkspace(_Sweep):
         return _Compressed(_coupling_levels(self.model.plan, rows, self.support),
                            tuple(reversed(swaps)), np.empty((mm, 6)), np.empty((mm, mm)))
 
+    @cached_property
+    def early(self) -> tuple:
+        """``pv_early_solve``'s schedule: an ``_EarlyLevel`` per level of
+        ``Model.plan.sweep`` (None where no link has a candidate).
 
-def _carried_rows(model: Model, layout, cap: int | None = None):
-    """The rows each link's coupling step carries, bottom-up from the
-    constraint `layout`: its own and its children's.  With `cap`, a link
-    below the root with more carries `cap` fresh rows (numbered from m
-    up) instead; returns the rows and those links' (replaced, fresh)."""
+        With d(i) the number of moving joints on link i's root path, a
+        constraint of `dim` rows on link c is a candidate at its ancestor i
+        only if d(c) - d(i) >= dim: before i's projection its block of L is
+        a sum of one rank-one term per moving joint passed, and the Schur
+        update of an earlier elimination cannot raise its rank.
+        """
+        plan = self.model.plan
+        d = np.zeros(len(plan.order), dtype=int)
+        for lv in plan.sweep[1:]:
+            d[lv.links] = d[lv.parents] + (plan.fixed[lv.links, 0, 0] == 0.0)
+        dims = np.array([dim for _, dim in self.layout], dtype=int)
+        con, at = _root_paths(plan, self.con_pos)
+        keep = d[self.con_pos[con]] - d[at] >= dims[con]
+        con, at = con[keep], at[keep]
+        # a level's links in descending index order, as the coupling pass
+        # lists them, and each link's candidates in constraint order
+        by = np.lexsort((con, -plan.order[at]))
+        con, at = con[by], at[by]
+        levels: list = [None] * len(plan.sweep)
+        starts = np.cumsum(dims) - dims
+        for k in np.unique(plan.depth[at]).tolist():
+            here = plan.depth[at] == k
+            levels[k] = _EarlyLevel.of(self.rows, plan.order, at[here], con[here], starts, dims)
+        return tuple(levels)
+
+
+class _EarlyLevel(NamedTuple):
+    """The early-elimination candidates of one level, in the order they
+    are tried: each candidate's link (its index into the level's links
+    that have candidates), plan position, rows and first row; each such
+    link's rows, also one after another (``scale_rows``, split at
+    ``scale_at``); and the rounds built so far for each set of live
+    candidates (``rounds_of``)."""
+
+    link: list[int]
+    pos: list[int]
+    rows: list[np.ndarray]
+    first: list[int]
+    link_rows: list[np.ndarray]
+    scale_rows: np.ndarray
+    scale_at: np.ndarray
+    rounds: dict
+
+    @staticmethod
+    def of(rows, order, at, con, starts, dims) -> "_EarlyLevel":
+        # a link's candidates are adjacent
+        new = np.r_[True, at[1:] != at[:-1]]
+        link_rows = [rows[i] for i in order[at[new]].tolist()]
+        first = starts[con].tolist()
+        return _EarlyLevel((np.cumsum(new) - 1).tolist(), at.tolist(),
+                           [np.arange(f, f + dims[c]) for f, c in zip(first, con.tolist())],
+                           first, link_rows, np.concatenate(link_rows),
+                           np.cumsum([0] + [r.size for r in link_rows[:-1]]), {})
+
+    def rounds_of(self, live: tuple) -> list["_RoundPlan"]:
+        """The rounds that try the candidates `live`: round r takes each
+        link's r-th."""
+        if live not in self.rounds:
+            rounds: list[list[int]] = []
+            seen: dict[int, int] = {}
+            for c in live:
+                r = seen[self.link[c]] = seen.get(self.link[c], -1) + 1
+                if r == len(rounds):
+                    rounds.append([])
+                rounds[r].append(c)
+            self.rounds[live] = [_RoundPlan.of(self, tuple(cands)) for cands in rounds]
+        return self.rounds[live]
+
+
+class _RoundPlan(NamedTuple):
+    """What a round of early eliminations takes from the layout: its
+    candidates; the index grid of their block of L (``grid[1]`` lists their
+    rows one block after another), each block's span in it and its link
+    (an index into the level's scales), the blocks' sizes and the flops
+    of trying them; the links' plan positions (one int for one block) and
+    rows (``link_rows``, one link's starting at each of ``link_at``); and,
+    for more than one block, the (blocks, 1, rows) mask of each block's
+    own rows and each row's link (``pos_rows``)."""
+
+    cands: tuple
+    grid: tuple
+    spans: list[tuple[int, int, int]]
+    dims: list[int]
+    tries: int
+    pos: int | np.ndarray
+    link_rows: np.ndarray
+    link_at: np.ndarray
+    own: np.ndarray | None
+    pos_rows: int | np.ndarray
+
+    @staticmethod
+    def of(sched: _EarlyLevel, cands: tuple) -> "_RoundPlan":
+        dims = [sched.rows[c].size for c in cands]
+        links = [sched.link[c] for c in cands]
+        pos = [sched.pos[c] for c in cands]
+        at = np.cumsum([0] + dims).tolist()
+        rows = np.concatenate([sched.rows[c] for c in cands])
+        link_rows = [sched.link_rows[k] for k in links]
+        one = len(cands) == 1
+        return _RoundPlan(cands, (rows[:, None], rows), list(zip(at, at[1:], links)), dims,
+                          sum(flops.cholesky(d) for d in dims),
+                          pos[0] if one else np.array(pos), np.concatenate(link_rows),
+                          np.cumsum([0] + [r.size for r in link_rows[:-1]]),
+                          None if one else np.repeat(np.eye(len(cands)), dims, axis=1)[:, None],
+                          pos[0] if one else np.repeat(pos, dims))
+
+
+def _root_paths(plan, pos: np.ndarray):
+    """(item, position) pairs of each item of `pos` (plan positions) with
+    its own position and each of its ancestors', as two arrays."""
+    depth = plan.depth[pos]
+    # deepest first, so that the items at depth d or more are a prefix
+    item = np.argsort(depth)[::-1]
+    at = pos[item]
+    up = depth[item].tolist()[::-1]
+    items, ats = [item], [at]
+    for d in range(1, up[-1] + 1 if up else 0):
+        k = len(up) - bisect.bisect_left(up, d)
+        item, at = item[:k], plan.parent[at[:k]]
+        items.append(item)
+        ats.append(at)
+    return np.concatenate(items), np.concatenate(ats)
+
+
+def _carried_rows(model: Model, layout, cap: int):
+    """``pv_osimr``'s rows each link's coupling step carries, bottom-up
+    from the constraint `layout`: its own and its children's, except that
+    a link below the root with more than `cap` carries `cap` fresh rows
+    (numbered from m up) instead; returns the rows and those links'
+    (replaced, fresh)."""
     rows: list[list[int]] = [[] for _ in range(model.n_links)]
     top = 0
     for link, dim in layout:
@@ -237,7 +383,7 @@ def _carried_rows(model: Model, layout, cap: int | None = None):
         for c in model.children[i]:
             rows[i] += rows[c]
         rows[i].sort()
-        if cap and i and len(rows[i]) > cap:
+        if i and len(rows[i]) > cap:
             swaps.append((np.array(rows[i]), np.arange(top, top + cap)))
             rows[i], top = list(range(top, top + cap)), top + cap
     return [np.array(r, dtype=int) for r in rows], swaps
@@ -490,14 +636,13 @@ def _forward_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels,
             acc[sl] = a_in + plan.S[sl] * q
             work += lv.size * (flops.XMOT + (0 if change else flops.ADD6)) \
                 + lv.moving * _JOINT_ACC
-        for i in ws.coupling[k].links if elim and ws.coupling[k] else ():
-            for rec in reversed(elim[i]):
-                rhs = rec.K @ acc[plan.position[i], :, 0] + rec.l_j
-                if rec.other_rows.size:
-                    rhs = rhs + rec.L_jo @ lam[rec.other_rows]
-                    work += flops.gemm(len(rec.rows), rec.other_rows.size, 1)
-                lam[rec.rows] = -linalg.chol_solve(rec.low, rhs)
-                work += flops.gemm(len(rec.rows), 6, 1)
+        for rec in reversed(elim[k]) if elim else ():
+            a = acc[rec.pos, :, 0]
+            rhs = (rec.K @ a if a.ndim == 1 else (rec.K * a).sum(1)) + rec.l_j
+            if rec.other_rows.size:
+                rhs += rec.L_jo @ lam[rec.other_rows]
+            lam[rec.rows] = -linalg._solve(rec.low, rhs)
+            work += rec.work
     flops.add(work)
 
 
@@ -552,14 +697,24 @@ def _residual(cs: ConstraintSet, ws: PvWorkspace) -> float:
 # constraint coupling
 
 
-@dataclass
-class _Elimination:
+class _Round(NamedTuple):
+    """One round of early eliminations at a level: a constraint's block
+    of rows at each of some of its links, solved out together.  ``rows``
+    lists the blocks one after another and ``pos`` gives their links'
+    plan positions, one per row (an int for a round of one block);
+    ``low`` is the block-diagonal factor of their block of L, and ``K``,
+    ``l_j`` and ``L_jo`` their rows of K, l and L (over the rows still
+    coupled at their links, ``other_rows``) at elimination.  ``work`` is
+    the flops of the back-substitution."""
+
     rows: np.ndarray
+    pos: int | np.ndarray
     low: np.ndarray
     K: np.ndarray
+    l_j: np.ndarray
     other_rows: np.ndarray
     L_jo: np.ndarray
-    l_j: np.ndarray
+    work: int
 
 
 def _try_chol(block: np.ndarray, ratio: float, scale: float = 0.0):
@@ -675,51 +830,82 @@ def _root_coupling(model: Model, cache: KinematicsCache, ws: PvWorkspace, K: np.
     return work
 
 
-def _eliminate(cs: ConstraintSet, ws: PvWorkspace, links, alive: np.ndarray,
-               elim_at: list[list[_Elimination]]) -> None:
-    """Early elimination at each of `links` (support links, before their
-    projections): every coupled constraint block that has become safely
-    invertible is solved out of L and l into IA, pA and the other rows.
+def _backward(model: Model, cache: KinematicsCache, ws: PvWorkspace, tau: np.ndarray,
+              levels: range, alive: np.ndarray | None) -> None:
+    """The inertia, bias and coupling passes over `levels` (a range of
+    ``Model.plan.sweep``), children first."""
+    if levels:
+        run = model.plan.sweep[levels.start:levels.stop]
+        _inertia_pass(model, cache, ws, run)
+        _bias_pass(model, cache, ws, run, tau)
+        _coupling_pass(model, cache, ws, levels[::-1], alive)
 
-    No pass reads an eliminated row of L or l again, so they keep their
-    values: each pivot test is scaled by the largest diagonal of the
-    subtree's rows, eliminated ones included, and the roundoff that a
-    duplicated row leaves once its twin is eliminated fails it.
+
+def _eliminate(ws: PvWorkspace, sched: _EarlyLevel, live: tuple, alive: np.ndarray,
+               done: list[_Round]) -> None:
+    """Early elimination at the links of one level (before their
+    projections): every coupled constraint block of the schedule that has
+    become safely invertible is solved out of L and l into IA, pA and the
+    other rows, and each round of eliminations is appended to `done`.
+    `live` lists the candidates still coupled.
+
+    Sibling subtrees hold disjoint rows, and L couples no two of them, so
+    the links work together in rounds: round r tries the r-th candidate in
+    `live` of each link, as one factor of the block-diagonal union of their
+    blocks, and eliminates those that pass together.  No pass reads an
+    eliminated row of L or l again, so they keep their values: each pivot
+    test is scaled by the largest diagonal of its link's rows at the
+    level, eliminated ones included, and the roundoff that a duplicated
+    row leaves once its twin is eliminated fails it.
     """
-    position = ws.model.plan.position
+    L = ws.L
+    scale = np.maximum.reduceat(L.diagonal()[sched.scale_rows], sched.scale_at).tolist()
+    eliminated = []
     work = 0
-    for i in links:
-        rows_i = ws.rows[i]
-        dual_scale = float(ws.L[rows_i, rows_i].max())
-        for ci in ws.cons_in_subtree[i]:
-            # a constraint's rows are one run, so its blocks are slices
-            start, dim = cs.offsets[ci], cs.layout[ci][1]
-            if not alive[start]:
+    for rp in sched.rounds_of(live):
+        work += rp.tries
+        block = L[rp.grid]
+        low = linalg._factor_or_none(block)
+        if low is None:
+            ok = [_try_chol(block[i:j, i:j], _ELIM_PIVOT_RATIO, scale[k]) is not None
+                  for i, j, k in rp.spans]
+        else:
+            piv, diag = low.diagonal().tolist(), block.diagonal().tolist()
+            ok = [min(piv[i:j]) ** 2 >= _ELIM_PIVOT_RATIO * max(max(diag[i:j]), scale[k])
+                  for i, j, k in rp.spans]
+        if not all(ok):
+            cands = tuple(c for c, keep in zip(rp.cands, ok) if keep)
+            if not cands:
                 continue
-            rj = slice(start, start + dim)
-            low = _try_chol(ws.L[rj, rj], _ELIM_PIVOT_RATIO, dual_scale)
-            work += flops.cholesky(dim)
-            if low is None:
-                continue
-            ract = rows_i[alive[rows_i]]
-            others = ract[(ract < start) | (ract >= start + dim)]
-            kj = ws.K[rj].copy()
-            ljo = ws.L[rj, others]
-            lj = ws.l[rj].copy()
-            x_k = linalg.chol_solve(low, kj)
-            x_l = linalg.chol_solve(low, ljo) if others.size else ljo
-            x_b = linalg.chol_solve(low, lj)
-            ws.IA[position[i]] += kj.T @ x_k
-            ws.pA[position[i], :, 0] += kj.T @ x_b
-            work += flops.gemm(6, dim, 6) + flops.gemm(6, dim, 1)
-            if others.size:
-                ws.K[others] -= ljo.T @ x_k
-                ws.L[others[:, None], others] -= ljo.T @ x_l
-                ws.l[others] -= ljo.T @ x_b
-                work += flops.gemm(others.size, dim, 6 + others.size + 1)
-            alive[rj] = False
-            elim_at[i].append(_Elimination(cs.rows(ci), low, kj, others, ljo, lj))
-            ws.counters["dual_factor_dims"].append(dim)
+            rp = _RoundPlan.of(sched, cands)
+            low = linalg._factor(L[rp.grid])
+        rj = rp.grid[1]
+        alive[rj] = False
+        keep = alive[rp.link_rows]
+        others = rp.link_rows[keep]
+        kj, lj, ljo = ws.K[rj], ws.l[rj], L[rp.grid[0], others]
+        x = linalg._solve(low, np.concatenate((kj, lj[:, None], ljo), axis=1))
+        # each link's added inertia and bias, from its own block's rows; a
+        # round of one block (each round on a chain) takes 2-D products
+        if rp.own is None:
+            ws.IA[rp.pos] += kj.T @ x[:, :6]
+            ws.pA[rp.pos, :, 0] += kj.T @ x[:, 6]
+        else:
+            add = (kj.T * rp.own) @ x[:, :7]
+            ws.IA[rp.pos] += add[:, :, :6]
+            ws.pA[rp.pos, :, 0] += add[:, :, 6]
+        if others.size:
+            upd = ljo.T @ x
+            ws.K[others] -= upd[:, :6]
+            ws.l[others] -= upd[:, 6]
+            L[others[:, None], others] -= upd[:, 7:]
+        back = 0
+        for dim, o in zip(rp.dims, np.add.reduceat(keep, rp.link_at).tolist()):
+            work += flops.chol_solve(dim, 7 + o) + flops.gemm(6, dim, 7) + flops.gemm(o, dim, 7 + o)
+            back += flops.gemm(dim, o + 6, 1) + flops.chol_solve(dim)
+        done.append(_Round(rj, rp.pos_rows, low, kj, lj, others, ljo, back))
+        eliminated += rp.cands
+    ws.counters["dual_factor_dims"] += [sched.rows[c].size for c in sorted(eliminated)]
     flops.add(work)
 
 
@@ -732,7 +918,6 @@ def _exact(model: Model, state: State, tau, cs: ConstraintSet, ws: PvWorkspace,
     tau = _check_inputs(model, state, tau)
     if cache is None:
         cache = forward_kinematics(model, state)
-    n = model.n_links
     beta = _beta_hat(model, cache, cs, ws.beta)
     _own_terms(model, cache, ws)
     tau = _slots(model, tau)
@@ -740,21 +925,22 @@ def _exact(model: Model, state: State, tau, cs: ConstraintSet, ws: PvWorkspace,
     lam = ws.lam
     lam[:] = 0.0
     alive = np.ones(cs.m, dtype=bool)
-    elim_at: list[list[_Elimination]] = [[] for _ in range(n)]
     ws.counters = {"base_dual_dim": 0, "dual_factor_dims": []}
 
     sweep = model.plan.sweep
-    if early:
-        for k in reversed(range(len(sweep))):
-            if ws.coupling[k]:
-                _eliminate(cs, ws, ws.coupling[k].links, alive, elim_at)
-            _inertia_pass(model, cache, ws, sweep[k:k + 1])
-            _bias_pass(model, cache, ws, sweep[k:k + 1], tau)
-            _coupling_pass(model, cache, ws, (k,), alive)
-    else:
-        _inertia_pass(model, cache, ws, sweep)
-        _bias_pass(model, cache, ws, sweep, tau)
-        _coupling_pass(model, cache, ws, reversed(range(len(sweep))))
+    elim: list[list[_Round]] = [[] for _ in sweep]
+    # the passes run over runs of levels, children first; with early
+    # elimination a run ends above each level that still has a coupled
+    # candidate, which eliminates before its projections
+    end = len(sweep)
+    for k in reversed(range(len(sweep))) if early else ():
+        sched = ws.early[k]
+        live = tuple(c for c, first in enumerate(sched.first) if alive[first]) if sched else ()
+        if live:
+            _backward(model, cache, ws, tau, range(k + 1, end), alive)
+            _eliminate(ws, sched, live, alive, elim[k])
+            end = k + 1
+    _backward(model, cache, ws, tau, range(end), alive if early else None)
 
     # dense dual solve for the rows that reached the base, scaled as in _eliminate
     act = alive.nonzero()[0]
@@ -770,7 +956,7 @@ def _exact(model: Model, state: State, tau, cs: ConstraintSet, ws: PvWorkspace,
                 "constrained_aba handles such systems in a least-squares sense")
         lam[act] = linalg.chol_solve(low, rhs)
 
-    _forward_pass(model, cache, ws, sweep, lam, elim_at)
+    _forward_pass(model, cache, ws, sweep, lam, elim)
     qdd = _dofs(model, ws.qj)
 
     resid = _residual(cs, ws)

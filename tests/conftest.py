@@ -49,6 +49,16 @@ def congruence(x, inertia):
     return 0.5 * (out + out.T)
 
 
+def cons_in_subtree(model, cs):
+    """For each link, the constraints on it or below it, in set order."""
+    out = [[] for _ in range(model.n_links)]
+    for ci, (link, _) in enumerate(cs.layout):
+        while link >= 0:
+            out[link].append(ci)
+            link = model.parent[link]
+    return out
+
+
 def loglog_slope(xs, ys) -> float:
     """Least-squares slope of log(y) against log(x)."""
     lx = np.log(np.asarray(xs, dtype=float))

@@ -19,7 +19,7 @@ from pvdyn.integrate import integrate_position
 from pvdyn.kinematics import (constraint_drift, constraint_jacobian, forward_kinematics,
                               velocity_products)
 from pvdyn import flops
-from conftest import loglog_slope
+from conftest import cons_in_subtree, loglog_slope
 
 
 def quadruped():
@@ -449,8 +449,8 @@ class TestSupportSweep:
         shapes = set()
         for name, model, _, _, cs in SUPPORT_CASES:
             ws = PvWorkspace(model, cs)
-            assert ws.support == tuple(i for i in range(model.n_links)
-                                       if ws.cons_in_subtree[i])
+            assert ws.support == tuple(i for i, cons in enumerate(cons_in_subtree(model, cs))
+                                       if cons)
             assert sorted(ws.support + ws.off_support) == list(range(model.n_links))
             if model.base_kind == "floating":
                 shapes.add("floating")
@@ -586,6 +586,21 @@ class TestResidualHistory:
             assert sol.residual_history == (sol.primal_residual,)
         sol = constrained_aba(model, state, tau, ConstraintSet.empty())
         assert sol.residual_history == (sol.primal_residual,)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_converged_residual_is_the_measured_one(self, seed):
+        # after its first entry the residual is the conjugate-residual
+        # recurrence's; at the default tolerance a converged solve's agrees
+        # with J qdd + drift - a* to the rounding of that product
+        model, state, tau, cs = random_feasible_instance(seed)
+        sol = constrained_aba(model, state, tau, cs)
+        assert sol.status == "converged"
+        cache = forward_kinematics(model, state)
+        jac = constraint_jacobian(model, cache, cs)
+        measured = np.linalg.norm(jac @ sol.qdd + constraint_drift(model, cache, cs)
+                                  - cs.stacked_targets())
+        size = np.linalg.norm(jac) * np.linalg.norm(sol.qdd) + np.linalg.norm(cs.stacked_targets())
+        assert abs(sol.primal_residual - measured) <= 100 * np.finfo(float).eps * size
 
 
 class TestHumanoidOracleEquivalence:

@@ -7,6 +7,8 @@ the inertia, bias and forward passes; the flop counts and proximal
 iteration counts of all producers are pinned.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -18,15 +20,15 @@ from pvdyn import (ConstraintSet, Joint, Model, PlueckerTransform, PvWorkspace,
                    random_singular_instance, random_state, relaxed_kkt_oracle,
                    weld_constraint)
 from pvdyn.bench import load_model
-from pvdyn.constrained import (_DUAL_PIVOT_RATIO, _ELIM_PIVOT_RATIO,
-                               _Elimination, _aba, _beta_hat, _bias_pass, _block, _dofs,
-                               _forward_pass, _inertia_pass, _own_terms, _try_chol)
+from pvdyn.constrained import (_DUAL_PIVOT_RATIO, _ELIM_PIVOT_RATIO, _aba, _beta_hat,
+                               _bias_pass, _block, _dofs, _forward_pass, _inertia_pass,
+                               _own_terms, _try_chol)
 from pvdyn.errors import (NotPositiveDefinite, SingularBaseInertia, SingularDual,
                           SingularJointInertia)
 from pvdyn.generators import standard_constraints
 from pvdyn.kinematics import forward_kinematics, velocity_products
 from pvdyn.urdf import parse_urdf_subset
-from conftest import congruence
+from conftest import congruence, cons_in_subtree
 from test_constrained import full_sweep_caba, with_fixed_joints
 from test_kinematics import MIXED_URDF
 
@@ -43,17 +45,35 @@ def joint_solver(d):
     return lambda x: linalg._solve(low, x)
 
 
-def reference_pv(model, state, tau, cs, early):
+class Elimination(NamedTuple):
+    """What the reference's forward loop reads of one elimination."""
+
+    rows: np.ndarray
+    low: np.ndarray
+    K: np.ndarray
+    other_rows: np.ndarray
+    L_jo: np.ndarray
+    l_j: np.ndarray
+
+
+def reference_pv(model, state, tau, cs, early, skip=True):
     """One backward loop doing each link's eliminations, factors, coupling
     and projections together, with a K block per link, then the dual
     solve and the forward loop.  The backward loop takes the links in the
     engine's order, deepest level first and by descending index within a
-    level, so that eliminations happen in the same order.
+    level, so that eliminations happen in the same order.  With `skip`, a
+    link tries no constraint with fewer moving joints between its link
+    and this one than it has rows.
 
     Returns (qdd, lam, flops, base dual dim, eliminated block sizes).
     """
     ws = PvWorkspace(model, cs)
     rows = ws.rows
+    in_subtree = cons_in_subtree(model, cs)
+    # moving joints on each link's root path, below the root
+    moving = [0] * model.n_links
+    for i in range(1, model.n_links):
+        moving[i] = moving[model.parent[i]] + (model.joints[i].nv == 1)
     k_blk = [np.empty((len(r), 6)) for r in rows]
     with flops.counted() as count:
         cache = forward_kinematics(model, state)
@@ -78,11 +98,13 @@ def reference_pv(model, state, tau, cs, early):
             for ci, con in enumerate(cs):
                 if con.link == i:
                     k_blk[i][np.searchsorted(rows_i, cs.rows(ci))] = con.K
-            if early and ws.cons_in_subtree[i]:
+            if early and in_subtree[i]:
                 scale = float(np.max(np.where(alive, np.diag(big_l), elim_diag)[rows_i]))
-                for ci in ws.cons_in_subtree[i]:
+                for ci in in_subtree[i]:
                     rj = cs.rows(ci)
                     if not alive[rj[0]]:
+                        continue
+                    if skip and moving[cs.layout[ci][0]] - moving[i] < len(rj):
                         continue
                     low = _try_chol(big_l[np.ix_(rj, rj)], _ELIM_PIVOT_RATIO, scale)
                     work += flops.cholesky(len(rj))
@@ -111,7 +133,7 @@ def reference_pv(model, state, tau, cs, early):
                     big_l[:, rj] = 0.0
                     small_l[rj] = 0.0
                     alive[rj] = False
-                    elim_at[i].append(_Elimination(rj, low, kj, others.copy(), ljo, lj))
+                    elim_at[i].append(Elimination(rj, low, kj, others.copy(), ljo, lj))
                     dims.append(len(rj))
             loc = np.flatnonzero(alive[rows_i])
             ract = rows_i[loc]
@@ -363,19 +385,66 @@ class TestSameAnswers:
         seen = []
         eliminate = constrained._eliminate
 
-        def spy(cs, ws, links, alive, elim_at):
-            done = [len(recs) for recs in elim_at]
-            eliminate(cs, ws, links, alive, elim_at)
-            for i, recs in enumerate(elim_at):
-                rows = ws.rows[i]
-                split = rows[-1] - rows[0] + 1 != rows.size
-                seen.extend((i, rec.rows[0], split, rec.other_rows.tolist())
-                            for rec in recs[done[i]:])
+        def spy(ws, sched, live, alive, done):
+            start = len(done)
+            eliminate(ws, sched, live, alive, done)
+            # a round eliminates one block per link, beside that link's rows
+            for rec in done[start:]:
+                pos = np.broadcast_to(rec.pos, rec.rows.shape)
+                for p in np.unique(pos):
+                    i = int(model.plan.order[p])
+                    rows = ws.rows[i]
+                    split = rows[-1] - rows[0] + 1 != rows.size
+                    seen.append((i, rec.rows[pos == p][0], split,
+                                 [r for r in rec.other_rows.tolist() if r in rows]))
 
         monkeypatch.setattr(constrained, "_eliminate", spy)
         pv_early_solve(model, state, tau, cs)
         assert sorted(seen) == [(1, 0, True, []), (2, 15, True, []),
                                 (8, 6, True, [15, 16, 17]), (13, 12, True, [0, 1, 2, 3, 4, 5])]
+
+
+def _skip_rule_instances(family):
+    """The instance set on which the structural skip of early elimination
+    is checked: random feasible trees, rank-deficient sets, and the
+    standard fixtures of three models at three row counts."""
+    if family == "feasible":
+        return [random_feasible_instance(seed, max_n=48) for seed in range(700, 760)]
+    if family == "singular":
+        return [random_singular_instance(seed) for seed in range(30)]
+    out = []
+    for spec in ("tree:128:3", "humanoid", "chain:64"):
+        model = load_model(spec)
+        tau = np.random.default_rng(3).uniform(-5, 5, model.nv)
+        out += [(model, random_state(model, 3), tau, standard_constraints(model, m, seed=3))
+                for m in (6, 12, 24)]
+    return out
+
+
+@pytest.mark.parametrize("family", ["feasible", "singular", "standard"])
+def test_structural_skip_changes_no_answer(family):
+    # a constraint of dim rows with fewer than dim moving joints between
+    # its link and the eliminating one has a block of L of rank below dim,
+    # so skipping its attempt must change nothing but the flops
+    skipped = raised = 0
+    for k, instance in enumerate(_skip_rule_instances(family)):
+        got = []
+        for skip in (False, True):
+            try:
+                got.append(reference_pv(*instance, True, skip=skip))
+            except SingularDual:
+                got.append(None)
+        if got[0] is None or got[1] is None:
+            assert got[0] is got[1] is None, k
+            raised += 1
+            continue
+        (qdd, lam, work, base, dims), (qdd_s, lam_s, work_s, base_s, dims_s) = got
+        assert np.array_equal(qdd, qdd_s) and np.array_equal(lam, lam_s), k
+        assert (base, dims) == (base_s, dims_s), k
+        assert work_s <= work
+        skipped += work > work_s
+    # each family exercises the rule: attempts skipped, or raises compared
+    assert skipped if family != "singular" else raised
 
 
 @pytest.mark.parametrize("rows, grid", [([4, 5, 6], False), ([0, 2, 1, 3], True),
@@ -410,13 +479,16 @@ PIN_FIXTURES = _pin_fixtures()
 # acc + da in its first iteration, caba's later iterations as
 # conjugate-residual steps, pv_osimr over its rows compressed
 # to six, and forward kinematics without the zero-gravity acceleration
-# (XMOT + ADD6 = 48 per link), which only constraint_drift forms
+# (XMOT + ADD6 = 48 per link), which only constraint_drift forms; and
+# pv_early without the elimination attempts that cannot succeed, each
+# of which charged flops.cholesky(dim): 24 x cholesky(3) on the tree,
+# 24 x cholesky(6) on the humanoid and 6 x cholesky(3) on the chain
 PINNED_FLOPS = {
-    "tree:128:3": {"pv": 233733, "pv_early": 222231, "pv_soft": 212085, "caba": 230128,
+    "tree:128:3": {"pv": 233733, "pv_early": 221367, "pv_soft": 212085, "caba": 230128,
                    "pv_osim": 176466, "pv_osimr": 178986, "caba_osim": 196050},
-    "humanoid": {"pv": 100533, "pv_early": 80517, "pv_soft": 56829, "caba": 68179,
+    "humanoid": {"pv": 100533, "pv_early": 75333, "pv_soft": 56829, "caba": 68179,
                  "pv_osim": 70350, "pv_osimr": 68718, "caba_osim": 89934},
-    "chain:64": {"pv": 141979, "pv_early": 108517, "pv_soft": 105409, "caba": 124977,
+    "chain:64": {"pv": 141979, "pv_early": 108301, "pv_soft": 105409, "caba": 124977,
                  "pv_osim": 114160, "pv_osimr": 114160, "caba_osim": 114520},
 }
 # the dense oracles' flops on the same calls (weights 1e-6 for the
