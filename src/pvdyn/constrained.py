@@ -12,8 +12,8 @@ set of passes, each charging its own flops:
   no c) over a link subset for the change a bias increment makes.
 * ``_coupling_pass`` — coupling blocks K, L and optionally l with
   ``K a_link + L lam + l = 0``, over the constraint support (the links
-  whose subtree holds a constraint); ``_eliminate`` is its
-  early-elimination step.
+  whose subtree holds a constraint) and the rows of a ``_RowLayout``;
+  ``_eliminate`` is its early-elimination step.
 * ``_forward_pass`` — accelerations and qdd over all links or a subset,
   with an optional K_S' lam term and the back-substitution of rows
   eliminated early.
@@ -74,7 +74,7 @@ How the solvers compose them:
   ones, while a warm start keeps lam0's component in the null space of
   K', which qdd does not see.
 * ``pv_osim`` and ``caba_osim`` run inertia and coupling without l;
-  ``pv_osimr`` over rows compressed to six per link (``_Compressed``).
+  ``pv_osimr`` over rows compressed to six per link.
 
 A constraint set enters as its stacked rows (``ConstraintSet.K``):
 added terms are per-row terms summed into their links' entries of IA
@@ -118,10 +118,12 @@ class SolverSettings:
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.mu <= 0 or self.tol_primal <= 0 or self.max_iter < 1:
-            raise ValueError("solver settings must be positive")
-        if np.any(np.asarray(self.soft_R) <= 0):
-            raise ValueError("soft_R weights must be positive")
+        r = np.asarray(self.soft_R, dtype=float)
+        if not (0 < self.mu < math.inf and 0 < self.tol_primal < math.inf
+                and ((r > 0) & (r < math.inf)).all()):
+            raise ValueError("mu, tol_primal and soft_R must be finite and positive")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError("max_iter must be an integer of at least 1")
 
 
 @dataclass
@@ -166,10 +168,10 @@ class PvWorkspace(_Sweep):
     subtree; its length is the m_i of the sweep.  ``con_pos`` and
     ``row_pos`` hold each constraint's and each row's link as a plan
     position.  The coupling pass holds K as one (m, 6) array indexed by
-    constraint row and walks ``coupling``, one ``_LevelRows`` per level
-    of ``Model.plan.sweep`` (None where a level has no support link);
-    ``compressed`` (``pv_osimr``'s rows) and ``early`` (``pv_early_solve``'s
-    schedule) are built on first use.  Shapes and
+    constraint row and walks a ``_RowLayout``: ``full`` (every row),
+    ``live(alive)`` (the rows not eliminated early, built once per
+    pattern) or ``compressed`` (``pv_osimr``'s rows, built on first use,
+    like ``early``, ``pv_early_solve``'s schedule).  Shapes and
     bookkeeping depend only on the model and each constraint's (link,
     dim) in order, so a workspace is reusable across solves and
     constraint sets with that layout; the rows' K come from the set on
@@ -212,11 +214,12 @@ class PvWorkspace(_Sweep):
         frontier[plan.parent[self.off_pos]] = True
         frontier[self.off_pos] = False
         self.frontier_pos = np.flatnonzero(frontier[:n])
-        self.coupling = _coupling_levels(plan, rows, self.support)
         self.da = np.empty((n, 6, 1))
         self.dqj = np.empty_like(self.qj)
         self.K = np.empty((m, 6))
         self.L = np.empty((m, m))
+        self.full = _RowLayout(_coupling_levels(plan, rows, self.support), (), self.K, self.L)
+        self._live = {np.ones(m, dtype=bool).tobytes(): self.full}
         self.l = np.empty(m)
         self.lam = np.empty(m)
         self.beta = np.empty(m)
@@ -231,12 +234,21 @@ class PvWorkspace(_Sweep):
             return PvWorkspace(model, cs)
         return ws
 
+    def live(self, alive: np.ndarray) -> "_RowLayout":
+        """The layout of the rows `alive` (not eliminated early), built once per pattern."""
+        key = alive.tobytes()
+        if key not in self._live:
+            rows = [r[alive[r]] for r in self.rows]
+            self._live[key] = _RowLayout(_coupling_levels(self.model.plan, rows, self.support),
+                                         (), self.K, self.L)
+        return self._live[key]
+
     @cached_property
-    def compressed(self) -> "_Compressed":
+    def compressed(self) -> "_RowLayout":
         rows, swaps = _carried_rows(self.model, self.layout, 6)
         mm = self.K.shape[0] + 6 * len(swaps)
-        return _Compressed(_coupling_levels(self.model.plan, rows, self.support),
-                           tuple(reversed(swaps)), np.empty((mm, 6)), np.empty((mm, mm)))
+        return _RowLayout(_coupling_levels(self.model.plan, rows, self.support),
+                          tuple(reversed(swaps)), np.empty((mm, 6)), np.empty((mm, mm)))
 
     @cached_property
     def early(self) -> tuple:
@@ -389,11 +401,15 @@ def _carried_rows(model: Model, layout, cap: int):
     return [np.array(r, dtype=int) for r in rows], swaps
 
 
-class _Compressed(NamedTuple):
-    """``pv_osimr``'s rows: a link below the root with more than 6 rows R
+class _RowLayout(NamedTuple):
+    """The rows a coupling pass walks: ``coupling`` holds a ``_LevelRows``
+    per level of ``Model.plan.sweep`` (None where the level carries no
+    row), and the pass works on ``K`` and ``L``.  In ``pv_osimr``'s
+    compressed layout a link below the root with more than 6 rows R
     carries 6 fresh rows V, seeded with K = I, instead.  The pass leaves
     C = K[R] in its frame, and above it R's rows of K are C times V's, so
-    ``swaps`` ((R, V), ancestors first) expand L; Lambda is L[:m, :m]."""
+    ``swaps`` ((R, V), ancestors first) expand L; Lambda is L[:m, :m].
+    The other layouts have no swaps and share the workspace's K and L."""
 
     coupling: tuple
     swaps: tuple
@@ -403,19 +419,16 @@ class _Compressed(NamedTuple):
 
 class _LevelRows(NamedTuple):
     """The constraint rows of one level's support links, in ascending
-    order: each row with its link's plan position, its link's
-    offset in the level and whether that link's joint moves.  ``links``
-    lists the support links in descending index order, ``block`` is L's
-    rows x rows block (``_block``) and ``same`` masks its same-link pairs
-    with 1 and the others with 0 on a level of more than one support link
-    (None on a level of one, where every pair is); the counts are of rows
-    and of same-link row pairs at moving joints."""
+    order: each row with its link's plan position and its link's offset
+    in the level.  ``block`` is L's rows x rows block (``_block``) and
+    ``same`` masks its same-link pairs with 1 and the others with 0 on a
+    level of more than one support link (None on a level of one, where
+    every pair is); the counts are of rows and of same-link row pairs at
+    moving joints."""
 
     rows: np.ndarray
     pos: np.ndarray
     off: np.ndarray
-    moving: np.ndarray
-    links: tuple[int, ...]
     block: tuple
     same: np.ndarray | None
     n_moving: int
@@ -424,13 +437,15 @@ class _LevelRows(NamedTuple):
 
 def _coupling_levels(plan, rows: list[np.ndarray], support) -> tuple:
     """A ``_LevelRows`` per level of ``plan.sweep`` (None where the level
-    has no support link), as views of arrays built for all levels at once."""
+    holds no row of `rows`), as views of arrays built for all levels at
+    once.  Whether a level has one support link or more decides ``same``,
+    whether or not each of them still holds rows."""
     levels: list = [None] * len(plan.sweep)
-    if not support:
-        return tuple(levels)
     link_pos = np.sort(plan.position[list(support)])
     links = plan.order[link_pos].tolist()
     sizes = [rows[i].size for i in links]
+    if not sum(sizes):
+        return tuple(levels)
     row_of = np.concatenate([rows[i] for i in links])
     pos = np.repeat(link_pos, sizes)
     depth = plan.depth[pos]
@@ -443,17 +458,16 @@ def _coupling_levels(plan, rows: list[np.ndarray], support) -> tuple:
     # running counts of moving rows and of the pairs they start
     n_moving = [0] + np.cumsum(moving).tolist()
     n_pairs = [0] + np.cumsum(np.where(moving, link_rows, 0)).tolist()
-    # the support is closed under parents, so every depth down to the
-    # deepest support link holds a run of rows
     levels_at = np.arange(depth[-1] + 2)
     bounds = np.searchsorted(depth, levels_at).tolist()
     link_bounds = np.searchsorted(plan.depth[link_pos], levels_at).tolist()
     for d, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        r = slice(lo, hi)
-        here = tuple(sorted(links[link_bounds[d]:link_bounds[d + 1]], reverse=True))
-        same = None if len(here) == 1 else (off[r, None] == off[r]).astype(float)
-        levels[d] = _LevelRows(row_of[r], pos[r], off[r], moving[r], here, _block(row_of[r]),
-                               same, n_moving[hi] - n_moving[lo], n_pairs[hi] - n_pairs[lo])
+        if lo < hi:
+            r = slice(lo, hi)
+            one = link_bounds[d + 1] - link_bounds[d] == 1
+            same = None if one else (off[r, None] == off[r]).astype(float)
+            levels[d] = _LevelRows(row_of[r], pos[r], off[r], _block(row_of[r]), same,
+                                   n_moving[hi] - n_moving[lo], n_pairs[hi] - n_pairs[lo])
     return tuple(levels)
 
 
@@ -465,9 +479,16 @@ def _block(rows: np.ndarray) -> tuple:
     return (run, run) if r == list(range(r[0], r[-1] + 1)) else (rows[:, None], rows)
 
 
-def _check_inputs(model: Model, state: State, tau) -> np.ndarray:
-    check_state(model, state)
-    return check_vec(model, tau, "tau")
+def _setup(model: Model, state: State, tau, cs: ConstraintSet, ws: PvWorkspace | None,
+           cache: KinematicsCache | None):
+    """Every solver's and Delassus producer's workspace, kinematics cache
+    (forward kinematics unless given; the state is checked once) and tau."""
+    ws = PvWorkspace.ensure(model, cs, ws)
+    if cache is None:
+        cache = forward_kinematics(model, state)
+    else:
+        check_state(model, state)
+    return ws, cache, None if tau is None else check_vec(model, tau, "tau")
 
 
 def _beta_hat(model: Model, cache: KinematicsCache, cs: ConstraintSet,
@@ -717,26 +738,27 @@ class _Round(NamedTuple):
     work: int
 
 
-def _try_chol(block: np.ndarray, ratio: float, scale: float = 0.0):
-    """Cholesky factor if the block is comfortably PD, else None.
+def _pivots_pass(piv: list, diag: list, ratio: float, scale: float) -> bool:
+    """The pivot rule: a block (diagonal `diag`) is comfortably PD if its
+    factor's smallest pivot squared is at least `ratio` times max(diag,
+    `scale`); without `scale`, the largest dual diagonal of the system
+    around it, a tiny-but-positive block would pass its own test."""
+    return min(piv) ** 2 >= ratio * max(max(diag), scale)
 
-    `scale` is an external magnitude reference (the largest dual diagonal
-    of the surrounding system); without it a tiny-but-positive block
-    would pass its own relative test and poison the elimination.
-    """
+
+def _try_chol(block: np.ndarray, ratio: float, scale: float = 0.0):
+    """Cholesky factor if the block passes the pivot rule, else None."""
     low = linalg._factor_or_none(block)
-    if low is None:
-        return None
-    dmax = max(float(block.diagonal().max()), scale)
-    if dmax <= 0.0 or float(low.diagonal().min() ** 2) < ratio * dmax:
+    if low is None or not _pivots_pass(low.diagonal().tolist(), block.diagonal().tolist(),
+                                       ratio, scale):
         return None
     return low
 
 
 def _seed_coupling(cs: ConstraintSet, ws, beta: np.ndarray | None = None) -> None:
     """Each constraint's K into its rows of ``ws.K`` (a workspace or a
-    ``_Compressed`` layout, whose fresh rows past m take K = I by blocks
-    of six), L = 0, l = -beta."""
+    ``_RowLayout``, whose fresh rows past m take K = I by blocks of six),
+    L = 0, l = -beta."""
     ws.K[:cs.m] = cs.K
     ws.K[cs.m:].reshape(-1, 6, 6)[:] = np.eye(6)
     ws.L[:] = 0.0
@@ -751,23 +773,19 @@ def _rows_times(k: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, levels,
-                   alive: np.ndarray | None = None, with_l: bool = True,
-                   layout: _Compressed | None = None) -> None:
+                   lay: _RowLayout, with_l: bool = True) -> None:
     """K, L and optionally l over `levels` (indices into ``Model.plan.sweep``,
-    children first).
+    children first) and the rows of `lay`.
 
     Runs after the inertia pass, and after the bias pass if `with_l`, on
-    the same levels.  `alive` masks the rows still coupled (those not
-    eliminated early); None means all.  A level step takes each of its
-    rows of ``ws.K`` from its link's frame into its parent's, and at the
-    base into the world frame if `with_l`.  Per same-link pair of rows
-    it adds to the level's block of L; an eliminated row is skipped, so
-    its diagonal of L keeps the value that ``_eliminate`` scales its
-    pivot tests by.
-    `layout` brings the rows, K and L of a compressed layout instead.
+    the same levels.  A level step takes each of its rows of K from its
+    link's frame into its parent's, and at the base into the world frame
+    if `with_l`.  Per same-link pair of rows it adds to the level's block
+    of L; a row eliminated early is not in ``ws.live``'s layout, so its
+    diagonal of L keeps the value that ``_eliminate`` scales its pivot
+    tests by.
     """
     plan = model.plan
-    lay = layout or ws
     K, L = lay.K, lay.L
     work = 0
     for k in levels:
@@ -775,24 +793,13 @@ def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, levels
         ws.ks[k] = None
         if lr is None:
             continue
-        rows, pos, off, moving, links, block, same, n_moving, n_pairs = lr
-        if alive is not None and not (keep := alive[rows]).all():
-            if not keep.any():
-                continue
-            rows, pos, off, moving = rows[keep], pos[keep], off[keep], moving[keep]
-            block = _block(rows)
-            n_moving = int(np.count_nonzero(moving))
-            n_pairs = n_moving * rows.size
-            if same is not None:
-                same = same[keep][:, keep]
-                n_pairs = int(np.count_nonzero(same[moving]))
+        rows, pos, off, block, same, n_moving, n_pairs = lr
         if plan.sweep[k].parents is None:
             work += _root_coupling(model, cache, ws, K, L, k, rows, with_l)
             continue
         # a level of one support link (each level of a chain) takes its
-        # blocks as 2-D products, which round as a per-link sweep does; the
-        # choice follows the level's links, not those still holding live rows
-        sel, idx = block[1], (pos[0] if len(links) == 1 else pos)
+        # blocks as 2-D products, which round as a per-link sweep does
+        sel, idx = block[1], (pos[0] if same is None else pos)
         ka = K[sel]
         ks = _rows_times(ka, plan.S[idx])[:, 0]
         w = ks * ws.D_inv[idx, 0, 0]
@@ -831,14 +838,14 @@ def _root_coupling(model: Model, cache: KinematicsCache, ws: PvWorkspace, K: np.
 
 
 def _backward(model: Model, cache: KinematicsCache, ws: PvWorkspace, tau: np.ndarray,
-              levels: range, alive: np.ndarray | None) -> None:
+              levels: range, lay: _RowLayout) -> None:
     """The inertia, bias and coupling passes over `levels` (a range of
-    ``Model.plan.sweep``), children first."""
+    ``Model.plan.sweep``), children first, the last over the rows of `lay`."""
     if levels:
         run = model.plan.sweep[levels.start:levels.stop]
         _inertia_pass(model, cache, ws, run)
         _bias_pass(model, cache, ws, run, tau)
-        _coupling_pass(model, cache, ws, levels[::-1], alive)
+        _coupling_pass(model, cache, ws, levels[::-1], lay)
 
 
 def _eliminate(ws: PvWorkspace, sched: _EarlyLevel, live: tuple, alive: np.ndarray,
@@ -871,7 +878,7 @@ def _eliminate(ws: PvWorkspace, sched: _EarlyLevel, live: tuple, alive: np.ndarr
                   for i, j, k in rp.spans]
         else:
             piv, diag = low.diagonal().tolist(), block.diagonal().tolist()
-            ok = [min(piv[i:j]) ** 2 >= _ELIM_PIVOT_RATIO * max(max(diag[i:j]), scale[k])
+            ok = [_pivots_pass(piv[i:j], diag[i:j], _ELIM_PIVOT_RATIO, scale[k])
                   for i, j, k in rp.spans]
         if not all(ok):
             cands = tuple(c for c, keep in zip(rp.cands, ok) if keep)
@@ -913,11 +920,8 @@ def _eliminate(ws: PvWorkspace, sched: _EarlyLevel, live: tuple, alive: np.ndarr
 # exact solvers
 
 
-def _exact(model: Model, state: State, tau, cs: ConstraintSet, ws: PvWorkspace,
-           early: bool, cache: KinematicsCache | None) -> ConstrainedSolution:
-    tau = _check_inputs(model, state, tau)
-    if cache is None:
-        cache = forward_kinematics(model, state)
+def _exact(model: Model, cache: KinematicsCache, tau: np.ndarray, cs: ConstraintSet,
+           ws: PvWorkspace, early: bool) -> ConstrainedSolution:
     beta = _beta_hat(model, cache, cs, ws.beta)
     _own_terms(model, cache, ws)
     tau = _slots(model, tau)
@@ -937,10 +941,10 @@ def _exact(model: Model, state: State, tau, cs: ConstraintSet, ws: PvWorkspace,
         sched = ws.early[k]
         live = tuple(c for c, first in enumerate(sched.first) if alive[first]) if sched else ()
         if live:
-            _backward(model, cache, ws, tau, range(k + 1, end), alive)
+            _backward(model, cache, ws, tau, range(k + 1, end), ws.live(alive))
             _eliminate(ws, sched, live, alive, elim[k])
             end = k + 1
-    _backward(model, cache, ws, tau, range(end), alive if early else None)
+    _backward(model, cache, ws, tau, range(end), ws.live(alive))
 
     # dense dual solve for the rows that reached the base, scaled as in _eliminate
     act = alive.nonzero()[0]
@@ -967,16 +971,16 @@ def pv_solve(model: Model, state: State, tau, cs: ConstraintSet,
              ws: PvWorkspace | None = None,
              cache: KinematicsCache | None = None) -> ConstrainedSolution:
     """Exact constrained dynamics with base-level multiplier solve."""
-    ws = PvWorkspace.ensure(model, cs, ws)
-    return _exact(model, state, tau, cs, ws, False, cache)
+    ws, cache, tau = _setup(model, state, tau, cs, ws, cache)
+    return _exact(model, cache, tau, cs, ws, False)
 
 
 def pv_early_solve(model: Model, state: State, tau, cs: ConstraintSet,
                    ws: PvWorkspace | None = None,
                    cache: KinematicsCache | None = None) -> ConstrainedSolution:
     """Exact constrained dynamics with aggressive early multiplier elimination."""
-    ws = PvWorkspace.ensure(model, cs, ws)
-    return _exact(model, state, tau, cs, ws, True, cache)
+    ws, cache, tau = _setup(model, state, tau, cs, ws, cache)
+    return _exact(model, cache, tau, cs, ws, True)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,10 +1013,7 @@ def pv_soft_solve(model: Model, state: State, tau, cs: ConstraintSet,
                   cache: KinematicsCache | None = None) -> ConstrainedSolution:
     """Relaxed constrained dynamics in one sweep (no dual system at all)."""
     settings = settings or SolverSettings()
-    ws = PvWorkspace.ensure(model, cs, ws)
-    tau = _check_inputs(model, state, tau)
-    if cache is None:
-        cache = forward_kinematics(model, state)
+    ws, cache, tau = _setup(model, state, tau, cs, ws, cache)
     weights = np.broadcast_to(np.asarray(settings.soft_R, dtype=float), (cs.m,))
     qdd, rnorm = _relaxed(model, cache, cs, ws, tau, weights)
     lam = -ws.resid / weights
@@ -1068,14 +1069,11 @@ def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
     of K', which qdd does not see.
     """
     settings = settings or SolverSettings()
-    ws = PvWorkspace.ensure(model, cs, ws)
-    tau = _check_inputs(model, state, tau)
+    ws, cache, tau = _setup(model, state, tau, cs, ws, cache)
     if lam0 is not None:
         lam0 = np.array(lam0, dtype=float)
         if lam0.shape != (cs.m,):
             raise DimensionMismatch(f"lam0 must have length m={cs.m}")
-    if cache is None:
-        cache = forward_kinematics(model, state)
     mu, tol = settings.mu, settings.tol_primal
     # B < mu, so a multiplier change below tol/mu moves the residual by
     # less than the primal test resolves

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flops, linalg
-from .constrained import (PvWorkspace, SolverSettings, _Compressed, _coupling_pass,
-                          _inertia_pass, _seed_coupling)
-from .kinematics import KinematicsCache, forward_kinematics
+from .constrained import (PvWorkspace, SolverSettings, _coupling_pass, _inertia_pass,
+                          _RowLayout, _seed_coupling, _setup)
+from .kinematics import KinematicsCache
 from .model import ConstraintSet, Model, State
 
 
@@ -70,8 +70,8 @@ def delassus_factor_solve(op: DelassusOperator, rhs: np.ndarray) -> np.ndarray:
 def delassus_apply(op: DelassusOperator, rhs: np.ndarray) -> np.ndarray:
     """Map a constraint-space right-hand side to multipliers."""
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != op.m:
-        raise ValueError(f"rhs length {rhs.shape[0]} != operator dim {op.m}")
+    if rhs.shape[:1] != (op.m,):
+        raise ValueError(f"rhs shape {rhs.shape} does not match operator dim {op.m}")
     if op.kind == "damped_inverse":
         flops.add(flops.gemm(op.m, op.m, 1))
         return op.matrix @ rhs
@@ -79,19 +79,18 @@ def delassus_apply(op: DelassusOperator, rhs: np.ndarray) -> np.ndarray:
 
 
 def _coupled_delassus(model: Model, cache, cs: ConstraintSet, ws: PvWorkspace,
-                      layout: _Compressed | None = None) -> np.ndarray:
-    """Lambda as the base L block of the inertia and coupling passes, over
-    the workspace's rows or a compressed `layout` of them."""
+                      lay: _RowLayout) -> np.ndarray:
+    """Lambda as the base L block of the inertia and coupling passes over
+    the rows of `lay` (the workspace's ``full`` or ``compressed``)."""
     if cs.m == 0:
         return np.zeros((0, 0))
     np.copyto(ws.IA, model.plan.inertia66)
-    _seed_coupling(cs, layout or ws)
+    _seed_coupling(cs, lay)
     sweep = model.plan.sweep
     _inertia_pass(model, cache, ws, sweep)
-    _coupling_pass(model, cache, ws, reversed(range(len(sweep))), with_l=False, layout=layout)
-    if layout:
-        _expand(layout)
-    out = (layout or ws).L[:cs.m, :cs.m]
+    _coupling_pass(model, cache, ws, reversed(range(len(sweep))), lay, with_l=False)
+    _expand(lay)
+    out = lay.L[:cs.m, :cs.m]
     return 0.5 * (out + out.T)
 
 
@@ -99,14 +98,12 @@ def pv_osim(model: Model, state: State, cs: ConstraintSet,
             ws: PvWorkspace | None = None,
             cache: KinematicsCache | None = None) -> DelassusOperator:
     """Delassus matrix as the base-level coupling block of the exact sweep."""
-    ws = PvWorkspace.ensure(model, cs, ws)
-    if cache is None:
-        cache = forward_kinematics(model, state)
-    lam = _coupled_delassus(model, cache, cs, ws)
+    ws, cache, _ = _setup(model, state, None, cs, ws, cache)
+    lam = _coupled_delassus(model, cache, cs, ws, ws.full)
     return DelassusOperator("explicit", lam)
 
 
-def _expand(layout: _Compressed) -> None:
+def _expand(layout: _RowLayout) -> None:
     """The L entries that each compressed link's rows R take above it,
     ancestors first.  Above the link R's rows of K are C = K[R] times the
     fresh rows V's, so over the columns that V meets L[R, cols] gains
@@ -136,9 +133,7 @@ def pv_osimr(model: Model, state: State, cs: ConstraintSet,
              cache: KinematicsCache | None = None) -> DelassusOperator:
     """Delassus matrix by the coupling pass over rows compressed to six
     per link, as PV-OSIMr pushes one 6x6 block through each joint."""
-    ws = PvWorkspace.ensure(model, cs, ws)
-    if cache is None:
-        cache = forward_kinematics(model, state)
+    ws, cache, _ = _setup(model, state, None, cs, ws, cache)
     lam = _coupled_delassus(model, cache, cs, ws, ws.compressed)
     return DelassusOperator("explicit", lam)
 
@@ -156,13 +151,11 @@ def caba_osim(model: Model, state: State, cs: ConstraintSet,
     well-defined for rank-deficient constraint rows.
     """
     settings = settings or SolverSettings()
-    ws = PvWorkspace.ensure(model, cs, ws)
-    if cache is None:
-        cache = forward_kinematics(model, state)
+    ws, cache, _ = _setup(model, state, None, cs, ws, cache)
     m = cs.m
     if m == 0:
         return DelassusOperator("damped_inverse", np.zeros((0, 0)), mu=settings.mu)
-    lam = _coupled_delassus(model, cache, cs, ws)
+    lam = _coupled_delassus(model, cache, cs, ws, ws.full)
     shifted = lam + settings.mu * np.eye(m)
     x = linalg.chol_inverse(linalg.chol_factor(shifted))
     return DelassusOperator("damped_inverse", x, mu=settings.mu)

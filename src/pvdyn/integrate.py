@@ -23,6 +23,7 @@ so the warm start saves proximal iterations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -50,10 +51,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.scheme not in ("semi_implicit_euler", "rk4"):
             raise ValueError(f"unknown integration scheme {self.scheme!r}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if any(g < 0 for g in self.baumgarte_default):
-            raise ValueError("Baumgarte gains must be non-negative")
+        if not math.isfinite(self.dt) or self.dt <= 0:
+            raise ValueError("dt must be finite and positive")
+        if not all(math.isfinite(g) and g >= 0 for g in self.baumgarte_default):
+            raise ValueError("Baumgarte gains must be finite and non-negative")
 
 
 def attach_anchors(model: Model, state: State, cs: ConstraintSet) -> ConstraintSet:

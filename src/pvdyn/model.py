@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -433,6 +434,8 @@ class MotionConstraint:
             raise ValueError("constraint matrix must be m_e x 6 with 1 <= m_e <= 6")
         if a.shape != (k.shape[0],):
             raise ValueError("a_star length must match constraint rows")
+        if self.baumgarte is not None and not all(0 <= g < math.inf for g in self.baumgarte):
+            raise ValueError("Baumgarte gains must be finite and non-negative")
         object.__setattr__(self, "K", k)
         object.__setattr__(self, "a_star", a)
 

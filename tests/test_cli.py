@@ -225,6 +225,13 @@ class TestRollout:
         assert "Traceback" not in result.output
         assert "m must be non-negative" in result.output
 
+    def test_nan_dt_is_usage_error(self, runner):
+        result = runner.invoke(main, ["rollout", "--model", "chain:4", "--m", "3",
+                                      "--dt", "nan"])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert "final_v_norm" not in result.output
+
     def test_singular_dual_is_usage_error(self, runner):
         result = runner.invoke(main, ["rollout", "--model", "humanoid", "--solver", "pv",
                                       "--m", "24", "--steps", "1"])

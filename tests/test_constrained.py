@@ -9,6 +9,7 @@ from pvdyn import (ConstraintSet, MotionConstraint, PvWorkspace,
                    pv_early_solve, pv_solve, pv_soft_solve,
                    random_feasible_instance, random_singular_instance,
                    State, random_state, relaxed_kkt_oracle, weld_constraint)
+from pvdyn import constrained, kinematics
 from pvdyn.bench import load_model
 from pvdyn.constrained import (_aba, _add_rows, _beta_hat, _bias_pass, _dofs, _forward_pass,
                                _inertia_pass, _min_norm, _own_terms, _residual, _slots,
@@ -678,6 +679,52 @@ class TestSoftWeightsVector:
         sol = pv_soft_solve(chain8, state, tau, cs, SolverSettings(soft_R=weights))
         ref = relaxed_kkt_oracle(chain8, state, tau, cs, weights)
         assert np.linalg.norm(sol.qdd - ref) <= 1e-8 * (1 + np.linalg.norm(ref))
+
+
+class TestSettingsValidation:
+    """Settings are finite and positive, and max_iter an integer of at
+    least 1; anything else is a ValueError at construction."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tol_primal": math.nan}, {"tol_primal": math.inf}, {"mu": math.nan}, {"mu": 0.0},
+        {"soft_R": math.nan}, {"soft_R": np.array([1e-6, math.inf])},
+        {"max_iter": 2.5}, {"max_iter": 0}],
+        ids=["tol_nan", "tol_inf", "mu_nan", "mu_zero", "soft_R_nan", "soft_R_inf",
+             "max_iter_float", "max_iter_zero"])
+    def test_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            SolverSettings(**kwargs)
+
+    def test_numpy_scalars_accepted(self):
+        settings = SolverSettings(mu=np.float64(1e-6), max_iter=np.int64(3))
+        assert settings.max_iter == 3
+
+
+class TestOneStateCheck:
+    """Each solver checks the state once: forward kinematics does when it
+    runs, and the set-up does when a cache is passed."""
+
+    @pytest.mark.parametrize("fn", [pv_solve, pv_early_solve, pv_soft_solve, constrained_aba],
+                             ids=["pv", "pv_early", "pv_soft", "caba"])
+    @pytest.mark.parametrize("with_cache", [False, True], ids=["fk", "cache"])
+    def test_state_checked_once(self, monkeypatch, fn, with_cache):
+        model = generate_chain(4)
+        cs = standard_constraints(model, 3)
+        state = random_state(model, 1)
+        cache = forward_kinematics(model, state) if with_cache else None
+        calls = []
+        check = constrained.check_state
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+        for mod in (constrained, kinematics):
+            monkeypatch.setattr(mod, "check_state", counted)
+        fn(model, state, np.zeros(model.nv), cs, cache=cache)
+        assert len(calls) == 1
+        bad = State(np.zeros(model.nq + 1), np.zeros(model.nv))
+        with pytest.raises(DimensionMismatch):
+            fn(model, bad, np.zeros(model.nv), cs, cache=cache)
 
 
 class TestWorkspaceReuse:

@@ -8,11 +8,11 @@ from pvdyn import (ConstraintSet, MotionConstraint, PvWorkspace,
                    forward_kinematics, generate_chain, generate_tree,
                    kkt_oracle, pv_osim, pv_osimr, pv_solve,
                    random_feasible_instance, random_singular_instance,
-                   random_state, weld_constraint, point_constraint)
+                   State, random_state, weld_constraint, point_constraint)
 from pvdyn import delassus
 from pvdyn.constrained import _carried_rows
 from pvdyn.delassus import DelassusOperator
-from pvdyn.errors import NotPositiveDefinite
+from pvdyn.errors import DimensionMismatch, NotPositiveDefinite
 from test_constrained import with_fixed_joints
 
 
@@ -187,13 +187,13 @@ class TestPvOsimr:
         seen = []
         coupling_pass = delassus._coupling_pass
 
-        def spy(model, cache, ws, levels, alive=None, with_l=True, layout=None):
+        def spy(model, cache, ws, levels, lay, with_l=True):
             levels = list(levels)
-            for k in levels if layout is not None else ():
-                lr = layout.coupling[k]
+            for k in levels if lay is ws.compressed else ():
+                lr = lay.coupling[k]
                 if lr is not None and model.plan.sweep[k].parents is not None:
                     seen.append(np.unique(lr.off, return_counts=True)[1].max())
-            coupling_pass(model, cache, ws, levels, alive, with_l, layout)
+            coupling_pass(model, cache, ws, levels, lay, with_l)
 
         monkeypatch.setattr(delassus, "_coupling_pass", spy)
         tree, junction = _branching_tree("floating")
@@ -204,6 +204,17 @@ class TestPvOsimr:
         for mdl, cs in cases:
             _graded_osimr(mdl, cs)
         assert seen and max(seen) == 6
+
+
+class TestProducersCheckTheState:
+    @pytest.mark.parametrize("producer", [pv_osim, pv_osimr, caba_osim],
+                             ids=["pv_osim", "pv_osimr", "caba_osim"])
+    def test_wrong_state_with_a_cache(self, chain8, producer):
+        state = random_state(chain8, 3)
+        cache = forward_kinematics(chain8, state)
+        bad = State(state.q[:-1], state.v)
+        with pytest.raises(DimensionMismatch):
+            producer(chain8, bad, ConstraintSet([weld_constraint(8)]), cache=cache)
 
 
 class TestCabaOsim:
@@ -262,6 +273,13 @@ class TestApplySolve:
         op = DelassusOperator("damped_inverse", x_mat, mu=0.1)
         rhs = np.array([1.0, -2.0])
         np.testing.assert_array_equal(delassus_apply(op, rhs), x_mat @ rhs)
+
+    @pytest.mark.parametrize("rhs", [1.0, np.ones(3), np.ones((3, 2))],
+                             ids=["scalar", "short", "short_block"])
+    def test_rhs_of_wrong_shape_is_value_error(self, rhs):
+        op = DelassusOperator("damped_inverse", np.eye(2), mu=0.1)
+        with pytest.raises(ValueError):
+            delassus_apply(op, rhs)
 
     def test_factor_cached(self, chain8):
         state = random_state(chain8, 10)

@@ -7,6 +7,8 @@ the inertia, bias and forward passes; the flop counts and proximal
 iteration counts of all producers are pinned.
 """
 
+import importlib
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 
 from pvdyn import (ConstraintSet, Joint, Model, PlueckerTransform, PvWorkspace,
                    SolverSettings, SpatialInertia, aba, caba_osim, constrained,
-                   constrained_aba, dense_delassus, flops, generate_humanoid_like,
+                   constrained_aba, dense_delassus, flops, generate_humanoid_like, generate_tree,
                    kkt_oracle, linalg, point_constraint, pv_early_solve, pv_osim,
                    pv_osimr, pv_soft_solve, pv_solve, random_feasible_instance,
                    random_singular_instance, random_state, relaxed_kkt_oracle,
@@ -346,18 +348,18 @@ class TestSameAnswers:
         coupling_pass = constrained._coupling_pass
         current = []
 
-        def spy(model, cache, ws, levels, alive=None, with_l=True):
+        def spy(model, cache, ws, levels, lay, with_l=True):
             for k in levels:
-                lr = ws.coupling[k]
+                lr, live = ws.full.coupling[k], lay.coupling[k]
                 if lr is None or model.plan.sweep[k].parents is None:
                     continue
                 counts = np.unique(lr.off, return_counts=True)[1]
-                if counts.size >= 3 and counts.min() < counts.max() and not lr.moving.all():
+                moving = model.plan.fixed[lr.pos, 0, 0] == 0.0
+                if counts.size >= 3 and counts.min() < counts.max() and not moving.all():
                     shapes.setdefault("wide_level", set()).add(current[-1])
-                if len(lr.links) == 1 and alive is not None \
-                        and 0 < alive[lr.rows].sum() < lr.rows.size:
+                if lr.same is None and live is not None and live.rows.size < lr.rows.size:
                     shapes.setdefault("partly_eliminated", set()).add(current[-1])
-            coupling_pass(model, cache, ws, levels, alive, with_l)
+            coupling_pass(model, cache, ws, levels, lay, with_l)
 
         monkeypatch.setattr(constrained, "_coupling_pass", spy)
         for name, model, state, tau, cs in EXACT_CASES:
@@ -458,6 +460,102 @@ def test_block_takes_slices_only_for_an_ascending_run(rows, grid):
     big = np.arange(100.0).reshape(10, 10)
     assert isinstance(block[0], slice) != grid
     assert np.array_equal(big[block], big[rows[:, None], rows])
+
+
+def _record_live(monkeypatch):
+    """Each ``PvWorkspace.live`` call of the solves that follow, as its
+    workspace, a copy of its mask and the layout it returned."""
+    calls = []
+    live = PvWorkspace.live
+
+    def spy(ws, alive):
+        lay = live(ws, alive)
+        calls.append((ws, alive.copy(), lay))
+        return lay
+    monkeypatch.setattr(PvWorkspace, "live", spy)
+    return calls
+
+
+def _masked(lr, alive, plan):
+    """A level of the full layout masked to the rows `alive`, field by
+    field as the coupling pass once masked it on every call (None if no
+    row is left)."""
+    keep = alive[lr.rows]
+    if not keep.any():
+        return None
+    rows = lr.rows[keep]
+    moving = plan.fixed[lr.pos[keep], 0, 0] == 0.0
+    same = None if lr.same is None else lr.same[keep][:, keep]
+    n_moving = int(moving.sum())
+    n_pairs = n_moving * rows.size if same is None else int(np.count_nonzero(same[moving]))
+    return (rows, lr.pos[keep], lr.off[keep], _block(rows), same, n_moving, n_pairs)
+
+
+def _equal(a, b):
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return all(isinstance(x, np.ndarray) for x in (a, b)) and a.shape == b.shape \
+            and np.array_equal(a, b)
+    return a == b
+
+
+def _fd_tree(monkeypatch):
+    """perfbench's fd-tree: tree:128:3, its point constraints and its 24
+    seeded (state, tau) draws at seed 7101."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    model = generate_tree(*workloads.TREE)
+    cs, points = workloads.fd_fixture(model, 7101)
+    return model, cs, points
+
+
+class TestRowLayouts:
+    """The coupling pass walks one record of rows, ``_RowLayout``; during
+    early elimination it is ``PvWorkspace.live(alive)``, built once per
+    pattern of rows still coupled."""
+
+    def test_live_layout_is_the_full_layout_masked(self, monkeypatch):
+        calls = _record_live(monkeypatch)
+        model, cs, points = _fd_tree(monkeypatch)
+        ws = PvWorkspace(model, cs)
+        for state, tau in points:
+            pv_early_solve(model, state, tau, cs, ws)
+        for _, mdl, state, tau, c in EXACT_CASES:
+            try:
+                pv_early_solve(mdl, state, tau, c)
+            except SingularDual:
+                pass
+        for ws, alive, lay in calls:
+            assert lay.K is ws.K and lay.L is ws.L and lay.swaps == ()
+            for lr, got in zip(ws.full.coupling, lay.coupling, strict=True):
+                assert _equal(got, None if lr is None else _masked(lr, alive, ws.model.plan))
+        assert sum(not alive.all() for _, alive, _ in calls) > len(points)
+
+    def test_second_solve_reuses_the_live_layouts(self, monkeypatch):
+        calls = _record_live(monkeypatch)
+        model, state, tau, cs = next(c[1:] for c in EXACT_CASES if c[0] == "feasible1")
+        ws = PvWorkspace(model, cs)
+        pv_early_solve(model, state, tau, cs, ws)
+        first = [lay for _, _, lay in calls]
+        calls.clear()
+        pv_early_solve(model, state, tau, cs, ws)
+        assert len(calls) == len(first) and any(lay is not ws.full for lay in first)
+        assert all(lay is old for (_, _, lay), old in zip(calls, first))
+
+    def test_eliminating_every_row_leaves_no_level(self, monkeypatch):
+        calls = _record_live(monkeypatch)
+        for seed in range(20):
+            model, state, tau, cs = random_feasible_instance(seed)
+            ws = PvWorkspace(model, cs)
+            pv_early_solve(model, state, tau, cs, ws)
+            if ws.counters["base_dual_dim"] == 0:
+                break
+        else:
+            pytest.fail("no instance eliminated every row")
+        _, alive, lay = calls[-1]
+        assert not alive.any()
+        assert lay.coupling == (None,) * len(model.plan.sweep)
 
 
 def _pin_fixtures():

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -148,6 +149,16 @@ def reference_targets(cache, cs, config):
             targets[rows] += kp * (con.K @ np.concatenate((ang, lin)))
         targets[rows] -= kd * (con.K @ cache.v[con.link])
     return targets
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("kwargs", [{"dt": math.nan}, {"dt": math.inf}, {"dt": 0.0},
+                                        {"baumgarte_default": (math.nan, 0.0)},
+                                        {"baumgarte_default": (0.0, math.inf)}],
+                             ids=["dt_nan", "dt_inf", "dt_zero", "kp_nan", "kd_inf"])
+    def test_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**kwargs)
 
 
 class TestStackedBaumgarte:

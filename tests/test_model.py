@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from pvdyn import (ConstraintSet, Joint, MotionConstraint, PvWorkspace, generate_chain,
                    generate_humanoid_like, generate_tree, neutral_state,
-                   point_constraint, random_state)
+                   point_constraint, random_state, weld_constraint)
 from pvdyn.errors import DimensionMismatch
 from pvdyn.generators import standard_constraints
 
@@ -148,6 +150,12 @@ class TestConstraints:
             MotionConstraint(0, np.zeros((7, 6)), np.zeros(7))
         with pytest.raises(ValueError):
             MotionConstraint(0, np.zeros((2, 5)), np.zeros(2))
+
+    @pytest.mark.parametrize("gains", [(math.nan, 0.0), (0.0, math.inf), (-1.0, 0.0)],
+                             ids=["kp_nan", "kd_inf", "kp_negative"])
+    def test_baumgarte_gains_validation(self, gains):
+        with pytest.raises(ValueError, match="Baumgarte"):
+            weld_constraint(1, baumgarte=gains)
 
     def test_empty(self):
         cs = ConstraintSet.empty()
