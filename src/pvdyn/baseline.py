@@ -35,7 +35,7 @@ from .errors import NotPositiveDefinite
 from .kinematics import (KinematicsCache, constraint_drift,
                          constraint_jacobian, forward_kinematics,
                          velocity_products)
-from .model import ConstraintSet, Model, State, check_state, check_vec, dof_levels
+from .model import ConstraintSet, Model, State, check_vec, dof_levels
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +264,6 @@ def kkt_oracle(model: Model, state: State, tau, cs: ConstraintSet,
     problem and the multiplier is the minimum-norm one.
     """
     tau = check_vec(model, tau, "tau")
-    check_state(model, state)
     cache = forward_kinematics(model, state)
     mass = crba(model, state, cache=cache)
     h = bias_force(model, state, cache=cache)

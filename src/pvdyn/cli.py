@@ -41,7 +41,7 @@ def _note_blas_threads() -> None:
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--sizes", default="12,24,40", show_default=True,
               help="comma-separated random-model sizes")
-@click.option("--instances", default=20, show_default=True, type=int,
+@click.option("--instances", default=20, show_default=True, type=click.IntRange(min=1),
               help="random instances per solver property")
 @click.option("--out", default=None, type=click.Path(), help="write JSON report")
 def check(seed, sizes, instances, out):
@@ -51,6 +51,8 @@ def check(seed, sizes, instances, out):
         size_list = tuple(int(s) for s in sizes.split(","))
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="--sizes") from exc
+    if min(size_list) < 1:
+        raise click.BadParameter("each size must be at least 1", param_hint="--sizes")
     report = checks.run_check_suite(seed=seed, sizes=size_list,
                                     instance_count=instances)
     for line in report.lines():
@@ -111,7 +113,7 @@ def bench(models, algorithms, m_values, reps, seed, out):
 @click.option("--solver", default="pv", show_default=True)
 @click.option("--m", default=0, show_default=True, type=int)
 @click.option("--dt", default=1e-3, show_default=True, type=float)
-@click.option("--steps", default=1000, show_default=True, type=int)
+@click.option("--steps", default=1000, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--scheme", default="semi_implicit_euler", show_default=True)
 @click.option("--baumgarte", default="0,0", show_default=True,

@@ -90,7 +90,6 @@ but one workspace must never be shared by two simultaneous solves.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -102,7 +101,7 @@ from . import flops, linalg
 from .errors import (DimensionMismatch, NotPositiveDefinite, SingularBaseInertia, SingularDual,
                      SingularJointInertia)
 from .kinematics import KinematicsCache, forward_kinematics, velocity_products
-from .model import ConstraintSet, Model, State, check_state, check_vec
+from .model import ConstraintSet, Model, State, check_finite, check_state, check_vec
 
 _ELIM_PIVOT_RATIO = 1e-6     # eagerness threshold for early elimination
 _DUAL_PIVOT_RATIO = 1e-10    # base dual block counts as singular below this
@@ -165,7 +164,8 @@ class PvWorkspace(_Sweep):
     """Preallocated buffers and static row bookkeeping for one (model, cs).
 
     ``rows[i]`` lists the global constraint rows active in link i's
-    subtree; its length is the m_i of the sweep.  ``con_pos`` and
+    subtree, in ascending order (``_carried_rows`` without a cap); its
+    length is the m_i of the sweep.  ``con_pos`` and
     ``row_pos`` hold each constraint's and each row's link as a plan
     position.  The coupling pass holds K as one (m, 6) array indexed by
     constraint row and walks a ``_RowLayout``: ``full`` (every row),
@@ -188,15 +188,7 @@ class PvWorkspace(_Sweep):
         self.con_pos = plan.position[np.array([link for link, _ in self.layout], dtype=int)]
         self.row_pos = np.repeat(self.con_pos, [dim for _, dim in self.layout])
         self.n_con_links = len(set(self.con_pos.tolist()))
-        # each link's rows: those of the constrained links at or below it
-        row, at = _root_paths(plan, self.row_pos)
-        member = np.zeros((n, m), dtype=bool)
-        member[at, row] = True
-        at, row = np.nonzero(member)
-        bounds = [0, *(np.flatnonzero(at[1:] != at[:-1]) + 1).tolist(), row.size]
-        self.rows = rows = [row[:0]] * n
-        for lo, hi in zip(bounds, bounds[1:]) if m else ():
-            rows[plan.order[at[lo]]] = row[lo:hi]
+        self.rows = rows = _carried_rows(model, self.layout)[0]
         # links whose subtree holds a constraint, and the others, in index
         # order, as levels and as plan positions
         self.support = tuple(i for i in range(n) if rows[i].size)
@@ -266,7 +258,13 @@ class PvWorkspace(_Sweep):
         for lv in plan.sweep[1:]:
             d[lv.links] = d[lv.parents] + (plan.fixed[lv.links, 0, 0] == 0.0)
         dims = np.array([dim for _, dim in self.layout], dtype=int)
-        con, at = _root_paths(plan, self.con_pos)
+        starts = np.cumsum(dims) - dims
+        # each constraint at its link and at each ancestor: the links whose
+        # rows hold its first row
+        row = np.concatenate(self.rows)
+        at = np.repeat(plan.position, [r.size for r in self.rows])
+        first = np.isin(row, starts)
+        con, at = np.searchsorted(starts, row[first]), at[first]
         keep = d[self.con_pos[con]] - d[at] >= dims[con]
         con, at = con[keep], at[keep]
         # a level's links in descending index order, as the coupling pass
@@ -274,7 +272,6 @@ class PvWorkspace(_Sweep):
         by = np.lexsort((con, -plan.order[at]))
         con, at = con[by], at[by]
         levels: list = [None] * len(plan.sweep)
-        starts = np.cumsum(dims) - dims
         for k in np.unique(plan.depth[at]).tolist():
             here = plan.depth[at] == k
             levels[k] = _EarlyLevel.of(self.rows, plan.order, at[here], con[here], starts, dims)
@@ -362,29 +359,13 @@ class _RoundPlan(NamedTuple):
                           pos[0] if one else np.repeat(pos, dims))
 
 
-def _root_paths(plan, pos: np.ndarray):
-    """(item, position) pairs of each item of `pos` (plan positions) with
-    its own position and each of its ancestors', as two arrays."""
-    depth = plan.depth[pos]
-    # deepest first, so that the items at depth d or more are a prefix
-    item = np.argsort(depth)[::-1]
-    at = pos[item]
-    up = depth[item].tolist()[::-1]
-    items, ats = [item], [at]
-    for d in range(1, up[-1] + 1 if up else 0):
-        k = len(up) - bisect.bisect_left(up, d)
-        item, at = item[:k], plan.parent[at[:k]]
-        items.append(item)
-        ats.append(at)
-    return np.concatenate(items), np.concatenate(ats)
-
-
-def _carried_rows(model: Model, layout, cap: int):
-    """``pv_osimr``'s rows each link's coupling step carries, bottom-up
-    from the constraint `layout`: its own and its children's, except that
-    a link below the root with more than `cap` carries `cap` fresh rows
-    (numbered from m up) instead; returns the rows and those links'
-    (replaced, fresh)."""
+def _carried_rows(model: Model, layout, cap: int | None = None):
+    """The constraint rows each link's coupling step carries, ascending,
+    bottom-up from the constraint `layout`: its own and its children's,
+    the rows of the constraints in its subtree.  With `cap` (``pv_osimr``'s
+    compressed rows) a link below the root with more than `cap` carries
+    `cap` fresh rows (numbered from m up) instead.  Returns the rows by
+    link index and those links' (replaced, fresh)."""
     rows: list[list[int]] = [[] for _ in range(model.n_links)]
     top = 0
     for link, dim in layout:
@@ -395,7 +376,7 @@ def _carried_rows(model: Model, layout, cap: int):
         for c in model.children[i]:
             rows[i] += rows[c]
         rows[i].sort()
-        if i and len(rows[i]) > cap:
+        if cap is not None and i and len(rows[i]) > cap:
             swaps.append((np.array(rows[i]), np.arange(top, top + cap)))
             rows[i], top = list(range(top, top + cap)), top + cap
     return [np.array(r, dtype=int) for r in rows], swaps
@@ -1074,6 +1055,7 @@ def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
         lam0 = np.array(lam0, dtype=float)
         if lam0.shape != (cs.m,):
             raise DimensionMismatch(f"lam0 must have length m={cs.m}")
+        check_finite(lam0, "lam0")
     mu, tol = settings.mu, settings.tol_primal
     # B < mu, so a multiplier change below tol/mu moves the residual by
     # less than the primal test resolves

@@ -33,7 +33,7 @@ from . import flops, linalg
 from .constrained import (PvWorkspace, SolverSettings, _coupling_pass, _inertia_pass,
                           _RowLayout, _seed_coupling, _setup)
 from .kinematics import KinematicsCache
-from .model import ConstraintSet, Model, State
+from .model import ConstraintSet, Model, State, check_finite
 
 
 @dataclass
@@ -72,6 +72,7 @@ def delassus_apply(op: DelassusOperator, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[:1] != (op.m,):
         raise ValueError(f"rhs shape {rhs.shape} does not match operator dim {op.m}")
+    check_finite(rhs, "rhs")
     if op.kind == "damped_inverse":
         flops.add(flops.gemm(op.m, op.m, 1))
         return op.matrix @ rhs

@@ -9,6 +9,10 @@ class DimensionMismatch(PvdynError):
     """Vector or matrix arguments do not match the model's dimensions."""
 
 
+class NonFiniteInput(PvdynError):
+    """A state, torque, right-hand side or warm start holds a NaN or an infinity."""
+
+
 class MalformedXml(PvdynError):
     """Robot description file is not well-formed XML."""
 

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .baseline import aba
-from .constrained import (SolverSettings, constrained_aba, pv_early_solve,
+from .constrained import (PvWorkspace, SolverSettings, constrained_aba, pv_early_solve,
                           pv_solve, pv_soft_solve)
 from .errors import UnknownAlgorithm
 from .kinematics import KinematicsCache, forward_kinematics
@@ -117,10 +117,6 @@ def _accel(model: Model, state: State, tau, cs: ConstraintSet, solver: str,
            lam0: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
     """qdd, and with ``caba`` its multipliers, warm-started from `lam0`
     (None with the other solvers)."""
-    if solver not in SOLVERS:
-        raise UnknownAlgorithm(f"unknown solver {solver!r}; choose from {SOLVERS}")
-    if solver == "aba" and cs.m:
-        raise UnknownAlgorithm("solver 'aba' cannot handle constraints")
     # one kinematics pass serves the Baumgarte targets and the solver
     cache = forward_kinematics(model, state)
     if solver == "aba":
@@ -188,15 +184,21 @@ def step(model: Model, state: State, tau, cs: ConstraintSet,
          solver: str = "pv", config: IntegratorConfig | None = None,
          ws=None) -> State:
     """Advance one time step with the chosen solver and scheme."""
-    config = config or IntegratorConfig()
-    return _step(model, state, tau, cs, solver, config, ws, _baumgarte(cs, config), None)[0]
+    return rollout(model, state, tau, cs, solver, config, 1, ws)[-1]
 
 
 def rollout(model: Model, state: State, tau, cs: ConstraintSet,
             solver: str = "pv", config: IntegratorConfig | None = None,
             steps: int = 100, ws=None) -> list[State]:
     """Simulate `steps` steps; returns the trajectory including the start.
-    With ``caba`` each step warm-starts from the previous step's multipliers."""
+    The derivatives share one workspace (`ws` if it fits); with ``caba``
+    each step warm-starts from the previous step's multipliers."""
+    if solver not in SOLVERS:
+        raise UnknownAlgorithm(f"unknown solver {solver!r}; choose from {SOLVERS}")
+    if solver == "aba" and cs.m:
+        raise UnknownAlgorithm("solver 'aba' cannot handle constraints")
+    if solver != "aba":
+        ws = PvWorkspace.ensure(model, cs, ws)
     config = config or IntegratorConfig()
     terms = _baumgarte(cs, config)
     traj, lam = [state], None

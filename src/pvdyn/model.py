@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import flops, spatial
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteInput
 from .spatial import PlueckerTransform, SpatialInertia
 
 GRAVITY_DEFAULT = (0.0, 0.0, -9.81)
@@ -370,18 +370,26 @@ class State:
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
 
 
+def check_finite(x: np.ndarray, name: str) -> None:
+    if not np.isfinite(x).all():
+        raise NonFiniteInput(f"{name} holds a NaN or an infinity")
+
+
 def check_state(model: Model, state: State) -> None:
     if state.q.shape != (model.nq,) or state.v.shape != (model.nv,):
         raise DimensionMismatch(
             f"state dims {state.q.shape}/{state.v.shape} do not match "
             f"model nq={model.nq}, nv={model.nv}")
+    check_finite(state.q, "q")
+    check_finite(state.v, "v")
 
 
 def check_vec(model: Model, vec, name: str) -> np.ndarray:
-    """`vec` as a float array of length nv."""
+    """`vec` as a finite float array of length nv."""
     vec = np.asarray(vec, dtype=float)
     if vec.shape != (model.nv,):
         raise DimensionMismatch(f"{name} must have length nv={model.nv}")
+    check_finite(vec, name)
     return vec
 
 

@@ -75,6 +75,16 @@ class TestCheckUsage:
         assert "Traceback" not in result.output
         assert "--sizes" in result.output
 
+    @pytest.mark.parametrize("args, option", [
+        (["--sizes", "0,5"], "--sizes"), (["--sizes", "12,-3"], "--sizes"),
+        (["--instances", "0"], "--instances")])
+    def test_count_below_one_is_usage_error(self, runner, args, option):
+        result = runner.invoke(main, ["check", *args])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert option in result.output
+        assert "PASS" not in result.output
+
 
 class TestBench:
     def test_csv_output(self, runner, tmp_path):
@@ -230,6 +240,26 @@ class TestRollout:
                                       "--dt", "nan"])
         assert result.exit_code == 2
         assert "Traceback" not in result.output
+        assert "final_v_norm" not in result.output
+
+    @pytest.mark.parametrize("steps", ["0", "-2"])
+    def test_steps_below_one_is_usage_error(self, runner, steps):
+        result = runner.invoke(main, ["rollout", "--model", "chain:4", "--steps", steps])
+        assert result.exit_code == 2
+        assert "--steps" in result.output
+        assert "steps:" not in result.output
+
+    # the blow-up overflows in the sweeps before a state turns non-finite
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_diverged_rollout_is_usage_error(self, runner):
+        # dt = 10 s blows the chain up within 200 steps; the first state
+        # holding a NaN or an infinity stops the rollout
+        result = runner.invoke(main, ["rollout", "--model", "chain:8", "--m", "3",
+                                      "--dt", "10", "--steps", "200", "--seed", "3"])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert "NonFiniteInput" in result.output
         assert "final_v_norm" not in result.output
 
     def test_singular_dual_is_usage_error(self, runner):

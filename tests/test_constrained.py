@@ -8,13 +8,14 @@ from pvdyn import (ConstraintSet, MotionConstraint, PvWorkspace,
                    generate_tree, kkt_oracle, neutral_state, point_constraint,
                    pv_early_solve, pv_solve, pv_soft_solve,
                    random_feasible_instance, random_singular_instance,
-                   State, random_state, relaxed_kkt_oracle, weld_constraint)
+                   State, random_state, relaxed_kkt_oracle, rnea, weld_constraint)
 from pvdyn import constrained, kinematics
 from pvdyn.bench import load_model
 from pvdyn.constrained import (_aba, _add_rows, _beta_hat, _bias_pass, _dofs, _forward_pass,
                                _inertia_pass, _min_norm, _own_terms, _residual, _slots,
                                _support_response)
-from pvdyn.errors import DimensionMismatch, SingularDual
+from pvdyn.delassus import caba_osim, pv_osim, pv_osimr
+from pvdyn.errors import DimensionMismatch, NonFiniteInput, SingularDual
 from pvdyn.generators import standard_constraints
 from pvdyn.integrate import integrate_position
 from pvdyn.kinematics import (constraint_drift, constraint_jacobian, forward_kinematics,
@@ -725,6 +726,72 @@ class TestOneStateCheck:
         bad = State(np.zeros(model.nq + 1), np.zeros(model.nv))
         with pytest.raises(DimensionMismatch):
             fn(model, bad, np.zeros(model.nv), cs, cache=cache)
+
+
+_SOLVERS = {"pv": pv_solve, "pv_early": pv_early_solve, "pv_soft": pv_soft_solve,
+            "caba": constrained_aba}
+_PRODUCERS = {"pv_osim": pv_osim, "pv_osimr": pv_osimr, "caba_osim": caba_osim}
+
+
+def _call(name, model, state, tau, cs, cache=None):
+    """A public solver, producer or baseline by name; rnea takes `tau` as qdd."""
+    if name in _SOLVERS:
+        return _SOLVERS[name](model, state, tau, cs, cache=cache)
+    if name in _PRODUCERS:
+        return _PRODUCERS[name](model, state, cs, cache=cache)
+    if name == "kkt_oracle":
+        return kkt_oracle(model, state, tau, cs)
+    return {"aba": aba, "rnea": rnea}[name](model, state, tau)
+
+
+class TestNonFiniteInputs:
+    """A NaN or an infinity in tau (qdd for rnea), q or v raises
+    NonFiniteInput from every public solver, producer and baseline, with
+    or without a kinematics cache, where it used to come back as a
+    successful solve with NaN answers."""
+
+    @staticmethod
+    def _problem(where, bad):
+        model = generate_chain(4)
+        cs = standard_constraints(model, 3)
+        state = random_state(model, 1)
+        tau = np.zeros(model.nv)
+        if where == "tau":
+            tau[1] = bad
+        else:
+            x = getattr(state, where).copy()
+            x[1] = bad
+            state = State(state.q, x) if where == "v" else State(x, state.v)
+        return model, state, tau, cs
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name, where", [
+        (name, where)
+        for name in [*_SOLVERS, *_PRODUCERS, "aba", "rnea", "kkt_oracle"]
+        for where in ("tau", "q", "v")
+        if where != "tau" or name not in _PRODUCERS])     # the producers take no torque
+    def test_raises(self, name, where, bad):
+        model, state, tau, cs = self._problem(where, bad)
+        named = "qdd" if (name, where) == ("rnea", "tau") else where
+        with pytest.raises(NonFiniteInput, match=named):
+            _call(name, model, state, tau, cs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("where", ["q", "v"])
+    @pytest.mark.parametrize("name", [*_SOLVERS, *_PRODUCERS])
+    def test_raises_with_a_cache(self, name, where, bad):
+        model, state, tau, cs = self._problem(where, bad)
+        cache = forward_kinematics(model, random_state(model, 1))
+        with pytest.raises(NonFiniteInput, match=where):
+            _call(name, model, state, tau, cs, cache)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_warm_start_raises(self, bad):
+        model, state, tau, cs = self._problem("tau", 0.0)
+        lam0 = np.zeros(cs.m)
+        lam0[0] = bad
+        with pytest.raises(NonFiniteInput, match="lam0"):
+            constrained_aba(model, state, tau, cs, lam0=lam0)
 
 
 class TestWorkspaceReuse:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from pvdyn import (ConstraintSet, MotionConstraint, PvWorkspace,
 from pvdyn import delassus
 from pvdyn.constrained import _carried_rows
 from pvdyn.delassus import DelassusOperator
-from pvdyn.errors import DimensionMismatch, NotPositiveDefinite
+from pvdyn.errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
 from test_constrained import with_fixed_joints
 
 
@@ -280,6 +282,13 @@ class TestApplySolve:
         op = DelassusOperator("damped_inverse", np.eye(2), mu=0.1)
         with pytest.raises(ValueError):
             delassus_apply(op, rhs)
+
+    @pytest.mark.parametrize("kind", ["explicit", "damped_inverse"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_nonfinite_rhs_raises(self, kind, bad):
+        op = DelassusOperator(kind, np.eye(2), mu=0.1)
+        with pytest.raises(NonFiniteInput, match="rhs"):
+            delassus_apply(op, np.array([1.0, bad]))
 
     def test_factor_cached(self, chain8):
         state = random_state(chain8, 10)

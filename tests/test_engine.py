@@ -510,6 +510,50 @@ def _fd_tree(monkeypatch):
     return model, cs, points
 
 
+def _row_walk_sets(family, monkeypatch):
+    """(model, cs) pairs on which the rows each link carries are pinned."""
+    if family == "feasible":
+        return [random_feasible_instance(seed)[::3] for seed in range(50)]
+    if family == "singular":
+        return [random_singular_instance(seed)[::3] for seed in range(50)]
+    if family == "fd_tree":
+        return [_fd_tree(monkeypatch)[:2]]
+    models = [load_model(spec) for spec in ("chain:64", "humanoid", "tree:128:3")]
+    return [(model, standard_constraints(model, m)) for model in models for m in (6, 12, 24)]
+
+
+@pytest.mark.parametrize("family", ["feasible", "singular", "fd_tree", "standard"])
+def test_rows_and_schedule_match_the_parent_chains(family, monkeypatch):
+    # link i carries the rows of the constraints whose link has i on its
+    # parent chain, and at i early elimination tries those of them with at
+    # least as many moving joints between their link and i as they have rows
+    for model, cs in _row_walk_sets(family, monkeypatch):
+        ws = PvWorkspace(model, cs)
+        in_subtree = cons_in_subtree(model, cs)
+        moving = [0] * model.n_links
+        for i in range(1, model.n_links):
+            moving[i] = moving[model.parent[i]] + (model.joints[i].nv == 1)
+        expected: dict = {}
+        for i in range(model.n_links):
+            rows = sorted(r for ci in in_subtree[i] for r in cs.rows(ci).tolist())
+            assert ws.rows[i].tolist() == rows
+            assert (i in ws.support) == bool(rows)
+            expected.setdefault(int(model.link_depth[i]), []).extend(
+                (-i, ci) for ci in in_subtree[i]
+                if moving[cs.layout[ci][0]] - moving[i] >= cs.layout[ci][1])
+        for k, sched in enumerate(ws.early):
+            # a level's links by descending index, each link's candidates in set order
+            cands = [(-neg, ci) for neg, ci in sorted(expected.get(k, []))]
+            if sched is None:
+                assert not cands
+                continue
+            links = model.plan.order[sched.pos].tolist()
+            assert list(zip(links, sched.first)) == [(i, cs.offsets[ci]) for i, ci in cands]
+            assert [r.tolist() for r in sched.rows] == [cs.rows(ci).tolist() for _, ci in cands]
+            assert [r.tolist() for r in sched.link_rows] == \
+                [ws.rows[i].tolist() for i in dict.fromkeys(links)]
+
+
 class TestRowLayouts:
     """The coupling pass walks one record of rows, ``_RowLayout``; during
     early elimination it is ``PvWorkspace.live(alive)``, built once per

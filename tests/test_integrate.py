@@ -70,19 +70,42 @@ class TestOneKinematicsPassPerDerivative:
         np.testing.assert_array_equal(out.v, ref.v)
 
 
+def count_workspaces(monkeypatch):
+    built = [0]
+    init = PvWorkspace.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(PvWorkspace, "__init__", counted)
+    return built
+
+
 class TestWorkspaceAcrossDerivatives:
     def test_rk4_step_builds_no_workspace(self, monkeypatch):
         model, state, cs, tau = baumgarte_problem()
         ws = PvWorkspace(model, cs)
-        built = [0]
-        init = PvWorkspace.__init__
-
-        def counted(self, *args, **kwargs):
-            built[0] += 1
-            init(self, *args, **kwargs)
-        monkeypatch.setattr(PvWorkspace, "__init__", counted)
+        built = count_workspaces(monkeypatch)
         step(model, state, tau, cs, "caba", IntegratorConfig(scheme="rk4"), ws)
         assert built[0] == 0
+
+    @pytest.mark.parametrize("solver", sorted(SOLVER_FNS))
+    def test_rollout_without_workspace_builds_one(self, monkeypatch, solver):
+        # every derivative of the rollout (or of one step) shares it; aba
+        # takes none
+        model, state, cs, tau = baumgarte_problem()
+        if solver == "aba":
+            cs = ConstraintSet.empty()
+        config = IntegratorConfig(scheme="rk4")
+        expected = rollout(model, state, tau, cs, solver, config, 3,
+                           PvWorkspace(model, cs))
+        built = count_workspaces(monkeypatch)
+        traj = rollout(model, state, tau, cs, solver, config, 3)
+        one = step(model, state, tau, cs, solver, config)
+        assert built[0] == (0 if solver == "aba" else 2)
+        for got, ref in zip(traj + [one], expected + [expected[1]]):
+            np.testing.assert_array_equal(got.q, ref.q)
+            np.testing.assert_array_equal(got.v, ref.v)
 
 
 def caba_iterations(monkeypatch):
