@@ -27,12 +27,13 @@ every joint has one dof or none, so its factors stack as arrays: U,
 D^-1 and u per link (a fixed joint has S = 0 and D = 1).  Link 0, with
 0, 1 or 6 dofs, is a level of its own with a small dense factor.  A
 level step transforms with one 6x6 product per link (the cache's ``xm``)
-and adds each run of siblings into its parent with one sum
-(``Level.scatter``).  The coupling pass keeps K as one array indexed by
-constraint row, each row in the frame of its link's ancestor at the
-depth the sweep has reached; sibling subtrees hold disjoint rows, so a
-level step updates the rows of all its support links at once and adds
-to L over the level's block of rows (``_LevelRows``).  Sums
+and adds each run of siblings into its parent with one sum, or with a
+plain add where every run is one link (``Level.scatter``).  The coupling
+pass keeps K as one array indexed by constraint row, each row in the
+frame of its link's ancestor at the depth the sweep has reached; sibling
+subtrees hold disjoint rows, so a level step updates the rows of all its
+support links at once and adds to L over the level's block of rows
+(``_LevelRows``).  Sums
 run in another order than in a per-link sweep, so answers agree with
 one to rounding, not bit for bit.  A subset pass (the support, or the
 links off it) runs on the subset's levels (``LevelPlan.levels_of``), as
@@ -530,7 +531,7 @@ def _inertia_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels) -> N
         ia = ws.IA[sl]
         ws.U[sl] = uu = ia @ plan.S[sl]
         d = plan.ST[sl] @ uu + plan.fixed[sl]
-        if d.min() <= 0.0:
+        if min(d.ravel().tolist()) <= 0.0:      # a third of d.min()'s cost on a few pivots
             joint = plan.order[sl][np.argmax(d[:, 0, 0] <= 0.0)]
             raise SingularJointInertia(f"joint {joint} inertia is singular")
         ws.D_inv[sl] = inv = 1.0 / d

@@ -57,10 +57,20 @@ class DelassusOperator:
         return self.matrix.shape[0]
 
 
+def _checked_rhs(op: DelassusOperator, rhs) -> np.ndarray:
+    """`rhs` as a finite float array whose first dimension is the operator's."""
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape[:1] != (op.m,):
+        raise ValueError(f"rhs shape {rhs.shape} does not match operator dim {op.m}")
+    check_finite(rhs, "rhs")
+    return rhs
+
+
 def delassus_factor_solve(op: DelassusOperator, rhs: np.ndarray) -> np.ndarray:
     """Solve Lambda x = rhs for an explicit operator (factor cached)."""
     if op.kind != "explicit":
         raise ValueError("factor_solve applies to explicit operators only")
+    rhs = _checked_rhs(op, rhs)
     if op._chol is None:
         op._chol = linalg.chol_factor(op.matrix)   # NotPositiveDefinite if singular
         op.factorizations += 1
@@ -69,14 +79,11 @@ def delassus_factor_solve(op: DelassusOperator, rhs: np.ndarray) -> np.ndarray:
 
 def delassus_apply(op: DelassusOperator, rhs: np.ndarray) -> np.ndarray:
     """Map a constraint-space right-hand side to multipliers."""
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[:1] != (op.m,):
-        raise ValueError(f"rhs shape {rhs.shape} does not match operator dim {op.m}")
-    check_finite(rhs, "rhs")
-    if op.kind == "damped_inverse":
-        flops.add(flops.gemm(op.m, op.m, 1))
-        return op.matrix @ rhs
-    return delassus_factor_solve(op, rhs)
+    if op.kind != "damped_inverse":
+        return delassus_factor_solve(op, rhs)
+    rhs = _checked_rhs(op, rhs)
+    flops.add(flops.gemm(op.m, op.m, 1))
+    return op.matrix @ rhs
 
 
 def _coupled_delassus(model: Model, cache, cs: ConstraintSet, ws: PvWorkspace,

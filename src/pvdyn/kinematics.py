@@ -4,16 +4,18 @@ Everything is expressed in link-local frames.  The cache produced here
 is the shared front end of all dynamics sweeps: joint transforms,
 world transforms, link twists and velocity-product accelerations.
 
-The pass is batched over the tree's depth levels.  The link-local
-terms (joint transforms, composition with the placements, joint twists,
-6x6 motion transforms) run as whole-tree array operations; the
-recursion then runs one array step per depth level, since links at the
-same depth do not depend on each other: world poses and twists, then
+The pass is batched over the tree's depth levels.  The link-local terms
+(joint transforms, composition with the placements, joint twists, 6x6
+motion transforms) run as whole-tree array operations on terms the plan
+holds once per model: a a' and skew(a)' of the revolute axes a, and
+-skew(p) of the placement translations p where p does not move with q.
+The recursion then runs one array step per depth level, since links at
+the same depth do not depend on each other: world poses and twists, then
 ``c`` for the whole tree at once.  The schedule is the model's
 ``LevelPlan``; the cache holds poses and twists by link index, and the
 frames and ``c`` in plan order for the articulated sweeps.  The
-arithmetic and its flop charge are those of the per-link recursion;
-only the Python overhead changes, from per link to per level.
+arithmetic and its flop charge are those of the per-link recursion; only
+the Python overhead changes, from per link to per level.
 ``velocity_products`` does the same for the bias forces ``v x* (I v)``
 that every sweep starts from, and ``constraint_drift`` for the
 zero-gravity acceleration at qdd = 0 that the oracles' drift reads.
@@ -32,7 +34,11 @@ import numpy as np
 
 from . import flops
 from .model import ConstraintSet, Model, State, check_state
-from .spatial import axis_angle_rotation, compose_rt, cross_rows, motion_matrix
+from .spatial import compose_rt, cross_rows, skew
+
+# v x m and v x* f on rows of 6-vectors as three 3-vector cross products each:
+# w, w and v_lin of v with m_ang, m_lin, m_ang of a motion or f_ang, f_lin, f_lin of a force
+_TWIST, _MOTION, _FORCE = np.arange(6).reshape(2, 3)[[[0, 0, 1], [0, 1, 0], [0, 1, 1]]]
 
 
 @dataclass
@@ -54,19 +60,19 @@ class KinematicsCache:
 def forward_kinematics(model: Model, state: State) -> KinematicsCache:
     """Position and velocity recursion over the tree, one step per depth level."""
     check_state(model, state)
-    plan = model.plan
-    q = state.q
-    n = model.n_links
-
+    plan, q, n = model.plan, state.q, model.n_links
     # link-local terms for all links at once: joint transforms composed
     # with the placements, and joint twists
-    rot = model.placement_rot.copy()
-    trans = model.placement_trans.copy()
+    rot, trans = model.placement_rot.copy(), model.placement_trans.copy()
     vj = np.zeros((n, 6))
     rev, pri = plan.revolute, plan.prismatic
     if rev.links.size:
-        jr = axis_angle_rotation(rev.axis, q[rev.q])
-        rot[rev.links] = np.swapaxes(jr, 1, 2) @ rot[rev.links]
+        # the joints' rotations R' = c I + s skew(a)' + (1 - c) a a'
+        angle = q[rev.q]
+        cos, sin = np.cos(angle), np.sin(angle)
+        jr = (1.0 - cos)[:, None, None] * rev.outer + sin[:, None, None] * rev.skew_t
+        jr.reshape(-1, 9)[:, ::4] += cos[:, None]
+        rot[rev.links] = jr @ rot[rev.links]
         vj[rev.links, :3] = rev.axis * state.v[rev.v][:, None]
     if pri.links.size:
         jt = pri.axis * q[pri.q][:, None]
@@ -79,8 +85,12 @@ def forward_kinematics(model: Model, state: State) -> KinematicsCache:
     # the recursion runs in level order, where each level is a slice, on
     # 6x6 motion transforms and 4x4 link-to-world poses [[w_rot', w_trans], [0, 1]]
     order = plan.order
-    rot_l, trans_l, vj_l = rot[order], trans[order], vj[order]
-    xm = motion_matrix(rot_l, trans_l)
+    rot_l, trans_l, vj_l = rot[order], trans[order], vj[order, :, None]
+    xm = np.zeros((n, 6, 6))
+    xm[:, :3, :3] = xm[:, 3:, 3:] = rot_l
+    xm[:, 3:, :3] = rot_l @ plan.neg_skew
+    if plan.moved.size:         # links whose p moves with q
+        xm[plan.moved, 3:, :3] = rot_l[plan.moved] @ -skew(trans_l[plan.moved])
     pose = np.zeros((n, 4, 4))
     pose[:, :3, :3] = np.swapaxes(rot_l, 1, 2)
     pose[:, :3, 3] = trans_l
@@ -90,29 +100,27 @@ def forward_kinematics(model: Model, state: State) -> KinematicsCache:
     v = vj_l.copy()
     for lv in plan.sweep[1:]:
         world[lv.links] = world[lv.parents] @ pose[lv.links]
-        v[lv.links] = (xm[lv.links] @ v[lv.parents, :, None])[:, :, 0] + vj_l[lv.links]
+        v[lv.links] = xm[lv.links] @ v[lv.parents] + vj_l[lv.links]
     # c = v x vj; exactly zero at a root, where v = vj
-    c = np.empty((n, 6))
-    c[:, :3] = cross_rows(v[:, :3], vj_l[:, :3])
-    c[:, 3:] = cross_rows(v[:, :3], vj_l[:, 3:]) + cross_rows(v[:, 3:], vj_l[:, :3])
+    c = cross_rows(v[:, _TWIST, 0], vj_l[:, _MOTION, 0])
+    c[:, 1] += c[:, 2]
     back = plan.position
     world = world[back]
     w_rot = np.swapaxes(world[:, :3, :3], 1, 2).copy()
     w_trans = world[:, :3, 3].copy()
     flops.add(plan.fk_flops)
-    return KinematicsCache(w_rot, w_trans, v[back], xm, xm.swapaxes(1, 2), c[:, :, None])
+    return KinematicsCache(w_rot, w_trans, v[back, :, 0], xm, xm.swapaxes(1, 2),
+                           c[:, :2].reshape(n, 6, 1))
 
 
 def velocity_products(model: Model, cache: KinematicsCache) -> np.ndarray:
     """Velocity-product force ``v x* (I v)`` of every link, as an (n, 6) array."""
-    v = cache.v
+    v, n = cache.v, model.n_links
     h = (model.inertia66 @ v[:, :, None])[:, :, 0]
-    n = model.n_links
-    # w x* (h_ang, h_lin) row-wise, then the v_lin x h_lin term of the torque
-    out = cross_rows(v[:, None, :3], h.reshape(n, 2, 3))
-    out[:, 0] += cross_rows(v[:, 3:], h[:, 3:])
+    out = cross_rows(v[:, _TWIST], h[:, _FORCE])
+    out[:, 0] += out[:, 2]
     flops.add(n * (flops.CROSS_F + flops.APPLY_I))
-    return out.reshape(n, 6)
+    return out[:, :2].reshape(n, 6)
 
 
 def _jacobians(model: Model, cache: KinematicsCache, links) -> np.ndarray:

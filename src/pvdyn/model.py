@@ -113,12 +113,14 @@ def _index(idx: list[int]):
 @dataclass(frozen=True)
 class JointGroup:
     """The links of one 1-dof joint kind, with their coordinate and
-    velocity indices and their unit axes."""
+    velocity indices, their unit axes a, and a a' and skew(a)' of each."""
 
     links: np.ndarray
     q: np.ndarray
     v: np.ndarray
     axis: np.ndarray
+    outer: np.ndarray
+    skew_t: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -127,8 +129,8 @@ class Level:
     one depth and their parents, as positions in plan order (the root
     level has no parents).  In plan order the children of a parent are
     adjacent, so the level is a sequence of sibling runs: ``starts`` holds
-    the offset where each run begins and ``heads`` its parent.
-    ``moving`` counts the 1-dof joints.
+    the offset where each run begins and ``heads`` its parent (``lone``:
+    each run is one link).  ``moving`` counts the 1-dof joints.
     """
 
     links: slice | np.ndarray
@@ -137,10 +139,11 @@ class Level:
     heads: slice | np.ndarray | None
     size: int
     moving: int
+    lone: bool = False
 
     def scatter(self, buf: np.ndarray, push: np.ndarray) -> None:
         """Add each link's push into its parent's row of `buf`."""
-        buf[self.heads] += np.add.reduceat(push, self.starts, axis=0)
+        buf[self.heads] += push if self.lone else np.add.reduceat(push, self.starts, axis=0)
 
 
 @dataclass(frozen=True)
@@ -166,6 +169,8 @@ class LevelPlan:
     revolute: JointGroup
     prismatic: JointGroup
     floating: tuple[int, ...]
+    neg_skew: np.ndarray   # (n,3,3) -skew(p) of the placements' translations p
+    moved: np.ndarray      # positions of the prismatic and floating joints
     fk_flops: int          # flops of one forward-kinematics pass
     parent: np.ndarray     # parent position of each position (-1 at the root)
     depth: np.ndarray      # depth of each position
@@ -184,9 +189,10 @@ class LevelPlan:
 
         def group(kind):
             links = np.array(links_of(kind), dtype=int)
+            a = np.array([model.joints[i].axis for i in links]).reshape(-1, 3)
             return JointGroup(links, np.array([model.q_offset[i] for i in links], dtype=int),
-                              np.array([model.v_offset[i] for i in links], dtype=int),
-                              np.array([model.joints[i].axis for i in links]).reshape(-1, 3))
+                              np.array([model.v_offset[i] for i in links], dtype=int), a,
+                              a[:, :, None] * a[:, None], spatial.skew(a).swapaxes(1, 2).copy())
 
         n = model.n_links
         if any(j.nv > 1 for j in model.joints[1:]):
@@ -209,8 +215,9 @@ class LevelPlan:
         slot_dof = np.r_[np.where(moving, np.array(model.v_offset)[order], model.nv),
                          np.arange(model.joints[0].nv)]
         return LevelPlan(order, position, group("revolute"), group("prismatic"),
-                         tuple(links_of("floating")), fk_flops, parent, depth, s,
-                         s.swapaxes(1, 2), fixed, model.inertia66[order],
+                         tuple(links_of("floating")), -spatial.skew(model.placement_trans[order]),
+                         position[links_of("prismatic") + links_of("floating")], fk_flops,
+                         parent, depth, s, s.swapaxes(1, 2), fixed, model.inertia66[order],
                          np.argsort(slot_dof, kind="stable")[:model.nv], slot_dof, sweep)
 
     def levels_of(self, links) -> tuple[Level, ...]:
@@ -233,7 +240,8 @@ def _levels(parent: np.ndarray, depth: np.ndarray, fixed: np.ndarray,
         par = [parent[k] for k in p]
         starts = [j for j in range(len(p)) if not j or par[j] != par[j - 1]]
         out.append(Level(_index(p), _index(par), np.array(starts),
-                         _index([par[j] for j in starts]), len(p), sum(moving[k] for k in p)))
+                         _index([par[j] for j in starts]), len(p), sum(moving[k] for k in p),
+                         len(starts) == len(p)))
     return tuple(out)
 
 

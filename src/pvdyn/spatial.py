@@ -31,7 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
+_SKEW_AT, _SKEW_OF = np.array([1, 2, 3, 5, 6, 7]), np.array([2, 1, 2, 0, 1, 0])
 _SKEW_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])     # cross_rows's permutations
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -39,7 +41,7 @@ def skew(v: np.ndarray) -> np.ndarray:
     the leading axes of v (..., 3)."""
     v = np.asarray(v, dtype=float)
     out = np.zeros(v.shape[:-1] + (9,))
-    out[..., [1, 2, 3, 5, 6, 7]] = v[..., [2, 1, 2, 0, 1, 0]] * _SKEW_SIGNS
+    out[..., _SKEW_AT] = v[..., _SKEW_OF] * _SKEW_SIGNS
     return out.reshape(v.shape[:-1] + (3, 3))
 
 
@@ -82,7 +84,7 @@ def rotation_to_rpy(r: np.ndarray) -> tuple[float, float, float]:
 
 def quat_to_rotation(q: np.ndarray) -> np.ndarray:
     """Rotation matrix of a unit quaternion (w, x, y, z)."""
-    w, x, y, z = q
+    w, x, y, z = np.asarray(q, dtype=float).tolist()
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
@@ -152,9 +154,7 @@ def rotation_log(r: np.ndarray) -> np.ndarray:
 
 def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross product over the last axis of two broadcastable (..., 3) arrays."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
 def motion_matrix(rot: np.ndarray, trans: np.ndarray) -> np.ndarray:

@@ -290,6 +290,33 @@ class TestApplySolve:
         with pytest.raises(NonFiniteInput, match="rhs"):
             delassus_apply(op, np.array([1.0, bad]))
 
+    @pytest.mark.parametrize("solve", [delassus_apply, delassus_factor_solve],
+                             ids=["apply", "factor_solve"])
+    @pytest.mark.parametrize("rhs", [[math.nan, 1.0], [1.0, math.inf], [1.0, 2.0, 3.0], [1.0]],
+                             ids=["nan", "inf", "long", "short"])
+    def test_explicit_rhs_is_checked(self, solve, rhs):
+        op = DelassusOperator("explicit", np.array([[2.0, 0.5], [0.5, 1.0]]))
+        if len(rhs) == op.m:
+            with pytest.raises(NonFiniteInput, match="rhs"):
+                solve(op, np.array(rhs))
+        else:
+            with pytest.raises(ValueError, match="does not match operator dim 2"):
+                solve(op, np.array(rhs))
+        assert op.factorizations == 0
+
+    @pytest.mark.parametrize("kind", ["explicit", "damped_inverse"])
+    def test_rhs_checked_once_per_call(self, kind, monkeypatch):
+        calls = []
+        check = delassus._checked_rhs
+        monkeypatch.setattr(delassus, "_checked_rhs",
+                            lambda op, rhs: calls.append(1) or check(op, rhs))
+        op = DelassusOperator(kind, np.array([[2.0, 0.5], [0.5, 1.0]]), mu=0.1)
+        delassus_apply(op, np.ones(2))
+        assert len(calls) == 1
+        if kind == "explicit":
+            delassus_factor_solve(op, np.ones(2))
+            assert len(calls) == 2
+
     def test_factor_cached(self, chain8):
         state = random_state(chain8, 10)
         cs = ConstraintSet([weld_constraint(8)])

@@ -13,7 +13,8 @@ from pvdyn.errors import DimensionMismatch
 from pvdyn.generators import standard_constraints
 from pvdyn.integrate import integrate_position
 from pvdyn.kinematics import velocity_products
-from pvdyn.spatial import compose_rt, motion_matrix, skew
+from pvdyn.checks import random_feasible_instance
+from pvdyn.spatial import axis_angle_rotation, compose_rt, motion_matrix, skew
 
 
 def cross_matrix(v):
@@ -63,6 +64,35 @@ def per_link_fk(model, state):
     flops.add(work)
     return SimpleNamespace(rot=rot, trans=trans, w_rot=w_rot, w_trans=w_trans, v=v, c=c,
                            avp=avp)
+
+
+def frames_from_rotations(model, state):
+    """The motion transforms (plan order) and world rotations of
+    ``forward_kinematics`` with no per-model constants: each revolute
+    rotation from ``axis_angle_rotation`` and each transform from
+    ``motion_matrix``, composed in the same order, so that the two agree
+    bit for bit."""
+    plan, q = model.plan, state.q
+    rot, trans = model.placement_rot.copy(), model.placement_trans.copy()
+    rev, pri = plan.revolute, plan.prismatic
+    if rev.links.size:
+        jr = axis_angle_rotation(rev.axis, q[rev.q])
+        rot[rev.links] = np.swapaxes(jr, 1, 2) @ rot[rev.links]
+    if pri.links.size:
+        jt = pri.axis * q[pri.q][:, None]
+        trans[pri.links] += (jt[:, None, :] @ rot[pri.links])[:, 0]
+    for i in plan.floating:
+        jr, jt = model.joints[i].transform(q[model.q_block(i)])
+        rot[i], trans[i] = compose_rt(jr, jt, rot[i], trans[i])
+    rot, trans = rot[plan.order], trans[plan.order]
+    pose = np.zeros((model.n_links, 4, 4))
+    pose[:, :3, :3] = np.swapaxes(rot, 1, 2)
+    pose[:, :3, 3] = trans
+    pose[:, 3, 3] = 1.0
+    world = pose.copy()
+    for lv in plan.sweep[1:]:
+        world[lv.links] = world[lv.parents] @ pose[lv.links]
+    return motion_matrix(rot, trans), np.swapaxes(world[plan.position, :3, :3], 1, 2)
 
 
 # floating trunk; document order interleaves depths 0,1,2,1,3,4,2 and
@@ -218,6 +248,46 @@ class TestLevelBatchedKinematics:
                     np.testing.assert_array_equal(model.parent[run], head)
             assert depths == sorted(set(depths))
             np.testing.assert_array_equal(seen, np.isin(np.arange(model.n_links), subset))
+
+    @pytest.mark.parametrize("case", [f"feasible{seed}" for seed in range(100)]
+                             + ["humanoid", "prismatic-chain", "urdf-mixed"])
+    def test_frames_match_rotations_bit_for_bit(self, case):
+        # the revolute terms a a' and skew(a)' and the placements' -skew(p)
+        # that the plan holds give the frames that axis_angle_rotation and
+        # motion_matrix give, at floating bases and prismatic joints too
+        if case.startswith("feasible"):
+            model, state, _, _ = random_feasible_instance(int(case[8:]))
+        else:
+            model = MODELS[case]()
+            state = random_state(model, 5)
+        cache = forward_kinematics(model, state)
+        xm, w_rot = frames_from_rotations(model, state)
+        for got, want in ((cache.xm, xm), (cache.w_rot, w_rot)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["humanoid", "tree-128-3", "chain64"])
+    def test_scatter_adds_one_link_runs_plainly(self, name):
+        # the plain add is taken on exactly the levels whose sibling runs
+        # are all one link, and it equals the sum over runs bit for bit, on
+        # the whole tree and on a workspace's support and off-support levels
+        model = MODELS[name]()
+        plan = model.plan
+        lone = [lv.lone for lv in plan.sweep[1:]]
+        expected = {"humanoid": (11, 9), "tree-128-3": (5, 1), "chain64": (64, 64)}[name]
+        assert (len(lone), sum(lone)) == expected
+        if name == "tree-128-3":
+            assert lone[-1]
+        ws = PvWorkspace(model, standard_constraints(model, 6, seed=11))
+        rng = np.random.default_rng(3)
+        for levels in (plan.sweep, ws.support_levels, ws.off_levels):
+            for lv in (lv for lv in levels if lv.parents is not None):
+                assert lv.lone == (lv.starts.size == lv.size)
+                buf = rng.standard_normal((model.n_links, 6, 6))
+                push = rng.standard_normal((lv.size, 6, 6))
+                want = buf.copy()
+                want[lv.heads] += np.add.reduceat(push, lv.starts, axis=0)
+                lv.scatter(buf, push)
+                assert buf.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", ["chain7", "tree-floating", "humanoid", "urdf-mixed"])
     def test_velocity_products(self, name):
