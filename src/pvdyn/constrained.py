@@ -102,7 +102,7 @@ from . import flops, linalg
 from .errors import (DimensionMismatch, NotPositiveDefinite, SingularBaseInertia, SingularDual,
                      SingularJointInertia)
 from .kinematics import KinematicsCache, forward_kinematics, velocity_products
-from .model import ConstraintSet, Model, State, check_finite, check_state, check_vec
+from .model import ConstraintSet, Model, State, check_finite, check_links, check_state, check_vec
 
 _ELIM_PIVOT_RATIO = 1e-6     # eagerness threshold for early elimination
 _DUAL_PIVOT_RATIO = 1e-10    # base dual block counts as singular below this
@@ -186,7 +186,7 @@ class PvWorkspace(_Sweep):
         self.model = model
         self.layout = cs.layout
         plan = model.plan
-        self.con_pos = plan.position[np.array([link for link, _ in self.layout], dtype=int)]
+        self.con_pos = plan.position[check_links(model, [link for link, _ in self.layout])]
         self.row_pos = np.repeat(self.con_pos, [dim for _, dim in self.layout])
         self.n_con_links = len(set(self.con_pos.tolist()))
         self.rows = rows = _carried_rows(model, self.layout)[0]
@@ -241,7 +241,8 @@ class PvWorkspace(_Sweep):
         rows, swaps = _carried_rows(self.model, self.layout, 6)
         mm = self.K.shape[0] + 6 * len(swaps)
         return _RowLayout(_coupling_levels(self.model.plan, rows, self.support),
-                          tuple(reversed(swaps)), np.empty((mm, 6)), np.empty((mm, mm)))
+                          tuple(reversed(swaps)), np.empty((mm, 6)), np.empty((mm, mm)),
+                          np.tile(np.eye(6), (len(swaps), 1)))
 
     @cached_property
     def early(self) -> tuple:
@@ -397,6 +398,7 @@ class _RowLayout(NamedTuple):
     swaps: tuple
     K: np.ndarray
     L: np.ndarray
+    fresh: np.ndarray | None = None     # K of the rows past m: I by blocks of six
 
 
 class _LevelRows(NamedTuple):
@@ -737,15 +739,13 @@ def _try_chol(block: np.ndarray, ratio: float, scale: float = 0.0):
     return low
 
 
-def _seed_coupling(cs: ConstraintSet, ws, beta: np.ndarray | None = None) -> None:
-    """Each constraint's K into its rows of ``ws.K`` (a workspace or a
-    ``_RowLayout``, whose fresh rows past m take K = I by blocks of six),
-    L = 0, l = -beta."""
-    ws.K[:cs.m] = cs.K
-    ws.K[cs.m:].reshape(-1, 6, 6)[:] = np.eye(6)
-    ws.L[:] = 0.0
-    if beta is not None:
-        ws.l[:] = -beta
+def _seed_coupling(cs: ConstraintSet, lay: _RowLayout) -> None:
+    """Each constraint's K into its rows of ``lay.K`` (the compressed
+    layout's fresh rows past m take its ``fresh``), and L = 0."""
+    lay.K[:cs.m] = cs.K
+    if lay.fresh is not None:
+        lay.K[cs.m:] = lay.fresh
+    lay.L[:] = 0.0
 
 
 def _rows_times(k: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -907,7 +907,8 @@ def _exact(model: Model, cache: KinematicsCache, tau: np.ndarray, cs: Constraint
     beta = _beta_hat(model, cache, cs, ws.beta)
     _own_terms(model, cache, ws)
     tau = _slots(model, tau)
-    _seed_coupling(cs, ws, beta)
+    _seed_coupling(cs, ws.full)
+    ws.l[:] = -beta
     lam = ws.lam
     lam[:] = 0.0
     alive = np.ones(cs.m, dtype=bool)

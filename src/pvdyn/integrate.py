@@ -34,7 +34,7 @@ from .constrained import (PvWorkspace, SolverSettings, constrained_aba, pv_early
                           pv_solve, pv_soft_solve)
 from .errors import UnknownAlgorithm
 from .kinematics import KinematicsCache, forward_kinematics
-from .model import ConstraintSet, Model, State
+from .model import ConstraintSet, Model, State, check_links
 from .spatial import (PlueckerTransform, quat_exp, quat_multiply, quat_to_rotation,
                       rotation_log)
 
@@ -59,6 +59,7 @@ class IntegratorConfig:
 
 def attach_anchors(model: Model, state: State, cs: ConstraintSet) -> ConstraintSet:
     """Capture each constraint's current link pose as its drift anchor."""
+    check_links(model, cs.links)
     cache = forward_kinematics(model, state)
     out = []
     for con in cs:

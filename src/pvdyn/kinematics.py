@@ -20,20 +20,18 @@ the Python overhead changes, from per link to per level.
 that every sweep starts from, and ``constraint_drift`` for the
 zero-gravity acceleration at qdd = 0 that the oracles' drift reads.
 
-Cache construction is a pure function of (model, state); caches are
-immutable once built and tied to the state they came from.  Solvers
-take an optional cache, so one pass can serve a caller and the solver
-it calls.
+``forward_kinematics`` builds only the frames ``xm``/``xm_t``, all that
+the Delassus producers, ``crba`` and the Jacobians read; the cache builds
+the rest on first read.  Solvers take an optional cache, so one pass can
+serve a caller and the solver it calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import flops
-from .model import ConstraintSet, Model, State, check_state
+from .model import ConstraintSet, Model, State, check_links, check_state
 from .spatial import compose_rt, cross_rows, skew
 
 # v x m and v x* f on rows of 6-vectors as three 3-vector cross products each:
@@ -41,30 +39,67 @@ from .spatial import compose_rt, cross_rows, skew
 _TWIST, _MOTION, _FORCE = np.arange(6).reshape(2, 3)[[[0, 0, 1], [0, 1, 0], [0, 1, 1]]]
 
 
-@dataclass
 class KinematicsCache:
     """Kinematic quantities for one (q, v): world poses and twists by link
     index, and the joint frames and ``c`` in plan order (``Model.plan``)
     for the level sweeps, vectors as (n,6,1) columns: ``xm @ v`` takes
     parent motion vectors into the links' frames and ``xm_t @ f`` pushes
-    link forces into their parents'."""
+    link forces into their parents'.  ``w_rot``, ``w_trans``, ``v`` and
+    ``c`` are built together on the first read of any of them, charging the
+    rest of ``LevelPlan.fk_flops``, and are plain attributes from then on.
+    The cache owns a copy of v, so it stays a pure function of (model, state)."""
 
+    xm: np.ndarray         # (n,6,6) parent-to-link motion transforms, plan order
+    xm_t: np.ndarray       # (n,6,6) their transposes
     w_rot: np.ndarray      # (n,3,3) world-to-link rotations
     w_trans: np.ndarray    # (n,3)   world-to-link translations
     v: np.ndarray          # (n,6)   link twists, link frame
-    xm: np.ndarray         # (n,6,6) parent-to-link motion transforms, plan order
-    xm_t: np.ndarray       # (n,6,6) their transposes
     c: np.ndarray          # (n,6,1) velocity-product accelerations, plan order
+
+    def __init__(self, model: Model, qd: np.ndarray, rot_l, trans_l, xm: np.ndarray):
+        self.xm, self.xm_t = xm, xm.swapaxes(1, 2)
+        self._motion_terms = model, qd, rot_l, trans_l
+
+    def __getattr__(self, name):
+        if name not in ("w_rot", "w_trans", "v", "c"):
+            raise AttributeError(name)
+        (model, qd, rot_l, trans_l), xm = self._motion_terms, self.xm
+        plan, n = model.plan, model.n_links
+        vj, rev, pri = np.zeros((n, 6)), plan.revolute, plan.prismatic
+        if rev.links.size:
+            vj[rev.links, :3] = rev.axis * qd[rev.v][:, None]
+        if pri.links.size:
+            vj[pri.links, 3:] = pri.axis * qd[pri.v][:, None]
+        for i in plan.floating:
+            vj[i] = qd[model.v_block(i)]
+        vj_l = vj[plan.order, :, None]
+        # 4x4 link-to-world poses [[w_rot', w_trans], [0, 1]]; roots keep their own, and v = vj
+        pose = np.zeros((n, 4, 4))
+        pose[:, :3, :3] = np.swapaxes(rot_l, 1, 2)
+        pose[:, :3, 3] = trans_l
+        pose[:, 3, 3] = 1.0
+        world, v = pose.copy(), vj_l.copy()
+        for lv in plan.sweep[1:]:
+            world[lv.links] = world[lv.parents] @ pose[lv.links]
+            v[lv.links] = xm[lv.links] @ v[lv.parents] + vj_l[lv.links]
+        # c = v x vj; exactly zero at a root, where v = vj
+        c = cross_rows(v[:, _TWIST, 0], vj_l[:, _MOTION, 0])
+        c[:, 1] += c[:, 2]
+        world = world[plan.position]
+        self.w_rot = np.swapaxes(world[:, :3, :3], 1, 2).copy()
+        self.w_trans = world[:, :3, 3].copy()
+        self.v, self.c = v[plan.position, :, 0], c[:, :2].reshape(n, 6, 1)
+        flops.add(plan.fk_flops - n * (flops.AXIS_ANGLE + flops.COMPOSE))
+        return self.__dict__[name]
 
 
 def forward_kinematics(model: Model, state: State) -> KinematicsCache:
-    """Position and velocity recursion over the tree, one step per depth level."""
+    """The joint frames of q, one array step per joint group; the twists
+    and world poses follow on first read (``KinematicsCache``)."""
     check_state(model, state)
     plan, q, n = model.plan, state.q, model.n_links
-    # link-local terms for all links at once: joint transforms composed
-    # with the placements, and joint twists
+    # joint transforms composed with the placements, for all links at once
     rot, trans = model.placement_rot.copy(), model.placement_trans.copy()
-    vj = np.zeros((n, 6))
     rev, pri = plan.revolute, plan.prismatic
     if rev.links.size:
         # the joints' rotations R' = c I + s skew(a)' + (1 - c) a a'
@@ -73,44 +108,22 @@ def forward_kinematics(model: Model, state: State) -> KinematicsCache:
         jr = (1.0 - cos)[:, None, None] * rev.outer + sin[:, None, None] * rev.skew_t
         jr.reshape(-1, 9)[:, ::4] += cos[:, None]
         rot[rev.links] = jr @ rot[rev.links]
-        vj[rev.links, :3] = rev.axis * state.v[rev.v][:, None]
     if pri.links.size:
         jt = pri.axis * q[pri.q][:, None]
         trans[pri.links] += (jt[:, None, :] @ rot[pri.links])[:, 0]
-        vj[pri.links, 3:] = pri.axis * state.v[pri.v][:, None]
     for i in plan.floating:
         jr, jt = model.joints[i].transform(q[model.q_block(i)])
         rot[i], trans[i] = compose_rt(jr, jt, rot[i], trans[i])
-        vj[i] = state.v[model.v_block(i)]
-    # the recursion runs in level order, where each level is a slice, on
-    # 6x6 motion transforms and 4x4 link-to-world poses [[w_rot', w_trans], [0, 1]]
+    # 6x6 motion transforms in level order, where each level is a slice
     order = plan.order
-    rot_l, trans_l, vj_l = rot[order], trans[order], vj[order, :, None]
+    rot_l, trans_l = rot[order], trans[order]
     xm = np.zeros((n, 6, 6))
     xm[:, :3, :3] = xm[:, 3:, 3:] = rot_l
     xm[:, 3:, :3] = rot_l @ plan.neg_skew
     if plan.moved.size:         # links whose p moves with q
         xm[plan.moved, 3:, :3] = rot_l[plan.moved] @ -skew(trans_l[plan.moved])
-    pose = np.zeros((n, 4, 4))
-    pose[:, :3, :3] = np.swapaxes(rot_l, 1, 2)
-    pose[:, :3, 3] = trans_l
-    pose[:, 3, 3] = 1.0
-    # roots keep their own pose and v = vj
-    world = pose.copy()
-    v = vj_l.copy()
-    for lv in plan.sweep[1:]:
-        world[lv.links] = world[lv.parents] @ pose[lv.links]
-        v[lv.links] = xm[lv.links] @ v[lv.parents] + vj_l[lv.links]
-    # c = v x vj; exactly zero at a root, where v = vj
-    c = cross_rows(v[:, _TWIST, 0], vj_l[:, _MOTION, 0])
-    c[:, 1] += c[:, 2]
-    back = plan.position
-    world = world[back]
-    w_rot = np.swapaxes(world[:, :3, :3], 1, 2).copy()
-    w_trans = world[:, :3, 3].copy()
-    flops.add(plan.fk_flops)
-    return KinematicsCache(w_rot, w_trans, v[back, :, 0], xm, xm.swapaxes(1, 2),
-                           c[:, :2].reshape(n, 6, 1))
+    flops.add(n * (flops.AXIS_ANGLE + flops.COMPOSE))
+    return KinematicsCache(model, state.v.copy(), rot_l, trans_l, xm)
 
 
 def velocity_products(model: Model, cache: KinematicsCache) -> np.ndarray:
@@ -129,7 +142,7 @@ def _jacobians(model: Model, cache: KinematicsCache, links) -> np.ndarray:
     per step, all links at once (deepest first, so those still walking are
     a prefix), and maps the ancestor's joint columns into the link's frame."""
     plan, s0 = model.plan, model.S[0]
-    pos = plan.position[np.asarray(links, dtype=int)]
+    pos = plan.position[check_links(model, links)]
     order = np.argsort(-plan.depth[pos], kind="stable")
     pos, depth = pos[order], plan.depth[pos[order]]
     jac = np.zeros((pos.size, 6, model.nv + 1))    # column nv takes the fixed joints

@@ -392,6 +392,14 @@ def check_state(model: Model, state: State) -> None:
     check_finite(state.v, "v")
 
 
+def check_links(model: Model, links) -> np.ndarray:
+    """`links` as an int array of link indices, each in range(n_links)."""
+    links = np.asarray(links, dtype=int)
+    if links.size and not 0 <= links.min() <= links.max() < model.n_links:
+        raise DimensionMismatch(f"link index out of range for n_links={model.n_links}")
+    return links
+
+
 def check_vec(model: Model, vec, name: str) -> np.ndarray:
     """`vec` as a finite float array of length nv."""
     vec = np.asarray(vec, dtype=float)
@@ -446,6 +454,8 @@ class MotionConstraint:
     def __post_init__(self):
         k = np.atleast_2d(np.asarray(self.K, dtype=float))
         a = np.atleast_1d(np.asarray(self.a_star, dtype=float))
+        if not isinstance(self.link, (int, np.integer)) or self.link < 0:
+            raise ValueError("constraint link must be a non-negative integer")
         if k.shape[1] != 6 or not 1 <= k.shape[0] <= 6:
             raise ValueError("constraint matrix must be m_e x 6 with 1 <= m_e <= 6")
         if a.shape != (k.shape[0],):

@@ -596,10 +596,13 @@ class TestLevelBatchedRnea:
         if case == "f_ext":
             f_ext = [None if i % 3 == 1 else rng.standard_normal(6)
                      for i in range(model.n_links)]
+        # the cache's twists are built, and charged, on their first read
         cache = forward_kinematics(model, state)
+        _, read_flops = _counted(lambda: cache.v)
         ref, ref_flops = _counted(per_link_rnea, model, state, qdd, f_ext, cache)
         tau, got_flops = _counted(rnea, model, state, qdd, f_ext, cache)
         assert _same(tau, ref) and got_flops == ref_flops
         _, fk_flops = _counted(forward_kinematics, model, state)
+        assert fk_flops + read_flops == model.plan.fk_flops
         _, full_flops = _counted(rnea, model, state, qdd, f_ext)
-        assert full_flops == fk_flops + got_flops
+        assert full_flops == model.plan.fk_flops + got_flops

@@ -178,6 +178,20 @@ class TestPvOsimr:
         ws, (rows, swaps) = _graded_osimr(model, cs)
         assert len(swaps) == 1 and rows[0].size == 9
 
+    def test_fresh_rows_are_seeded_from_the_layout(self):
+        # the compressed layout holds its fresh rows' K = I once, by blocks of
+        # six, and every seed copies it (the pass changes K, never the copy);
+        # the layouts without fresh rows hold none
+        model = generate_chain(8)
+        cs = ConstraintSet([weld_constraint(8), MotionConstraint(7, np.ones((1, 6)), np.zeros(1))])
+        ws = PvWorkspace(model, cs)
+        lay = ws.compressed
+        assert ws.full.fresh is None and ws.live(np.ones(cs.m, dtype=bool)).fresh is None
+        state = random_state(model, 0)
+        first = pv_osimr(model, state, cs, ws).matrix
+        np.testing.assert_array_equal(lay.fresh, np.eye(6))
+        assert pv_osimr(model, state, cs, ws).matrix.tobytes() == first.tobytes()
+
     def test_no_level_step_carries_more_than_six_rows_per_link(self, monkeypatch):
         # exactly 6 rows stay as they are; 7 are compressed
         model = generate_chain(8)
@@ -351,7 +365,8 @@ class TestSolverConsistency:
 
 
 class TestPassedCache:
-    """A producer given the kinematics cache skips only its own FK pass."""
+    """A producer given the kinematics cache skips only its own FK pass,
+    which builds the frames and not the twists and world poses."""
 
     @pytest.mark.parametrize("producer", ["pv_osim", "pv_osimr", "caba_osim"])
     @pytest.mark.parametrize("base_kind", ["fixed", "floating"])
@@ -373,4 +388,7 @@ class TestPassedCache:
             got = call(cache=cache)
             given_flops = given()
         np.testing.assert_array_equal(got, expected)
-        assert own_flops - given_flops == model.plan.fk_flops
+        twists = model.n_links * (flops.XMOT + flops.ADD6 + flops.CROSS_M + flops.COMPOSE) \
+            + 6 * model.nv
+        assert own_flops - given_flops == model.plan.fk_flops - twists
+        assert not {"w_rot", "w_trans", "v", "c"} & vars(cache).keys()

@@ -624,14 +624,17 @@ PIN_FIXTURES = _pin_fixtures()
 # (XMOT + ADD6 = 48 per link), which only constraint_drift forms; and
 # pv_early without the elimination attempts that cannot succeed, each
 # of which charged flops.cholesky(dim): 24 x cholesky(3) on the tree,
-# 24 x cholesky(6) on the humanoid and 6 x cholesky(3) on the chain
+# 24 x cholesky(6) on the humanoid and 6 x cholesky(3) on the chain;
+# and the Delassus producers without the twists and world poses that
+# they never read, n (XMOT + ADD6 + CROSS_M + COMPOSE) + 6 nv = 19,344
+# on the tree, 4,980 on the humanoid and 9,744 on the chain
 PINNED_FLOPS = {
     "tree:128:3": {"pv": 233733, "pv_early": 221367, "pv_soft": 212085, "caba": 230128,
-                   "pv_osim": 176466, "pv_osimr": 178986, "caba_osim": 196050},
+                   "pv_osim": 157122, "pv_osimr": 159642, "caba_osim": 176706},
     "humanoid": {"pv": 100533, "pv_early": 75333, "pv_soft": 56829, "caba": 68179,
-                 "pv_osim": 70350, "pv_osimr": 68718, "caba_osim": 89934},
+                 "pv_osim": 65370, "pv_osimr": 63738, "caba_osim": 84954},
     "chain:64": {"pv": 141979, "pv_early": 108301, "pv_soft": 105409, "caba": 124977,
-                 "pv_osim": 114160, "pv_osimr": 114160, "caba_osim": 114520},
+                 "pv_osim": 104416, "pv_osimr": 104416, "caba_osim": 104776},
 }
 # the dense oracles' flops on the same calls (weights 1e-6 for the
 # relaxed one): constraint_drift charges the 48 per link that forward

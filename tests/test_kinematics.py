@@ -1,14 +1,16 @@
+import copy
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pvdyn import (ConstraintSet, Joint, Model, PvWorkspace, State,
-                   constraint_drift, constraint_jacobian, flops,
+from pvdyn import (ConstraintSet, Joint, Model, PvWorkspace, State, caba_osim,
+                   constraint_drift, constraint_jacobian, crba, flops,
                    forward_kinematics, generate_chain, generate_humanoid_like,
                    generate_tree, link_jacobian, neutral_state,
-                   parse_urdf_subset, point_constraint, random_state,
-                   weld_constraint)
+                   parse_urdf_subset, point_constraint, pv_osim, pv_osimr,
+                   random_state, weld_constraint)
 from pvdyn.errors import DimensionMismatch
 from pvdyn.generators import standard_constraints
 from pvdyn.integrate import integrate_position
@@ -184,6 +186,72 @@ class TestForwardKinematics:
             forward_kinematics(chain8, State(np.zeros(3), np.zeros(8)))
 
 
+MOTION_FIELDS = ("w_rot", "w_trans", "v", "c")
+
+
+class TestTwistsOnFirstRead:
+    """The twists, world poses and c are built together on the first read
+    of any of them, from what the cache holds, and never by the readers of
+    the frames alone."""
+
+    @pytest.mark.parametrize("reader", ["pv_osim", "pv_osimr", "caba_osim", "crba",
+                                        "constraint_jacobian"])
+    @pytest.mark.parametrize("name", ["humanoid", "tree-floating", "chain7"])
+    def test_frame_readers_leave_them_unbuilt(self, name, reader):
+        model = MODELS[name]()
+        state = random_state(model, 2)
+        cs = standard_constraints(model, min(6, model.nv - 1), seed=2)
+        cache = forward_kinematics(model, state)
+        {"pv_osim": lambda: pv_osim(model, state, cs, cache=cache),
+         "pv_osimr": lambda: pv_osimr(model, state, cs, cache=cache),
+         "caba_osim": lambda: caba_osim(model, state, cs, cache=cache),
+         "crba": lambda: crba(model, state, cache=cache),
+         "constraint_jacobian": lambda: constraint_jacobian(model, cache, cs)}[reader]()
+        assert not set(MOTION_FIELDS) & vars(cache).keys()
+
+    @pytest.mark.parametrize("first", MOTION_FIELDS)
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_same_bytes_whichever_is_read_first(self, name, first):
+        model = MODELS[name]()
+        state = random_state(model, 4)
+        want = forward_kinematics(model, state)
+        for field in reversed(MOTION_FIELDS):
+            getattr(want, field)
+        got = forward_kinematics(model, state)
+        getattr(got, first)
+        assert set(MOTION_FIELDS) <= vars(got).keys()
+        for field in MOTION_FIELDS + ("xm", "xm_t"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+        # the per-link reference forms c = v x vj in another order, and the
+        # rest with the same arithmetic
+        ref = per_link_fk(model, state)
+        for field in ("w_rot", "w_trans", "v"):
+            assert getattr(got, field).tobytes() == getattr(ref, field).tobytes(), field
+
+    @pytest.mark.parametrize("name", ["humanoid", "tree-floating", "prismatic-chain"])
+    def test_a_later_change_to_the_state_reaches_no_field(self, name):
+        model = MODELS[name]()
+        state = random_state(model, 6)
+        pristine = State(state.q.copy(), state.v.copy())
+        cache = forward_kinematics(model, state)
+        state.q[:] += 0.25
+        state.v[:] *= -3.0
+        want = forward_kinematics(model, pristine)
+        for field in MOTION_FIELDS + ("xm", "xm_t"):
+            assert getattr(cache, field).tobytes() == getattr(want, field).tobytes(), field
+
+    def test_copies_of_an_unbuilt_cache(self):
+        model = MODELS["humanoid"]()
+        state = random_state(model, 8)
+        cache = forward_kinematics(model, state)
+        copies = (copy.copy(cache), copy.deepcopy(cache), pickle.loads(pickle.dumps(cache)))
+        assert not hasattr(cache, "w_pose") and not set(MOTION_FIELDS) & vars(cache).keys()
+        for other in copies:
+            for field in MOTION_FIELDS:
+                assert getattr(other, field).tobytes() == getattr(cache, field).tobytes()
+
+
 class TestLevelBatchedKinematics:
     """The level-batched pass against the per-link reference loop."""
 
@@ -192,13 +260,20 @@ class TestLevelBatchedKinematics:
     def test_matches_per_link_loop(self, name, seed):
         model = MODELS[name]()
         state = random_state(model, seed)
+        # construction charges the frames; the first read of any of the
+        # twists and world poses charges the rest of fk_flops, later reads none
         with flops.counted() as fl_new:
             new = forward_kinematics(model, state)
+            n_frames = fl_new()
+            new.w_rot
             n_new = fl_new()
+            new.v, new.c, new.w_trans, new.w_rot
+            assert fl_new() == n_new
         with flops.counted() as fl_ref:
             ref = per_link_fk(model, state)
             n_ref = fl_ref()
-        assert n_new == n_ref
+        assert n_frames == model.n_links * (flops.AXIS_ANGLE + flops.COMPOSE)
+        assert n_new == n_ref == model.plan.fk_flops
         # the plan-order frames and c by link, and the zero-gravity
         # acceleration that constraint_drift forms, read through welds
         n, pos = model.n_links, model.plan.position

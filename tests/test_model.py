@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from pvdyn import (ConstraintSet, Joint, MotionConstraint, PvWorkspace, generate_chain,
-                   generate_humanoid_like, generate_tree, neutral_state,
-                   point_constraint, random_state, weld_constraint)
+from pvdyn import (ConstraintSet, Joint, MotionConstraint, PvWorkspace, attach_anchors,
+                   constraint_jacobian, forward_kinematics, generate_chain,
+                   generate_humanoid_like, generate_tree, link_jacobian, neutral_state,
+                   point_constraint, pv_osim, pv_solve, random_state, weld_constraint)
 from pvdyn.errors import DimensionMismatch
 from pvdyn.generators import standard_constraints
 
@@ -150,6 +151,43 @@ class TestConstraints:
             MotionConstraint(0, np.zeros((7, 6)), np.zeros(7))
         with pytest.raises(ValueError):
             MotionConstraint(0, np.zeros((2, 5)), np.zeros(2))
+
+    @pytest.mark.parametrize("link", [-1, -4, 1.0, 2.5, "1", None])
+    def test_link_must_be_a_non_negative_integer(self, link):
+        # a negative link would index from the end of the tree
+        with pytest.raises(ValueError, match="non-negative integer"):
+            point_constraint(link, [0.1, 0.0, 0.0])
+        with pytest.raises(ValueError, match="non-negative integer"):
+            MotionConstraint(link, np.eye(6), np.zeros(6))
+
+    def test_numpy_integer_links_are_accepted(self):
+        con = weld_constraint(np.int64(2))
+        assert con.link == 2 and ConstraintSet([con]).layout == ((2, 6),)
+
+    @pytest.mark.parametrize("past", [0, 1, 7])
+    def test_links_past_the_tree_raise_dimension_mismatch(self, past):
+        model = generate_chain(4)
+        state = random_state(model, 0)
+        link = model.n_links + past
+        cs = ConstraintSet([weld_constraint(1), point_constraint(link, [0.1, 0.0, 0.0])])
+        cache = forward_kinematics(model, state)
+        for call in (lambda: PvWorkspace(model, cs),
+                     lambda: pv_solve(model, state, np.zeros(model.nv), cs),
+                     lambda: pv_osim(model, state, cs),
+                     lambda: constraint_jacobian(model, cache, cs),
+                     lambda: link_jacobian(model, cache, link),
+                     lambda: attach_anchors(model, state, cs)):
+            with pytest.raises(DimensionMismatch, match="link index"):
+                call()
+
+    def test_link_jacobian_refuses_a_negative_link(self):
+        model = generate_chain(4)
+        cache = forward_kinematics(model, random_state(model, 0))
+        with pytest.raises(DimensionMismatch, match="link index"):
+            link_jacobian(model, cache, -1)
+        np.testing.assert_array_equal(link_jacobian(model, cache, model.n_links - 1),
+                                      constraint_jacobian(model, cache, ConstraintSet(
+                                          [weld_constraint(model.n_links - 1)])))
 
     @pytest.mark.parametrize("gains", [(math.nan, 0.0), (0.0, math.inf), (-1.0, 0.0)],
                              ids=["kp_nan", "kd_inf", "kp_negative"])
