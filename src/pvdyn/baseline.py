@@ -34,7 +34,7 @@ from .delassus import DelassusOperator
 from .errors import NotPositiveDefinite
 from .kinematics import (KinematicsCache, constraint_drift,
                          constraint_jacobian, forward_kinematics,
-                         velocity_products)
+                         kinematics_of, velocity_products)
 from .model import ConstraintSet, Model, State, check_vec, dof_levels
 
 
@@ -47,8 +47,7 @@ def rnea(model: Model, state: State, qdd, f_ext=None,
     """Inverse dynamics: tau = M qdd + h(q, v) - J_ext' f_ext, one array
     step per depth level of ``Model.plan`` down for a and back up for f."""
     qdd = check_vec(model, qdd, "qdd")
-    if cache is None:
-        cache = forward_kinematics(model, state)
+    cache = kinematics_of(model, state, cache)
     plan, n, s0 = model.plan, model.n_links, model.S[0]
     qj = np.append(qdd, 0.0)[plan.slot_dof, None, None]
     a = np.empty((n, 6, 1))
@@ -107,8 +106,7 @@ def crba(model: Model, state: State,
     """Composite rigid-body algorithm; exact zeros between disjoint branches.
     The column F = IC S of every moving link walks its root path, all
     columns one parent per step, and each joint it passes gets S' F."""
-    if cache is None:
-        cache = forward_kinematics(model, state)
+    cache = kinematics_of(model, state, cache)
     plan = model.plan
     composite = plan.inertia66.copy()
     for lv in reversed(plan.sweep[1:]):
@@ -151,8 +149,7 @@ def aba(model: Model, state: State, tau, f_ext=None,
     no constraints and the external forces taken off the bias.
     """
     tau = check_vec(model, tau, "tau")
-    if cache is None:
-        cache = forward_kinematics(model, state)
+    cache = kinematics_of(model, state, cache)
     ws = _Sweep(model)
     _own_terms(model, cache, ws)
     if f_ext is not None:

@@ -30,14 +30,16 @@ level step transforms with one 6x6 product per link (the cache's ``xm``)
 and adds each run of siblings into its parent with one sum, or with a
 plain add where every run is one link (``Level.scatter``).  The coupling
 pass keeps K as one array indexed by constraint row, each row in the
-frame of its link's ancestor at the depth the sweep has reached; sibling
-subtrees hold disjoint rows, so a level step updates the rows of all its
-support links at once and adds to L over the level's block of rows
-(``_LevelRows``).  Sums
-run in another order than in a per-link sweep, so answers agree with
-one to rounding, not bit for bit.  A subset pass (the support, or the
-links off it) runs on the subset's levels (``LevelPlan.levels_of``), as
-index arrays where a level's links are not contiguous.
+frame of its link's ancestor at the depth the sweep has reached.
+Sibling subtrees hold disjoint rows, so a level step takes each support
+link's rows as one (R, 6) block K_i, padded to the level's largest R
+with a spill row of zeros: the blocks cross their joints in one batched
+product, and each adds w (K_i S)' to its own R x R block of L
+(``_LevelRows``).  Sums run in another order than in a per-link sweep,
+except at a level of one link, so answers agree with one to rounding,
+not bit for bit.  A subset pass (the support, or the links off it) runs
+on the subset's levels (``LevelPlan.levels_of``), as index arrays where
+a level's links are not contiguous.
 
 How the solvers compose them:
 
@@ -64,16 +66,8 @@ How the solvers compose them:
   r0 + B y for the bias lam0 + y, where B v is the homogeneous bias and
   forward pass over the support with the bias -K' v
   (``_support_response``); each step runs one such pass, and links off
-  the support are filled in once at exit.  lam0 is zero unless the
-  caller passes a warm start (``integrate`` passes the previous RK4
-  stage's lam).  The solve stops ``converged`` at ||r|| <= tol_primal,
-  and ``least_squares`` when r has stopped falling and the multipliers
-  without their component along r have stopped moving, both to within
-  tol_primal/mu relative: r then lies in the null space of K', the rows
-  are rank-deficient or infeasible, and qdd is the least-squares
-  solution.  From lam0 = 0 the multipliers are then the minimum-norm
-  ones, while a warm start keeps lam0's component in the null space of
-  K', which qdd does not see.
+  the support are filled in once at exit.  Its docstring gives the stop
+  tests and what the multipliers are on rank-deficient rows.
 * ``pv_osim`` and ``caba_osim`` run inertia and coupling without l;
   ``pv_osimr`` over rows compressed to six per link.
 
@@ -101,8 +95,8 @@ import numpy as np
 from . import flops, linalg
 from .errors import (DimensionMismatch, NotPositiveDefinite, SingularBaseInertia, SingularDual,
                      SingularJointInertia)
-from .kinematics import KinematicsCache, forward_kinematics, velocity_products
-from .model import ConstraintSet, Model, State, check_finite, check_links, check_state, check_vec
+from .kinematics import KinematicsCache, kinematics_of, velocity_products
+from .model import ConstraintSet, Model, State, check_finite, check_links, check_vec
 
 _ELIM_PIVOT_RATIO = 1e-6     # eagerness threshold for early elimination
 _DUAL_PIVOT_RATIO = 1e-10    # base dual block counts as singular below this
@@ -166,17 +160,16 @@ class PvWorkspace(_Sweep):
 
     ``rows[i]`` lists the global constraint rows active in link i's
     subtree, in ascending order (``_carried_rows`` without a cap); its
-    length is the m_i of the sweep.  ``con_pos`` and
-    ``row_pos`` hold each constraint's and each row's link as a plan
-    position.  The coupling pass holds K as one (m, 6) array indexed by
-    constraint row and walks a ``_RowLayout``: ``full`` (every row),
-    ``live(alive)`` (the rows not eliminated early, built once per
-    pattern) or ``compressed`` (``pv_osimr``'s rows, built on first use,
-    like ``early``, ``pv_early_solve``'s schedule).  Shapes and
-    bookkeeping depend only on the model and each constraint's (link,
-    dim) in order, so a workspace is reusable across solves and
-    constraint sets with that layout; the rows' K come from the set on
-    every call.
+    length is the m_i of the sweep.  ``con_pos`` and ``row_pos`` hold each
+    constraint's and each row's link as a plan position.  The coupling
+    pass holds K as one (m, 6) array indexed by constraint row (K, L, l
+    and lam end in a spill row of zeros) and walks a ``_RowLayout``:
+    ``full`` (every row), ``live(alive)`` (the rows not eliminated early,
+    built once per pattern) or ``compressed`` (``pv_osimr``'s rows, built
+    on first use, like ``early``, ``pv_early_solve``'s schedule).  Shapes
+    and bookkeeping depend only on the model and each constraint's (link,
+    dim) in order, so a workspace is reusable across solves and constraint
+    sets with that layout; the rows' K come from the set on every call.
     """
 
     def __init__(self, model: Model, cs: ConstraintSet):
@@ -209,12 +202,11 @@ class PvWorkspace(_Sweep):
         self.frontier_pos = np.flatnonzero(frontier[:n])
         self.da = np.empty((n, 6, 1))
         self.dqj = np.empty_like(self.qj)
-        self.K = np.empty((m, 6))
-        self.L = np.empty((m, m))
-        self.full = _RowLayout(_coupling_levels(plan, rows, self.support), (), self.K, self.L)
+        self.K, self.L = np.zeros((m + 1, 6))[:-1], np.zeros((m + 1, m + 1))[:-1, :-1]
+        self.full = _RowLayout(_coupling_levels(plan, rows, self.L.base), (), self.K, self.L)
         self._live = {np.ones(m, dtype=bool).tobytes(): self.full}
-        self.l = np.empty(m)
-        self.lam = np.empty(m)
+        self.l = np.zeros(m + 1)
+        self.lam = np.zeros(m + 1)
         self.beta = np.empty(m)
         self.resid = np.empty(m)
         # per level of the coupling pass, its K_S and rows for the forward pass
@@ -232,7 +224,7 @@ class PvWorkspace(_Sweep):
         key = alive.tobytes()
         if key not in self._live:
             rows = [r[alive[r]] for r in self.rows]
-            self._live[key] = _RowLayout(_coupling_levels(self.model.plan, rows, self.support),
+            self._live[key] = _RowLayout(_coupling_levels(self.model.plan, rows, self.L.base),
                                          (), self.K, self.L)
         return self._live[key]
 
@@ -240,9 +232,9 @@ class PvWorkspace(_Sweep):
     def compressed(self) -> "_RowLayout":
         rows, swaps = _carried_rows(self.model, self.layout, 6)
         mm = self.K.shape[0] + 6 * len(swaps)
-        return _RowLayout(_coupling_levels(self.model.plan, rows, self.support),
-                          tuple(reversed(swaps)), np.empty((mm, 6)), np.empty((mm, mm)),
-                          np.tile(np.eye(6), (len(swaps), 1)))
+        K, L = np.zeros((mm + 1, 6))[:-1], np.zeros((mm + 1, mm + 1))[:-1, :-1]
+        return _RowLayout(_coupling_levels(self.model.plan, rows, L.base), tuple(reversed(swaps)),
+                          K, L, np.tile(np.eye(6), (len(swaps), 1)))
 
     @cached_property
     def early(self) -> tuple:
@@ -387,12 +379,14 @@ def _carried_rows(model: Model, layout, cap: int | None = None):
 class _RowLayout(NamedTuple):
     """The rows a coupling pass walks: ``coupling`` holds a ``_LevelRows``
     per level of ``Model.plan.sweep`` (None where the level carries no
-    row), and the pass works on ``K`` and ``L``.  In ``pv_osimr``'s
-    compressed layout a link below the root with more than 6 rows R
-    carries 6 fresh rows V, seeded with K = I, instead.  The pass leaves
-    C = K[R] in its frame, and above it R's rows of K are C times V's, so
-    ``swaps`` ((R, V), ancestors first) expand L; Lambda is L[:m, :m].
-    The other layouts have no swaps and share the workspace's K and L."""
+    row), and the pass works on ``K`` and ``L``, views that hide the spill
+    row (and column) of zeros of their ``base`` that padding reads and
+    writes.  In ``pv_osimr``'s compressed layout a link below the root
+    with more than 6 rows R carries 6 fresh rows V, seeded with K = I,
+    instead.  The pass leaves C = K[R] in its frame, and above it R's
+    rows of K are C times V's, so ``swaps`` ((R, V), ancestors first)
+    expand L; Lambda is L[:m, :m].  The other layouts have no swaps and
+    share the workspace's K and L."""
 
     coupling: tuple
     swaps: tuple
@@ -402,77 +396,71 @@ class _RowLayout(NamedTuple):
 
 
 class _LevelRows(NamedTuple):
-    """The constraint rows of one level's support links, in ascending
-    order: each row with its link's plan position and its link's offset
-    in the level.  ``block`` is L's rows x rows block (``_block``) and
-    ``same`` masks its same-link pairs with 1 and the others with 0 on a
-    level of more than one support link (None on a level of one, where
-    every pair is); the counts are of rows and of same-link row pairs at
+    """The links of one level that carry rows of a layout: ``links`` are
+    their plan positions and ``off`` their offsets in the level (slices
+    where they run), ``idx`` their rows, one link's per line, padded with
+    the spill row, and ``rows`` the same as an index of the spilled K, l
+    and lam.  ``block`` (array, index) gives each link's rows x rows block
+    of L: the flattened spilled L and the flat indices, or a view and
+    `...` where ``rows`` is a slice.  A level of one link takes ints and
+    1-D rows instead.  Counts: rows, rows and same-link row pairs at
     moving joints."""
 
-    rows: np.ndarray
-    pos: np.ndarray
-    off: np.ndarray
+    links: int | slice | np.ndarray
+    off: int | slice | np.ndarray
+    rows: slice | np.ndarray
+    idx: np.ndarray
     block: tuple
-    same: np.ndarray | None
+    n_rows: int
     n_moving: int
     n_pairs: int
 
 
-def _coupling_levels(plan, rows: list[np.ndarray], support) -> tuple:
-    """A ``_LevelRows`` per level of ``plan.sweep`` (None where the level
-    holds no row of `rows`), as views of arrays built for all levels at
-    once.  Whether a level has one support link or more decides ``same``,
-    whether or not each of them still holds rows."""
+def _coupling_levels(plan, rows: list[np.ndarray], Ls: np.ndarray) -> tuple:
+    """A ``_LevelRows`` per level of ``plan.sweep`` (None where it holds no
+    row of `rows`, by link index) over the spilled L `Ls`, as views of one
+    index of every link's rows padded with the spill row."""
     levels: list = [None] * len(plan.sweep)
-    link_pos = np.sort(plan.position[list(support)])
-    links = plan.order[link_pos].tolist()
-    sizes = [rows[i].size for i in links]
-    if not sum(sizes):
+    sizes = np.array([r.size for r in rows])[plan.order]
+    pos = np.flatnonzero(sizes)
+    if not pos.size:
         return tuple(levels)
-    row_of = np.concatenate([rows[i] for i in links])
-    pos = np.repeat(link_pos, sizes)
+    sizes = sizes[pos]
+    pad = np.full((pos.size, sizes.max()), len(Ls) - 1)
+    pad[np.arange(pad.shape[1]) < sizes[:, None]] = \
+        np.concatenate([rows[i] for i in plan.order[pos].tolist()])
+    # per level: its depth, links a:b, first position, width, run and counts
     depth = plan.depth[pos]
-    # each level's rows in ascending order (a link's rows already are), so
-    # that a level holding one run of rows takes its block of L as slices
-    at = np.lexsort((row_of, depth))
-    row_of, pos, link_rows = row_of[at], pos[at], np.repeat(sizes, sizes)[at]
-    off = pos - np.searchsorted(plan.depth, depth)
-    moving = plan.fixed[pos, 0, 0] == 0.0
-    # running counts of moving rows and of the pairs they start
-    n_moving = [0] + np.cumsum(moving).tolist()
-    n_pairs = [0] + np.cumsum(np.where(moving, link_rows, 0)).tolist()
-    levels_at = np.arange(depth[-1] + 2)
-    bounds = np.searchsorted(depth, levels_at).tolist()
-    link_bounds = np.searchsorted(plan.depth[link_pos], levels_at).tolist()
-    for d, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        if lo < hi:
-            r = slice(lo, hi)
-            one = link_bounds[d + 1] - link_bounds[d] == 1
-            same = None if one else (off[r, None] == off[r]).astype(float)
-            levels[d] = _LevelRows(row_of[r], pos[r], off[r], _block(row_of[r]), same,
-                                   n_moving[hi] - n_moving[lo], n_pairs[hi] - n_pairs[lo])
+    lo = np.flatnonzero(np.concatenate(([True], depth[1:] != depth[:-1])))
+    hi = np.concatenate((lo[1:], [pos.size]))
+    moving = sizes * (plan.fixed[pos, 0, 0] == 0.0)
+    pos_l = pos.tolist()
+    for d, a, b, s, r, run, *n in zip(
+            depth[lo].tolist(), lo.tolist(), hi.tolist(),
+            np.searchsorted(plan.depth, depth[lo]).tolist(),
+            np.maximum.reduceat(sizes, lo).tolist(), (pos[hi - 1] - pos[lo] < hi - lo).tolist(),
+            *(np.add.reduceat(x, lo).tolist() for x in (sizes, moving, moving * sizes))):
+        if b - a == 1:      # one link takes an int and 1-D rows: 2-D products
+            idx, links, off = pad[a, :r], pos_l[a], pos_l[a] - s
+        else:
+            idx = np.ascontiguousarray(pad[a:b, :r])
+            links = slice(pos_l[a], pos_l[b - 1] + 1) if run else pos[a:b]
+            off = slice(links.start - s, links.stop - s) if run else links - s
+        view = b - a == 1 and idx[-1] - idx[0] < r      # one link whose rows run
+        at = slice(int(idx[0]), int(idx[0]) + r) if view else idx
+        block = (Ls[at, at], ...) if view else \
+            (Ls.reshape(-1), idx[..., :, None] * len(Ls) + idx[..., None, :])
+        levels[d] = _LevelRows(links, off, at, idx, block, *n)
     return tuple(levels)
-
-
-def _block(rows: np.ndarray) -> tuple:
-    """L's rows x rows block: slices where `rows` ascend in one run, else
-    an index grid."""
-    r = rows.tolist()
-    run = slice(r[0], r[-1] + 1)
-    return (run, run) if r == list(range(r[0], r[-1] + 1)) else (rows[:, None], rows)
 
 
 def _setup(model: Model, state: State, tau, cs: ConstraintSet, ws: PvWorkspace | None,
            cache: KinematicsCache | None):
     """Every solver's and Delassus producer's workspace, kinematics cache
-    (forward kinematics unless given; the state is checked once) and tau."""
+    (``kinematics_of``; the state is checked once) and tau."""
     ws = PvWorkspace.ensure(model, cs, ws)
-    if cache is None:
-        cache = forward_kinematics(model, state)
-    else:
-        check_state(model, state)
-    return ws, cache, None if tau is None else check_vec(model, tau, "tau")
+    return ws, kinematics_of(model, state, cache), \
+        None if tau is None else check_vec(model, tau, "tau")
 
 
 def _beta_hat(model: Model, cache: KinematicsCache, cs: ConstraintSet,
@@ -634,9 +622,9 @@ def _forward_pass(model: Model, cache: KinematicsCache, ws: _Sweep, levels,
                 a_in += cache.c[sl]
             t = ws.u[sl] - ws.U_t[sl] @ a_in
             if coupled is not None:
-                ks, rows, off, n_moving = coupled
-                t[:, 0, 0] += np.bincount(off, ks * lam[rows], minlength=lv.size)
-                work += 2 * n_moving
+                ks, lr = coupled
+                t[lr.off, 0, 0] += (ks[..., 0] * lam[lr.rows]).sum(-1)
+                work += 2 * lr.n_moving
             qj[sl] = q = t * ws.D_inv[sl]
             acc[sl] = a_in + plan.S[sl] * q
             work += lv.size * (flops.XMOT + (0 if change else flops.ADD6)) \
@@ -745,13 +733,7 @@ def _seed_coupling(cs: ConstraintSet, lay: _RowLayout) -> None:
     lay.K[:cs.m] = cs.K
     if lay.fresh is not None:
         lay.K[cs.m:] = lay.fresh
-    lay.L[:] = 0.0
-
-
-def _rows_times(k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Each row of k times x: one (6, j) block for all rows, or an
-    (r, 6, j) stack with one block per row."""
-    return k @ x if x.ndim == 2 else (k[:, None, :] @ x)[:, 0]
+    lay.L.base[:] = 0.0
 
 
 def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, levels,
@@ -760,40 +742,35 @@ def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, levels
     children first) and the rows of `lay`.
 
     Runs after the inertia pass, and after the bias pass if `with_l`, on
-    the same levels.  A level step takes each of its rows of K from its
-    link's frame into its parent's, and at the base into the world frame
-    if `with_l`.  Per same-link pair of rows it adds to the level's block
-    of L; a row eliminated early is not in ``ws.live``'s layout, so its
-    diagonal of L keeps the value that ``_eliminate`` scales its pivot
-    tests by.
+    the same levels.  A level step takes each link's block of rows of K
+    from its frame into its parent's, and at the base into the world
+    frame if `with_l`, and adds to the link's block of L; a row eliminated
+    early is not in ``ws.live``'s layout, so its diagonal of L keeps the
+    value that ``_eliminate`` scales its pivot tests by.
     """
     plan = model.plan
-    K, L = lay.K, lay.L
+    K = lay.K.base
     work = 0
     for k in levels:
         lr = lay.coupling[k]
         ws.ks[k] = None
         if lr is None:
             continue
-        rows, pos, off, block, same, n_moving, n_pairs = lr
         if plan.sweep[k].parents is None:
-            work += _root_coupling(model, cache, ws, K, L, k, rows, with_l)
+            work += _root_coupling(model, cache, ws, lay.K, lay.L, k, lr.idx, with_l)
             continue
-        # a level of one support link (each level of a chain) takes its
-        # blocks as 2-D products, which round as a per-link sweep does
-        sel, idx = block[1], (pos[0] if same is None else pos)
-        ka = K[sel]
-        ks = _rows_times(ka, plan.S[idx])[:, 0]
-        w = ks * ws.D_inv[idx, 0, 0]
-        L[block] += w[:, None] * ks if same is None else w[:, None] * ks * same
+        # a (rows, 6) block per link, 2-D at a one-link level: rounds as a per-link sweep
+        sl, _, rows, _, (blocks, at), n_rows, n_moving, n_pairs = lr
+        ka = K[rows]
+        ks = ka @ plan.S[sl]
+        w = ks * ws.D_inv[sl]
+        blocks[at] += w * ks.swapaxes(-1, -2)
         if with_l:
-            c = cache.c[idx]
-            uc = (ws.U_t[idx] @ c)[..., 0, 0]
-            ws.l[sel] += _rows_times(ka, c)[:, 0] + w * (ws.u[idx, 0, 0] - uc)
-        K[sel] = _rows_times(ka - w[:, None] * ws.U[idx, :, 0], cache.xm[idx])
-        ws.ks[k] = (ks, rows, off, n_moving)
-        work += n_moving * (26 + (14 if with_l else 0)) + 2 * n_pairs \
-            + flops.XFORCE_T * rows.size
+            c = cache.c[sl]
+            ws.l[rows] += (ka @ c + w * (ws.u[sl] - ws.U_t[sl] @ c))[..., 0]
+        K[rows] = (ka - w * ws.U_t[sl]) @ cache.xm[sl]
+        ws.ks[k] = (ks, lr)
+        work += n_moving * (26 + (14 if with_l else 0)) + 2 * n_pairs + flops.XFORCE_T * n_rows
     flops.add(work)
 
 
@@ -908,7 +885,7 @@ def _exact(model: Model, cache: KinematicsCache, tau: np.ndarray, cs: Constraint
     _own_terms(model, cache, ws)
     tau = _slots(model, tau)
     _seed_coupling(cs, ws.full)
-    ws.l[:] = -beta
+    ws.l[:cs.m] = -beta
     lam = ws.lam
     lam[:] = 0.0
     alive = np.ones(cs.m, dtype=bool)
@@ -947,13 +924,22 @@ def _exact(model: Model, cache: KinematicsCache, tau: np.ndarray, cs: Constraint
     qdd = _dofs(model, ws.qj)
 
     resid = _residual(cs, ws)
-    return ConstrainedSolution(qdd, lam.copy(), 1, resid, "converged", (resid,))
+    return ConstrainedSolution(qdd, lam[:cs.m].copy(), 1, resid, "converged", (resid,))
 
 
 def pv_solve(model: Model, state: State, tau, cs: ConstraintSet,
              ws: PvWorkspace | None = None,
              cache: KinematicsCache | None = None) -> ConstrainedSolution:
-    """Exact constrained dynamics with base-level multiplier solve."""
+    """Exact constrained dynamics with base-level multiplier solve.
+
+    Rows reaching the base must pass the pivot rule (``_pivots_pass``):
+    the dual block's smallest Cholesky pivot squared is at least
+    ``_DUAL_PIVOT_RATIO`` = 1e-10 of the largest dual diagonal, else
+    SingularDual.  ``kkt_oracle`` keeps eigenvalues above rcond = 1e-12 of
+    the largest, so a Lambda conditioned in between raises here at full
+    rank: ``random_feasible_instance(51)`` with each link's inertia scaled
+    by 10**U(-5, 5) (``np.random.default_rng(51)``) raises, where the
+    oracle gives rank 11 of 11.  ``constrained_aba`` solves it."""
     ws, cache, tau = _setup(model, state, tau, cs, ws, cache)
     return _exact(model, cache, tau, cs, ws, False)
 

@@ -9,6 +9,10 @@ class DimensionMismatch(PvdynError):
     """Vector or matrix arguments do not match the model's dimensions."""
 
 
+class CacheMismatch(PvdynError):
+    """A kinematics cache was built from another model than the one it is passed with."""
+
+
 class NonFiniteInput(PvdynError):
     """A state, torque, right-hand side or warm start holds a NaN or an infinity."""
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import flops
+from .errors import CacheMismatch
 from .model import ConstraintSet, Model, State, check_links, check_state
 from .spatial import compose_rt, cross_rows, skew
 
@@ -47,7 +48,8 @@ class KinematicsCache:
     link forces into their parents'.  ``w_rot``, ``w_trans``, ``v`` and
     ``c`` are built together on the first read of any of them, charging the
     rest of ``LevelPlan.fk_flops``, and are plain attributes from then on.
-    The cache owns a copy of v, so it stays a pure function of (model, state)."""
+    The cache owns a copy of v, so it stays a pure function of (model,
+    state); ``model`` is the model it was built from."""
 
     xm: np.ndarray         # (n,6,6) parent-to-link motion transforms, plan order
     xm_t: np.ndarray       # (n,6,6) their transposes
@@ -57,13 +59,13 @@ class KinematicsCache:
     c: np.ndarray          # (n,6,1) velocity-product accelerations, plan order
 
     def __init__(self, model: Model, qd: np.ndarray, rot_l, trans_l, xm: np.ndarray):
-        self.xm, self.xm_t = xm, xm.swapaxes(1, 2)
-        self._motion_terms = model, qd, rot_l, trans_l
+        self.model, self.xm, self.xm_t = model, xm, xm.swapaxes(1, 2)
+        self._motion_terms = qd, rot_l, trans_l
 
     def __getattr__(self, name):
         if name not in ("w_rot", "w_trans", "v", "c"):
             raise AttributeError(name)
-        (model, qd, rot_l, trans_l), xm = self._motion_terms, self.xm
+        (qd, rot_l, trans_l), model, xm = self._motion_terms, self.model, self.xm
         plan, n = model.plan, model.n_links
         vj, rev, pri = np.zeros((n, 6)), plan.revolute, plan.prismatic
         if rev.links.size:
@@ -124,6 +126,17 @@ def forward_kinematics(model: Model, state: State) -> KinematicsCache:
         xm[plan.moved, 3:, :3] = rot_l[plan.moved] @ -skew(trans_l[plan.moved])
     flops.add(n * (flops.AXIS_ANGLE + flops.COMPOSE))
     return KinematicsCache(model, state.v.copy(), rot_l, trans_l, xm)
+
+
+def kinematics_of(model: Model, state: State, cache: KinematicsCache | None) -> KinematicsCache:
+    """`cache`, which must come from `model` (the state is checked), or
+    forward kinematics of `state`; every ``cache=`` entry point calls this."""
+    if cache is None:
+        return forward_kinematics(model, state)
+    if cache.model is not model:
+        raise CacheMismatch("kinematics cache was built from another model")
+    check_state(model, state)
+    return cache
 
 
 def velocity_products(model: Model, cache: KinematicsCache) -> np.ndarray:

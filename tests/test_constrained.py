@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from pvdyn import (ConstraintSet, MotionConstraint, PvWorkspace,
-                   SolverSettings, aba, constrained_aba, dense_delassus, generate_chain,
+from pvdyn import (ConstraintSet, Model, MotionConstraint, PvWorkspace, SolverSettings,
+                   SpatialInertia, aba, constrained_aba, dense_delassus, generate_chain,
                    generate_tree, kkt_oracle, neutral_state, point_constraint,
                    pv_early_solve, pv_solve, pv_soft_solve,
                    random_feasible_instance, random_singular_instance,
                    State, random_state, relaxed_kkt_oracle, rnea, weld_constraint)
-from pvdyn import constrained, kinematics
+from pvdyn import kinematics
 from pvdyn.bench import load_model
 from pvdyn.constrained import (_aba, _add_rows, _beta_hat, _bias_pass, _dofs, _forward_pass,
                                _inertia_pass, _min_norm, _own_terms, _residual, _slots,
@@ -571,6 +571,25 @@ class TestNearSingularDelassus:
         assert np.linalg.norm(sol.qdd - ref.qdd) <= 1e-8 * (1 + np.linalg.norm(ref.qdd))
 
 
+class TestTwoRankRules:
+    def test_dual_pivot_rule_refuses_what_the_oracle_keeps(self):
+        # the exact solvers' base pivot rule (smallest pivot squared at least
+        # 1e-10 of the largest dual diagonal) is stricter than kkt_oracle's
+        # rcond of 1e-12: with link inertias spread over ten decades this
+        # Lambda spans 1.3e11 and is refused at full rank
+        model, state, tau, cs = random_feasible_instance(51)
+        scale = 10.0 ** np.random.default_rng(51).uniform(-5, 5, model.n_links)
+        model = Model(model.parent, model.joints, model.placement,
+                      [SpatialInertia(i.mass * a, i.first_moment * a, i.rot_inertia * a)
+                       for i, a in zip(model.inertia, scale)])
+        for solve in (pv_solve, pv_early_solve):
+            with pytest.raises(SingularDual):
+                solve(model, state, tau, cs)
+        ref = kkt_oracle(model, state, tau, cs)
+        assert ref.rank == cs.m == 11
+        assert_matches_oracle(constrained_aba(model, state, tau, cs), ref)
+
+
 class TestResidualHistory:
     def test_one_entry_per_iteration(self, humanoid):
         instances = [random_feasible_instance(6300), random_singular_instance(3),
@@ -714,13 +733,13 @@ class TestOneStateCheck:
         state = random_state(model, 1)
         cache = forward_kinematics(model, state) if with_cache else None
         calls = []
-        check = constrained.check_state
+        check = kinematics.check_state
 
         def counted(*args):
             calls.append(args)
             return check(*args)
-        for mod in (constrained, kinematics):
-            monkeypatch.setattr(mod, "check_state", counted)
+        # forward kinematics and kinematics_of, which takes a passed cache
+        monkeypatch.setattr(kinematics, "check_state", counted)
         fn(model, state, np.zeros(model.nv), cs, cache=cache)
         assert len(calls) == 1
         bad = State(np.zeros(model.nq + 1), np.zeros(model.nv))

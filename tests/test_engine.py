@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from pvdyn import (ConstraintSet, Joint, Model, PlueckerTransform, PvWorkspace,
+from pvdyn import (ConstraintSet, Joint, Model, MotionConstraint, PlueckerTransform, PvWorkspace,
                    SolverSettings, SpatialInertia, aba, caba_osim, constrained,
                    constrained_aba, dense_delassus, flops, generate_humanoid_like, generate_tree,
                    kkt_oracle, linalg, point_constraint, pv_early_solve, pv_osim,
@@ -23,7 +23,7 @@ from pvdyn import (ConstraintSet, Joint, Model, PlueckerTransform, PvWorkspace,
                    weld_constraint)
 from pvdyn.bench import load_model
 from pvdyn.constrained import (_DUAL_PIVOT_RATIO, _ELIM_PIVOT_RATIO, _aba, _beta_hat,
-                               _bias_pass, _block, _dofs, _forward_pass, _inertia_pass,
+                               _bias_pass, _dofs, _forward_pass, _inertia_pass,
                                _own_terms, _try_chol)
 from pvdyn.errors import (NotPositiveDefinite, SingularBaseInertia, SingularDual,
                           SingularJointInertia)
@@ -243,6 +243,7 @@ def _exact_cases():
     for seed in range(8):
         cases.append((f"singular{seed}", *random_singular_instance(seed)))
     cases.append(("split_rows", *_split_rows_instance()))
+    cases.append(("mixed_siblings", *_mixed_siblings_instance()))
     cases.append(("split_rows_depth_first", *_split_rows_instance(depth_first=True)))
     return cases
 
@@ -282,6 +283,31 @@ def _split_rows_instance(depth_first=False):
         point_constraint(link(0, 10), rng.uniform(-0.1, 0.1, 3), a_star=rng.uniform(-1, 1, 3)),
         point_constraint(link(1, 7), rng.uniform(-0.1, 0.1, 3), a_star=rng.uniform(-1, 1, 3))])
     return model, random_state(model, 1), rng.uniform(-2, 2, model.nv), cs
+
+
+def _mixed_siblings_instance():
+    """A stem of 8 revolute joints off a fixed base and three sibling links
+    at its tip, carrying a weld (6 rows), a point (3 rows) and a one-row
+    constraint: one level of the coupling pass holds three links with
+    6, 3 and 1 rows, whose blocks are padded to 6.  Every row meets at the
+    stem's tip, so Lambda has rank 9 of 10 and the exact solvers raise."""
+    rng = np.random.default_rng(3)
+    stem = 8
+    parent = [-1, *range(stem), stem, stem, stem]
+    joints, placement = [Joint.fixed()], [PlueckerTransform.identity()]
+    inertia = [SpatialInertia.from_com(2.0, np.zeros(3), 0.02 * np.eye(3))]
+    for _ in range(stem + 3):
+        axis, offset = rng.standard_normal((2, 3))
+        offset /= np.linalg.norm(offset)
+        joints.append(Joint.revolute(axis / np.linalg.norm(axis)))
+        placement.append(PlueckerTransform(np.eye(3), 0.3 * offset))
+        inertia.append(SpatialInertia.from_com(1.0, 0.15 * offset, 0.01 * np.eye(3)))
+    model = Model(parent, joints, placement, inertia)
+    cs = ConstraintSet([
+        weld_constraint(stem + 1, a_star=rng.uniform(-1, 1, 6)),
+        point_constraint(stem + 2, rng.uniform(-0.1, 0.1, 3), a_star=rng.uniform(-1, 1, 3)),
+        MotionConstraint(stem + 3, rng.standard_normal((1, 6)), rng.uniform(-1, 1, 1))])
+    return model, random_state(model, 3), rng.uniform(-2, 2, model.nv), cs
 
 
 EXACT_CASES = _exact_cases()
@@ -353,11 +379,12 @@ class TestSameAnswers:
                 lr, live = ws.full.coupling[k], lay.coupling[k]
                 if lr is None or model.plan.sweep[k].parents is None:
                     continue
-                counts = np.unique(lr.off, return_counts=True)[1]
-                moving = model.plan.fixed[lr.pos, 0, 0] == 0.0
+                # each link's rows, without the padding
+                counts = (np.atleast_2d(lr.idx) < ws.K.shape[0]).sum(1)
+                moving = model.plan.fixed[lr.links, 0, 0] == 0.0
                 if counts.size >= 3 and counts.min() < counts.max() and not moving.all():
                     shapes.setdefault("wide_level", set()).add(current[-1])
-                if lr.same is None and live is not None and live.rows.size < lr.rows.size:
+                if counts.size == 1 and live is not None and live.n_rows < lr.n_rows:
                     shapes.setdefault("partly_eliminated", set()).add(current[-1])
             coupling_pass(model, cache, ws, levels, lay, with_l)
 
@@ -373,10 +400,15 @@ class TestSameAnswers:
 
     @pytest.mark.parametrize("case", EXACT_CASES, ids=[c[0] for c in EXACT_CASES])
     def test_pv_osim_matches_dense_delassus(self, case):
+        # and so do pv_osimr and, by its grading identity, caba_osim
         _, model, state, _, cs = case
         ref = dense_delassus(model, state, cs)
-        assert np.abs(pv_osim(model, state, cs).matrix - ref).max() \
-            <= 1e-10 * max(1.0, np.abs(ref).max())
+        tol = 1e-10 * max(1.0, np.abs(ref).max())
+        assert np.abs(pv_osim(model, state, cs).matrix - ref).max() <= tol
+        assert np.abs(pv_osimr(model, state, cs).matrix - ref).max() <= tol
+        mu = 1e-4
+        damped = caba_osim(model, state, cs, SolverSettings(mu=mu)).matrix
+        assert np.abs(damped @ (ref + mu * np.eye(cs.m)) - np.eye(cs.m)).max() <= 1e-8
 
     def test_split_rows_case_eliminates_beside_other_rows(self, monkeypatch):
         # _eliminate takes each constraint's rows as one slice of L; the
@@ -449,19 +481,6 @@ def test_structural_skip_changes_no_answer(family):
     assert skipped if family != "singular" else raised
 
 
-@pytest.mark.parametrize("rows, grid", [([4, 5, 6], False), ([0, 2, 1, 3], True),
-                                        ([6, 7, 8, 0, 1, 2], True)],
-                         ids=["run", "shuffled_run", "two_runs"])
-def test_block_takes_slices_only_for_an_ascending_run(rows, grid):
-    # a level's block of L lists its rows in their own order, so rows that
-    # fill one run out of order (a wide level's) need the index grid
-    rows = np.array(rows)
-    block = _block(rows)
-    big = np.arange(100.0).reshape(10, 10)
-    assert isinstance(block[0], slice) != grid
-    assert np.array_equal(big[block], big[rows[:, None], rows])
-
-
 def _record_live(monkeypatch):
     """Each ``PvWorkspace.live`` call of the solves that follow, as its
     workspace, a copy of its mask and the layout it returned."""
@@ -478,17 +497,45 @@ def _record_live(monkeypatch):
 
 def _masked(lr, alive, plan):
     """A level of the full layout masked to the rows `alive`, field by
-    field as the coupling pass once masked it on every call (None if no
-    row is left)."""
-    keep = alive[lr.rows]
-    if not keep.any():
+    field: each link keeps its rows still alive, a link with none left
+    drops out, and the rest are padded with the spill row to the largest
+    count left (None if no row is left); fields as ``_as_indices`` gives
+    them."""
+    spill, rows = alive.size, np.atleast_2d(lr.idx)
+    keep = np.append(alive, False)[rows]
+    count = keep.sum(1)
+    have = count > 0
+    if not have.any():
         return None
-    rows = lr.rows[keep]
-    moving = plan.fixed[lr.pos[keep], 0, 0] == 0.0
-    same = None if lr.same is None else lr.same[keep][:, keep]
-    n_moving = int(moving.sum())
-    n_pairs = n_moving * rows.size if same is None else int(np.count_nonzero(same[moving]))
-    return (rows, lr.pos[keep], lr.off[keep], _block(rows), same, n_moving, n_pairs)
+    width = int(count.max())
+    idx = np.array([np.r_[r[k], [spill] * (width - k.sum())] for r, k in zip(rows, keep)
+                    if k.any()], dtype=int)
+    links = np.atleast_1d(_positions(lr.links, plan))[have]
+    moving = (plan.fixed[links, 0, 0] == 0.0) * count[have]
+    return (links, np.atleast_1d(_positions(lr.off, plan))[have], idx, idx,
+            idx[:, :, None] * (spill + 1) + idx[:, None, :],
+            int(count.sum()), int(moving.sum()), int((moving * count[have]).sum()))
+
+
+def _positions(x, plan):
+    """Plan positions (or offsets) given as a slice or an array, as an array."""
+    return np.arange(plan.order.size)[x]
+
+
+def _as_indices(lr, Ls, plan):
+    """A level's record with every index as an array, a level of one link
+    as one of several: links and offsets as positions, ``rows`` as the
+    (links, R) rows it reads, and ``block`` as the flat indices of the
+    spilled L `Ls` it reads (found by filling `Ls` with its own flat
+    indices for the read)."""
+    saved = Ls.copy()
+    Ls.reshape(-1)[:] = np.arange(Ls.size)
+    blocks = lr.block[0][lr.block[1]].astype(int)
+    Ls[:] = saved
+    links, idx = np.atleast_1d(_positions(lr.links, plan)), np.atleast_2d(lr.idx)
+    return (links, np.atleast_1d(_positions(lr.off, plan)),
+            np.atleast_2d(np.arange(Ls.shape[0])[lr.rows]), idx,
+            blocks.reshape(idx.shape + idx.shape[-1:]), lr.n_rows, lr.n_moving, lr.n_pairs)
 
 
 def _equal(a, b):
@@ -572,8 +619,11 @@ class TestRowLayouts:
                 pass
         for ws, alive, lay in calls:
             assert lay.K is ws.K and lay.L is ws.L and lay.swaps == ()
+            plan = ws.model.plan
             for lr, got in zip(ws.full.coupling, lay.coupling, strict=True):
-                assert _equal(got, None if lr is None else _masked(lr, alive, ws.model.plan))
+                if got is not None:
+                    got = _as_indices(got, lay.L.base, plan)
+                assert _equal(got, None if lr is None else _masked(lr, alive, plan))
         assert sum(not alive.all() for _, alive, _ in calls) > len(points)
 
     def test_second_solve_reuses_the_live_layouts(self, monkeypatch):

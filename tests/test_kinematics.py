@@ -5,13 +5,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pvdyn import (ConstraintSet, Joint, Model, PvWorkspace, State, caba_osim,
-                   constraint_drift, constraint_jacobian, crba, flops,
+from pvdyn import (ConstraintSet, Joint, Model, PvWorkspace, State, aba, caba_osim,
+                   constrained_aba, constraint_drift, constraint_jacobian, crba, flops,
                    forward_kinematics, generate_chain, generate_humanoid_like,
                    generate_tree, link_jacobian, neutral_state,
-                   parse_urdf_subset, point_constraint, pv_osim, pv_osimr,
-                   random_state, weld_constraint)
-from pvdyn.errors import DimensionMismatch
+                   parse_urdf_subset, point_constraint, pv_early_solve, pv_osim, pv_osimr,
+                   pv_soft_solve, pv_solve, random_state, rnea, weld_constraint)
+from pvdyn.errors import CacheMismatch, DimensionMismatch
 from pvdyn.generators import standard_constraints
 from pvdyn.integrate import integrate_position
 from pvdyn.kinematics import velocity_products
@@ -250,6 +250,40 @@ class TestTwistsOnFirstRead:
         for other in copies:
             for field in MOTION_FIELDS:
                 assert getattr(other, field).tobytes() == getattr(cache, field).tobytes()
+
+
+# every entry point that takes cache=, as (model, state, tau, cs, cache) -> its answer
+CACHE_ENTRY_POINTS = {
+    "pv_solve": lambda *a: pv_solve(*a[:4], cache=a[4]).qdd,
+    "pv_early_solve": lambda *a: pv_early_solve(*a[:4], cache=a[4]).qdd,
+    "pv_soft_solve": lambda *a: pv_soft_solve(*a[:4], cache=a[4]).qdd,
+    "constrained_aba": lambda *a: constrained_aba(*a[:4], cache=a[4]).qdd,
+    "pv_osim": lambda m, s, t, cs, c: pv_osim(m, s, cs, cache=c).matrix,
+    "pv_osimr": lambda m, s, t, cs, c: pv_osimr(m, s, cs, cache=c).matrix,
+    "caba_osim": lambda m, s, t, cs, c: caba_osim(m, s, cs, cache=c).matrix,
+    "rnea": lambda m, s, t, cs, c: rnea(m, s, t, cache=c),
+    "crba": lambda m, s, t, cs, c: crba(m, s, cache=c).matrix,
+    "aba": lambda m, s, t, cs, c: aba(m, s, t, cache=c),
+}
+
+
+class TestForeignCache:
+    """A cache passed with another model than it was built from raises,
+    though both trees have 30 links: with a weld on link 29, ``pv_osim``
+    once returned a Delassus matrix 1.6 off (max abs) without a word."""
+
+    @pytest.mark.parametrize("entry", sorted(CACHE_ENTRY_POINTS))
+    def test_cache_of_another_model_raises(self, entry):
+        model, other = generate_tree(30, 3, seed=1), generate_tree(30, 3, seed=2)
+        state = random_state(model, 1)
+        tau = np.random.default_rng(1).uniform(-1, 1, model.nv)
+        cs = ConstraintSet([point_constraint(29, [0.1, 0.0, 0.0])])
+        call = CACHE_ENTRY_POINTS[entry]
+        with pytest.raises(CacheMismatch):
+            call(model, state, tau, cs, forward_kinematics(other, state))
+        # the model's own cache gives the answer of a call without one
+        own = call(model, state, tau, cs, forward_kinematics(model, state))
+        assert own.tobytes() == call(model, state, tau, cs, None).tobytes()
 
 
 class TestLevelBatchedKinematics:
