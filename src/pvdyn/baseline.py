@@ -9,10 +9,18 @@ RNEA and the LTL-OSIM front end run on tree levels, not per link or
 per scalar: RNEA's accelerations and forces and CRBA's composite
 inertias take one array step per depth level (``Model.plan``), CRBA's
 off-diagonal blocks one step per hop of a batched root-path walk; the
-LTL factor and its solves take one step per dof level
-(``Model.dof_levels``), deepest first, since dofs at one depth never
-update each other's rows.  Each charges the flops of the per-link and
-per-dof recursion.
+LTL factor and its solves take one step per dof level, deepest first,
+since dofs at one depth never update each other's rows.  Each charges
+the flops of the per-link and per-dof recursion.
+
+The index work of these walks is static, so the model builds it once,
+on first read, and a call only gathers, multiplies and scatters: CRBA's
+walk is ``Model.crba_walk`` and the Jacobians' is ``Model.jacobian_walk``
+(one per link set, in kinematics.py), both ``RootWalk`` records whose
+hops carry their flat indices and flop charge; the factor's levels are
+``Model.dof_levels`` (``DofLevel`` records with the pivot, row, pair and
+target indices), which a ``MassMatrix`` built without them derives from
+its ``dof_parent``.
 
 Gravity enters through the base-acceleration trick: the world "parent"
 is given acceleration -g, which folds a uniform field into every sweep
@@ -79,7 +87,8 @@ def bias_force(model: Model, state: State,
 @dataclass
 class MassMatrix:
     """Joint-space inertia with the tree's branch-sparsity pattern (exact
-    zeros outside it); `levels` are ``model.dof_levels(dof_parent)``."""
+    zeros outside it); `levels` are ``dof_levels(dof_parent)``, the
+    model's own where CRBA built it."""
 
     matrix: np.ndarray
     dof_parent: np.ndarray
@@ -96,8 +105,8 @@ class MassMatrix:
     def ancestry_mask(self) -> np.ndarray:
         """Boolean mask of structurally coupled dof pairs."""
         mask = np.eye(self.n, dtype=bool)
-        for dofs, anc in self.levels:
-            mask[dofs[:, None], anc] = True
+        for lv in self.levels:
+            mask[lv.dofs[:, None], lv.anc] = True
         return mask | mask.T
 
 
@@ -105,9 +114,10 @@ def crba(model: Model, state: State,
          cache: KinematicsCache | None = None) -> MassMatrix:
     """Composite rigid-body algorithm; exact zeros between disjoint branches.
     The column F = IC S of every moving link walks its root path, all
-    columns one parent per step, and each joint it passes gets S' F."""
+    columns one parent per hop (``Model.crba_walk``), and each joint it
+    passes gets S' F."""
     cache = kinematics_of(model, state, cache)
-    plan = model.plan
+    plan, walk = model.plan, model.crba_walk
     composite = plan.inertia66.copy()
     for lv in reversed(plan.sweep[1:]):
         push = cache.xm_t[lv.links] @ composite[lv.links] @ cache.xm[lv.links]
@@ -115,25 +125,17 @@ def crba(model: Model, state: State,
     nv, nv0, s0 = model.nv, model.joints[0].nv, model.S[0]
     m = np.zeros((nv + 1, nv + 1))            # row and column nv: the root and fixed joints
     m[:nv0, :nv0] = s0.T @ composite[0] @ s0
-    work = (model.n_links - 1) * (flops.XINERTIA + 36) \
-        + flops.gemm(6, 6, nv0) + flops.gemm(nv0, 6, nv0)
-    # the moving links deepest first, so the columns still walking are a prefix
-    pos = np.flatnonzero(plan.fixed[:, 0, 0] == 0.0)[::-1]
-    depth, cols = plan.depth[pos], plan.slot_dof[pos]
-    f = composite[pos] @ plan.S[pos]
-    m[cols, cols] = (plan.ST[pos] @ f)[:, 0, 0]
-    work += pos.size * (flops.gemm(6, 6, 1) + flops.gemm(1, 6, 1))
-    for hop in range(1, depth[0] + 1 if pos.size else 0):
-        k, below = np.count_nonzero(depth >= hop), np.count_nonzero(depth > hop)
-        f = cache.xm_t[pos[:k]] @ f[:k]
-        pos = plan.parent[pos[:k]]
-        rows = plan.slot_dof[pos]
-        m[rows, cols[:k]] = m[cols[:k], rows] = (plan.ST[pos] @ f)[:, 0, 0]
-        m[cols[below:k], :nv0] = f[below:k, :, 0] @ s0
-        m[:nv0, cols[below:k]] = m[cols[below:k], :nv0].T
-        work += k * flops.XFORCE_T + flops.gemm(1, 6, 1) * np.count_nonzero(rows < nv) \
-            + (k - below) * flops.gemm(nv0, 6, 1)
-    flops.add(work)
+    f = composite[walk.start] @ plan.S[walk.start]
+    m[walk.cols, walk.cols] = (plan.ST[walk.start] @ f)[:, 0, 0]
+    flat, at_root = m.reshape(-1), np.empty((walk.cols.size, 6))
+    for hop in walk.hops:
+        f = cache.xm_t[hop.src] @ f[:hop.k]
+        flat[hop.at[0]] = flat[hop.at[1]] = (plan.ST[hop.dst] @ f)[:, 0, 0]
+        at_root[hop.below:hop.k] = f[hop.below:, :, 0]
+    m[walk.cols, :nv0] = at_root @ s0
+    m[:nv0, walk.cols] = m[walk.cols, :nv0].T
+    flops.add((model.n_links - 1) * (flops.XINERTIA + 36) + flops.gemm(6, 6, nv0)
+              + flops.gemm(nv0, 6, nv0) + walk.flops)
     return MassMatrix(m[:nv, :nv].copy(), model.dof_parent.copy(), model.dof_levels)
 
 
@@ -173,19 +175,14 @@ def ltl_factorize(mass: MassMatrix) -> LtlFactor:
     outer products into their (ancestor, ancestor) entries."""
     low = np.tril(mass.matrix)
     flat = low.reshape(-1)
-    work = 0
-    for k, anc in reversed(mass.levels):
-        piv = low[k, k]
+    for lv in reversed(mass.levels):
+        piv = flat[lv.piv]
         if (piv <= 0.0).any():
-            raise NotPositiveDefinite(f"pivot {k[np.argmax(piv <= 0.0)]} is not positive")
-        low[k, k] = piv = np.sqrt(piv)
-        low[k[:, None], anc] = rows = low[k[:, None], anc] / piv[:, None]
-        i = np.repeat(np.arange(anc.shape[1]), np.arange(1, anc.shape[1] + 1))
-        j = np.arange(i.size) - i * (i + 1) // 2            # the pairs j <= i
-        np.subtract.at(flat, (anc[:, i] * mass.n + anc[:, j]).ravel(),
-                       (rows[:, i] * rows[:, j]).ravel())
-        work += k.size * (1 + anc.shape[1] * (anc.shape[1] + 2))
-    flops.add(work)
+            raise NotPositiveDefinite(f"pivot {lv.dofs[np.argmax(piv <= 0.0)]} is not positive")
+        flat[lv.piv] = piv = np.sqrt(piv)
+        flat[lv.rows] = rows = flat[lv.rows] / piv[:, None]
+        np.subtract.at(flat, lv.targets.ravel(), (rows[:, lv.pi] * rows[:, lv.pj]).ravel())
+    flops.add(sum(lv.flops for lv in mass.levels))
     return LtlFactor(low, mass.dof_parent.copy(), mass.levels)
 
 
@@ -195,28 +192,28 @@ def _solve_lt(factor: LtlFactor, z: np.ndarray) -> int:
     Returns the flops of the per-entry recursion that skips entries still
     zero when their dof is reached: 1 + 2 (ancestor count) per nonzero.
     """
-    low, k_cols = factor.matrix, z.shape[1]
-    flat = z.reshape(-1)
+    low, flat, cols = factor.matrix.reshape(-1), z.reshape(-1), np.arange(z.shape[1])
     work = 0
-    for k, anc in reversed(factor.levels):
-        work += (1 + 2 * anc.shape[1]) * np.count_nonzero(z[k])
-        z[k] = zk = z[k] / low[k, k][:, None]
-        idx = anc[:, :, None] * k_cols + np.arange(k_cols)
-        np.subtract.at(flat, idx.ravel(), (low[k[:, None], anc][..., None] * zk[:, None]).ravel())
+    for lv in reversed(factor.levels):
+        zk = z[lv.dofs]
+        work += (1 + 2 * lv.anc.shape[1]) * np.count_nonzero(zk)
+        z[lv.dofs] = zk = zk / low[lv.piv][:, None]
+        np.subtract.at(flat, (lv.anc[:, :, None] * cols.size + cols).ravel(),
+                       (low[lv.rows][:, :, None] * zk[:, None]).ravel())
     return work
 
 
 def ltl_solve(factor: LtlFactor, rhs: np.ndarray) -> np.ndarray:
     """Solve M x = rhs through the two sparse triangular systems, one array
     step per dof level each way."""
-    low = factor.matrix
+    low = factor.matrix.reshape(-1)
     y = np.array(rhs, dtype=float, order="C")
     z = y.reshape(len(y), -1)
     _solve_lt(factor, z)                      # y = L^-T rhs
-    for k, anc in factor.levels:              # x = L^-1 y, root level first
-        z[k] = (z[k] - (low[k[:, None], anc][:, :, None] * z[anc]).sum(axis=1)) \
-            / low[k, k][:, None]
-    flops.add(2 * sum(anc.shape[0] + 2 * anc.size for _, anc in factor.levels))
+    for lv in factor.levels:                  # x = L^-1 y, root level first
+        z[lv.dofs] = (z[lv.dofs] - (low[lv.rows][:, :, None] * z[lv.anc]).sum(axis=1)) \
+            / low[lv.piv][:, None]
+    flops.add(2 * sum(lv.anc.shape[0] + 2 * lv.anc.size for lv in factor.levels))
     return y
 
 
@@ -327,11 +324,11 @@ def relaxed_kkt_oracle(model: Model, state: State, tau, cs: ConstraintSet,
 
 def dense_delassus(model: Model, state: State, cs: ConstraintSet) -> np.ndarray:
     """Reference J M^-1 J' built from the dense mass matrix."""
+    if cs.m == 0:
+        return np.zeros((0, 0))
     cache = forward_kinematics(model, state)
     mass = crba(model, state, cache=cache)
     jac = constraint_jacobian(model, cache, cs)
-    if cs.m == 0:
-        return np.zeros((0, 0))
     lam = jac @ linalg.solve_pd(mass.matrix, jac.T)
     flops.add(flops.gemm(cs.m, model.nv, cs.m))
     return 0.5 * (lam + lam.T)

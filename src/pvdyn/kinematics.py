@@ -32,7 +32,7 @@ import numpy as np
 
 from . import flops
 from .errors import CacheMismatch
-from .model import ConstraintSet, Model, State, check_links, check_state
+from .model import ConstraintSet, Model, State, check_state
 from .spatial import compose_rt, cross_rows, skew
 
 # v x m and v x* f on rows of 6-vectors as three 3-vector cross products each:
@@ -152,27 +152,20 @@ def velocity_products(model: Model, cache: KinematicsCache) -> np.ndarray:
 def _jacobians(model: Model, cache: KinematicsCache, links) -> np.ndarray:
     """Local-frame geometric Jacobians of `links` as a (links, 6, nv) array.
     Each link's transform from an ancestor's frame is composed one parent
-    per step, all links at once (deepest first, so those still walking are
-    a prefix), and maps the ancestor's joint columns into the link's frame."""
-    plan, s0 = model.plan, model.S[0]
-    pos = plan.position[check_links(model, links)]
-    order = np.argsort(-plan.depth[pos], kind="stable")
-    pos, depth = pos[order], plan.depth[pos[order]]
-    jac = np.zeros((pos.size, 6, model.nv + 1))    # column nv takes the fixed joints
-    x = np.broadcast_to(np.eye(6), (pos.size, 6, 6))
-    work = pos.size * flops.COMPOSE
-    for hop in range(depth[0] + 1 if pos.size else 0):
-        k, below = np.count_nonzero(depth >= hop), np.count_nonzero(depth > hop)
-        pos, x = pos[:below], x[:k]
-        dof = plan.slot_dof[pos]
-        jac[order[:below], :, dof] = (x[:below] @ plan.S[pos])[:, :, 0]
-        jac[order[below:k], :, :s0.shape[1]] = x[below:] @ s0
-        x = x[:below] @ cache.xm[pos]
-        pos = plan.parent[pos]
-        work += below * flops.COMPOSE + flops.XMOT * (np.count_nonzero(dof < model.nv)
-                                                      + (k - below) * s0.shape[1])
-    flops.add(work)
-    return jac[:, :, :model.nv]
+    per hop, all links at once (``Model.jacobian_walk``), and maps the
+    ancestor's joint columns into the link's frame."""
+    walk, s0, nv = model.jacobian_walk(links), model.S[0], model.nv
+    jac = np.zeros((walk.cols.size, 6, nv + 1))    # column nv takes the fixed joints
+    x = np.broadcast_to(np.eye(6), (walk.cols.size, 6, 6))
+    at_root = x.copy()                             # each link's transform from the root
+    for hop in walk.hops:
+        rows, dof = hop.at
+        jac[rows, :, dof] = (x[:hop.k] @ model.plan.S[hop.src])[:, :, 0]
+        x = x[:hop.k] @ cache.xm[hop.src]
+        at_root[hop.below:hop.k] = x[hop.below:]
+    jac[walk.cols, :, :s0.shape[1]] = at_root @ s0
+    flops.add(walk.flops)
+    return jac[:, :, :nv]
 
 
 def link_jacobian(model: Model, cache: KinematicsCache, link: int) -> np.ndarray:

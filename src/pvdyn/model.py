@@ -13,7 +13,9 @@ blocks follow the same order with the floating block being the base's
 spatial velocity in base coordinates (angular first).
 
 Models are immutable after construction and safe to share across
-threads; State is a plain value type.
+threads (the static plans of CRBA, the Jacobians and the LTL factor are
+built on first read, and a thread that races another builds the same
+plan); State is a plain value type.
 """
 
 from __future__ import annotations
@@ -245,20 +247,113 @@ def _levels(parent: np.ndarray, depth: np.ndarray, fixed: np.ndarray,
     return tuple(out)
 
 
-def dof_levels(dof_parent: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _run(idx: np.ndarray) -> slice | np.ndarray:
+    """`idx` as a slice where it is one arithmetic run, else as it is."""
+    if idx.size == 1:
+        return slice(int(idx[0]), int(idx[0]) + 1)
+    if idx.size > 1:
+        first, step, last = int(idx[0]), int(idx[1] - idx[0]), int(idx[-1])
+        if step and first + step * (idx.size - 1) == last and (idx[1:] - idx[:-1] == step).all():
+            return slice(first, last + step if last + step >= 0 else None, step)
+    return idx
+
+
+@dataclass(frozen=True)
+class Hop:
+    """One step of a ``RootWalk``: the `k` columns still walking move from
+    plan positions `src` to their parents `dst`, and the first `below` of
+    them are still off the root after it (the others have reached it).
+    `at` holds the walk's user's scatter indices for the step."""
+
+    k: int
+    below: int
+    src: slice | np.ndarray
+    dst: slice | np.ndarray
+    at: tuple
+
+
+@dataclass(frozen=True)
+class RootWalk:
+    """The root paths of a set of columns, one parent per hop for all of
+    them at once.  The columns start at plan positions `start`, deepest
+    first, so the ones still walking are always a prefix and those that
+    reach the root at a hop are its positions ``below:k``; `cols` are their
+    output rows.  `flops` is the static charge of one walk."""
+
+    start: slice | np.ndarray
+    cols: np.ndarray
+    hops: tuple[Hop, ...]
+    flops: int
+
+    @staticmethod
+    def of(plan: LevelPlan, start: np.ndarray, cols: np.ndarray, step, work: int) -> "RootWalk":
+        """The walk from the positions `start` (by non-increasing depth);
+        ``step(src, dst, cols)`` gives a hop's scatter indices and flops, and
+        `work` is the charge of the start and of the arrivals at the root."""
+        depth = plan.depth[start]
+        hops, src, k = [], start, int(np.count_nonzero(depth > 0))
+        while k:
+            src, dst = src[:k], plan.parent[src[:k]]
+            below = int(np.count_nonzero(depth > len(hops) + 1))     # off the root after it
+            at, charge = step(src, dst, cols[:k])
+            hops.append(Hop(k, below, _run(src), _run(dst), at))
+            src, k, work = dst, below, work + charge
+        return RootWalk(_run(start), cols, tuple(hops), work)
+
+
+@dataclass(frozen=True)
+class DofLevel:
+    """One step of the branch-sparse LTL factor and its solves: `dofs`,
+    each with `a` ancestors in `anc` (from the root down), and flat indices
+    into the n x n matrix of their pivots (`piv`), their rows of L (`rows`,
+    dofs x a) and the entries (anc[i], anc[j]), j <= i, that each row's
+    outer product updates (`targets`, with the pair columns i and j in
+    `pi` and `pj`).  `flops` is the factor's charge for the level."""
+
+    dofs: np.ndarray
+    anc: np.ndarray
+    piv: slice | np.ndarray
+    rows: np.ndarray
+    pi: np.ndarray
+    pj: np.ndarray
+    targets: np.ndarray
+    flops: int
+
+
+def dof_levels(dof_parent: np.ndarray) -> tuple[DofLevel, ...]:
     """The dofs by their number of ancestors in `dof_parent`, root level
-    first, as (dofs, ancestor table) pairs with each dof's ancestors from
-    the root down; the LTL factor and solves take one step per level."""
-    levels, row = [], np.zeros(len(dof_parent), dtype=int)
-    dofs = np.flatnonzero(dof_parent < 0)
-    while dofs.size:
+    first and each level's dofs ascending; the LTL factor and solves take
+    one step per level, deepest first for the factor.  A level whose dofs
+    each have a child in the next level, in one run, takes a view of that
+    level's targets, so a chain holds one table of them, not one per level."""
+    n = len(dof_parent)
+    depth, up = (dof_parent >= 0).astype(int), dof_parent.copy()
+    while (on := up >= 0).any():        # pointer jumping: depth counts the dofs up to `up`
+        depth[on] += depth[up[on]]
+        up[on] = up[up[on]]
+    order = np.argsort(depth, kind="stable")
+    row, ancs = np.empty(n, dtype=int), []
+    for dofs in np.split(order, np.cumsum(np.bincount(depth))[:-1]) if n else ():
         row[dofs] = np.arange(dofs.size)
         par = dof_parent[dofs]
-        anc = (np.column_stack((levels[-1][1][row[par]], par)) if levels
-               else np.zeros((dofs.size, 0), dtype=int))
-        levels.append((dofs, anc))
-        dofs = np.flatnonzero(np.isin(dof_parent, dofs))
-    return tuple(levels)
+        ancs.append((dofs, np.column_stack((ancs[-1][1][row[par]], par)) if ancs
+                     else np.zeros((dofs.size, 0), dtype=int)))
+    a_max = max(len(ancs) - 1, 0)
+    pi = np.repeat(np.arange(a_max), np.arange(1, a_max + 1))
+    pj = np.arange(pi.size) - pi * (pi + 1) // 2          # the pairs j <= i, i major
+    levels = []
+    for dofs, anc in reversed(ancs):
+        a = anc.shape[1]
+        p = a * (a + 1) // 2
+        sel = None
+        if levels:                      # each dof's first child in the level below
+            parents, first = np.unique(row[dof_parent[levels[-1].dofs]], return_index=True)
+            sel = _run(first) if parents.size == dofs.size else None
+        targets = (levels[-1].targets[sel, :p] if isinstance(sel, slice)
+                   else anc[:, pi[:p]] * n + anc[:, pj[:p]])
+        levels.append(DofLevel(dofs, anc, _run(dofs * (n + 1)), dofs[:, None] * n + anc,
+                               pi[:p], pj[:p], targets, dofs.size * (1 + a * (a + 2))))
+    return tuple(reversed(levels))
 
 
 class Model:
@@ -304,8 +399,8 @@ class Model:
         self.plan = LevelPlan.of(self)
 
         # per-dof parent chain (previous dof of the same joint, else the
-        # last dof of the nearest movable ancestor) and its levels; they
-        # drive the branch-sparse factorization pattern
+        # last dof of the nearest movable ancestor); it drives the
+        # branch-sparse factorization pattern
         dof_parent = np.full(self.nv, -1, dtype=int)
         last_dof = np.full(self.n_links, -1, dtype=int)
         for i in range(self.n_links):
@@ -318,8 +413,48 @@ class Model:
                 prev = d
             last_dof[i] = prev if nv > 0 else (last_dof[anc] if anc >= 0 else -1)
         self.dof_parent = dof_parent
-        self.dof_levels = dof_levels(dof_parent)
         self._last_dof = last_dof
+        self._jacobian_walks: dict[bytes, RootWalk] = {}
+
+    @cached_property
+    def dof_levels(self) -> tuple[DofLevel, ...]:
+        """``dof_levels(dof_parent)``, built on first read (CRBA and the LTL)."""
+        return dof_levels(self.dof_parent)
+
+    @cached_property
+    def crba_walk(self) -> RootWalk:
+        """CRBA's walk: the column F = IC S of each moving link up its root
+        path, writing S' F at each joint it passes (``at``: flat indices into
+        the (nv+1) x (nv+1) matrix, below and above the diagonal; row and
+        column nv take the fixed joints) and F' S0 at the root."""
+        plan, nv, nv0 = self.plan, self.nv, self.joints[0].nv
+        start = np.flatnonzero(plan.fixed[:, 0, 0] == 0.0)[::-1]
+
+        def step(src, dst, cols):
+            rows = plan.slot_dof[dst]
+            return ((_run(rows * (nv + 1) + cols), _run(cols * (nv + 1) + rows)),
+                    cols.size * flops.XFORCE_T + flops.gemm(1, 6, 1) * np.count_nonzero(rows < nv))
+        return RootWalk.of(plan, start, plan.slot_dof[start], step, start.size * (
+            flops.gemm(6, 6, 1) + flops.gemm(1, 6, 1) + flops.gemm(nv0, 6, 1)))
+
+    def jacobian_walk(self, links) -> RootWalk:
+        """The Jacobian walk of `links`, built once per link set: each link's
+        transform from an ancestor's frame, composed one parent per hop, maps
+        that ancestor's joint column into the link's frame (``at``: the rows
+        and the dof columns, nv at fixed joints)."""
+        links = check_links(self, links)
+        key = links.tobytes()
+        if key not in self._jacobian_walks:
+            plan, nv, nv0 = self.plan, self.nv, self.joints[0].nv
+            pos = plan.position[links]
+            order = np.argsort(-plan.depth[pos], kind="stable")
+
+            def step(src, dst, cols):
+                dof = plan.slot_dof[src]
+                return (cols, dof), cols.size * flops.COMPOSE + flops.XMOT * np.count_nonzero(dof < nv)
+            self._jacobian_walks[key] = RootWalk.of(plan, pos[order], order, step,
+                                                    links.size * (flops.COMPOSE + flops.XMOT * nv0))
+        return self._jacobian_walks[key]
 
     @property
     def base_kind(self) -> str:

@@ -276,6 +276,13 @@ def test_aba_singular_joint_inertia():
         aba(model, neutral_state(model), np.zeros(1))
 
 
+def test_dense_delassus_of_no_rows_is_empty_and_free(humanoid):
+    from pvdyn import flops
+    with flops.counted() as count:
+        lam = dense_delassus(humanoid, random_state(humanoid, 11), ConstraintSet())
+    assert lam.shape == (0, 0) and count() == 0
+
+
 def test_dense_delassus_psd(humanoid):
     state = random_state(humanoid, 11)
     cs = ConstraintSet([weld_constraint(6), weld_constraint(12)])
@@ -566,6 +573,65 @@ class TestLevelBatchedLtl:
                 j = model.dof_parent[j]
         assert np.array_equal(mass.ancestry_mask(), mask)
         assert not mask.all()
+
+    @pytest.mark.parametrize("name", LTL_MODELS)
+    def test_dof_levels_follow_the_parent_chain(self, name):
+        model = _ltl_models()[name]()
+        n, levels = model.nv, model.dof_levels
+        assert np.array_equal(np.sort(np.concatenate([lv.dofs for lv in levels])), np.arange(n))
+        for a, lv in enumerate(levels):
+            assert np.all(np.diff(lv.dofs) > 0) and lv.anc.shape == (lv.dofs.size, a)
+            for d, anc in zip(lv.dofs, lv.anc):
+                chain, j = [], model.dof_parent[d]
+                while j >= 0:
+                    chain.append(j)
+                    j = model.dof_parent[j]
+                assert anc.tolist() == chain[::-1]
+            # the flat indices the factor and its solves read
+            i = np.repeat(np.arange(a), np.arange(1, a + 1))
+            j = np.arange(i.size) - i * (i + 1) // 2
+            assert np.array_equal(lv.pi, i) and np.array_equal(lv.pj, j)
+            assert np.array_equal(lv.targets, lv.anc[:, i] * n + lv.anc[:, j])
+            assert np.array_equal(np.arange(n * n)[lv.piv], lv.dofs * (n + 1))
+            assert np.array_equal(lv.rows, lv.dofs[:, None] * n + lv.anc)
+        if name == "chain:64":      # one table of targets, viewed by every level
+            assert all(np.shares_memory(lv.targets, levels[-1].targets) for lv in levels[1:])
+
+    def test_caller_built_mass_matrix_builds_its_levels(self):
+        model, state, cache, cs = _ltl_case("welded-tree")
+        mass = crba(model, state, cache)
+        own = MassMatrix(mass.matrix, mass.dof_parent)
+        assert own.levels is not model.dof_levels
+        assert ltl_factorize(own).matrix.tobytes() == ltl_factorize(mass).matrix.tobytes()
+        jac = constraint_jacobian(model, cache, cs)
+        assert ltl_osim(own, jac).matrix.tobytes() == ltl_osim(mass, jac).matrix.tobytes()
+
+    def test_only_crba_and_the_ltl_build_the_levels(self):
+        from pvdyn import caba_osim, pv_osim, pv_solve
+        model = generate_tree(30, 3, seed=6, base_kind="floating")
+        state = random_state(model, 6)
+        cs = ConstraintSet([weld_constraint(7), point_constraint(20, [0.1, 0, 0])])
+        tau = np.zeros(model.nv)
+        cache = forward_kinematics(model, state)
+        pv_solve(model, state, tau, cs)
+        pv_osim(model, state, cs)
+        caba_osim(model, state, cs)
+        aba(model, state, tau)
+        rnea(model, state, tau)
+        constraint_jacobian(model, cache, cs)
+        assert "dof_levels" not in vars(model)
+        dense_delassus(model, state, ConstraintSet())
+        assert "dof_levels" not in vars(model) and "crba_walk" not in vars(model)
+        assert crba(model, state).levels is model.dof_levels
+
+    def test_walks_are_built_once(self):
+        model, state, cache, cs = _ltl_case("tree:128:3")
+        assert crba(model, state, cache).levels is crba(model, state, cache).levels
+        assert model.crba_walk is model.crba_walk
+        walk = model.jacobian_walk(cs.links)
+        constraint_jacobian(model, cache, cs)
+        assert model.jacobian_walk(list(cs.links)) is walk
+        assert model.jacobian_walk(cs.links[:1]) is not walk
 
     @pytest.mark.parametrize("dof", [0, 5, -1])
     def test_not_positive_definite_at_any_level(self, dof):

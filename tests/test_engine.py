@@ -16,8 +16,9 @@ import pytest
 
 from pvdyn import (ConstraintSet, Joint, Model, MotionConstraint, PlueckerTransform, PvWorkspace,
                    SolverSettings, SpatialInertia, aba, caba_osim, constrained,
-                   constrained_aba, dense_delassus, flops, generate_humanoid_like, generate_tree,
-                   kkt_oracle, linalg, point_constraint, pv_early_solve, pv_osim,
+                   constrained_aba, constraint_jacobian, crba, dense_delassus, flops,
+                   generate_humanoid_like, generate_tree, kkt_oracle, linalg, ltl_factorize,
+                   ltl_osim, ltl_solve, point_constraint, pv_early_solve, pv_osim,
                    pv_osimr, pv_soft_solve, pv_solve, random_feasible_instance,
                    random_singular_instance, random_state, relaxed_kkt_oracle,
                    weld_constraint)
@@ -695,6 +696,18 @@ PINNED_ORACLE_FLOPS = {
     "chain:64": {"kkt_oracle": 486484, "relaxed_kkt_oracle": 467868},
 }
 
+# the LTL baseline's flops on the same fixtures and state: crba and
+# constraint_jacobian on one cache, the whole FK + CRBA + Jacobian +
+# ltl_osim pipeline, and ltl_solve on one right-hand side (seed 3)
+PINNED_BASELINE_FLOPS = {
+    "tree:128:3": {"crba": 147788, "constraint_jacobian": 41568,
+                   "ltl_osim_pipeline": 281176, "ltl_solve": 1608},
+    "humanoid": {"crba": 43274, "constraint_jacobian": 15774,
+                 "ltl_osim_pipeline": 94016, "ltl_solve": 1476},
+    "chain:64": {"crba": 173632, "constraint_jacobian": 18069,
+                 "ltl_osim_pipeline": 314142, "ltl_solve": 8192},
+}
+
 
 class TestSameFlops:
     @pytest.mark.parametrize("fixture", sorted(PINNED_FLOPS))
@@ -733,6 +746,28 @@ class TestSameFlops:
                 call()
                 counted[name] = count()
         assert counted == PINNED_ORACLE_FLOPS[fixture]
+
+    @pytest.mark.parametrize("fixture", sorted(PINNED_BASELINE_FLOPS))
+    def test_baseline_flops_are_pinned(self, fixture):
+        model, cs = PIN_FIXTURES[fixture]
+        state = random_state(model, 3)
+        cache = forward_kinematics(model, state)
+        mass = crba(model, state, cache=cache)
+        factor = ltl_factorize(mass)
+        rhs = np.random.default_rng(3).uniform(-1, 1, model.nv)
+
+        def pipeline():
+            fk = forward_kinematics(model, state)
+            return ltl_osim(crba(model, state, cache=fk), constraint_jacobian(model, fk, cs))
+        counted = {}
+        for name, call in (("crba", lambda: crba(model, state, cache=cache)),
+                           ("constraint_jacobian", lambda: constraint_jacobian(model, cache, cs)),
+                           ("ltl_osim_pipeline", pipeline),
+                           ("ltl_solve", lambda: ltl_solve(factor, rhs))):
+            with flops.counted() as count:
+                call()
+                counted[name] = count()
+        assert counted == PINNED_BASELINE_FLOPS[fixture]
 
 
 class TestRelaxedFirstIteration:
