@@ -43,7 +43,7 @@ from .errors import NotPositiveDefinite
 from .kinematics import (KinematicsCache, constraint_drift,
                          constraint_jacobian, forward_kinematics,
                          kinematics_of, velocity_products)
-from .model import ConstraintSet, Model, State, check_vec, dof_levels
+from .model import ConstraintSet, Model, State, check_rows, check_vec, dof_levels
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +305,13 @@ def relaxed_kkt_oracle(model: Model, state: State, tau, cs: ConstraintSet,
     weights and make the oracle less accurate than the sweeps it grades.
     """
     tau = check_vec(model, tau, "tau")
+    r = check_rows(weights, cs.m, "weights")
     cache = forward_kinematics(model, state)
     mass = crba(model, state, cache=cache)
     h = bias_force(model, state, cache=cache)
     jac = constraint_jacobian(model, cache, cs)
     gamma = constraint_drift(model, cache, cs)
     n, m = model.nv, cs.m
-    r = np.broadcast_to(np.asarray(weights, dtype=float), (m,))
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = mass.matrix
     aug[:n, n:] = jac.T

@@ -97,7 +97,8 @@ def build_cell(model: Model, algorithm: str, m: int, seed: int):
     rng = np.random.default_rng((seed, 17))
     tau = rng.uniform(-5.0, 5.0, model.nv)
     cs = generators.standard_constraints(model, m, seed) if m else ConstraintSet.empty()
-    ws = constrained.PvWorkspace(model, cs)
+    ws = constrained.PvWorkspace(model, cs) if algorithm in (
+        "pv", "pv_soft", "pv_early", "caba", "pv_osim", "pv_osimr", "caba_osim") else None
     settings = constrained.SolverSettings()
 
     if algorithm == "aba":

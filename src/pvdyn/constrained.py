@@ -50,7 +50,7 @@ How the solvers compose them:
   of its links eliminates the multiplier blocks that have become safely
   invertible; blocks that stay singular ride to the base as in
   ``pv_solve``.  A schedule built once per layout
-  (``PvWorkspace.early``) lists each level's candidates, the constraints
+  (``_RowPlan.early``) lists each level's candidates, the constraints
   with at least as many moving joints between their link and the
   eliminating one as they have rows.  Sibling subtrees hold disjoint
   rows, so a level's links eliminate together in rounds, each round
@@ -79,8 +79,13 @@ Gravity is applied by giving the world an acceleration of -g, so a
 constraint target a* on true link acceleration becomes
 ``beta_hat = a* - K X_world g`` on sweep accelerations.
 
-Each solve is single threaded; distinct workspaces may run concurrently
-but one workspace must never be shared by two simultaneous solves.
+A ``_RowPlan``, built once per (model, ``cs.layout``), holds what depends
+on them alone, as index arrays: each link's rows, the support levels, the
+row layouts and the early schedule; a ``PvWorkspace`` holds one solve's
+buffers and that shared plan.  Solves are single threaded; distinct
+workspaces may run concurrently and race to fill their plan's lazy memos
+(``live``, ``compressed``, ``early``, the round plans) with equal records,
+but a workspace must never serve two simultaneous solves.
 """
 
 from __future__ import annotations
@@ -96,7 +101,8 @@ from . import flops, linalg
 from .errors import (DimensionMismatch, NotPositiveDefinite, SingularBaseInertia, SingularDual,
                      SingularJointInertia)
 from .kinematics import KinematicsCache, kinematics_of, velocity_products
-from .model import ConstraintSet, Model, State, check_finite, check_links, check_vec
+from .model import (ConstraintSet, Model, State, check_finite, check_links, check_rows, check_vec,
+                    root_scan)
 
 _ELIM_PIVOT_RATIO = 1e-6     # eagerness threshold for early elimination
 _DUAL_PIVOT_RATIO = 1e-10    # base dual block counts as singular below this
@@ -155,86 +161,58 @@ class _Sweep:
         self.qj = np.empty((n + nv0, 1, 1))    # joint accelerations, plan layout
 
 
-class PvWorkspace(_Sweep):
-    """Preallocated buffers and static row bookkeeping for one (model, cs).
+class _RowPlan:
+    """The static rows of one (model, ``cs.layout``), built once and shared.
 
     ``rows[i]`` lists the global constraint rows active in link i's
     subtree, in ascending order (``_carried_rows`` without a cap); its
     length is the m_i of the sweep.  ``con_pos`` and ``row_pos`` hold each
     constraint's and each row's link as a plan position.  The coupling
-    pass holds K as one (m, 6) array indexed by constraint row (K, L, l
-    and lam end in a spill row of zeros) and walks a ``_RowLayout``:
-    ``full`` (every row), ``live(alive)`` (the rows not eliminated early,
-    built once per pattern) or ``compressed`` (``pv_osimr``'s rows, built
-    on first use, like ``early``, ``pv_early_solve``'s schedule).  Shapes
-    and bookkeeping depend only on the model and each constraint's (link,
-    dim) in order, so a workspace is reusable across solves and constraint
-    sets with that layout; the rows' K come from the set on every call.
+    pass walks a ``_RowLayout``: ``full`` (every row), ``live(alive)``
+    (the rows not eliminated early, built once per pattern) or
+    ``compressed`` (``pv_osimr``'s rows, built on first use, like
+    ``early``, ``pv_early_solve``'s schedule).
     """
 
-    def __init__(self, model: Model, cs: ConstraintSet):
-        n = model.n_links
-        m = cs.m
-        super().__init__(model)
-        self.model = model
-        self.layout = cs.layout
-        plan = model.plan
-        self.con_pos = plan.position[check_links(model, [link for link, _ in self.layout])]
-        self.row_pos = np.repeat(self.con_pos, [dim for _, dim in self.layout])
+    def __init__(self, model: Model, layout: tuple):
+        n, plan = model.n_links, model.plan
+        # the model's level plan and children, not the model, which holds its plans
+        self.level_plan, self.children, self.layout = plan, model.children, layout
+        self.con_pos = plan.position[check_links(model, [link for link, _ in layout])]
+        self.row_pos = np.repeat(self.con_pos, [dim for _, dim in layout])
         self.n_con_links = len(set(self.con_pos.tolist()))
-        self.rows = rows = _carried_rows(model, self.layout)[0]
-        # links whose subtree holds a constraint, and the others, in index
-        # order, as levels and as plan positions
-        self.support = tuple(i for i in range(n) if rows[i].size)
-        self.off_support = tuple(i for i in range(n) if not rows[i].size)
-        self.support_levels = plan.levels_of(self.support)
-        self.off_levels = plan.levels_of(self.off_support)
-        self.support_pos = plan.position[np.array(self.support, dtype=int)]
-        self.off_pos = plan.position[np.array(self.off_support, dtype=int)]
+        self.rows = rows = _carried_rows(model.children, layout)[0]
+        # links whose subtree holds a constraint, and the others, as levels
+        # and as plan positions in index order
+        carries = np.array([r.size > 0 for r in rows], dtype=bool)
+        self.support_levels = plan.levels_of(np.flatnonzero(carries))
+        self.off_levels = plan.levels_of(np.flatnonzero(~carries))
+        self.support_pos, self.off_pos = plan.position[carries], plan.position[~carries]
         # the support's slots in the plan layout of joint vectors (the root's
         # dofs in place of its padding slot 0), and its links with a child
         # off it, as plan positions
         self.support_slots = np.append(self.support_pos[self.support_pos > 0],
-                                       n + np.arange(model.joints[0].nv if self.support else 0))
+                                       n + np.arange(model.joints[0].nv if carries.any() else 0))
         frontier = np.zeros(n + 1, dtype=bool)     # the root's parent -1 lands in the spare slot
         frontier[plan.parent[self.off_pos]] = True
         frontier[self.off_pos] = False
         self.frontier_pos = np.flatnonzero(frontier[:n])
-        self.da = np.empty((n, 6, 1))
-        self.dqj = np.empty_like(self.qj)
-        self.K, self.L = np.zeros((m + 1, 6))[:-1], np.zeros((m + 1, m + 1))[:-1, :-1]
-        self.full = _RowLayout(_coupling_levels(plan, rows, self.L.base), (), self.K, self.L)
-        self._live = {np.ones(m, dtype=bool).tobytes(): self.full}
-        self.l = np.zeros(m + 1)
-        self.lam = np.zeros(m + 1)
-        self.beta = np.empty(m)
-        self.resid = np.empty(m)
-        # per level of the coupling pass, its K_S and rows for the forward pass
-        self.ks: list = [None] * len(plan.sweep)
-        self.counters: dict = {}
-
-    @staticmethod
-    def ensure(model: Model, cs: ConstraintSet, ws: "PvWorkspace | None"):
-        if ws is None or ws.model is not model or ws.layout != cs.layout:
-            return PvWorkspace(model, cs)
-        return ws
+        self.full = _row_layout(plan, rows, self.row_pos.size)
+        self._live = {np.ones(self.row_pos.size, dtype=bool).tobytes(): self.full}
 
     def live(self, alive: np.ndarray) -> "_RowLayout":
         """The layout of the rows `alive` (not eliminated early), built once per pattern."""
         key = alive.tobytes()
         if key not in self._live:
             rows = [r[alive[r]] for r in self.rows]
-            self._live[key] = _RowLayout(_coupling_levels(self.model.plan, rows, self.L.base),
-                                         (), self.K, self.L)
+            self._live[key] = _row_layout(self.level_plan, rows, alive.size)
         return self._live[key]
 
     @cached_property
     def compressed(self) -> "_RowLayout":
-        rows, swaps = _carried_rows(self.model, self.layout, 6)
-        mm = self.K.shape[0] + 6 * len(swaps)
-        K, L = np.zeros((mm + 1, 6))[:-1], np.zeros((mm + 1, mm + 1))[:-1, :-1]
-        return _RowLayout(_coupling_levels(self.model.plan, rows, L.base), tuple(reversed(swaps)),
-                          K, L, np.tile(np.eye(6), (len(swaps), 1)))
+        rows, swaps = _carried_rows(self.children, self.layout, 6)
+        mm = self.row_pos.size + 6 * len(swaps)
+        return _row_layout(self.level_plan, rows, mm, tuple(reversed(swaps)))
 
     @cached_property
     def early(self) -> tuple:
@@ -247,58 +225,93 @@ class PvWorkspace(_Sweep):
         a sum of one rank-one term per moving joint passed, and the Schur
         update of an earlier elimination cannot raise its rank.
         """
-        plan = self.model.plan
-        d = np.zeros(len(plan.order), dtype=int)
-        for lv in plan.sweep[1:]:
-            d[lv.links] = d[lv.parents] + (plan.fixed[lv.links, 0, 0] == 0.0)
+        plan = self.level_plan
+        d = root_scan(plan.parent, (plan.fixed[:, 0, 0] == 0.0).astype(int))
         dims = np.array([dim for _, dim in self.layout], dtype=int)
         starts = np.cumsum(dims) - dims
-        # each constraint at its link and at each ancestor: the links whose
-        # rows hold its first row
-        row = np.concatenate(self.rows)
-        at = np.repeat(plan.position, [r.size for r in self.rows])
+        # each constraint at its link and at each ancestor (the links whose
+        # rows hold its first row) where it is a candidate; by level, a
+        # level's links in descending index order, as the coupling pass
+        # lists them, and each link's candidates in constraint order
+        sizes = np.array([r.size for r in self.rows])
+        row, at = np.concatenate(self.rows), np.repeat(plan.position, sizes)
         first = np.isin(row, starts)
         con, at = np.searchsorted(starts, row[first]), at[first]
         keep = d[self.con_pos[con]] - d[at] >= dims[con]
-        con, at = con[keep], at[keep]
-        # a level's links in descending index order, as the coupling pass
-        # lists them, and each link's candidates in constraint order
-        by = np.lexsort((con, -plan.order[at]))
-        con, at = con[by], at[by]
+        by = np.lexsort((con[keep], -plan.order[at[keep]], plan.depth[at[keep]]))
+        con, at = con[keep][by], at[keep][by]
         levels: list = [None] * len(plan.sweep)
-        for k in np.unique(plan.depth[at]).tolist():
-            here = plan.depth[at] == k
-            levels[k] = _EarlyLevel.of(self.rows, plan.order, at[here], con[here], starts, dims)
+        if not at.size:
+            return tuple(levels)
+        # each candidate's level and link (numbered over all levels), the
+        # links' rows one link after another (link t's at cut[t]:cut[t + 1]),
+        # and the links and row offsets numbered from each level's first
+        depth = plan.depth[at]
+        level = np.cumsum(np.r_[True, depth[1:] != depth[:-1]]) - 1
+        new = np.r_[True, at[1:] != at[:-1]]
+        link, links = np.cumsum(new) - 1, plan.order[at[new]]
+        lo = np.searchsorted(level, np.arange(level[-1] + 2))
+        la, cut = np.r_[link[lo[:-1]], links.size], np.r_[0, np.cumsum(sizes[links])]
+        scale_rows = np.concatenate([self.rows[i] for i in links.tolist()])
+        scale_at = cut[:-1] - cut[la[level[new]]]
+        lists = (link - la[level]).tolist(), at.tolist(), starts[con].tolist(), dims[con].tolist()
+        for k, a, b, u, v in zip(depth[lo[:-1]].tolist(), lo.tolist(), lo[1:].tolist(),
+                                 la.tolist(), la[1:].tolist()):
+            levels[k] = _EarlyLevel(*(x[a:b] for x in lists), scale_rows[cut[u]:cut[v]],
+                                    scale_at[u:v], {})
         return tuple(levels)
+
+
+class PvWorkspace(_Sweep):
+    """The buffers of the solves of one (model, ``cs.layout``): ``_Sweep``'s,
+    K, L, l and lam (each with a spill row of zeros), K_S per level and the
+    compressed layout's own K and L.  ``plan`` is the layout's ``_RowPlan``,
+    shared by its workspaces; the rows' K come from the set on every call."""
+
+    def __init__(self, model: Model, cs: ConstraintSet):
+        super().__init__(model)
+        plans = model._row_plans        # one plan per layout, shared
+        self.plan = plans.get(cs.layout) or plans.setdefault(cs.layout, _RowPlan(model, cs.layout))
+        m = cs.m
+        self.da = np.empty((model.n_links, 6, 1))
+        self.dqj = np.empty_like(self.qj)
+        self._by_size: dict = {}
+        self.K, self.L = self.buffers(m)
+        self.l = np.zeros(m + 1)
+        self.lam = np.zeros(m + 1)
+        self.beta = np.empty(m)
+        self.resid = np.empty(m)
+        # per level of the coupling pass, its K_S and rows for the forward pass
+        self.ks: list = [None] * len(model.plan.sweep)
+        self.counters: dict = {}
+
+    @staticmethod
+    def ensure(model: Model, cs: ConstraintSet, ws: "PvWorkspace | None"):
+        if ws is None or ws.plan is not model._row_plans.get(cs.layout):
+            return PvWorkspace(model, cs)
+        return ws
+
+    def buffers(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Zero K and L for `size` rows (m, or the compressed layout's), made once."""
+        if size not in self._by_size:
+            self._by_size[size] = np.zeros((size + 1, 6))[:-1], np.zeros((size + 1,) * 2)[:-1, :-1]
+        return self._by_size[size]
 
 
 class _EarlyLevel(NamedTuple):
     """The early-elimination candidates of one level, in the order they
-    are tried: each candidate's link (its index into the level's links
-    that have candidates), plan position, rows and first row; each such
-    link's rows, also one after another (``scale_rows``, split at
-    ``scale_at``); and the rounds built so far for each set of live
-    candidates (``rounds_of``)."""
+    are tried: each one's link (its index among the level's links with
+    candidates), plan position, first row and row count; those links'
+    rows one link after another (``scale_rows``, split at ``scale_at``);
+    and the rounds built so far per set of live candidates (``rounds_of``)."""
 
     link: list[int]
     pos: list[int]
-    rows: list[np.ndarray]
     first: list[int]
-    link_rows: list[np.ndarray]
+    dims: list[int]
     scale_rows: np.ndarray
     scale_at: np.ndarray
     rounds: dict
-
-    @staticmethod
-    def of(rows, order, at, con, starts, dims) -> "_EarlyLevel":
-        # a link's candidates are adjacent
-        new = np.r_[True, at[1:] != at[:-1]]
-        link_rows = [rows[i] for i in order[at[new]].tolist()]
-        first = starts[con].tolist()
-        return _EarlyLevel((np.cumsum(new) - 1).tolist(), at.tolist(),
-                           [np.arange(f, f + dims[c]) for f, c in zip(first, con.tolist())],
-                           first, link_rows, np.concatenate(link_rows),
-                           np.cumsum([0] + [r.size for r in link_rows[:-1]]), {})
 
     def rounds_of(self, live: tuple) -> list["_RoundPlan"]:
         """The rounds that try the candidates `live`: round r takes each
@@ -338,12 +351,14 @@ class _RoundPlan(NamedTuple):
 
     @staticmethod
     def of(sched: _EarlyLevel, cands: tuple) -> "_RoundPlan":
-        dims = [sched.rows[c].size for c in cands]
+        dims = [sched.dims[c] for c in cands]
         links = [sched.link[c] for c in cands]
         pos = [sched.pos[c] for c in cands]
         at = np.cumsum([0] + dims).tolist()
-        rows = np.concatenate([sched.rows[c] for c in cands])
-        link_rows = [sched.link_rows[k] for k in links]
+        rows = np.concatenate([np.arange(sched.first[c], sched.first[c] + d)
+                               for c, d in zip(cands, dims)])
+        cut = sched.scale_at.tolist() + [sched.scale_rows.size]
+        link_rows = [sched.scale_rows[cut[k]:cut[k + 1]] for k in links]
         one = len(cands) == 1
         return _RoundPlan(cands, (rows[:, None], rows), list(zip(at, at[1:], links)), dims,
                           sum(flops.cholesky(d) for d in dims),
@@ -353,21 +368,21 @@ class _RoundPlan(NamedTuple):
                           pos[0] if one else np.repeat(pos, dims))
 
 
-def _carried_rows(model: Model, layout, cap: int | None = None):
+def _carried_rows(children: tuple, layout, cap: int | None = None):
     """The constraint rows each link's coupling step carries, ascending,
-    bottom-up from the constraint `layout`: its own and its children's,
-    the rows of the constraints in its subtree.  With `cap` (``pv_osimr``'s
-    compressed rows) a link below the root with more than `cap` carries
-    `cap` fresh rows (numbered from m up) instead.  Returns the rows by
-    link index and those links' (replaced, fresh)."""
-    rows: list[list[int]] = [[] for _ in range(model.n_links)]
+    bottom-up from the constraint `layout` on the tree of `children`: its
+    own and its children's, the rows of the constraints in its subtree.
+    With `cap` (``pv_osimr``'s compressed rows) a link below the root with
+    more than `cap` carries `cap` fresh rows (numbered from m up) instead.
+    Returns the rows by link index and those links' (replaced, fresh)."""
+    rows: list[list[int]] = [[] for _ in children]
     top = 0
     for link, dim in layout:
         rows[link] += range(top, top + dim)
         top += dim
     swaps = []
-    for i in range(model.n_links - 1, -1, -1):
-        for c in model.children[i]:
+    for i in range(len(children) - 1, -1, -1):
+        for c in children[i]:
             rows[i] += rows[c]
         rows[i].sort()
         if cap is not None and i and len(rows[i]) > cap:
@@ -379,20 +394,17 @@ def _carried_rows(model: Model, layout, cap: int | None = None):
 class _RowLayout(NamedTuple):
     """The rows a coupling pass walks: ``coupling`` holds a ``_LevelRows``
     per level of ``Model.plan.sweep`` (None where the level carries no
-    row), and the pass works on ``K`` and ``L``, views that hide the spill
-    row (and column) of zeros of their ``base`` that padding reads and
-    writes.  In ``pv_osimr``'s compressed layout a link below the root
-    with more than 6 rows R carries 6 fresh rows V, seeded with K = I,
-    instead.  The pass leaves C = K[R] in its frame, and above it R's
-    rows of K are C times V's, so ``swaps`` ((R, V), ancestors first)
-    expand L; Lambda is L[:m, :m].  The other layouts have no swaps and
-    share the workspace's K and L."""
+    row) over ``size`` rows, whose K and L (``PvWorkspace.buffers``) end
+    in a spill row (and column) of zeros that padding reads and writes.
+    In ``pv_osimr``'s compressed layout a link below the root with more
+    than 6 rows R carries 6 fresh rows V, numbered past m and seeded with
+    K = I, instead.  The pass leaves C = K[R] in its frame, and above it
+    R's rows of K are C times V's, so ``swaps`` ((R, V), ancestors first)
+    expand L; Lambda is L[:m, :m]."""
 
     coupling: tuple
     swaps: tuple
-    K: np.ndarray
-    L: np.ndarray
-    fresh: np.ndarray | None = None     # K of the rows past m: I by blocks of six
+    size: int
 
 
 class _LevelRows(NamedTuple):
@@ -400,33 +412,32 @@ class _LevelRows(NamedTuple):
     their plan positions and ``off`` their offsets in the level (slices
     where they run), ``idx`` their rows, one link's per line, padded with
     the spill row, and ``rows`` the same as an index of the spilled K, l
-    and lam.  ``block`` (array, index) gives each link's rows x rows block
-    of L: the flattened spilled L and the flat indices, or a view and
-    `...` where ``rows`` is a slice.  A level of one link takes ints and
-    1-D rows instead.  Counts: rows, rows and same-link row pairs at
-    moving joints."""
+    and lam.  ``block`` indexes each link's rows x rows block of the
+    spilled L: two slices where ``rows`` is a slice, else flat indices.
+    A level of one link takes ints and 1-D rows instead.  Counts: rows,
+    rows and same-link row pairs at moving joints."""
 
     links: int | slice | np.ndarray
     off: int | slice | np.ndarray
     rows: slice | np.ndarray
     idx: np.ndarray
-    block: tuple
+    block: tuple | np.ndarray
     n_rows: int
     n_moving: int
     n_pairs: int
 
 
-def _coupling_levels(plan, rows: list[np.ndarray], Ls: np.ndarray) -> tuple:
-    """A ``_LevelRows`` per level of ``plan.sweep`` (None where it holds no
-    row of `rows`, by link index) over the spilled L `Ls`, as views of one
-    index of every link's rows padded with the spill row."""
+def _row_layout(plan, rows: list[np.ndarray], size: int, swaps: tuple = ()) -> _RowLayout:
+    """The layout of `rows` (by link index) among `size` rows: a
+    ``_LevelRows`` per level of ``plan.sweep`` (None where it holds none),
+    as views of one index of every link's rows padded with the spill row."""
     levels: list = [None] * len(plan.sweep)
     sizes = np.array([r.size for r in rows])[plan.order]
     pos = np.flatnonzero(sizes)
     if not pos.size:
-        return tuple(levels)
+        return _RowLayout(tuple(levels), swaps, size)
     sizes = sizes[pos]
-    pad = np.full((pos.size, sizes.max()), len(Ls) - 1)
+    pad = np.full((pos.size, sizes.max()), size)
     pad[np.arange(pad.shape[1]) < sizes[:, None]] = \
         np.concatenate([rows[i] for i in plan.order[pos].tolist()])
     # per level: its depth, links a:b, first position, width, run and counts
@@ -434,7 +445,8 @@ def _coupling_levels(plan, rows: list[np.ndarray], Ls: np.ndarray) -> tuple:
     lo = np.flatnonzero(np.concatenate(([True], depth[1:] != depth[:-1])))
     hi = np.concatenate((lo[1:], [pos.size]))
     moving = sizes * (plan.fixed[pos, 0, 0] == 0.0)
-    pos_l = pos.tolist()
+    pos_l, first = pos.tolist(), pad[:, 0].tolist()
+    ran = (pad[np.arange(pos.size), sizes - 1] - pad[:, 0] < sizes).tolist()     # rows run
     for d, a, b, s, r, run, *n in zip(
             depth[lo].tolist(), lo.tolist(), hi.tolist(),
             np.searchsorted(plan.depth, depth[lo]).tolist(),
@@ -446,12 +458,11 @@ def _coupling_levels(plan, rows: list[np.ndarray], Ls: np.ndarray) -> tuple:
             idx = np.ascontiguousarray(pad[a:b, :r])
             links = slice(pos_l[a], pos_l[b - 1] + 1) if run else pos[a:b]
             off = slice(links.start - s, links.stop - s) if run else links - s
-        view = b - a == 1 and idx[-1] - idx[0] < r      # one link whose rows run
-        at = slice(int(idx[0]), int(idx[0]) + r) if view else idx
-        block = (Ls[at, at], ...) if view else \
-            (Ls.reshape(-1), idx[..., :, None] * len(Ls) + idx[..., None, :])
+        view = b - a == 1 and ran[a]        # one link whose rows run
+        at = slice(first[a], first[a] + r) if view else idx
+        block = (at, at) if view else idx[..., :, None] * (size + 1) + idx[..., None, :]
         levels[d] = _LevelRows(links, off, at, idx, block, *n)
-    return tuple(levels)
+    return _RowLayout(tuple(levels), swaps, size)
 
 
 def _setup(model: Model, state: State, tau, cs: ConstraintSet, ws: PvWorkspace | None,
@@ -485,8 +496,8 @@ def _add_rows(ws: PvWorkspace, buf: np.ndarray, terms: np.ndarray) -> None:
     """Add per-row terms (added inertia or bias, one product of a row of
     K each) into their links' entries of a plan-order buffer, charged as
     those products and one sum per constrained link."""
-    np.add.at(buf, ws.row_pos, terms)
-    flops.add(buf[0].size * (2 * len(terms) + ws.n_con_links))
+    np.add.at(buf, ws.plan.row_pos, terms)
+    flops.add(buf[0].size * (2 * len(terms) + ws.plan.n_con_links))
 
 
 # per-link flops of a 1-dof joint below the root: its factors and IA_proj,
@@ -680,7 +691,7 @@ def _aba(model: Model, cache: KinematicsCache, ws: _Sweep, tau: np.ndarray) -> n
 def _residual(cs: ConstraintSet, ws: PvWorkspace) -> float:
     """K a - beta_hat into ``ws.resid`` from the accelerations in ``ws.acc``
     and beta_hat in ``ws.beta``; returns its norm."""
-    a = ws.acc[ws.con_pos, :, 0]
+    a = ws.acc[ws.plan.con_pos, :, 0]
     np.subtract((cs.K * a[cs.row_con]).sum(1), ws.beta, out=ws.resid)
     flops.add(flops.gemm(cs.m, 6, 1))
     return float(np.linalg.norm(ws.resid))
@@ -727,13 +738,12 @@ def _try_chol(block: np.ndarray, ratio: float, scale: float = 0.0):
     return low
 
 
-def _seed_coupling(cs: ConstraintSet, lay: _RowLayout) -> None:
-    """Each constraint's K into its rows of ``lay.K`` (the compressed
-    layout's fresh rows past m take its ``fresh``), and L = 0."""
-    lay.K[:cs.m] = cs.K
-    if lay.fresh is not None:
-        lay.K[cs.m:] = lay.fresh
-    lay.L.base[:] = 0.0
+def _seed_coupling(cs: ConstraintSet, K: np.ndarray, L: np.ndarray) -> None:
+    """Each constraint's K into its rows of `K`, I by blocks of six past m, and L = 0."""
+    K[:cs.m] = cs.K
+    if K.shape[0] > cs.m:
+        K[cs.m:].reshape(-1, 6, 6)[:] = np.eye(6)
+    L.base[:] = 0.0
 
 
 def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, levels,
@@ -745,11 +755,11 @@ def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, levels
     the same levels.  A level step takes each link's block of rows of K
     from its frame into its parent's, and at the base into the world
     frame if `with_l`, and adds to the link's block of L; a row eliminated
-    early is not in ``ws.live``'s layout, so its diagonal of L keeps the
-    value that ``_eliminate`` scales its pivot tests by.
+    early is not in ``_RowPlan.live``'s layout, so its diagonal of L keeps
+    the value that ``_eliminate`` scales its pivot tests by.
     """
     plan = model.plan
-    K = lay.K.base
+    K, L = (x.base for x in ws.buffers(lay.size))      # with the spill row (and column)
     work = 0
     for k in levels:
         lr = lay.coupling[k]
@@ -757,14 +767,14 @@ def _coupling_pass(model: Model, cache: KinematicsCache, ws: PvWorkspace, levels
         if lr is None:
             continue
         if plan.sweep[k].parents is None:
-            work += _root_coupling(model, cache, ws, lay.K, lay.L, k, lr.idx, with_l)
+            work += _root_coupling(model, cache, ws, K, L, k, lr.idx, with_l)
             continue
         # a (rows, 6) block per link, 2-D at a one-link level: rounds as a per-link sweep
-        sl, _, rows, _, (blocks, at), n_rows, n_moving, n_pairs = lr
+        sl, _, rows, _, block, n_rows, n_moving, n_pairs = lr
         ka = K[rows]
         ks = ka @ plan.S[sl]
         w = ks * ws.D_inv[sl]
-        blocks[at] += w * ks.swapaxes(-1, -2)
+        (L if isinstance(block, tuple) else L.reshape(-1))[block] += w * ks.swapaxes(-1, -2)
         if with_l:
             c = cache.c[sl]
             ws.l[rows] += (ka @ c + w * (ws.u[sl] - ws.U_t[sl] @ c))[..., 0]
@@ -871,7 +881,7 @@ def _eliminate(ws: PvWorkspace, sched: _EarlyLevel, live: tuple, alive: np.ndarr
             back += flops.gemm(dim, o + 6, 1) + flops.chol_solve(dim)
         done.append(_Round(rj, rp.pos_rows, low, kj, lj, others, ljo, back))
         eliminated += rp.cands
-    ws.counters["dual_factor_dims"] += [sched.rows[c].size for c in sorted(eliminated)]
+    ws.counters["dual_factor_dims"] += [sched.dims[c] for c in sorted(eliminated)]
     flops.add(work)
 
 
@@ -884,27 +894,27 @@ def _exact(model: Model, cache: KinematicsCache, tau: np.ndarray, cs: Constraint
     beta = _beta_hat(model, cache, cs, ws.beta)
     _own_terms(model, cache, ws)
     tau = _slots(model, tau)
-    _seed_coupling(cs, ws.full)
+    _seed_coupling(cs, ws.K, ws.L)
     ws.l[:cs.m] = -beta
     lam = ws.lam
     lam[:] = 0.0
     alive = np.ones(cs.m, dtype=bool)
     ws.counters = {"base_dual_dim": 0, "dual_factor_dims": []}
 
-    sweep = model.plan.sweep
+    sweep, plan = model.plan.sweep, ws.plan
     elim: list[list[_Round]] = [[] for _ in sweep]
     # the passes run over runs of levels, children first; with early
     # elimination a run ends above each level that still has a coupled
     # candidate, which eliminates before its projections
     end = len(sweep)
     for k in reversed(range(len(sweep))) if early else ():
-        sched = ws.early[k]
+        sched = plan.early[k]
         live = tuple(c for c, first in enumerate(sched.first) if alive[first]) if sched else ()
         if live:
-            _backward(model, cache, ws, tau, range(k + 1, end), ws.live(alive))
+            _backward(model, cache, ws, tau, range(k + 1, end), plan.live(alive))
             _eliminate(ws, sched, live, alive, elim[k])
             end = k + 1
-    _backward(model, cache, ws, tau, range(end), ws.live(alive))
+    _backward(model, cache, ws, tau, range(end), plan.live(alive))
 
     # dense dual solve for the rows that reached the base, scaled as in _eliminate
     act = alive.nonzero()[0]
@@ -983,7 +993,7 @@ def pv_soft_solve(model: Model, state: State, tau, cs: ConstraintSet,
     """Relaxed constrained dynamics in one sweep (no dual system at all)."""
     settings = settings or SolverSettings()
     ws, cache, tau = _setup(model, state, tau, cs, ws, cache)
-    weights = np.broadcast_to(np.asarray(settings.soft_R, dtype=float), (cs.m,))
+    weights = check_rows(settings.soft_R, cs.m, "soft_R")
     qdd, rnorm = _relaxed(model, cache, cs, ws, tau, weights)
     lam = -ws.resid / weights
     flops.add(2 * cs.m)
@@ -996,12 +1006,12 @@ def _support_response(model: Model, cache: KinematicsCache, cs: ConstraintSet,
     makes, swept over the support into ``ws.da`` and ``ws.dqj``.  With
     the inertia of the relaxed solve, B = Lambda (I + Lambda/mu)^-1 is
     symmetric PSD with eigenvalues below mu."""
-    ws.pA[ws.support_pos] = 0.0
+    ws.pA[ws.plan.support_pos] = 0.0
     _add_rows(ws, ws.pA[:, :, 0], cs.K * -v[:, None])
-    _bias_pass(model, cache, ws, ws.support_levels)
-    _forward_pass(model, cache, ws, ws.support_levels, change=True)
+    _bias_pass(model, cache, ws, ws.plan.support_levels)
+    _forward_pass(model, cache, ws, ws.plan.support_levels, change=True)
     flops.add(flops.gemm(cs.m, 6, 1))
-    return (cs.K * ws.da[ws.con_pos, :, 0][cs.row_con]).sum(1)
+    return (cs.K * ws.da[ws.plan.con_pos, :, 0][cs.row_con]).sum(1)
 
 
 def _min_norm(w: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -1053,7 +1063,7 @@ def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
     w = np.zeros(cs.m) if lam0 is None else lam0           # lam0 + y
     # the running sums of y's change hold what the fill off the support
     # reads: da at the frontier and dqj over the support
-    terms = 6 * ws.frontier_pos.size + ws.support_slots.size
+    terms = 6 * ws.plan.frontier_pos.size + ws.plan.support_slots.size
     history = [rnorm]
     status = "max_iter"
     it, gamma, lam_hat, hat_at = 1, 0.0, None, 0
@@ -1075,7 +1085,7 @@ def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
             break
         if it == 2:
             # the next sweep overwrites the first step's
-            da_p, dqj_p = ws.da[ws.frontier_pos], ws.dqj[ws.support_slots]
+            da_p, dqj_p = ws.da[ws.plan.frontier_pos], ws.dqj[ws.plan.support_slots]
             da_y, dqj_y = scale * da_p, scale * dqj_p
             flops.add(terms)
         it += 1
@@ -1096,8 +1106,8 @@ def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
             p = r + beta * p
             bp = br + beta * bp
             alpha = gamma / float(bp @ bp)
-            da_p = ws.da[ws.frontier_pos] + beta * da_p
-            dqj_p = ws.dqj[ws.support_slots] + beta * dqj_p
+            da_p = ws.da[ws.plan.frontier_pos] + beta * da_p
+            dqj_p = ws.dqj[ws.plan.support_slots] + beta * dqj_p
             da_y -= alpha * da_p
             dqj_y -= alpha * dqj_p
             work = 12 * cs.m + 4 * terms
@@ -1110,9 +1120,9 @@ def constrained_aba(model: Model, state: State, tau, cs: ConstraintSet,
         # y's change over the support, filled in off it, where the bias
         # change is zero
         if da_y is not None:
-            ws.da[ws.frontier_pos], ws.dqj[ws.support_slots] = da_y, dqj_y
-        ws.u[ws.off_pos] = 0.0
-        _forward_pass(model, cache, ws, ws.off_levels, change=True)
+            ws.da[ws.plan.frontier_pos], ws.dqj[ws.plan.support_slots] = da_y, dqj_y
+        ws.u[ws.plan.off_pos] = 0.0
+        _forward_pass(model, cache, ws, ws.plan.off_levels, change=True)
         dqdd = _dofs(model, ws.dqj)
         if da_y is None:
             dqdd *= scale

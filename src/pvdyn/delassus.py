@@ -8,7 +8,7 @@ Three producers and one consumer:
   L block left at the base; crossing a floating base joint supplies the
   rank-6 base correction, a fixed base adds nothing.
 * ``pv_osimr`` — the same passes over rows compressed to six per link
-  (``PvWorkspace.compressed``), so that, as in PV-OSIMr, no joint
+  (``_RowPlan.compressed``), so that, as in PV-OSIMr, no joint
   carries more than one 6x6 block; an expansion after the pass gives
   the compressed rows their L entries.
 * ``caba_osim`` — damped inverse (Lambda + mu I)^-1: the ``pv_osim``
@@ -89,16 +89,17 @@ def delassus_apply(op: DelassusOperator, rhs: np.ndarray) -> np.ndarray:
 def _coupled_delassus(model: Model, cache, cs: ConstraintSet, ws: PvWorkspace,
                       lay: _RowLayout) -> np.ndarray:
     """Lambda as the base L block of the inertia and coupling passes over
-    the rows of `lay` (the workspace's ``full`` or ``compressed``)."""
+    the rows of `lay` (the plan's ``full`` or ``compressed``)."""
     if cs.m == 0:
         return np.zeros((0, 0))
     np.copyto(ws.IA, model.plan.inertia66)
-    _seed_coupling(cs, lay)
+    K, L = ws.buffers(lay.size)
+    _seed_coupling(cs, K, L)
     sweep = model.plan.sweep
     _inertia_pass(model, cache, ws, sweep)
     _coupling_pass(model, cache, ws, reversed(range(len(sweep))), lay, with_l=False)
-    _expand(lay)
-    out = lay.L[:cs.m, :cs.m]
+    _expand(lay.swaps, K, L)
+    out = L[:cs.m, :cs.m]
     return 0.5 * (out + out.T)
 
 
@@ -107,19 +108,18 @@ def pv_osim(model: Model, state: State, cs: ConstraintSet,
             cache: KinematicsCache | None = None) -> DelassusOperator:
     """Delassus matrix as the base-level coupling block of the exact sweep."""
     ws, cache, _ = _setup(model, state, None, cs, ws, cache)
-    lam = _coupled_delassus(model, cache, cs, ws, ws.full)
+    lam = _coupled_delassus(model, cache, cs, ws, ws.plan.full)
     return DelassusOperator("explicit", lam)
 
 
-def _expand(layout: _RowLayout) -> None:
+def _expand(swaps: tuple, K: np.ndarray, L: np.ndarray) -> None:
     """The L entries that each compressed link's rows R take above it,
     ancestors first.  Above the link R's rows of K are C = K[R] times the
     fresh rows V's, so over the columns that V meets L[R, cols] gains
     C L[V, cols], L[cols, R] its transpose and L[R, R] C L[V, V] C'.
     No later step reads V, so its entries are cleared."""
-    K, L = layout.K, layout.L
     work = 0
-    for replaced, fresh in layout.swaps:
+    for replaced, fresh in swaps:
         lv, vv = L[fresh], L[fresh[:, None], fresh]
         L[fresh] = L[:, fresh] = lv[:, fresh] = 0.0
         if not vv.any():
@@ -142,7 +142,7 @@ def pv_osimr(model: Model, state: State, cs: ConstraintSet,
     """Delassus matrix by the coupling pass over rows compressed to six
     per link, as PV-OSIMr pushes one 6x6 block through each joint."""
     ws, cache, _ = _setup(model, state, None, cs, ws, cache)
-    lam = _coupled_delassus(model, cache, cs, ws, ws.compressed)
+    lam = _coupled_delassus(model, cache, cs, ws, ws.plan.compressed)
     return DelassusOperator("explicit", lam)
 
 
@@ -163,7 +163,7 @@ def caba_osim(model: Model, state: State, cs: ConstraintSet,
     m = cs.m
     if m == 0:
         return DelassusOperator("damped_inverse", np.zeros((0, 0)), mu=settings.mu)
-    lam = _coupled_delassus(model, cache, cs, ws, ws.full)
+    lam = _coupled_delassus(model, cache, cs, ws, ws.plan.full)
     shifted = lam + settings.mu * np.eye(m)
     x = linalg.chol_inverse(linalg.chol_factor(shifted))
     return DelassusOperator("damped_inverse", x, mu=settings.mu)

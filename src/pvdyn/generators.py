@@ -35,19 +35,14 @@ def generate_chain(n_joints: int, kind: str = "revolute") -> Model:
         raise ValueError("chain needs at least one joint")
     if kind not in ("revolute", "prismatic"):
         raise ValueError(f"unsupported chain joint kind {kind!r}")
-    parent = [-1]
-    joints = [Joint.fixed()]
-    placement = [PlueckerTransform.identity()]
-    inertia = [_base_inertia()]
+    # the links' joints, offset and inertia are immutable, so links share them
+    link_joints = (Joint(kind, _AXES[0]), Joint(kind, _AXES[1]))
     link_inertia = SpatialInertia.from_com(1.0, np.array([0.5, 0.0, 0.0]),
                                            0.01 * np.eye(3))
-    for i in range(1, n_joints + 1):
-        parent.append(i - 1)
-        axis = _AXES[(i - 1) % 2]
-        joints.append(Joint(kind, axis))
-        placement.append(_xlt([0.5, 0.0, 0.0]))
-        inertia.append(link_inertia)
-    return Model(parent, joints, placement, inertia)
+    return Model(range(-1, n_joints),
+                 [Joint.fixed()] + [link_joints[i % 2] for i in range(n_joints)],
+                 [PlueckerTransform.identity()] + [_xlt([0.5, 0.0, 0.0])] * n_joints,
+                 [_base_inertia()] + [link_inertia] * n_joints)
 
 
 def generate_tree(n_joints: int, branching: int, seed: int,
@@ -67,15 +62,15 @@ def generate_tree(n_joints: int, branching: int, seed: int,
     joints = [Joint.floating() if base_kind == "floating" else Joint.fixed()]
     placement = [PlueckerTransform.identity()]
     inertia = [SpatialInertia.from_com(2.0, np.zeros(3), 0.02 * np.eye(3))]
-    n_children = [0]
+    n_children, depth = [0], [0]
     for i in range(1, n_joints + 1):
         eligible = [j for j in range(i) if n_children[j] < branching]
-        depths = [_depth_of(parent, j) for j in eligible]
-        dmin = min(depths)
-        shallowest = [j for j, d in zip(eligible, depths) if d == dmin]
+        dmin = min(depth[j] for j in eligible)
+        shallowest = [j for j in eligible if depth[j] == dmin]
         p = int(rng.choice(shallowest))
         n_children[p] += 1
         n_children.append(0)
+        depth.append(depth[p] + 1)
         parent.append(p)
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
@@ -88,14 +83,6 @@ def generate_tree(n_joints: int, branching: int, seed: int,
         inertia.append(SpatialInertia.from_com(
             mass, com, np.diag(rng.uniform(0.01, 0.05, 3))))
     return Model(parent, joints, placement, inertia)
-
-
-def _depth_of(parent: list[int], j: int) -> int:
-    d = 0
-    while parent[j] >= 0:
-        j = parent[j]
-        d += 1
-    return d
 
 
 def generate_humanoid_like() -> Model:

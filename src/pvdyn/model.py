@@ -13,9 +13,9 @@ blocks follow the same order with the floating block being the base's
 spatial velocity in base coordinates (angular first).
 
 Models are immutable after construction and safe to share across
-threads (the static plans of CRBA, the Jacobians and the LTL factor are
-built on first read, and a thread that races another builds the same
-plan); State is a plain value type.
+threads (the static plans of CRBA, the Jacobians, the LTL factor and the
+constraint layouts' rows are built on first read, and a thread that
+races another builds the same plan); State is a plain value type.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class Joint:
     def __post_init__(self):
         if self.kind in ("revolute", "prismatic"):
             a = np.asarray(self.axis, dtype=float)
-            norm = np.linalg.norm(a)
+            norm = math.sqrt(a @ a)         # np.linalg.norm's sum, without its overhead
             if abs(norm - 1.0) > 1e-12:
                 a = a / norm
             object.__setattr__(self, "axis", a)
@@ -103,13 +103,6 @@ class Joint:
         if self.kind == "floating":
             return spatial.quat_to_rotation(q_block[:4]).T, np.asarray(q_block[4:], dtype=float)
         return np.eye(3), np.zeros(3)
-
-
-def _index(idx: list[int]):
-    """A slice where the indices are one ascending run, else an index array."""
-    if all(b - a == 1 for a, b in zip(idx, idx[1:])):
-        return slice(idx[0], idx[-1] + 1)
-    return np.array(idx)
 
 
 @dataclass(frozen=True)
@@ -230,20 +223,29 @@ class LevelPlan:
 
 def _levels(parent: np.ndarray, depth: np.ndarray, fixed: np.ndarray,
             pos: np.ndarray) -> tuple[Level, ...]:
-    """The levels of the sorted plan positions `pos`."""
-    parent, depth = parent.tolist(), depth.tolist()
-    moving = (fixed[:, 0, 0] == 0.0).tolist()
-    out = []
-    for _, level in itertools.groupby(pos.tolist(), key=depth.__getitem__):
-        p = list(level)
-        if p[0] == 0:
-            out.append(Level(slice(0, 1), None, None, None, 1, 0))
-            continue
-        par = [parent[k] for k in p]
-        starts = [j for j in range(len(p)) if not j or par[j] != par[j - 1]]
-        out.append(Level(_index(p), _index(par), np.array(starts),
-                         _index([par[j] for j in starts]), len(p), sum(moving[k] for k in p),
-                         len(starts) == len(p)))
+    """The levels of the sorted plan positions `pos`.  In plan order a
+    level's parents do not decrease, so its links, parents and heads
+    each run (a slice) where their span is their count less one, the
+    parents only where each run of siblings is one link."""
+    if not pos.size:
+        return ()
+    par, d = parent[pos], depth[pos]
+    lo = np.flatnonzero(np.concatenate(([True], d[1:] != d[:-1])))
+    runs = np.flatnonzero(np.concatenate(([True], par[1:] != par[:-1])))  # and so a new level
+    ra = np.searchsorted(runs, lo)
+    starts, heads = runs - lo[np.searchsorted(lo, runs, "right") - 1], par[runs]
+    moving = np.add.reduceat(fixed[pos, 0, 0] == 0.0, lo).tolist()
+    p, q, h = pos.tolist(), par.tolist(), heads.tolist()
+    lo, ra = lo.tolist() + [len(p)], ra.tolist() + [len(h)]
+    out = [Level(slice(0, 1), None, None, None, 1, 0)] if p[0] == 0 else []
+    for k in range(len(out), len(moving)):
+        a, b, u, v = lo[k], lo[k + 1], ra[k], ra[k + 1]
+        one = v - u == b - a
+        out.append(Level(slice(p[a], p[b - 1] + 1) if p[b - 1] - p[a] == b - a - 1 else pos[a:b],
+                         slice(q[a], q[b - 1] + 1) if one and q[b - 1] - q[a] == b - a - 1
+                         else par[a:b], starts[u:v],
+                         slice(h[u], h[v - 1] + 1) if h[v - 1] - h[u] == v - u - 1 else heads[u:v],
+                         b - a, moving[k], one))
     return tuple(out)
 
 
@@ -320,6 +322,18 @@ class DofLevel:
     flops: int
 
 
+def root_scan(parent: np.ndarray, x: np.ndarray, op=np.add) -> np.ndarray:
+    """`x` reduced by `op` over each node's root path, itself included, by
+    pointer jumping: each step folds in the path up to `up` and doubles it."""
+    x, up = x.copy(), parent.copy()
+    for _ in range(len(parent).bit_length()):  # k steps span 2^k links, a cycle stops too
+        if not (on := up >= 0).any():
+            break
+        x[on] = op(x[on], x[up[on]])
+        up[on] = up[up[on]]
+    return x
+
+
 def dof_levels(dof_parent: np.ndarray) -> tuple[DofLevel, ...]:
     """The dofs by their number of ancestors in `dof_parent`, root level
     first and each level's dofs ascending; the LTL factor and solves take
@@ -327,10 +341,7 @@ def dof_levels(dof_parent: np.ndarray) -> tuple[DofLevel, ...]:
     each have a child in the next level, in one run, takes a view of that
     level's targets, so a chain holds one table of them, not one per level."""
     n = len(dof_parent)
-    depth, up = (dof_parent >= 0).astype(int), dof_parent.copy()
-    while (on := up >= 0).any():        # pointer jumping: depth counts the dofs up to `up`
-        depth[on] += depth[up[on]]
-        up[on] = up[up[on]]
+    depth = root_scan(dof_parent, (dof_parent >= 0).astype(int))
     order = np.argsort(depth, kind="stable")
     row, ancs = np.empty(n, dtype=int), []
     for dofs in np.split(order, np.cumsum(np.bincount(depth))[:-1]) if n else ():
@@ -370,51 +381,36 @@ class Model:
         self.names = tuple(names) if names is not None else tuple(
             f"link{i}" for i in range(self.n_links))
 
-        self.nv = sum(j.nv for j in self.joints)
-        self.nq = sum(j.nq for j in self.joints)
-
-        v_off, q_off = [], []
-        iv = iq = 0
-        for j in self.joints:
-            v_off.append(iv)
-            q_off.append(iq)
-            iv += j.nv
-            iq += j.nq
-        self.v_offset = tuple(v_off)
-        self.q_offset = tuple(q_off)
+        nvs = np.array([j.nv for j in self.joints], dtype=int)
+        nqs = np.array([j.nq for j in self.joints], dtype=int)
+        self.nv, self.nq = int(nvs.sum()), int(nqs.sum())
+        self.v_offset = tuple((np.cumsum(nvs) - nvs).tolist())
+        self.q_offset = tuple((np.cumsum(nqs) - nqs).tolist())
 
         self.S = tuple(j.motion_subspace() for j in self.joints)
         self.placement_rot = np.stack([x.rotation for x in self.placement])
         self.placement_trans = np.stack([x.translation for x in self.placement])
-        self.inertia66 = np.stack([ine.to_matrix() for ine in self.inertia])
+        self.inertia66 = spatial.inertia_matrix(*(np.array([getattr(i, f) for i in self.inertia])
+                                                  for f in ("mass", "first_moment", "rot_inertia")))
 
         children: list[list[int]] = [[] for _ in range(self.n_links)]
-        depth = np.zeros(self.n_links, dtype=int)
         for i in range(1, self.n_links):
             children[self.parent[i]].append(i)
-            depth[i] = depth[self.parent[i]] + 1
         self.children = tuple(tuple(c) for c in children)
-        self.link_depth = depth
-        self.depth = int(depth.max()) if self.n_links > 1 else 0
+        self.link_depth = root_scan(self.parent, (self.parent >= 0).astype(int))
+        self.depth = int(self.link_depth.max())
         self.plan = LevelPlan.of(self)
 
         # per-dof parent chain (previous dof of the same joint, else the
         # last dof of the nearest movable ancestor); it drives the
-        # branch-sparse factorization pattern
-        dof_parent = np.full(self.nv, -1, dtype=int)
-        last_dof = np.full(self.n_links, -1, dtype=int)
-        for i in range(self.n_links):
-            nv = self.joints[i].nv
-            anc = self.parent[i]
-            prev = last_dof[anc] if anc >= 0 else -1
-            for k in range(nv):
-                d = self.v_offset[i] + k
-                dof_parent[d] = prev
-                prev = d
-            last_dof[i] = prev if nv > 0 else (last_dof[anc] if anc >= 0 else -1)
-        self.dof_parent = dof_parent
-        self._last_dof = last_dof
+        # branch-sparse factorization pattern.  Dofs grow down each root
+        # path, so that last dof is the largest on the path
+        first = np.cumsum(nvs) - nvs
+        self._last_dof = root_scan(self.parent, np.where(nvs > 0, first + nvs - 1, -1), np.maximum)
+        self.dof_parent = np.arange(self.nv) - 1
+        self.dof_parent[first[nvs > 0]] = np.append(self._last_dof, -1)[self.parent[nvs > 0]]
         self._jacobian_walks: dict[bytes, RootWalk] = {}
+        self._row_plans: dict = {}      # constrained._RowPlan by constraint layout
 
     @cached_property
     def dof_levels(self) -> tuple[DofLevel, ...]:
@@ -485,11 +481,8 @@ class Model:
     def validate(self) -> None:
         if self.parent[0] != -1:
             raise ValueError("link 0 must attach to the world")
-        for i in range(1, self.n_links):
-            if not 0 <= self.parent[i] < i:
-                raise ValueError("parent array is not topologically ordered")
-            if self.joints[i].kind == "floating":
-                raise ValueError("floating joints are only allowed on link 0")
+        if not ((0 <= self.parent[1:]) & (self.parent[1:] < np.arange(1, self.n_links))).all():
+            raise ValueError("parent array is not topologically ordered")
         for i, (x, ine) in enumerate(zip(self.placement, self.inertia)):
             x.validate()
             movable = i > 0 or self.base_kind == "floating"
@@ -542,6 +535,14 @@ def check_vec(model: Model, vec, name: str) -> np.ndarray:
         raise DimensionMismatch(f"{name} must have length nv={model.nv}")
     check_finite(vec, name)
     return vec
+
+
+def check_rows(x, m: int, name: str) -> np.ndarray:
+    """`x`, a scalar or one value per constraint row, as a float array of length m."""
+    x = np.asarray(x, dtype=float)
+    if x.shape not in ((), (1,), (m,)):
+        raise DimensionMismatch(f"{name} must be a scalar or have length m={m}")
+    return np.broadcast_to(x, (m,))
 
 
 def neutral_state(model: Model) -> State:

@@ -180,14 +180,14 @@ def compose_rt(r1: np.ndarray, p1: np.ndarray, r2: np.ndarray, p2: np.ndarray):
     return r1 @ r2, p2 + r2.T @ p1
 
 
-def inertia_matrix(mass: float, h: np.ndarray, rot_inertia: np.ndarray) -> np.ndarray:
-    """6x6 inertia from mass, first moment h = m*com, inertia about origin."""
-    m = np.zeros((6, 6))
-    m[:3, :3] = rot_inertia
+def inertia_matrix(mass, h: np.ndarray, rot_inertia: np.ndarray) -> np.ndarray:
+    """6x6 inertias from masses, first moments h = m*com and inertias about the origin."""
+    m = np.zeros(np.shape(mass) + (6, 6))
+    m[..., :3, :3] = rot_inertia
     hs = skew(h)
-    m[:3, 3:] = hs
-    m[3:, :3] = hs.T
-    m[3:, 3:] = mass * np.eye(3)
+    m[..., :3, 3:] = hs
+    m[..., 3:, :3] = np.swapaxes(hs, -1, -2)
+    m[..., 3:, 3:] = np.multiply.outer(mass, np.eye(3))
     return m
 
 

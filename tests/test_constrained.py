@@ -202,10 +202,10 @@ class TestPvSolve:
     def test_workspace_subtree_rows(self, chain8):
         cs = ConstraintSet([point_constraint(5, [0.1, 0, 0]), weld_constraint(8)])
         ws = PvWorkspace(chain8, cs)
-        assert len(ws.rows[8]) == 6
-        assert len(ws.rows[5]) == 9
-        assert len(ws.rows[1]) == 9
-        assert len(ws.rows[6]) == 6
+        assert len(ws.plan.rows[8]) == 6
+        assert len(ws.plan.rows[5]) == 9
+        assert len(ws.plan.rows[1]) == 9
+        assert len(ws.plan.rows[6]) == 6
 
 
 class TestPvEarly:
@@ -451,9 +451,10 @@ class TestSupportSweep:
         shapes = set()
         for name, model, _, _, cs in SUPPORT_CASES:
             ws = PvWorkspace(model, cs)
-            assert ws.support == tuple(i for i, cons in enumerate(cons_in_subtree(model, cs))
-                                       if cons)
-            assert sorted(ws.support + ws.off_support) == list(range(model.n_links))
+            support = model.plan.order[ws.plan.support_pos].tolist()
+            off_support = model.plan.order[ws.plan.off_pos].tolist()
+            assert support == [i for i, cons in enumerate(cons_in_subtree(model, cs)) if cons]
+            assert sorted(support + off_support) == list(range(model.n_links))
             if model.base_kind == "floating":
                 shapes.add("floating")
             if any(j.nv == 0 for j in model.joints[1:]):
@@ -464,7 +465,7 @@ class TestSupportSweep:
                 shapes.add("shared_link")
             # an off-support link whose children move with it: the fill
             # must carry the change in acceleration down more than one level
-            if any(model.children[i] for i in ws.off_support):
+            if any(model.children[i] for i in off_support):
                 shapes.add("deep_fill")
         assert shapes == {"floating", "fixed", "root", "shared_link", "deep_fill"}
 
@@ -700,6 +701,22 @@ class TestSoftWeightsVector:
         ref = relaxed_kkt_oracle(chain8, state, tau, cs, weights)
         assert np.linalg.norm(sol.qdd - ref) <= 1e-8 * (1 + np.linalg.norm(ref))
 
+    @pytest.mark.parametrize("shape", [(5,), (7,), (6, 1), (2, 6)])
+    def test_weights_that_are_not_one_per_row_raise(self, chain8, shape):
+        # a scalar, one weight or one per row broadcast; any other shape is
+        # a typed dimension error from the solver and from the oracle
+        state, tau = random_state(chain8, 30), np.zeros(8)
+        cs = ConstraintSet([weld_constraint(8)])
+        weights = np.full(shape, 1e-3)
+        with pytest.raises(DimensionMismatch, match="soft_R"):
+            pv_soft_solve(chain8, state, tau, cs, SolverSettings(soft_R=weights))
+        with pytest.raises(DimensionMismatch, match="weights"):
+            relaxed_kkt_oracle(chain8, state, tau, cs, weights)
+        want = pv_soft_solve(chain8, state, tau, cs, SolverSettings(soft_R=1e-3)).qdd
+        for fits in (np.full(1, 1e-3), np.full(6, 1e-3)):
+            got = pv_soft_solve(chain8, state, tau, cs, SolverSettings(soft_R=fits)).qdd
+            assert got.tobytes() == want.tobytes()
+
 
 class TestSettingsValidation:
     """Settings are finite and positive, and max_iter an integer of at
@@ -849,7 +866,7 @@ class TestWorkspaceReuse:
                        ConstraintSet([a, b, a])):
             fresh = PvWorkspace.ensure(model, cs_new, ws)
             assert fresh is not ws
-            assert fresh.layout == tuple((con.link, con.dim) for con in cs_new)
+            assert fresh.plan.layout == tuple((con.link, con.dim) for con in cs_new)
         assert PvWorkspace.ensure(model.with_gravity([0.0, 0.0, -1.0]), cs, ws) is not ws
 
 
@@ -903,7 +920,7 @@ def cold_caba(model, state, tau, cs, settings, ws):
     qdd, rnorm = cold_relaxed(model, cache, cs, ws, np.asarray(tau, float), np.full(cs.m, mu))
     r = ws.resid
     w = np.zeros(cs.m)
-    terms = 6 * ws.frontier_pos.size + ws.support_slots.size
+    terms = 6 * ws.plan.frontier_pos.size + ws.plan.support_slots.size
     history = [rnorm]
     status = "max_iter"
     it, gamma, lam_hat, hat_at = 1, 0.0, None, 0
@@ -922,7 +939,7 @@ def cold_caba(model, state, tau, cs, settings, ws):
         if it == settings.max_iter:
             break
         if it == 2:
-            da_p, dqj_p = ws.da[ws.frontier_pos], ws.dqj[ws.support_slots]
+            da_p, dqj_p = ws.da[ws.plan.frontier_pos], ws.dqj[ws.plan.support_slots]
             da_y, dqj_y = scale * da_p, scale * dqj_p
             flops.add(terms)
         it += 1
@@ -942,8 +959,8 @@ def cold_caba(model, state, tau, cs, settings, ws):
             p = r + beta * p
             bp = br + beta * bp
             alpha = gamma / float(bp @ bp)
-            da_p = ws.da[ws.frontier_pos] + beta * da_p
-            dqj_p = ws.dqj[ws.support_slots] + beta * dqj_p
+            da_p = ws.da[ws.plan.frontier_pos] + beta * da_p
+            dqj_p = ws.dqj[ws.plan.support_slots] + beta * dqj_p
             da_y -= alpha * da_p
             dqj_y -= alpha * dqj_p
             work = 12 * cs.m + 4 * terms
@@ -954,9 +971,9 @@ def cold_caba(model, state, tau, cs, settings, ws):
         flops.add(work)
     if scale is not None:
         if da_y is not None:
-            ws.da[ws.frontier_pos], ws.dqj[ws.support_slots] = da_y, dqj_y
-        ws.u[ws.off_pos] = 0.0
-        _forward_pass(model, cache, ws, ws.off_levels, change=True)
+            ws.da[ws.plan.frontier_pos], ws.dqj[ws.plan.support_slots] = da_y, dqj_y
+        ws.u[ws.plan.off_pos] = 0.0
+        _forward_pass(model, cache, ws, ws.plan.off_levels, change=True)
         dqdd = _dofs(model, ws.dqj)
         if da_y is None:
             dqdd *= scale

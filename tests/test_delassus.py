@@ -12,7 +12,7 @@ from pvdyn import (ConstraintSet, MotionConstraint, PvWorkspace,
                    random_feasible_instance, random_singular_instance,
                    State, random_state, weld_constraint, point_constraint)
 from pvdyn import delassus
-from pvdyn.constrained import _carried_rows
+from pvdyn.constrained import _carried_rows, _seed_coupling
 from pvdyn.delassus import DelassusOperator
 from pvdyn.errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
 from test_constrained import with_fixed_joints
@@ -67,7 +67,7 @@ def _graded_osimr(model, cs, seed=0):
     dense = dense_delassus(model, state, cs)
     assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
     assert np.abs(got - dense).max() <= 1e-8 * max(1.0, np.abs(dense).max())
-    return ws, _carried_rows(model, ws.layout, 6)
+    return ws, _carried_rows(model.children, ws.plan.layout, 6)
 
 
 def _branching_tree(base_kind="fixed"):
@@ -148,7 +148,7 @@ class TestPvOsimr:
         (r_a, v_a), (r_j, v_j) = swaps
         assert r_a.size == 9 and set(v_a) <= set(r_j) and r_j.size == 15
         assert rows[junction].tolist() == v_j.tolist()
-        assert len(ws.compressed.swaps) == 2
+        assert len(ws.plan.compressed.swaps) == 2
 
     def test_floating_base_takes_more_than_six_rows(self):
         model, junction = _branching_tree("floating")
@@ -179,17 +179,23 @@ class TestPvOsimr:
         assert len(swaps) == 1 and rows[0].size == 9
 
     def test_fresh_rows_are_seeded_from_the_layout(self):
-        # the compressed layout holds its fresh rows' K = I once, by blocks of
-        # six, and every seed copies it (the pass changes K, never the copy);
-        # the layouts without fresh rows hold none
+        # the compressed layout's fresh rows past m have K and L buffers of
+        # the workspace's own, and every seed sets their K to I by blocks of
+        # six (the pass changes it); the layouts without fresh rows use the
+        # workspace's K and L
         model = generate_chain(8)
         cs = ConstraintSet([weld_constraint(8), MotionConstraint(7, np.ones((1, 6)), np.zeros(1))])
         ws = PvWorkspace(model, cs)
-        lay = ws.compressed
-        assert ws.full.fresh is None and ws.live(np.ones(cs.m, dtype=bool)).fresh is None
+        lay = ws.plan.compressed
+        for other in (ws.plan.full, ws.plan.live(np.ones(cs.m, dtype=bool))):
+            assert other.size == cs.m and ws.buffers(other.size)[0] is ws.K
         state = random_state(model, 0)
         first = pv_osimr(model, state, cs, ws).matrix
-        np.testing.assert_array_equal(lay.fresh, np.eye(6))
+        K, L = ws.buffers(lay.size)
+        assert lay.size == cs.m + 6 and K.shape == (cs.m + 6, 6) and K is not ws.K
+        assert ws.buffers(lay.size)[0] is K
+        _seed_coupling(cs, K, L)
+        np.testing.assert_array_equal(K[cs.m:], np.eye(6))
         assert pv_osimr(model, state, cs, ws).matrix.tobytes() == first.tobytes()
 
     def test_no_level_step_carries_more_than_six_rows_per_link(self, monkeypatch):
@@ -198,18 +204,18 @@ class TestPvOsimr:
         one_row = MotionConstraint(7, np.ones((1, 6)), np.zeros(1))
         six = ConstraintSet([weld_constraint(8)])
         seven = ConstraintSet([weld_constraint(8), one_row])
-        assert PvWorkspace(model, six).compressed.L.shape == (6, 6)
-        assert PvWorkspace(model, seven).compressed.L.shape == (13, 13)
+        assert PvWorkspace(model, six).plan.compressed.size == 6
+        assert PvWorkspace(model, seven).plan.compressed.size == 13
         seen = []
         coupling_pass = delassus._coupling_pass
 
         def spy(model, cache, ws, levels, lay, with_l=True):
             levels = list(levels)
-            for k in levels if lay is ws.compressed else ():
+            for k in levels if lay is ws.plan.compressed else ():
                 lr = lay.coupling[k]
                 if lr is not None and model.plan.sweep[k].parents is not None:
                     # each link's rows, without the padding
-                    seen.append((np.atleast_2d(lr.idx) < lay.K.shape[0]).sum(1).max())
+                    seen.append((np.atleast_2d(lr.idx) < lay.size).sum(1).max())
             coupling_pass(model, cache, ws, levels, lay, with_l)
 
         monkeypatch.setattr(delassus, "_coupling_pass", spy)

@@ -7,7 +7,11 @@ the inertia, bias and forward passes; the flop counts and proximal
 iteration counts of all producers are pinned.
 """
 
+import gc
 import importlib
+import sys
+import threading
+import weakref
 from pathlib import Path
 from typing import NamedTuple
 
@@ -25,7 +29,7 @@ from pvdyn import (ConstraintSet, Joint, Model, MotionConstraint, PlueckerTransf
 from pvdyn.bench import load_model
 from pvdyn.constrained import (_DUAL_PIVOT_RATIO, _ELIM_PIVOT_RATIO, _aba, _beta_hat,
                                _bias_pass, _dofs, _forward_pass, _inertia_pass,
-                               _own_terms, _try_chol)
+                               _own_terms, _RowPlan, _try_chol)
 from pvdyn.errors import (NotPositiveDefinite, SingularBaseInertia, SingularDual,
                           SingularJointInertia)
 from pvdyn.generators import standard_constraints
@@ -71,7 +75,7 @@ def reference_pv(model, state, tau, cs, early, skip=True):
     Returns (qdd, lam, flops, base dual dim, eliminated block sizes).
     """
     ws = PvWorkspace(model, cs)
-    rows = ws.rows
+    rows = ws.plan.rows
     in_subtree = cons_in_subtree(model, cs)
     # moving joints on each link's root path, below the root
     moving = [0] * model.n_links
@@ -377,7 +381,7 @@ class TestSameAnswers:
 
         def spy(model, cache, ws, levels, lay, with_l=True):
             for k in levels:
-                lr, live = ws.full.coupling[k], lay.coupling[k]
+                lr, live = ws.plan.full.coupling[k], lay.coupling[k]
                 if lr is None or model.plan.sweep[k].parents is None:
                     continue
                 # each link's rows, without the padding
@@ -428,7 +432,7 @@ class TestSameAnswers:
                 pos = np.broadcast_to(rec.pos, rec.rows.shape)
                 for p in np.unique(pos):
                     i = int(model.plan.order[p])
-                    rows = ws.rows[i]
+                    rows = ws.plan.rows[i]
                     split = rows[-1] - rows[0] + 1 != rows.size
                     seen.append((i, rec.rows[pos == p][0], split,
                                  [r for r in rec.other_rows.tolist() if r in rows]))
@@ -483,16 +487,16 @@ def test_structural_skip_changes_no_answer(family):
 
 
 def _record_live(monkeypatch):
-    """Each ``PvWorkspace.live`` call of the solves that follow, as its
-    workspace, a copy of its mask and the layout it returned."""
+    """Each ``_RowPlan.live`` call of the solves that follow, as its plan,
+    a copy of its mask and the layout it returned."""
     calls = []
-    live = PvWorkspace.live
+    live = _RowPlan.live
 
-    def spy(ws, alive):
-        lay = live(ws, alive)
-        calls.append((ws, alive.copy(), lay))
+    def spy(plan, alive):
+        lay = live(plan, alive)
+        calls.append((plan, alive.copy(), lay))
         return lay
-    monkeypatch.setattr(PvWorkspace, "live", spy)
+    monkeypatch.setattr(_RowPlan, "live", spy)
     return calls
 
 
@@ -523,19 +527,16 @@ def _positions(x, plan):
     return np.arange(plan.order.size)[x]
 
 
-def _as_indices(lr, Ls, plan):
+def _as_indices(lr, size, plan):
     """A level's record with every index as an array, a level of one link
     as one of several: links and offsets as positions, ``rows`` as the
     (links, R) rows it reads, and ``block`` as the flat indices of the
-    spilled L `Ls` it reads (found by filling `Ls` with its own flat
-    indices for the read)."""
-    saved = Ls.copy()
-    Ls.reshape(-1)[:] = np.arange(Ls.size)
-    blocks = lr.block[0][lr.block[1]].astype(int)
-    Ls[:] = saved
+    spilled L of `size` rows (and the spill row) it reads."""
+    flat = np.arange((size + 1) ** 2)
+    blocks = (flat.reshape(size + 1, -1) if isinstance(lr.block, tuple) else flat)[lr.block]
     links, idx = np.atleast_1d(_positions(lr.links, plan)), np.atleast_2d(lr.idx)
     return (links, np.atleast_1d(_positions(lr.off, plan)),
-            np.atleast_2d(np.arange(Ls.shape[0])[lr.rows]), idx,
+            np.atleast_2d(np.arange(size + 1)[lr.rows]), idx,
             blocks.reshape(idx.shape + idx.shape[-1:]), lr.n_rows, lr.n_moving, lr.n_pairs)
 
 
@@ -566,7 +567,7 @@ def _row_walk_sets(family, monkeypatch):
         return [random_singular_instance(seed)[::3] for seed in range(50)]
     if family == "fd_tree":
         return [_fd_tree(monkeypatch)[:2]]
-    models = [load_model(spec) for spec in ("chain:64", "humanoid", "tree:128:3")]
+    models = [load_model(spec) for spec in ("chain:64", "chain:256", "humanoid", "tree:128:3")]
     return [(model, standard_constraints(model, m)) for model in models for m in (6, 12, 24)]
 
 
@@ -577,6 +578,7 @@ def test_rows_and_schedule_match_the_parent_chains(family, monkeypatch):
     # least as many moving joints between their link and i as they have rows
     for model, cs in _row_walk_sets(family, monkeypatch):
         ws = PvWorkspace(model, cs)
+        support = set(model.plan.order[ws.plan.support_pos].tolist())
         in_subtree = cons_in_subtree(model, cs)
         moving = [0] * model.n_links
         for i in range(1, model.n_links):
@@ -584,12 +586,12 @@ def test_rows_and_schedule_match_the_parent_chains(family, monkeypatch):
         expected: dict = {}
         for i in range(model.n_links):
             rows = sorted(r for ci in in_subtree[i] for r in cs.rows(ci).tolist())
-            assert ws.rows[i].tolist() == rows
-            assert (i in ws.support) == bool(rows)
+            assert ws.plan.rows[i].tolist() == rows
+            assert (i in support) == bool(rows)
             expected.setdefault(int(model.link_depth[i]), []).extend(
                 (-i, ci) for ci in in_subtree[i]
                 if moving[cs.layout[ci][0]] - moving[i] >= cs.layout[ci][1])
-        for k, sched in enumerate(ws.early):
+        for k, sched in enumerate(ws.plan.early):
             # a level's links by descending index, each link's candidates in set order
             cands = [(-neg, ci) for neg, ci in sorted(expected.get(k, []))]
             if sched is None:
@@ -597,9 +599,9 @@ def test_rows_and_schedule_match_the_parent_chains(family, monkeypatch):
                 continue
             links = model.plan.order[sched.pos].tolist()
             assert list(zip(links, sched.first)) == [(i, cs.offsets[ci]) for i, ci in cands]
-            assert [r.tolist() for r in sched.rows] == [cs.rows(ci).tolist() for _, ci in cands]
-            assert [r.tolist() for r in sched.link_rows] == \
-                [ws.rows[i].tolist() for i in dict.fromkeys(links)]
+            assert sched.dims == [cs.layout[ci][1] for _, ci in cands]
+            assert [r.tolist() for r in np.split(sched.scale_rows, sched.scale_at[1:])] == \
+                [ws.plan.rows[i].tolist() for i in dict.fromkeys(links)]
 
 
 class TestRowLayouts:
@@ -618,12 +620,12 @@ class TestRowLayouts:
                 pv_early_solve(mdl, state, tau, c)
             except SingularDual:
                 pass
-        for ws, alive, lay in calls:
-            assert lay.K is ws.K and lay.L is ws.L and lay.swaps == ()
-            plan = ws.model.plan
-            for lr, got in zip(ws.full.coupling, lay.coupling, strict=True):
+        for row_plan, alive, lay in calls:
+            assert lay.size == alive.size and lay.swaps == ()
+            plan = row_plan.level_plan
+            for lr, got in zip(row_plan.full.coupling, lay.coupling, strict=True):
                 if got is not None:
-                    got = _as_indices(got, lay.L.base, plan)
+                    got = _as_indices(got, lay.size, plan)
                 assert _equal(got, None if lr is None else _masked(lr, alive, plan))
         assert sum(not alive.all() for _, alive, _ in calls) > len(points)
 
@@ -635,7 +637,7 @@ class TestRowLayouts:
         first = [lay for _, _, lay in calls]
         calls.clear()
         pv_early_solve(model, state, tau, cs, ws)
-        assert len(calls) == len(first) and any(lay is not ws.full for lay in first)
+        assert len(calls) == len(first) and any(lay is not ws.plan.full for lay in first)
         assert all(lay is old for (_, _, lay), old in zip(calls, first))
 
     def test_eliminating_every_row_leaves_no_level(self, monkeypatch):
@@ -651,6 +653,102 @@ class TestRowLayouts:
         _, alive, lay = calls[-1]
         assert not alive.any()
         assert lay.coupling == (None,) * len(model.plan.sweep)
+
+
+class TestSharedPlans:
+    """One ``_RowPlan`` per (model, layout), shared by every workspace."""
+
+    def test_workspaces_of_one_layout_share_its_plan(self):
+        model = load_model("tree:128:3")
+        cs = standard_constraints(model, 12)
+        ws = PvWorkspace(model, cs)
+        for same in (cs, cs.replace_targets(np.ones(cs.m)), standard_constraints(model, 12)):
+            other = PvWorkspace(model, same)
+            assert other.plan is ws.plan and other.K is not ws.K
+            assert PvWorkspace.ensure(model, same, ws) is ws
+        for model_b, cs_b in ((model, standard_constraints(model, 6)),
+                              (load_model("tree:128:3"), cs)):
+            assert PvWorkspace(model_b, cs_b).plan is not ws.plan
+            assert PvWorkspace.ensure(model_b, cs_b, ws) is not ws
+
+    def test_a_second_solve_builds_no_plan_or_schedule(self, monkeypatch):
+        built = []
+
+        def counted(name, make):
+            def build(*args, **kwargs):
+                built.append(name)
+                return make(*args, **kwargs)
+            return build
+        init = _RowPlan.__init__
+        monkeypatch.setattr(_RowPlan, "__init__", counted("plan", init))
+        monkeypatch.setattr(constrained, "_EarlyLevel",
+                            counted("schedule", constrained._EarlyLevel))
+        monkeypatch.setattr(constrained, "_row_layout", counted("layout", constrained._row_layout))
+        model = load_model("tree:128:3")
+        cs = standard_constraints(model, 24)
+        state, tau = random_state(model, 0), np.zeros(model.nv)
+        first = pv_early_solve(model, state, tau, cs)
+        assert {"plan", "schedule", "layout"} <= set(built)
+        built.clear()
+        second = pv_early_solve(model, state, tau, cs)
+        assert built == []
+        assert second.qdd.tobytes() == first.qdd.tobytes()
+        assert second.lam.tobytes() == first.lam.tobytes()
+
+
+def test_a_model_and_its_plans_are_freed_without_the_cycle_collector():
+    # the model holds its plans and a plan does not hold its model, so
+    # dropping the model frees both at once, as before the plans were shared
+    model = load_model("tree:128:3")
+    cs = standard_constraints(model, 12)
+    pv_early_solve(model, random_state(model, 0), np.zeros(model.nv), cs)
+    pv_osimr(model, random_state(model, 0), cs)
+    freed = weakref.ref(model)
+    gc.disable()
+    try:
+        del model
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
+def test_threads_with_their_own_workspaces_share_a_plan(monkeypatch):
+    # four threads, each with its own workspace on one fresh (model,
+    # layout) and its own states, race to fill the shared plan's memos
+    # (the schedule, the live layouts and the rounds) and still give the
+    # serial answers, statuses and counters
+    model, cs, points = _fd_tree(monkeypatch)
+    parts = tuple(points[k::4] for k in range(4))
+
+    def run(ws, pairs):
+        out = []
+        for state, tau in pairs:
+            for solve in (pv_early_solve, constrained_aba):
+                sol = solve(model, state, tau, cs, ws=ws)
+                out.append((sol.qdd.tobytes(), sol.lam.tobytes(), sol.status,
+                            sol.iterations, repr(ws.counters)))
+        return out
+    barrier = threading.Barrier(len(parts))
+    got, plans = [None] * len(parts), [None] * len(parts)
+
+    def worker(k):
+        ws = PvWorkspace(model, cs)
+        plans[k] = ws.plan
+        barrier.wait(timeout=60)
+        got[k] = run(ws, parts[k])
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(parts))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(plan is plans[0] for plan in plans)
+    assert got == [run(PvWorkspace(model, cs), part) for part in parts]
 
 
 def _pin_fixtures():
@@ -1004,13 +1102,13 @@ class TestLevelBatchedEngine:
         position = model.plan.position
         _own_terms(model, cache, ws)
         _aba(model, cache, ws, tau)
-        ws.pA[ws.support_pos] = 0.0
+        ws.pA[ws.plan.support_pos] = 0.0
         for link, extra in bias.items():
             ws.pA[position[link], :, 0] += extra
-        _bias_pass(model, cache, ws, ws.support_levels)
-        _forward_pass(model, cache, ws, ws.support_levels, change=True)
-        ws.u[ws.off_pos] = 0.0
-        _forward_pass(model, cache, ws, ws.off_levels, change=True)
+        _bias_pass(model, cache, ws, ws.plan.support_levels)
+        _forward_pass(model, cache, ws, ws.plan.support_levels, change=True)
+        ws.u[ws.plan.off_pos] = 0.0
+        _forward_pass(model, cache, ws, ws.plan.off_levels, change=True)
         subset = _dofs(model, ws.dqj), ws.da[model.plan.position, :, 0]
         ws.pA[:] = 0.0
         for link, extra in bias.items():
@@ -1033,11 +1131,11 @@ class TestLevelBatchedEngine:
         cache = forward_kinematics(model, state)
         ws = PvWorkspace(model, cs)
         plan = model.plan
-        assert any(not isinstance(lv.links, slice) for lv in ws.support_levels)
+        assert any(not isinstance(lv.links, slice) for lv in ws.plan.support_levels)
         np.copyto(ws.IA, plan.inertia66)
         ws.U[:] = ws.D_inv[:] = ws.IA_proj[:] = np.nan
-        _inertia_pass(model, cache, ws, ws.support_levels)
-        pos = ws.support_pos[ws.support_pos > 0]
+        _inertia_pass(model, cache, ws, ws.plan.support_levels)
+        pos = ws.plan.support_pos[ws.plan.support_pos > 0]
         u = ws.IA[pos] @ plan.S[pos]
         inv = 1.0 / (plan.ST[pos] @ u + plan.fixed[pos])
         np.testing.assert_array_equal(ws.U[pos], u)

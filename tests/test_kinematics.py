@@ -336,8 +336,8 @@ class TestLevelBatchedKinematics:
         ws = PvWorkspace(model, standard_constraints(model, m, seed=11) if m > 0
                          else ConstraintSet.empty())
         for levels, subset in ((plan.sweep, range(model.n_links)),
-                               (ws.support_levels, ws.support),
-                               (ws.off_levels, ws.off_support)):
+                               (ws.plan.support_levels, plan.order[ws.plan.support_pos]),
+                               (ws.plan.off_levels, plan.order[ws.plan.off_pos])):
             seen = np.zeros(model.n_links, dtype=int)
             depths = []
             for lv in levels:
@@ -388,7 +388,7 @@ class TestLevelBatchedKinematics:
             assert lone[-1]
         ws = PvWorkspace(model, standard_constraints(model, 6, seed=11))
         rng = np.random.default_rng(3)
-        for levels in (plan.sweep, ws.support_levels, ws.off_levels):
+        for levels in (plan.sweep, ws.plan.support_levels, ws.plan.off_levels):
             for lv in (lv for lv in levels if lv.parents is not None):
                 assert lv.lone == (lv.starts.size == lv.size)
                 buf = rng.standard_normal((model.n_links, 6, 6))

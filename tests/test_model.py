@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from pvdyn import (ConstraintSet, Joint, MotionConstraint, PvWorkspace, attach_anchors,
+from pvdyn import (ConstraintSet, Joint, Model, MotionConstraint, PvWorkspace, attach_anchors,
                    constraint_jacobian, forward_kinematics, generate_chain,
                    generate_humanoid_like, generate_tree, link_jacobian, neutral_state,
-                   point_constraint, pv_osim, pv_solve, random_state, weld_constraint)
+                   point_constraint, pv_osim, pv_solve, random_feasible_instance, random_state,
+                   weld_constraint)
+from pvdyn.bench import load_model
 from pvdyn.errors import DimensionMismatch
 from pvdyn.generators import standard_constraints
 
@@ -224,3 +226,96 @@ def test_depth_state_invariant(chain8):
     assert chain8.depth == 8
     # depth is structural; no state enters its computation
     assert generate_chain(8).depth == chain8.depth
+
+
+def test_floating_joint_below_the_root_raises():
+    m = generate_chain(2)
+    with pytest.raises(ValueError, match="only allowed on link 0"):
+        Model(m.parent, (m.joints[0], Joint.floating(), m.joints[2]), m.placement, m.inertia)
+
+
+def reference_levels(plan, links):
+    """The ``Level`` fields of the link subset `links`, built link by link:
+    its plan positions by depth, each level's parents and the offsets and
+    parents of its sibling runs, each index a slice where it runs by one."""
+    def index(idx):
+        return slice(idx[0], idx[-1] + 1) if idx == list(range(idx[0], idx[-1] + 1)) \
+            else np.array(idx)
+    by_depth: dict = {}
+    for p in sorted(plan.position[np.asarray(links, dtype=int)].tolist()):
+        by_depth.setdefault(int(plan.depth[p]), []).append(p)
+    out = []
+    for pos in by_depth.values():
+        if pos == [0]:
+            out.append((slice(0, 1), None, None, None, 1, 0, False))
+            continue
+        par = [int(plan.parent[p]) for p in pos]
+        starts = [j for j in range(len(pos)) if j == 0 or par[j] != par[j - 1]]
+        out.append((index(pos), index(par), np.array(starts), index([par[j] for j in starts]),
+                    len(pos), sum(int(plan.fixed[p, 0, 0] == 0.0) for p in pos),
+                    len(starts) == len(pos)))
+    return out
+
+
+def _same_field(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return type(a) is type(b) and a.shape == b.shape and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+def _level_cases():
+    for spec in ("chain:64", "humanoid", "tree:128:3"):
+        model = load_model(spec)
+        yield spec, model, [standard_constraints(model, m) for m in (6, 12, 24)]
+    for seed in range(50):
+        model, _, _, cs = random_feasible_instance(seed)
+        yield f"feasible{seed}", model, [cs]
+
+
+@pytest.mark.parametrize("name, model, sets", list(_level_cases()),
+                         ids=[name for name, _, _ in _level_cases()])
+def test_levels_match_a_per_link_reference(name, model, sets):
+    # field by field, for the whole tree and each plan's support and
+    # off-support subsets
+    plan = model.plan
+    subsets = [(plan.sweep, range(model.n_links))]
+    for cs in sets:
+        row_plan = PvWorkspace(model, cs).plan
+        subsets += [(row_plan.support_levels, plan.order[row_plan.support_pos]),
+                    (row_plan.off_levels, plan.order[row_plan.off_pos])]
+    fields = ("links", "parents", "starts", "heads", "size", "moving", "lone")
+    for levels, links in subsets:
+        want = reference_levels(plan, list(links))
+        assert len(levels) == len(want)
+        for lv, ref in zip(levels, want):
+            for field, value in zip(fields, ref):
+                assert _same_field(getattr(lv, field), value), (name, field)
+
+
+def reference_dof_parents(model):
+    """Each dof's parent (the previous dof of its joint, else the last dof
+    of the nearest movable ancestor) and each link's last dof on its root
+    path, link by link."""
+    dof_parent, last = np.full(model.nv, -1), np.full(model.n_links, -1)
+    for i, joint in enumerate(model.joints):
+        prev = last[model.parent[i]] if i else -1
+        for d in range(model.v_offset[i], model.v_offset[i] + joint.nv):
+            dof_parent[d], prev = prev, d
+        last[i] = prev
+    return dof_parent, last
+
+
+@pytest.mark.parametrize("name, model, sets", list(_level_cases()),
+                         ids=[name for name, _, _ in _level_cases()])
+def test_model_arrays_match_a_per_link_reference(name, model, sets):
+    dof_parent, last = reference_dof_parents(model)
+    assert model.dof_parent.tolist() == dof_parent.tolist()
+    assert model._last_dof.tolist() == last.tolist()
+    depth = [0] * model.n_links
+    for i in range(1, model.n_links):
+        depth[i] = depth[model.parent[i]] + 1
+    assert model.link_depth.tolist() == depth and model.depth == max(depth)
+    assert model.v_offset == tuple(np.cumsum([0] + [j.nv for j in model.joints])[:-1].tolist())
+    assert model.q_offset == tuple(np.cumsum([0] + [j.nq for j in model.joints])[:-1].tolist())
+    want = np.stack([inertia.to_matrix() for inertia in model.inertia])
+    assert model.inertia66.tobytes() == want.tobytes()
