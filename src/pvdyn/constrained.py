@@ -292,7 +292,7 @@ class PvWorkspace(_Sweep):
         return ws
 
     def buffers(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Zero K and L for `size` rows (m, or the compressed layout's), made once."""
+        """K and L for `size` rows (m, or the compressed layout's), made once per size."""
         if size not in self._by_size:
             self._by_size[size] = np.zeros((size + 1, 6))[:-1], np.zeros((size + 1,) * 2)[:-1, :-1]
         return self._by_size[size]
